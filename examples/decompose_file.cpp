@@ -329,8 +329,16 @@ int main(int argc, char** argv) {
   RecordingTelemetry telemetry;
   ctx.telemetry = &telemetry;
 
-  const Clustering c = cg.has_value() ? registry().run(algo, *cg, params, ctx)
-                                      : registry().run(algo, g, params, ctx);
+  StatusOr<Clustering> run = cg.has_value()
+                                 ? registry().try_run(algo, *cg, params, ctx)
+                                 : registry().try_run(algo, g, params, ctx);
+  if (!run.ok()) {
+    // A bad parameter key or value is a usage error: exit 1.
+    std::fprintf(stderr, "decompose_file: %s\n",
+                 run.status().to_string().c_str());
+    return 1;
+  }
+  const Clustering c = std::move(run).value();
   std::printf("%s: %u clusters, max radius %u, %zu growth steps%s\n",
               algo.c_str(), c.num_clusters(), c.max_radius(), c.growth_steps,
               c.validate(g) ? "" : "  [VALIDATION FAILED]");

@@ -3,7 +3,8 @@
 # test_cli_errors:
 #
 #   exit 0  success
-#   exit 1  usage error (bad flag, unknown algorithm)
+#   exit 1  usage error (bad flag, unknown algorithm, malformed
+#           algorithm parameter value)
 #   exit 2  unreadable or corrupt input (one-line Status diagnostic on
 #           stderr)
 #
@@ -61,6 +62,21 @@ set +e
 code=$?
 set -e
 [ "$code" -eq 1 ] || fail "unknown algorithm: expected exit 1, got $code"
+
+# A parameter value that does not parse as its declared type is a usage
+# error too: exit 1 with a one-line INVALID_ARGUMENT diagnostic, not an
+# abort.
+for bad in --tau=abc --tau=99999999999; do
+  set +e
+  err="$("$DECOMPOSE_FILE" "$bad" 2>&1 >/dev/null)"
+  code=$?
+  set -e
+  [ "$code" -eq 1 ] || fail "$bad: expected exit 1, got $code"
+  echo "$err" | grep -q "decompose_file: INVALID_ARGUMENT: parameter tau" ||
+    fail "$bad: diagnostic not found in: $err"
+  [ "$(echo "$err" | wc -l)" -eq 1 ] ||
+    fail "$bad: diagnostic is not one line: $err"
+done
 
 # GCLUS_FAULT reaches the CLI.  A one-shot open failure is absorbed by
 # the mmap->read fallback: the run succeeds and reports the triggered

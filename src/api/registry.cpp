@@ -1,5 +1,6 @@
 #include "api/registry.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
@@ -48,51 +49,78 @@ bool AlgoParams::contains(const std::string& key) const {
 
 namespace {
 
-std::uint64_t parse_u64_param(const std::string& key,
-                              const std::string& value) {
-  const StatusOr<std::uint64_t> v = parse_u64(value);
-  GCLUS_CHECK(v.ok(), "parameter ", key, ": '", value,
-              "' is not an unsigned integer");
-  return *v;
+/// 1 for a true word, 0 for a false word, -1 for anything else.
+int bool_word(const std::string& v) {
+  if (v == "1" || v == "true" || v == "yes" || v == "on") return 1;
+  if (v == "0" || v == "false" || v == "no" || v == "off") return 0;
+  return -1;
+}
+
+/// The value grammar of each ParamSpec::Type, shared by Registry::select
+/// (which returns the Status) and the AlgoParams getters (which abort).
+Status check_value(const std::string& key, const std::string& value,
+                   ParamSpec::Type type) {
+  const auto bad = [&](const char* what) {
+    return InvalidArgumentError("parameter " + key + ": '" + value +
+                                "' is not " + what);
+  };
+  switch (type) {
+    case ParamSpec::Type::kU32:
+    case ParamSpec::Type::kU64: {
+      const StatusOr<std::uint64_t> v = parse_u64(value);
+      if (!v.ok()) return bad("an unsigned integer");
+      if (type == ParamSpec::Type::kU32 && *v > UINT32_MAX) {
+        return bad("an unsigned integer below 2^32");
+      }
+      return OkStatus();
+    }
+    case ParamSpec::Type::kDouble: {
+      char* end = nullptr;
+      (void)std::strtod(value.c_str(), &end);
+      const bool whole = end != value.c_str() && *end == '\0';
+      return whole ? OkStatus() : bad("a number");
+    }
+    case ParamSpec::Type::kBool:
+      break;
+  }
+  return bool_word(value) >= 0 ? OkStatus() : bad("a boolean");
+}
+
+/// The getters' common front: the value of `key` (nullptr when unset),
+/// aborting with the Status message unless it parses as `type`.
+const std::string* checked_value(
+    const std::map<std::string, std::string>& entries, const std::string& key,
+    ParamSpec::Type type) {
+  const auto it = entries.find(key);
+  if (it == entries.end()) return nullptr;
+  const Status st = check_value(key, it->second, type);
+  GCLUS_CHECK(st.ok(), st.message());
+  return &it->second;
 }
 
 }  // namespace
 
 std::uint32_t AlgoParams::get_u32(const std::string& key,
                                   std::uint32_t fallback) const {
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) return fallback;
-  const std::uint64_t v = parse_u64_param(key, it->second);
-  GCLUS_CHECK(v <= 0xffffffffULL, "parameter ", key, ": ", it->second,
-              " does not fit in 32 bits");
-  return static_cast<std::uint32_t>(v);
+  const std::string* v = checked_value(entries_, key, ParamSpec::Type::kU32);
+  return v == nullptr ? fallback : static_cast<std::uint32_t>(*parse_u64(*v));
 }
 
 std::uint64_t AlgoParams::get_u64(const std::string& key,
                                   std::uint64_t fallback) const {
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) return fallback;
-  return parse_u64_param(key, it->second);
+  const std::string* v = checked_value(entries_, key, ParamSpec::Type::kU64);
+  return v == nullptr ? fallback : *parse_u64(*v);
 }
 
 double AlgoParams::get_double(const std::string& key, double fallback) const {
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) return fallback;
-  char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  GCLUS_CHECK(end != it->second.c_str() && *end == '\0', "parameter ", key,
-              ": '", it->second, "' is not a number");
-  return v;
+  const std::string* v =
+      checked_value(entries_, key, ParamSpec::Type::kDouble);
+  return v == nullptr ? fallback : std::strtod(v->c_str(), nullptr);
 }
 
 bool AlgoParams::get_bool(const std::string& key, bool fallback) const {
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) return fallback;
-  const std::string& v = it->second;
-  if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
-  if (v == "0" || v == "false" || v == "no" || v == "off") return false;
-  GCLUS_CHECK(false, "parameter ", key, ": '", v, "' is not a boolean");
-  return fallback;
+  const std::string* v = checked_value(entries_, key, ParamSpec::Type::kBool);
+  return v == nullptr ? fallback : bool_word(*v) == 1;
 }
 
 void Registry::add(AlgoInfo info) {
@@ -128,7 +156,8 @@ Clustering Registry::run(const std::string& name, const CompressedGraph& g,
 }
 
 /// Selection checks shared by both try_run overloads: resolves the
-/// algorithm and rejects undeclared parameter keys.
+/// algorithm and rejects undeclared parameter keys and values that do not
+/// parse as their declared type.
 StatusOr<const AlgoInfo*> Registry::select(const std::string& name,
                                            const AlgoParams& params) const {
   const AlgoInfo* info = find(name);
@@ -139,20 +168,17 @@ StatusOr<const AlgoInfo*> Registry::select(const std::string& name,
                                 "'; registered:" + known);
   }
   for (const auto& [key, value] : params.entries()) {
-    bool declared = false;
-    for (const ParamSpec& spec : info->params) {
-      if (spec.key == key) {
-        declared = true;
-        break;
-      }
-    }
-    if (!declared) {
+    const auto spec =
+        std::find_if(info->params.begin(), info->params.end(),
+                     [&](const ParamSpec& s) { return s.key == key; });
+    if (spec == info->params.end()) {
       std::string known;
-      for (const ParamSpec& spec : info->params) known += " " + spec.key;
+      for (const ParamSpec& s : info->params) known += " " + s.key;
       return InvalidArgumentError("algorithm '" + name +
                                   "' has no parameter '" + key +
                                   "'; declared:" + known);
     }
+    GCLUS_RETURN_IF_ERROR(check_value(key, value, spec->type));
   }
   return info;
 }

@@ -103,7 +103,7 @@ class Registry {
   [[nodiscard]] std::vector<std::string> names() const;
 
   /// Validates `params` against the schema of `name` and invokes its
-  /// adapter.  Aborts on unknown algorithm or unknown parameter keys.
+  /// adapter.  Aborts on everything try_run reports as a Status.
   Clustering run(const std::string& name, const Graph& g,
                  const AlgoParams& params, RunContext& ctx) const;
 
@@ -114,10 +114,9 @@ class Registry {
                  const AlgoParams& params, RunContext& ctx) const;
 
   /// Like run(), but selection errors — unknown algorithm, undeclared
-  /// parameter key — come back as kInvalidArgument instead of aborting,
+  /// parameter key, a value that does not parse as its declared
+  /// ParamSpec::Type — come back as kInvalidArgument instead of aborting,
   /// so a serving caller can reject one bad request and keep going.
-  /// (Malformed parameter *values* still abort inside the adapter; the
-  /// schema declares keys, not value grammars.)
   [[nodiscard]] StatusOr<Clustering> try_run(const std::string& name,
                                              const Graph& g,
                                              const AlgoParams& params,

@@ -3,64 +3,20 @@
 #include <algorithm>
 
 #include "common/check.hpp"
+#include "graph/bfs.hpp"
 
 namespace gclus::baselines {
 
 GonzalezResult gonzalez_kcenter(const Graph& g, NodeId k, NodeId first) {
   const NodeId n = g.num_nodes();
   GCLUS_CHECK(k >= 1 && k <= n);
+  const NodeId start = first == kInvalidNode ? 0 : first;
+  GCLUS_CHECK(start < n);
   GonzalezResult out;
-  out.centers.reserve(k);
-
-  // `dist` is the running distance to the nearest chosen center; each new
-  // center relaxes it with one (pruned) BFS.
-  std::vector<Dist> dist(n, kInfDist);
-  std::vector<NodeId> frontier, next;
-
-  NodeId next_center = first == kInvalidNode ? 0 : first;
-  GCLUS_CHECK(next_center < n);
-  for (NodeId i = 0; i < k; ++i) {
-    out.centers.push_back(next_center);
-    // Incremental BFS from the new center; stop exploring where the
-    // existing distance is already no worse.
-    frontier.clear();
-    frontier.push_back(next_center);
-    dist[next_center] = 0;
-    Dist level = 0;
-    while (!frontier.empty()) {
-      ++level;
-      next.clear();
-      for (const NodeId u : frontier) {
-        for (const NodeId v : g.neighbors(u)) {
-          if (level < dist[v]) {
-            dist[v] = level;
-            next.push_back(v);
-          }
-        }
-      }
-      frontier.swap(next);
-    }
-    // Farthest node (within reachable territory) becomes the next center.
-    Dist far = 0;
-    NodeId far_node = kInvalidNode;
-    for (NodeId v = 0; v < n; ++v) {
-      // Unreached components take absolute priority: they have infinite
-      // distance, so pick from them first.
-      if (dist[v] == kInfDist) {
-        far_node = v;
-        far = kInfDist;
-        break;
-      }
-      if (dist[v] > far) {
-        far = dist[v];
-        far_node = v;
-      }
-    }
-    if (i + 1 < k) {
-      GCLUS_CHECK(far_node != kInvalidNode);
-      next_center = far_node;
-    }
-  }
+  out.centers = {start};
+  // `dist` is the running distance to the nearest chosen center.
+  std::vector<Dist> dist = bfs_distances(g, start);
+  extend_farthest_first(g, k, out.centers, dist);
 
   Dist radius = 0;
   for (NodeId v = 0; v < n; ++v) {

@@ -5,7 +5,7 @@
 // Not part of the paper's experiments — it serves as the quality yardstick
 // in the k-center ablation bench: CLUSTER-based centers should land within
 // the predicted polylog factor of Gonzalez's radius, while being built
-// from O(R) parallel rounds instead of k sequential BFS sweeps.
+// from O(R) parallel rounds instead of k sequential (pruned) BFS sweeps.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +22,9 @@ struct GonzalezResult {
 };
 
 /// Runs farthest-first traversal with k centers; `first` seeds the sweep
-/// (kInvalidNode = node 0).  Cost: k incremental BFS passes, O(k(n+m)).
+/// (kInvalidNode = node 0).  Cost: one full sweep from the first center,
+/// then one pruned relax_from per further center, which touches only the
+/// region that center brings closer; O(k(n+m)) in the worst case.
 /// Requires k >= number of connected components for a finite radius.
 [[nodiscard]] GonzalezResult gonzalez_kcenter(const Graph& g, NodeId k,
                                               NodeId first = kInvalidNode);

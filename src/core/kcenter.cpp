@@ -146,31 +146,21 @@ KCenterResult kcenter_approx(const Graph& g, NodeId k,
   }
 
   // Pad to exactly k centers, farthest-first: strictly no worse than the
-  // paper's arbitrary padding.
-  while (centers.size() < k) {
-    const auto dist = multi_source_bfs(g, centers);
-    NodeId best = kInvalidNode;
-    Dist best_d = 0;
-    for (NodeId v = 0; v < n; ++v) {
-      if (dist[v] != kInfDist && dist[v] > best_d) {
-        best_d = dist[v];
-        best = v;
-      }
-    }
-    if (best == kInvalidNode) {
-      // Radius already 0 everywhere reachable; pad with unused nodes.
-      for (NodeId v = 0; v < n && centers.size() < k; ++v) {
-        if (std::find(centers.begin(), centers.end(), v) == centers.end()) {
-          centers.push_back(v);
-        }
-      }
-      break;
-    }
-    centers.push_back(best);
+  // paper's arbitrary padding.  One full sweep from the centers so far,
+  // then a pruned relaxation per added center keeps `dist` exact.
+  result.padded = k - static_cast<NodeId>(centers.size());
+  std::vector<Dist> dist;
+  if (result.padded > 0) {
+    dist = multi_source_bfs(g, centers);
+    extend_farthest_first(g, k, centers, dist);
   }
   GCLUS_CHECK(centers.size() == k);
 
+  // The final evaluation defines nearest_center's tie-breaking.
   auto [radius, owner] = evaluate_centers(g, centers);
+  GCLUS_DCHECK(dist.empty() ||
+                   radius == *std::max_element(dist.begin(), dist.end()),
+               "padding distances diverged from the evaluated radius");
   result.centers = std::move(centers);
   result.radius = radius;
   result.nearest_center = std::move(owner);

@@ -7,8 +7,11 @@
 // partitioned into at most k connected parts (the merging step in the
 // proof of Theorem 2).  If fewer than k clusters come back, the center set
 // is padded farthest-first (the paper pads with arbitrary nodes, which can
-// only be worse; we document the strengthening).  The achieved radius is
-// evaluated exactly with a multi-source BFS.
+// only be worse; we document the strengthening).  Padding costs one full
+// multi-source BFS plus one pruned relax_from per added center (it expands
+// only the nodes the new center brings closer), not one full sweep per
+// center.  The achieved radius is evaluated exactly with a multi-source
+// BFS.
 //
 // Guarantee: O(log³ n)-approximation of the optimal k-center radius, whp.
 #pragma once
@@ -40,10 +43,12 @@ struct KCenterResult {
   /// Per-node nearest chosen center (index into `centers`).
   std::vector<std::uint32_t> nearest_center;
 
-  /// Diagnostics: clusters produced by the underlying CLUSTER run and the
-  /// τ it used.
+  /// Diagnostics: clusters produced by the underlying CLUSTER run, the τ
+  /// it used, and how many trailing entries of `centers` the padding
+  /// appended.
   ClusterId raw_clusters = 0;
   std::uint32_t tau = 0;
+  NodeId padded = 0;
 };
 
 /// Approximates k-center on `g` (connected or not; requires k >= number of

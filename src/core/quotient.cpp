@@ -32,8 +32,12 @@ QuotientGraph build_quotient(const Graph& g, const Clustering& clustering,
           std::max(cu, cv);
       const Weight w = static_cast<Weight>(clustering.dist_to_center[u]) + 1 +
                        clustering.dist_to_center[v];
-      auto [it, inserted] = best.emplace(key, w);
-      if (!inserted && w < it->second) it->second = w;
+      // Find first: emplace allocates a node even when the key exists.
+      if (const auto it = best.find(key); it == best.end()) {
+        best.emplace(key, w);
+      } else if (w < it->second) {
+        it->second = w;
+      }
     }
   }
 

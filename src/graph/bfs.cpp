@@ -49,6 +49,47 @@ std::vector<Dist> multi_source_bfs(const Graph& g,
   return dist;
 }
 
+void relax_from(const Graph& g, NodeId source, std::vector<Dist>& dist) {
+  GCLUS_CHECK(source < g.num_nodes() && dist.size() == g.num_nodes());
+  if (dist[source] == 0) return;
+  dist[source] = 0;
+  std::vector<NodeId> frontier{source};
+  std::vector<NodeId> next;
+  for (Dist level = 1; !frontier.empty(); ++level) {
+    next.clear();
+    for (const NodeId u : frontier) {
+      for (const NodeId v : g.neighbors(u)) {
+        if (level < dist[v]) {
+          dist[v] = level;
+          next.push_back(v);
+        }
+      }
+    }
+    frontier.swap(next);
+  }
+}
+
+void extend_farthest_first(const Graph& g, NodeId k,
+                           std::vector<NodeId>& centers,
+                           std::vector<Dist>& dist) {
+  GCLUS_CHECK(k <= g.num_nodes() && dist.size() == g.num_nodes());
+  while (centers.size() < k) {
+    NodeId best = kInvalidNode;
+    Dist best_d = 0;
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      if (dist[v] > best_d) {
+        best_d = dist[v];
+        best = v;
+      }
+    }
+    // Only centers sit at distance 0, so fewer than k <= n distinct
+    // centers always leave a farthest node.
+    GCLUS_CHECK(best != kInvalidNode, "centers are not distinct");
+    centers.push_back(best);
+    relax_from(g, best, dist);
+  }
+}
+
 namespace {
 
 /// Below this frontier degree sum a push level runs inline on the caller:

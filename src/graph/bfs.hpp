@@ -36,6 +36,22 @@ class Workspace;
     const Graph& g, const std::vector<NodeId>& sources,
     std::vector<std::uint32_t>* owner_out = nullptr);
 
+/// Adds `source` to the node set whose hop distances `dist` holds (e.g. a
+/// multi_source_bfs result; all kInfDist for the empty set): lowers each
+/// dist[v] to d(source, v) where that is smaller, expanding only nodes that
+/// strictly improve.  Exact, since every node on a shortest path from
+/// `source` to an improved node is itself improved.
+void relax_from(const Graph& g, NodeId source, std::vector<Dist>& dist);
+
+/// Farthest-first (Gonzalez) extension of `centers`, whose distances
+/// `dist` holds, up to `k` distinct centers: each step appends the
+/// lowest-id node at the largest distance (kInfDist counts as largest, so
+/// unreached components come first) and relax_from()s it.  One full sweep
+/// to seed `dist`, then only the regions each new center brings closer.
+void extend_farthest_first(const Graph& g, NodeId k,
+                           std::vector<NodeId>& centers,
+                           std::vector<Dist>& dist);
+
 /// Level-synchronous parallel BFS.  Returns the same distances as
 /// bfs_distances; also reports the number of levels (rounds) executed via
 /// `levels_out` when non-null — this is the Θ(Δ)-round cost the paper's

@@ -20,8 +20,6 @@
 
 namespace gclus::net {
 
-namespace {
-
 /// Identity of the artifact file on disk.  The publish path is an atomic
 /// tmp+fsync+rename, so a republish always changes the inode; mtime and
 /// size guard against filesystems that recycle inode numbers eagerly.
@@ -33,6 +31,8 @@ struct FileId {
 
   friend bool operator==(const FileId&, const FileId&) = default;
 };
+
+namespace {
 
 FileId stat_file(const std::string& path) {
   struct stat st{};
@@ -68,7 +68,12 @@ NetServer::NetServer(server::QueryServer& qserver, NetServerOptions opts,
       wake_wr_(std::move(wake_wr)) {
   accept_thread_ = std::thread([this] { accept_loop(); });
   if (!opts_.watch_artifact_path.empty()) {
-    watch_thread_ = std::thread([this] { watch_loop(); });
+    // The baseline is taken before start() returns, so a republish that
+    // lands before the watcher thread's first tick still reads as a change.
+    watch_thread_ = std::thread(
+        [this, last = stat_file(opts_.watch_artifact_path)] {
+          watch_loop(last);
+        });
   }
 }
 
@@ -195,8 +200,14 @@ void NetServer::serve_connection(Socket sock) {
     }
     const std::vector<server::QueryResult>& results = ticket->wait();
     const std::vector<std::uint8_t> bytes = encode_result_batch(results);
-    if (!write_frame(sock, bytes.data(), bytes.size()).ok()) return;
+    // Count before the write: once the frame is on the wire the client
+    // can observe it, so a count taken afterwards could lag an answer the
+    // client already holds.  A failed write takes the count back.
     results_sent_.fetch_add(1, std::memory_order_relaxed);
+    if (!write_frame(sock, bytes.data(), bytes.size()).ok()) {
+      results_sent_.fetch_sub(1, std::memory_order_relaxed);
+      return;
+    }
 
     if (stopping_.load(std::memory_order_acquire)) {
       // The batch in flight was answered; anything the client sends after
@@ -209,12 +220,11 @@ void NetServer::serve_connection(Socket sock) {
   }
 }
 
-void NetServer::watch_loop() {
+void NetServer::watch_loop(FileId last) {
   const std::uint32_t interval_ms =
       opts_.watch_interval_ms != 0
           ? opts_.watch_interval_ms
           : static_cast<std::uint32_t>(env_u64("GCLUS_NET_WATCH_MS", 200, 1));
-  FileId last = stat_file(opts_.watch_artifact_path);
   while (!stopping_.load(std::memory_order_acquire)) {
     // Sleep in short slices so drain() never waits a full interval.
     for (std::uint32_t slept = 0;

@@ -53,11 +53,13 @@ struct NetServerOptions {
 struct NetServerStats {
   std::uint64_t connections_accepted = 0;
   std::uint64_t frames_in = 0;      ///< query batches decoded
-  std::uint64_t results_sent = 0;   ///< result frames fully written
+  std::uint64_t results_sent = 0;   ///< result frames sent (counted first)
   std::uint64_t errors_sent = 0;    ///< error frames written (incl. drain)
   std::uint64_t bad_frames = 0;     ///< malformed inputs rejected
   std::uint64_t reloads = 0;        ///< artifact hot-swaps performed
 };
+
+struct FileId;  ///< watched artifact's on-disk identity (server.cpp)
 
 class NetServer {
  public:
@@ -96,7 +98,7 @@ class NetServer {
 
   void accept_loop();
   void serve_connection(Socket sock);
-  void watch_loop();
+  void watch_loop(FileId last);
 
   server::QueryServer& qserver_;
   const NetServerOptions opts_;

@@ -108,6 +108,43 @@ TEST(Registry, TryRunReportsUsageErrorsAsStatus) {
   EXPECT_TRUE(good.value().validate(g));
 }
 
+TEST(Registry, TryRunRejectsValuesThatDoNotParseAsTheirType) {
+  const Graph g = gen::grid(6, 6);
+  RunContext ctx;
+  // One malformed value per ParamSpec::Type: each is refused by selection
+  // with a Status naming the parameter, before any adapter runs.
+  const std::vector<std::pair<std::string, AlgoParams>> bad = {
+      {"cluster", AlgoParams{{"tau", "abc"}}},
+      {"cluster", AlgoParams{{"tau", "99999999999"}}},  // > u32
+      {"cluster", AlgoParams{{"tau", "-4"}}},
+      {"mr.cluster", AlgoParams{{"spill_bytes", "18446744073709551616"}}},
+      {"mpx", AlgoParams{{"beta", "0.5x"}}},
+      {"mpx", AlgoParams{{"beta", ""}}},
+      {"mr.cluster", AlgoParams{{"combiners", "maybe"}}},
+  };
+  for (const auto& [algo, params] : bad) {
+    const auto r = registry().try_run(algo, g, params, ctx);
+    const std::string key = params.entries().begin()->first;
+    ASSERT_FALSE(r.ok()) << algo << " " << key;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find("parameter " + key),
+              std::string::npos)
+        << r.status().message();
+  }
+  // Well-formed values of every type still run.
+  EXPECT_TRUE(
+      registry().try_run("mpx", g, AlgoParams{{"beta", "0.4"}}, ctx).ok());
+  EXPECT_TRUE(registry()
+                  .try_run("mr.cluster", g,
+                           AlgoParams{{"tau", "4"},
+                                      {"combiners", "off"},
+                                      {"spill_bytes", "4096"}},
+                           ctx)
+                  .ok());
+  EXPECT_EQ(AlgoParams({{"tau", "4294967295"}}).get_u32("tau", 0),
+            4294967295u);
+}
+
 // --- The registry-driven property sweep: every registered algorithm, on
 // every corpus graph, must produce a valid partition, and a fixed
 // RunContext must give byte-identical results on 1, 2, and 8 threads. ---

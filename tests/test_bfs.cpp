@@ -1,10 +1,12 @@
 // Tests for the BFS kernels: sequential reference behavior, the parallel
 // level-synchronous variant (swept across worker counts and corpus
-// graphs), and multi-source distances.
+// graphs), multi-source distances, and the pruned relax_from update with
+// the farthest-first extension built on it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
+#include "common/rng.hpp"
 #include "graph/bfs.hpp"
 #include "graph/generators.hpp"
 #include "test_util.hpp"
@@ -57,6 +59,47 @@ TEST(MultiSourceBfs, DuplicateSourcesTolerated) {
   const auto d = multi_source_bfs(g, {2, 2, 2});
   EXPECT_EQ(d[2], 0u);
   EXPECT_EQ(d[6], 4u);
+}
+
+TEST(RelaxFrom, MatchesMultiSourceBfsOverAllSourcesSoFar) {
+  // Corpus plus a disconnected graph, so relaxing from a source in an
+  // unreached component (all kInfDist there) is covered too.
+  auto graphs = testutil::small_connected_corpus();
+  graphs.push_back(
+      {"grid+cycle", gen::disjoint_union(gen::grid(8, 8), gen::cycle(30))});
+  for (const auto& [name, g] : graphs) {
+    Rng rng(0x5eed + g.num_nodes());
+    std::vector<NodeId> sources;
+    std::vector<Dist> dist(g.num_nodes(), kInfDist);
+    for (int i = 0; i < 12; ++i) {
+      const auto s = static_cast<NodeId>(rng.next_below(g.num_nodes()));
+      sources.push_back(s);
+      relax_from(g, s, dist);
+      ASSERT_EQ(dist, multi_source_bfs(g, sources))
+          << name << " after " << sources.size() << " sources";
+    }
+    // A source already at distance 0 changes nothing.
+    relax_from(g, sources.front(), dist);
+    EXPECT_EQ(dist, multi_source_bfs(g, sources)) << name;
+  }
+}
+
+TEST(ExtendFarthestFirst, PicksLowestIdAtLargestDistance) {
+  const Graph g = gen::path(9);
+  std::vector<NodeId> centers{0};
+  std::vector<Dist> dist = bfs_distances(g, 0);
+  extend_farthest_first(g, 3, centers, dist);
+  EXPECT_EQ(centers, (std::vector<NodeId>{0, 8, 4}));
+  EXPECT_EQ(dist, multi_source_bfs(g, centers));
+}
+
+TEST(ExtendFarthestFirst, UnreachedComponentsComeFirst) {
+  const Graph g = gen::disjoint_union(gen::path(5), gen::path(3));
+  std::vector<NodeId> centers{0};
+  std::vector<Dist> dist = bfs_distances(g, 0);
+  extend_farthest_first(g, 2, centers, dist);
+  EXPECT_EQ(centers, (std::vector<NodeId>{0, 5}));
+  EXPECT_EQ(dist, multi_source_bfs(g, centers));
 }
 
 TEST(BfsExtremum, FindsFarthestNode) {

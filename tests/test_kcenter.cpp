@@ -1,15 +1,19 @@
 // Tests for the k-center approximation (§3.1/§3.2): exact-k output, the
 // merging path (more clusters than k), padding (fewer), optimality ratio
 // against brute force on tiny graphs and against the Theorem-2 polylog
-// bound via Gonzalez on the corpus, and disconnected-graph support.
+// bound via Gonzalez on the corpus, disconnected-graph support, and the
+// incremental padding's equivalence to one full sweep per padded center.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "baselines/gonzalez.hpp"
 #include "core/kcenter.hpp"
+#include "graph/bfs.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
 #include "test_util.hpp"
@@ -135,6 +139,103 @@ TEST(KCenter, KEqualsNIsZeroRadius) {
   const Graph g = gen::cycle(12);
   const KCenterResult r = kcenter_approx(g, 12, {});
   EXPECT_EQ(r.radius, 0u);
+}
+
+// --- Padding equivalence: kcenter_approx pads with one full sweep plus a
+// pruned relax_from per added center.  The reference below is the loop it
+// replaced, a full multi_source_bfs per added center; the two must agree
+// byte for byte. ---
+
+/// Pads the first k - r.padded entries of `r.centers` (the CLUSTER or
+/// merged centers) farthest-first with one full BFS per added center, then
+/// evaluates exactly.
+KCenterResult reference_padding(const Graph& g, const KCenterResult& r) {
+  const NodeId n = g.num_nodes();
+  const auto k = static_cast<NodeId>(r.centers.size());
+  std::vector<NodeId> centers(r.centers.begin(),
+                              r.centers.begin() + (k - r.padded));
+  while (centers.size() < k) {
+    const auto dist = multi_source_bfs(g, centers);
+    NodeId best = kInvalidNode;
+    Dist best_d = 0;
+    for (NodeId v = 0; v < n; ++v) {
+      if (dist[v] != kInfDist && dist[v] > best_d) {
+        best_d = dist[v];
+        best = v;
+      }
+    }
+    if (best == kInvalidNode) {
+      for (NodeId v = 0; v < n && centers.size() < k; ++v) {
+        if (std::find(centers.begin(), centers.end(), v) == centers.end()) {
+          centers.push_back(v);
+        }
+      }
+      break;
+    }
+    centers.push_back(best);
+  }
+  KCenterResult out;
+  auto [radius, owner] = evaluate_centers(g, centers);
+  out.centers = std::move(centers);
+  out.radius = radius;
+  out.nearest_center = std::move(owner);
+  return out;
+}
+
+/// Runs kcenter_approx and checks it against the reference; returns the
+/// result for case-specific assertions.
+KCenterResult expect_matches_reference(const Graph& g, NodeId k,
+                                       std::uint64_t seed,
+                                       const std::string& name) {
+  KCenterOptions opts;
+  opts.seed = seed;
+  const KCenterResult r = kcenter_approx(g, k, opts);
+  const KCenterResult ref = reference_padding(g, r);
+  EXPECT_EQ(r.centers, ref.centers) << name << " k=" << k;
+  EXPECT_EQ(r.radius, ref.radius) << name << " k=" << k;
+  EXPECT_EQ(r.nearest_center, ref.nearest_center) << name << " k=" << k;
+  return r;
+}
+
+TEST(KCenterPadding, MatchesFullSweepReferenceOnCorpus) {
+  NodeId padded_total = 0;
+  for (const auto& [name, graph] : testutil::small_connected_corpus()) {
+    const NodeId n = graph.num_nodes();
+    for (const NodeId k : {1u, 4u, 16u, n / 2}) {
+      padded_total +=
+          expect_matches_reference(graph, std::min(k, n), 3, name).padded;
+    }
+  }
+  EXPECT_GT(padded_total, 0u) << "the sweep never exercised the padding";
+}
+
+TEST(KCenterPadding, MatchesReferenceOnDisconnectedGraph) {
+  const Graph g = gen::disjoint_union(gen::grid(8, 8), gen::cycle(30));
+  NodeId padded_total = 0;
+  for (const NodeId k : {2u, 5u, 20u, 47u}) {
+    padded_total += expect_matches_reference(g, k, 13, "grid+cycle").padded;
+  }
+  EXPECT_GT(padded_total, 0u);
+}
+
+TEST(KCenterPadding, StartsFromRawClusterCentersWhenClustersFitK) {
+  const Graph g = gen::expander(512, 4, 11);
+  const KCenterResult r = expect_matches_reference(g, 256, 3, "expander");
+  ASSERT_LE(r.raw_clusters, 256u);  // no merge: padding starts from CLUSTER
+  EXPECT_EQ(r.padded, 256u - r.raw_clusters);
+  // The unpadded prefix is exactly what CLUSTER returned at that τ.
+  ClusterOptions copts;
+  copts.seed = 3;
+  const Clustering c = cluster(g, r.tau, copts);
+  EXPECT_TRUE(std::equal(c.centers.begin(), c.centers.end(),
+                         r.centers.begin(), r.centers.end() - r.padded));
+}
+
+TEST(KCenterPadding, KEqualsNPadsToRadiusZero) {
+  const Graph g = gen::grid(30, 30);
+  const KCenterResult r = expect_matches_reference(g, 900, 3, "grid-30x30");
+  EXPECT_EQ(r.radius, 0u);
+  EXPECT_GT(r.padded, 0u);
 }
 
 TEST(EvaluateCenters, ManualSpotCheck) {
