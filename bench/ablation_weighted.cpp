@@ -61,8 +61,9 @@ void run_dataset(const BenchDataset& d) {
                       "hop radius", "quotient D'_w", "D_w lower bound"});
   const WeightedDiameterApprox wa =
       approximate_weighted_diameter(wg, tau, wopts);
-  // Exact weighted diameter needs n Dijkstras; a weighted double sweep
-  // (2 Dijkstras) gives the tight-in-practice lower bound instead.
+  // The exact weighted diameter can need up to n Dijkstras on the full
+  // input; a weighted double sweep (2 Dijkstras) gives the
+  // tight-in-practice lower bound instead.
   Weight lower = 0;
   {
     const auto d0 = dijkstra(wg, 0);

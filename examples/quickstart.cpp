@@ -46,5 +46,10 @@ int main() {
       approx.lower_bound, exact,
       static_cast<unsigned long long>(approx.upper_bound),
       approx.quotient_nodes, approx.growth_steps, exact);
+  // The estimate is an upper bound (Δ ≤ Δ″); anything below is a bug.
+  if (approx.upper_bound < exact) {
+    std::fprintf(stderr, "quickstart: estimate below the exact diameter\n");
+    return 1;
+  }
   return 0;
 }

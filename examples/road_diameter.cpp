@@ -25,7 +25,8 @@ int main() {
   const Dist exact = exact_diameter(g).diameter;
   std::printf("exact hop diameter (offline reference): %u\n\n", exact);
 
-  // --- Decomposition-based estimate (this paper).
+  // --- Decomposition-based estimate (this paper).  It is an upper bound
+  // (Δ ≤ Δ″), so an estimate below the exact diameter fails the run.
   {
     mr::Engine engine;
     mr_algos::MrClusterOptions opts;
@@ -40,6 +41,11 @@ int main() {
                     engine.metrics().pairs_shuffled),
                 r.quotient_nodes,
                 static_cast<unsigned long long>(r.quotient_edges));
+    if (r.estimate < exact) {
+      std::fprintf(stderr,
+                   "road_diameter: estimate below the exact diameter\n");
+      return 1;
+    }
   }
 
   // --- BFS baseline: 2·ecc upper bound, Θ(Δ) rounds.

@@ -59,5 +59,11 @@ int main() {
       static_cast<unsigned long long>(exact),
       static_cast<unsigned long long>(a.upper_bound),
       static_cast<double>(a.upper_bound) / exact, a.quotient_nodes);
+  // The estimate is an upper bound (Δ ≤ Δ″); anything below is a bug.
+  if (a.upper_bound < exact) {
+    std::fprintf(stderr,
+                 "weighted_roads: estimate below the exact diameter\n");
+    return 1;
+  }
   return 0;
 }

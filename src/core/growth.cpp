@@ -36,10 +36,13 @@ GrowthStateT<G>::GrowthStateT(const G& g, ThreadPool& pool,
     b_->dist[v] = kInfDist;
     b_->uncovered_candidates[v] = static_cast<NodeId>(v);
   });
-  parallel_for(pool, 0, (static_cast<std::size_t>(n) + 63) / 64,
-               [&](std::size_t w) {
-                 b_->frontier_bits[w].store(0, std::memory_order_relaxed);
-               });
+  // frontier_bits needs no reset: every pull step clears the bits it set,
+  // so the bitmap is all-zero between steps and across runs.
+  GCLUS_DCHECK(std::all_of(b_->frontier_bits.begin(), b_->frontier_bits.end(),
+                           [](const std::atomic<std::uint64_t>& w) {
+                             return w.load(std::memory_order_relaxed) == 0;
+                           }),
+               "frontier bitmap left dirty by a previous run");
   b_->frontier.clear();
   for (auto& p : b_->proposals) p.clear();
   for (auto& p : b_->next_frontier) p.clear();
@@ -69,7 +72,6 @@ ClusterId GrowthStateT<G>::add_center(NodeId v, std::uint64_t priority) {
   centers_.push_back(v);
   activation_.push_back(static_cast<std::uint32_t>(steps_executed_));
   b_->frontier.push_back(v);
-  set_frontier_bit(v);
   frontier_degree_sum_ += g_->degree(v);
   uncovered_degree_sum_ -= g_->degree(v);
   ++covered_count_;
@@ -212,13 +214,19 @@ template <class G>
 NodeId GrowthStateT<G>::step_pull(std::uint32_t step_index) {
   maybe_compact_candidates();
 
+  // The frontier bitmap lives only for this step: set here, cleared before
+  // the next frontier is installed, so push steps and add_center never
+  // touch it.
+  parallel_for(*pool_, 0, b_->frontier.size(),
+               [&](std::size_t i) { set_frontier_bit(b_->frontier[i]); });
+
   // Scan phase: every uncovered node takes the minimum claim key over its
   // frontier neighbors, tested against the packed frontier bitmap (stable
-  // for the whole step — bits change only in install_next_frontier, behind
-  // a pool barrier).  Between steps every covered neighbor of an uncovered
-  // node belongs to the current frontier (see the header), so this minimum
-  // equals the push-side fetch-min, and same-step multi-hop claims are
-  // impossible because newly claimed nodes are not in the bitmap.
+  // for the whole scan, behind pool barriers on both sides).  Between steps
+  // every covered neighbor of an uncovered node belongs to the current
+  // frontier (see the header), so this minimum equals the push-side
+  // fetch-min, and same-step multi-hop claims are impossible because newly
+  // claimed nodes are not in the bitmap.
   for (auto& nf : b_->next_frontier) nf.clear();
   std::atomic<NodeId> newly{0};
   std::atomic<std::uint64_t> next_degree_sum{0};
@@ -288,7 +296,10 @@ NodeId GrowthStateT<G>::step_pull(std::uint32_t step_index) {
   }
   stats_.pull_edges_scanned += edges_scanned.load();
 
-  // Commit phase: flip the coverage flags behind the barrier.
+  // Commit phase: leave the bitmap clean, then flip the coverage flags
+  // behind the barrier.
+  parallel_for(*pool_, 0, b_->frontier.size(),
+               [&](std::size_t i) { clear_frontier_bit(b_->frontier[i]); });
   install_next_frontier(next_degree_sum.load());
   parallel_for(*pool_, 0, b_->frontier.size(),
                [&](std::size_t i) { b_->covered[b_->frontier[i]] = 1; });
@@ -297,11 +308,7 @@ NodeId GrowthStateT<G>::step_pull(std::uint32_t step_index) {
 
 template <class G>
 void GrowthStateT<G>::install_next_frontier(std::uint64_t next_degree_sum) {
-  parallel_for(*pool_, 0, b_->frontier.size(),
-               [&](std::size_t i) { clear_frontier_bit(b_->frontier[i]); });
   parallel_concat(*pool_, b_->next_frontier, b_->frontier);
-  parallel_for(*pool_, 0, b_->frontier.size(),
-               [&](std::size_t i) { set_frontier_bit(b_->frontier[i]); });
   frontier_degree_sum_ = next_degree_sum;
   uncovered_degree_sum_ -= next_degree_sum;
 }

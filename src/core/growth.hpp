@@ -18,7 +18,10 @@
 //     frontier claimants — membership tested against a packed frontier
 //     bitmap (1 bit/node, cache-resident even for dense frontiers) — and
 //     takes the minimum key locally, contention-free because each node
-//     writes only itself.
+//     writes only itself.  The bitmap exists only for the step: the pull
+//     step sets the current frontier's bits before its scan and clears
+//     them before installing the next frontier, so push steps (the
+//     majority on high-diameter graphs) and add_center never touch it.
 // The two directions agree exactly: between steps every covered neighbor
 // of an uncovered node is a member of the current frontier (it was covered
 // in the immediately preceding step or activated as a center since), so
@@ -183,11 +186,13 @@ class GrowthStateT {
   ///   * b_->covered — committed coverage flags;
   ///   * b_->committing — commit dedup latches (push phase 2);
   ///   * b_->dist — per-node hop distance to the claiming center;
-  ///   * b_->frontier_bits — dense frontier: bit v set iff v is in
-  ///     b_->frontier.  Pull steps test it instead of the byte-wide
-  ///     covered array (8x less memory traffic on the neighbor scan);
-  ///     atomic words because distinct frontier nodes can share a word
-  ///     during the parallel set/clear passes;
+  ///   * b_->frontier_bits — dense frontier, valid only during a pull
+  ///     step: step_pull sets bit v for every v in b_->frontier before
+  ///     its scan and clears them after it, so between steps (and across
+  ///     workspace reuses) every word is zero.  The scan tests it instead
+  ///     of the byte-wide covered array (8x less memory traffic on the
+  ///     neighbor scan); atomic words because distinct frontier nodes can
+  ///     share a word during the parallel set/clear passes;
   ///   * b_->uncovered_candidates — ascending superset of the uncovered
   ///     nodes (see uncovered_candidates());
   ///   * b_->proposals / b_->next_frontier / b_->sample — per-worker

@@ -95,9 +95,48 @@ Weight weighted_eccentricity(const WeightedGraph& g, NodeId source) {
 }
 
 Weight weighted_diameter_exact(const WeightedGraph& g) {
+  // Takes–Kosters bounding.  lo[v] <= ecc(v) <= hi[v] for every node; the
+  // best lower bound `diam` is the max over all lo.  A Dijkstra from v with
+  // eccentricity e tightens each w it reaches by the triangle inequality:
+  // ecc(w) >= max(e - d(v,w), d(v,w)) and ecc(w) <= e + d(v,w).  Nodes it
+  // does not reach lie in another component and learn nothing.  A
+  // candidate whose hi no longer exceeds `diam` cannot raise it and is
+  // dropped; the source itself always drops (lo = hi = e), so the loop runs
+  // at most n Dijkstras and ends with diam = max ecc exactly.
+  const NodeId n = g.num_nodes();
+  std::vector<Weight> lo(n, 0);
+  std::vector<Weight> hi(n, kInfWeight);
+  std::vector<NodeId> candidates;
+  candidates.reserve(n);
+  for (NodeId v = 0; v < n; ++v) {
+    // An isolated node has eccentricity 0 and can never raise the diameter.
+    if (!g.neighbors(v).empty()) candidates.push_back(v);
+  }
   Weight diam = 0;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    diam = std::max(diam, weighted_eccentricity(g, v));
+  bool pick_high = true;
+  while (!candidates.empty()) {
+    // Alternate between the largest upper bound (a likely periphery node,
+    // raising lo) and the smallest lower bound (a likely central node,
+    // cutting hi); ties go to the lowest id.
+    NodeId source = candidates.front();
+    for (const NodeId v : candidates) {
+      if (pick_high ? hi[v] > hi[source] : lo[v] < lo[source]) source = v;
+    }
+    pick_high = !pick_high;
+
+    const auto dist = dijkstra(g, source);
+    Weight ecc = 0;
+    for (const Weight d : dist) {
+      if (d != kInfWeight) ecc = std::max(ecc, d);
+    }
+    for (const NodeId v : candidates) {
+      const Weight d = dist[v];
+      if (d == kInfWeight) continue;
+      lo[v] = std::max({lo[v], ecc - d, d});
+      hi[v] = std::min(hi[v], ecc + d);
+      diam = std::max(diam, lo[v]);
+    }
+    std::erase_if(candidates, [&](NodeId v) { return hi[v] <= diam; });
   }
   return diam;
 }

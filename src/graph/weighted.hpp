@@ -72,8 +72,14 @@ class WeightedGraph {
 [[nodiscard]] Weight weighted_eccentricity(const WeightedGraph& g,
                                            NodeId source);
 
-/// Weighted diameter by running Dijkstra from every node.  Intended for
-/// quotient graphs (thousands of nodes), not raw inputs.
+/// Exact weighted diameter — the max finite distance, so a disconnected
+/// input yields the largest diameter over its components — by Takes–Kosters
+/// eccentricity bounding: Dijkstra from one candidate at a time, tightening
+/// every node's eccentricity bounds by the triangle inequality and dropping
+/// nodes whose upper bound cannot exceed the best lower bound.  Typically a
+/// handful of Dijkstras; the worst case (e.g. a cycle or a clique, where
+/// the bounds prune little) is n of them.  Intended for quotient graphs
+/// (thousands of nodes), not raw inputs.
 [[nodiscard]] Weight weighted_diameter_exact(const WeightedGraph& g);
 
 /// Below this node count apsp_matrix skips the binary heap and runs

@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "core/growth.hpp"
 #include "graph/bfs.hpp"
+#include "graph/compressed.hpp"
 #include "graph/generators.hpp"
 #include "test_util.hpp"
 
@@ -149,6 +152,93 @@ TEST(GrowthState, ModesAgreeWithStaggeredActivation) {
   EXPECT_EQ(push.dist_to_center, pull.dist_to_center);
   EXPECT_EQ(push.assignment, hybrid.assignment);
   EXPECT_EQ(push.dist_to_center, hybrid.dist_to_center);
+}
+
+// A growth whose center schedule does not depend on the direction: a
+// center at node 0, another at the smallest uncovered node before every
+// fourth step (steps 1, 5, 9, ...), and a restart there whenever the
+// frontier empties.  Reports how often the kAuto direction flipped and how
+// many added centers went straight into a pull step.
+struct ScheduledRun {
+  Clustering clustering;
+  std::size_t flips = 0;
+  std::size_t adds_before_pull = 0;
+};
+
+template <class G>
+ScheduledRun run_center_schedule(const G& g, TraversalMode mode,
+                                 ThreadPool& pool, Workspace* workspace) {
+  GrowthOptions opts;
+  opts.mode = mode;
+  opts.alpha = 40.0;
+  opts.beta = 6.0;
+  opts.record_step_log = true;
+  GrowthStateT<G> state(g, pool, opts, workspace);
+  std::vector<std::size_t> add_steps;  // steps_executed() at each add
+  state.add_center(0);
+  while (state.covered_count() < g.num_nodes()) {
+    if (state.frontier_empty() || state.steps_executed() % 4 == 0) {
+      add_steps.push_back(state.steps_executed());
+      state.add_center(state.first_uncovered());
+    }
+    state.step();
+  }
+  ScheduledRun run;
+  const auto& steps = state.stats().steps;
+  for (std::size_t i = 1; i < steps.size(); ++i) {
+    if (steps[i].pull != steps[i - 1].pull) ++run.flips;
+  }
+  for (const std::size_t s : add_steps) {
+    if (steps[s].pull) ++run.adds_before_pull;  // steps[s] ran right after
+  }
+  run.clustering = std::move(state).finish();
+  return run;
+}
+
+// The frontier bitmap exists only inside a pull step.  Flipping directions
+// with centers added between steps (some right before a pull) must match
+// push-only growth byte for byte, on both graph layouts.  A Workspace
+// recycled across runs must keep matching: a bit left set by one run would
+// let a later run's pull step claim through a node it covers in that same
+// step, two hops at once (pull-only runs have the back-to-back pull steps
+// that expose it).
+TEST(GrowthState, FrontierBitmapIsLocalToPullSteps) {
+  const Graph g = gen::disjoint_union(
+      gen::disjoint_union(gen::expander_with_path(1500, 60, 4, 21),
+                          gen::expander(1200, 4, 3)),
+      gen::disjoint_union(gen::road_like(30, 30, 0.08, 0.02, 5),
+                          gen::expander(800, 6, 9)));
+  const CompressedGraph cz = compress(g, {.relabel = RelabelMode::kNever});
+  ThreadPool serial(1);
+  const ScheduledRun push =
+      run_center_schedule(g, TraversalMode::kPushOnly, serial, nullptr);
+  ASSERT_TRUE(push.clustering.validate(g));
+
+  Workspace ws;
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    ThreadPool pool(threads);
+    for (const TraversalMode mode :
+         {TraversalMode::kAuto, TraversalMode::kPullOnly}) {
+      for (const bool compressed : {false, true}) {
+        const ScheduledRun r =
+            compressed ? run_center_schedule(cz, mode, pool, &ws)
+                       : run_center_schedule(g, mode, pool, &ws);
+        const std::string where = "threads=" + std::to_string(threads) +
+                                  " mode=" + traversal_mode_name(mode) +
+                                  (compressed ? " compressed" : " plain");
+        if (mode == TraversalMode::kAuto) {
+          EXPECT_GE(r.flips, 6u) << where;
+          EXPECT_GE(r.adds_before_pull, 2u) << where;
+        }
+        EXPECT_EQ(r.clustering.assignment, push.clustering.assignment)
+            << where;
+        EXPECT_EQ(r.clustering.dist_to_center, push.clustering.dist_to_center)
+            << where;
+        EXPECT_EQ(r.clustering.centers, push.clustering.centers) << where;
+      }
+    }
+  }
+  EXPECT_EQ(ws.growth_acquires(), 12u);
 }
 
 TEST(GrowthState, StatsSplitStepsByDirection) {

@@ -11,6 +11,7 @@
 #include "graph/bfs.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
+#include "graph/weighted.hpp"
 
 namespace gclus::testutil {
 
@@ -42,6 +43,16 @@ inline Dist brute_force_diameter(const Graph& g) {
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     const auto e = bfs_extremum(g, v);
     if (e.eccentricity > best) best = e.eccentricity;
+  }
+  return best;
+}
+
+/// Brute-force exact weighted diameter: the max weighted eccentricity over
+/// every node (one Dijkstra each; unreachable pairs do not count).
+inline Weight brute_force_weighted_diameter(const WeightedGraph& g) {
+  Weight best = 0;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    best = std::max(best, weighted_eccentricity(g, v));
   }
   return best;
 }
