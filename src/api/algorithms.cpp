@@ -54,15 +54,16 @@ NodeId read_k(NodeId num_nodes, const AlgoParams& params, NodeId fallback) {
 }
 
 /// Nearest-center Voronoi partition of `centers`, via the owner-tracking
-/// multi-source BFS (graph/bfs).  Claims propagate along BFS tree edges,
-/// so every member has a same-cluster neighbor one hop closer and
-/// Clustering::validate holds.
+/// multi-source BFS (graph/bfs) over the context's pool.  Claims propagate
+/// along BFS tree edges, so every member has a same-cluster neighbor one
+/// hop closer and Clustering::validate holds.
 Clustering clustering_from_centers(const Graph& g,
-                                   const std::vector<NodeId>& centers) {
+                                   const std::vector<NodeId>& centers,
+                                   const RunContext& ctx) {
   GCLUS_CHECK(!centers.empty());
   const NodeId n = g.num_nodes();
   std::vector<std::uint32_t> owner;
-  std::vector<Dist> dist = multi_source_bfs(g, centers, &owner);
+  std::vector<Dist> dist = multi_source_bfs(g, centers, &owner, ctx.pool);
 
   Clustering out;
   out.centers = centers;
@@ -194,7 +195,7 @@ void register_gonzalez(Registry& r) {
            const auto res = baselines::gonzalez_kcenter(
                g, read_k(g.num_nodes(), p, 8), p.get_u32("first", 0));
            ctx.emit("gonzalez.radius", static_cast<double>(res.radius));
-           return clustering_from_centers(g, res.centers);
+           return clustering_from_centers(g, res.centers, ctx);
          },
          /*run_compressed=*/nullptr});
 }
@@ -216,7 +217,7 @@ void register_kcenter(Registry& r) {
            ctx.emit("kcenter.raw_clusters",
                     static_cast<double>(res.raw_clusters));
            ctx.emit("kcenter.tau", static_cast<double>(res.tau));
-           return clustering_from_centers(g, res.centers);
+           return clustering_from_centers(g, res.centers, ctx);
          },
          /*run_compressed=*/nullptr});
 }

@@ -8,7 +8,7 @@ namespace {
 
 template <typename T>
 void ensure_atomic_capacity(std::vector<T>& v, std::size_t n) {
-  // std::atomic/atomic_flag are neither copyable nor movable, so a too-small
+  // std::atomic is neither copyable nor movable, so a too-small
   // vector is replaced wholesale; a large-enough one is kept as-is (kernels
   // index only [0, n)).
   if (v.size() < n) v = std::vector<T>(n);
@@ -25,25 +25,19 @@ std::size_t nested_bytes(const std::vector<std::vector<T>>& vv) {
 
 void GrowthScratch::ensure(NodeId n, std::size_t workers) {
   ensure_atomic_capacity(claim, n);
-  ensure_atomic_capacity(committing, n);
-  ensure_atomic_capacity(frontier_bits, (static_cast<std::size_t>(n) + 63) / 64);
   covered.resize(n);
   dist.resize(n);
   uncovered_candidates.resize(n);
-  if (proposals.size() < workers) proposals.resize(workers);
   if (next_frontier.size() < workers) next_frontier.resize(workers);
   if (sample.size() < workers) sample.resize(workers);
 }
 
 std::size_t GrowthScratch::bytes() const {
   return claim.size() * sizeof(claim[0]) + covered.capacity() +
-         committing.size() * sizeof(committing[0]) +
          dist.capacity() * sizeof(Dist) +
-         frontier_bits.size() * sizeof(frontier_bits[0]) +
          frontier.capacity() * sizeof(NodeId) +
          uncovered_candidates.capacity() * sizeof(NodeId) +
-         nested_bytes(proposals) + nested_bytes(next_frontier) +
-         nested_bytes(sample);
+         nested_bytes(next_frontier) + nested_bytes(sample);
 }
 
 void BfsScratch::ensure(NodeId n, std::size_t workers) {

@@ -1,9 +1,10 @@
 // Reusable per-run scratch memory — the serving-scenario allocator fix.
 //
 // Every decomposition request used to pay O(n + m) allocation and first-
-// touch page faulting: GrowthState owned eight node-sized arrays and a set
-// of per-worker frontier buffers, all constructed per call, and
-// parallel_bfs did the same for its atomic distance array and worklists.
+// touch page faulting: GrowthState's four node-sized arrays (claim keys,
+// coverage flags, distances, the uncovered worklist), its frontier and its
+// per-worker buffers were all constructed per call, and parallel_bfs did
+// the same for its atomic distance array and worklists.
 // For one-shot batch runs that cost disappears into the noise; for the
 // ROADMAP's serving scenario — many decompositions of the *same* graph per
 // second — and for every multi-trial bench loop it is pure overhead.
@@ -39,12 +40,9 @@ namespace gclus {
 struct GrowthScratch {
   std::vector<std::atomic<std::uint64_t>> claim;
   std::vector<std::uint8_t> covered;
-  std::vector<std::atomic_flag> committing;
   std::vector<Dist> dist;
-  std::vector<std::atomic<std::uint64_t>> frontier_bits;
   std::vector<NodeId> frontier;
   std::vector<NodeId> uncovered_candidates;
-  std::vector<std::vector<NodeId>> proposals;      // per worker
   std::vector<std::vector<NodeId>> next_frontier;  // per worker
   std::vector<std::vector<NodeId>> sample;         // per worker (center draws)
 

@@ -65,9 +65,6 @@ GrowthOptions default_growth_options() {
       const double v = std::strtod(env, nullptr);
       if (v > 0.0) o.beta = v;
     }
-    if (const char* env = std::getenv("GCLUS_GROWTH_LOG")) {
-      o.log_decisions = env[0] != '\0' && env[0] != '0';
-    }
     return o;
   }();
   return cached;

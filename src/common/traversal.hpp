@@ -36,9 +36,6 @@ struct GrowthOptions {
   /// beta nodes.  Larger beta switches back to push later.
   double beta = 18.0;
 
-  /// Log every per-step direction decision to stderr.
-  bool log_decisions = false;
-
   /// Keep a per-step GrowthStepLog in GrowthStats::steps.  Off by default:
   /// a growth over a high-diameter graph executes one step per hop, and
   /// the log would grow with the diameter for callers that never read it.
@@ -67,6 +64,13 @@ struct DirectionCounts {
                                     std::uint64_t remaining_degree_sum,
                                     const GrowthOptions& options);
 
+/// Below this frontier degree sum a push step runs inline on the caller
+/// (a pull step below four times it, counting the unvisited worklist):
+/// the pool dispatch (mutex + condvar round trip) would dominate the
+/// actual edge work.  Matters for eccentricity sweeps and multi-source
+/// BFS over small graphs.
+inline constexpr std::uint64_t kSerialPushCutoff = 2048;
+
 /// Shared policy for the lazily-compacted uncovered/unvisited worklists:
 /// compact once more than half the entries are stale, but never bother
 /// below 1024 entries.
@@ -76,9 +80,8 @@ struct DirectionCounts {
 }
 
 /// Process-wide default options: GrowthOptions{} overridden by the
-/// GCLUS_GROWTH_MODE (push|pull|auto), GCLUS_GROWTH_ALPHA,
-/// GCLUS_GROWTH_BETA, and GCLUS_GROWTH_LOG environment variables, read
-/// once on first use.
+/// GCLUS_GROWTH_MODE (push|pull|auto), GCLUS_GROWTH_ALPHA and
+/// GCLUS_GROWTH_BETA environment variables, read once on first use.
 GrowthOptions default_growth_options();
 
 }  // namespace gclus

@@ -1,7 +1,6 @@
 #include "core/growth.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
@@ -32,19 +31,10 @@ GrowthStateT<G>::GrowthStateT(const G& g, ThreadPool& pool,
   parallel_for(pool, 0, n, [&](std::size_t v) {
     b_->claim[v].store(kUnclaimed, std::memory_order_relaxed);
     b_->covered[v] = 0;
-    b_->committing[v].clear(std::memory_order_relaxed);
     b_->dist[v] = kInfDist;
     b_->uncovered_candidates[v] = static_cast<NodeId>(v);
   });
-  // frontier_bits needs no reset: every pull step clears the bits it set,
-  // so the bitmap is all-zero between steps and across runs.
-  GCLUS_DCHECK(std::all_of(b_->frontier_bits.begin(), b_->frontier_bits.end(),
-                           [](const std::atomic<std::uint64_t>& w) {
-                             return w.load(std::memory_order_relaxed) == 0;
-                           }),
-               "frontier bitmap left dirty by a previous run");
   b_->frontier.clear();
-  for (auto& p : b_->proposals) p.clear();
   for (auto& p : b_->next_frontier) p.clear();
 }
 
@@ -66,7 +56,9 @@ ClusterId GrowthStateT<G>::add_center(NodeId v, std::uint64_t priority) {
   const std::uint64_t prio =
       priority == kPriorityFromClusterId ? cid : priority;
   GCLUS_CHECK(prio < (1ULL << 32), "priority must fit in 32 bits");
-  b_->claim[v].store(make_key(cid, prio), std::memory_order_relaxed);
+  const std::uint64_t key = make_key(cid, prio);
+  b_->claim[v].store(key, std::memory_order_relaxed);
+  min_key_ = std::min(min_key_, key);
   b_->covered[v] = 1;
   b_->dist[v] = 0;
   centers_.push_back(v);
@@ -93,13 +85,6 @@ NodeId GrowthStateT<G>::step() {
   const auto step_index = static_cast<std::uint32_t>(steps_executed_);
 
   const bool pull = decide_pull();
-  if (options_.log_decisions) {
-    std::fprintf(stderr,
-                 "[growth] step=%u mode=%s frontier=%zu fdeg=%llu udeg=%llu\n",
-                 step_index, pull ? "pull" : "push", b_->frontier.size(),
-                 static_cast<unsigned long long>(frontier_degree_sum_),
-                 static_cast<unsigned long long>(uncovered_degree_sum_));
-  }
   GrowthStepLog log;
   if (options_.record_step_log) {
     log.step = step_index;
@@ -109,7 +94,13 @@ NodeId GrowthStateT<G>::step() {
     log.uncovered_degree_sum = uncovered_degree_sum_;
   }
 
-  const NodeId newly = pull ? step_pull(step_index) : step_push(step_index);
+  for (auto& nf : b_->next_frontier) nf.clear();
+  if (pull) {
+    claim_pull();
+  } else {
+    claim_push();
+  }
+  const NodeId newly = install_next_frontier(step_index);
 
   if (options_.record_step_log) {
     log.newly_covered = newly;
@@ -124,193 +115,136 @@ NodeId GrowthStateT<G>::step() {
   return newly;
 }
 
-template <class G>
-NodeId GrowthStateT<G>::step_push(std::uint32_t step_index) {
-  // Phase 1 — proposals: every frontier node bids for its uncovered
-  // neighbors with its cluster's claim key; fetch-min keeps the best bid.
-  for (auto& p : b_->proposals) p.clear();
+namespace {
+
+/// Runs one claim pass over items [0, total): `claim_range(lo, hi, out)`
+/// handles a chunk, appends the nodes it claims to `out` (the worker's
+/// next-frontier buffer) and returns the edges it scanned.  Workers drain
+/// a shared cursor; a pass too light to amortize a pool dispatch runs on
+/// the caller alone.  Returns the edges scanned.
+template <class ClaimRange>
+std::uint64_t run_claim_pass(ThreadPool& pool,
+                             std::vector<std::vector<NodeId>>& next,
+                             std::size_t total, std::size_t grain,
+                             bool inline_pass, const ClaimRange& claim_range) {
+  std::atomic<std::size_t> cursor{0};
   std::atomic<std::uint64_t> edges_scanned{0};
-  {
-    std::atomic<std::size_t> cursor{0};
-    pool_->run_on_workers([&](std::size_t worker) {
-      auto& out = b_->proposals[worker];
-      std::uint64_t scanned = 0;
-      constexpr std::size_t kGrain = 64;
-      for (;;) {
-        const std::size_t lo =
-            cursor.fetch_add(kGrain, std::memory_order_relaxed);
-        if (lo >= b_->frontier.size()) break;
-        const std::size_t hi = std::min(lo + kGrain, b_->frontier.size());
-        // Frontier vertices are scanned in adjacent pairs so the
-        // compressed representation can interleave the two independent
-        // decode chains (visit_neighbors2); for plain CSR the pair visit
-        // compiles to the same two loops as before.  Claims are
-        // commutative fetch-mins, so the visit order across the pair is
-        // immaterial.
-        const auto claim_for = [&](std::uint64_t key) {
-          return [&, key](NodeId v) {
-            if (b_->covered[v] != 0) return;
-            if (atomic_fetch_min(b_->claim[v], key)) out.push_back(v);
-          };
-        };
-        std::size_t i = lo;
-        for (; i + 1 < hi; i += 2) {
-          const NodeId u0 = b_->frontier[i];
-          const NodeId u1 = b_->frontier[i + 1];
-          const std::uint64_t key0 =
-              b_->claim[u0].load(std::memory_order_relaxed);
-          const std::uint64_t key1 =
-              b_->claim[u1].load(std::memory_order_relaxed);
-          scanned += g_->degree(u0) + g_->degree(u1);
-          visit_neighbors2(*g_, u0, u1, claim_for(key0), claim_for(key1));
-        }
-        if (i < hi) {
-          const NodeId u = b_->frontier[i];
-          const std::uint64_t key =
-              b_->claim[u].load(std::memory_order_relaxed);
-          scanned += g_->degree(u);
-          for (const NodeId v : g_->neighbors(u)) claim_for(key)(v);
-        }
-      }
-      edges_scanned.fetch_add(scanned, std::memory_order_relaxed);
-    });
+  const auto scan = [&](std::size_t worker) {
+    std::uint64_t scanned = 0;
+    for (;;) {
+      const std::size_t lo = cursor.fetch_add(grain, std::memory_order_relaxed);
+      if (lo >= total) break;
+      scanned += claim_range(lo, std::min(lo + grain, total), next[worker]);
+    }
+    edges_scanned.fetch_add(scanned, std::memory_order_relaxed);
+  };
+  if (inline_pass) {
+    scan(0);
+  } else {
+    pool.run_on_workers(scan);
   }
-  stats_.push_edges_scanned += edges_scanned.load();
+  return edges_scanned.load();
+}
 
-  // Phase 2 — commit: each proposed node is finalized exactly once (the
-  // atomic-flag latch dedups multi-worker proposals), its distance derived
-  // from the winning cluster's activation step.
-  for (auto& nf : b_->next_frontier) nf.clear();
-  std::atomic<NodeId> newly{0};
-  std::atomic<std::uint64_t> next_degree_sum{0};
-  {
-    pool_->run_on_workers([&](std::size_t worker) {
-      auto& in = b_->proposals[worker];
-      auto& out = b_->next_frontier[worker];
-      NodeId local_new = 0;
-      std::uint64_t local_deg = 0;
-      for (const NodeId v : in) {
-        if (b_->committing[v].test_and_set(std::memory_order_relaxed)) {
-          continue;
+}  // namespace
+
+template <class G>
+void GrowthStateT<G>::claim_push() {
+  // Every frontier node bids for its uncovered neighbors with its cluster's
+  // claim key; fetch-min keeps the best bid.  The bid that finds a node
+  // unclaimed is the only one to see that value, so its thread alone
+  // appends the node to the next frontier.
+  const std::vector<NodeId>& frontier = b_->frontier;
+  const auto claim_range = [&](std::size_t lo, std::size_t hi,
+                               std::vector<NodeId>& out) {
+    const auto claim_for = [&](NodeId u) {
+      const std::uint64_t key = b_->claim[u].load(std::memory_order_relaxed);
+      return [&, key](NodeId v) {
+        if (b_->covered[v] != 0) return;
+        if (atomic_fetch_min(b_->claim[v], key) == kUnclaimed) {
+          out.push_back(v);
         }
-        const std::uint64_t key = b_->claim[v].load(std::memory_order_relaxed);
-        const ClusterId c = key_cluster(key);
-        b_->covered[v] = 1;
-        b_->dist[v] = static_cast<Dist>(step_index - activation_[c]);
-        out.push_back(v);
-        ++local_new;
-        local_deg += g_->degree(v);
-      }
-      newly.fetch_add(local_new, std::memory_order_relaxed);
-      next_degree_sum.fetch_add(local_deg, std::memory_order_relaxed);
-    });
-  }
-
-  install_next_frontier(next_degree_sum.load());
-  return newly.load();
+      };
+    };
+    std::uint64_t scanned = 0;
+    // Frontier vertices are scanned in adjacent pairs so the compressed
+    // representation can interleave the two independent decode chains
+    // (visit_neighbors2); for plain CSR the pair visit compiles to two
+    // plain loops.  Claims are commutative fetch-mins, so the visit order
+    // across the pair is immaterial.
+    std::size_t i = lo;
+    for (; i + 1 < hi; i += 2) {
+      const NodeId u0 = frontier[i];
+      const NodeId u1 = frontier[i + 1];
+      scanned += g_->degree(u0) + g_->degree(u1);
+      visit_neighbors2(*g_, u0, u1, claim_for(u0), claim_for(u1));
+    }
+    if (i < hi) {
+      const NodeId u = frontier[i];
+      scanned += g_->degree(u);
+      const auto claim = claim_for(u);
+      for (const NodeId v : g_->neighbors(u)) claim(v);
+    }
+    return scanned;
+  };
+  stats_.push_edges_scanned += run_claim_pass(
+      *pool_, b_->next_frontier, frontier.size(), /*grain=*/64,
+      frontier_degree_sum_ <= kSerialPushCutoff, claim_range);
 }
 
 template <class G>
-NodeId GrowthStateT<G>::step_pull(std::uint32_t step_index) {
+void GrowthStateT<G>::claim_pull() {
   maybe_compact_candidates();
 
-  // The frontier bitmap lives only for this step: set here, cleared before
-  // the next frontier is installed, so push steps and add_center never
-  // touch it.
-  parallel_for(*pool_, 0, b_->frontier.size(),
-               [&](std::size_t i) { set_frontier_bit(b_->frontier[i]); });
-
-  // Scan phase: every uncovered node takes the minimum claim key over its
-  // frontier neighbors, tested against the packed frontier bitmap (stable
-  // for the whole scan, behind pool barriers on both sides).  Between steps
-  // every covered neighbor of an uncovered node belongs to the current
-  // frontier (see the header), so this minimum equals the push-side
-  // fetch-min, and same-step multi-hop claims are impossible because newly
-  // claimed nodes are not in the bitmap.
-  for (auto& nf : b_->next_frontier) nf.clear();
-  std::atomic<NodeId> newly{0};
-  std::atomic<std::uint64_t> next_degree_sum{0};
-  std::atomic<std::uint64_t> edges_scanned{0};
-  {
-    std::atomic<std::size_t> cursor{0};
-    pool_->run_on_workers([&](std::size_t worker) {
-      auto& out = b_->next_frontier[worker];
-      NodeId local_new = 0;
-      std::uint64_t local_deg = 0;
-      std::uint64_t scanned = 0;
-      constexpr std::size_t kGrain = 256;
-      for (;;) {
-        const std::size_t lo =
-            cursor.fetch_add(kGrain, std::memory_order_relaxed);
-        if (lo >= b_->uncovered_candidates.size()) break;
-        const std::size_t hi =
-            std::min(lo + kGrain, b_->uncovered_candidates.size());
-        // Uncovered candidates are scanned in pairs for the same reason
-        // as the push phase: the compressed overload of visit_neighbors2
-        // interleaves the two decode chains.  The min over frontier
-        // claims is commutative, so pairing cannot change any result.
-        const auto gather_for = [&](std::uint64_t& best) {
-          return [&](NodeId u) {
-            if (!in_frontier(u)) return;
-            best = std::min(best,
-                            b_->claim[u].load(std::memory_order_relaxed));
-          };
-        };
-        const auto commit = [&](NodeId v, std::uint64_t best) {
-          if (best == kUnclaimed) return;
-          b_->claim[v].store(best, std::memory_order_relaxed);
-          b_->dist[v] = static_cast<Dist>(step_index -
-                                          activation_[key_cluster(best)]);
-          out.push_back(v);
-          ++local_new;
-          local_deg += g_->degree(v);
-        };
-        NodeId pending = kInvalidNode;
-        for (std::size_t i = lo; i < hi; ++i) {
-          const NodeId v = b_->uncovered_candidates[i];
-          if (b_->covered[v] != 0) continue;
-          if (pending == kInvalidNode) {
-            pending = v;
-            continue;
-          }
-          scanned += g_->degree(pending) + g_->degree(v);
-          std::uint64_t best0 = kUnclaimed;
-          std::uint64_t best1 = kUnclaimed;
-          visit_neighbors2(*g_, pending, v, gather_for(best0),
-                           gather_for(best1));
-          commit(pending, best0);
-          commit(v, best1);
-          pending = kInvalidNode;
-        }
-        if (pending != kInvalidNode) {
-          scanned += g_->degree(pending);
-          std::uint64_t best = kUnclaimed;
-          for (const NodeId u : g_->neighbors(pending)) gather_for(best)(u);
-          commit(pending, best);
-        }
+  // Every uncovered node takes the minimum claim key over its covered
+  // neighbors, which between steps are exactly its frontier neighbors (see
+  // the header), so this minimum equals the push-side fetch-min.  Coverage
+  // flips only in the flag pass after this pass's barrier, so a node
+  // claimed here is never mistaken for a frontier node in the same step.
+  const std::vector<NodeId>& candidates = b_->uncovered_candidates;
+  const std::uint64_t min_key = min_key_;
+  const auto claim_range = [&](std::size_t lo, std::size_t hi,
+                               std::vector<NodeId>& out) {
+    std::uint64_t scanned = 0;
+    for (std::size_t i = lo; i < hi; ++i) {
+      const NodeId v = candidates[i];
+      if (b_->covered[v] != 0) continue;
+      std::uint64_t best = kUnclaimed;
+      for (const NodeId u : g_->neighbors(v)) {
+        ++scanned;
+        if (b_->covered[u] == 0) continue;
+        best = std::min(best, b_->claim[u].load(std::memory_order_relaxed));
+        if (best == min_key) break;
       }
-      newly.fetch_add(local_new, std::memory_order_relaxed);
-      next_degree_sum.fetch_add(local_deg, std::memory_order_relaxed);
-      edges_scanned.fetch_add(scanned, std::memory_order_relaxed);
-    });
-  }
-  stats_.pull_edges_scanned += edges_scanned.load();
-
-  // Commit phase: leave the bitmap clean, then flip the coverage flags
-  // behind the barrier.
-  parallel_for(*pool_, 0, b_->frontier.size(),
-               [&](std::size_t i) { clear_frontier_bit(b_->frontier[i]); });
-  install_next_frontier(next_degree_sum.load());
-  parallel_for(*pool_, 0, b_->frontier.size(),
-               [&](std::size_t i) { b_->covered[b_->frontier[i]] = 1; });
-  return newly.load();
+      if (best == kUnclaimed) continue;
+      b_->claim[v].store(best, std::memory_order_relaxed);
+      out.push_back(v);
+    }
+    return scanned;
+  };
+  stats_.pull_edges_scanned += run_claim_pass(
+      *pool_, b_->next_frontier, candidates.size(), /*grain=*/256,
+      uncovered_degree_sum_ + candidates.size() <= 4 * kSerialPushCutoff,
+      claim_range);
 }
 
 template <class G>
-void GrowthStateT<G>::install_next_frontier(std::uint64_t next_degree_sum) {
+NodeId GrowthStateT<G>::install_next_frontier(std::uint32_t step_index) {
+  // Claims are final behind the claim pass's barrier: each new frontier
+  // node is covered once, at the distance its winning cluster has grown
+  // since activation.
   parallel_concat(*pool_, b_->next_frontier, b_->frontier);
-  frontier_degree_sum_ = next_degree_sum;
-  uncovered_degree_sum_ -= next_degree_sum;
+  frontier_degree_sum_ = parallel_sum<std::uint64_t>(
+      *pool_, 0, b_->frontier.size(), [&](std::size_t i) -> std::uint64_t {
+        const NodeId v = b_->frontier[i];
+        const ClusterId c =
+            key_cluster(b_->claim[v].load(std::memory_order_relaxed));
+        b_->covered[v] = 1;
+        b_->dist[v] = static_cast<Dist>(step_index - activation_[c]);
+        return g_->degree(v);
+      });
+  uncovered_degree_sum_ -= frontier_degree_sum_;
+  return static_cast<NodeId>(b_->frontier.size());
 }
 
 template <class G>
@@ -366,26 +300,35 @@ void GrowthStateT<G>::add_singletons_for_uncovered() {
 }
 
 template <class G>
-Clustering GrowthStateT<G>::finish() && {
-  const NodeId n = g_->num_nodes();
-  GCLUS_CHECK(covered_count_ == n,
-              "finish() requires full coverage; uncovered nodes remain");
-  Clustering out;
-  out.assignment.resize(n);
+std::vector<Dist> GrowthStateT<G>::take_distances(
+    std::vector<ClusterId>* cluster_out) && {
+  static_assert(key_cluster(kUnclaimed) == kNoCluster,
+                "an unclaimed node must decode to no cluster");
+  if (cluster_out != nullptr) {
+    cluster_out->resize(g_->num_nodes());
+    parallel_for(*pool_, 0, g_->num_nodes(), [&](std::size_t v) {
+      (*cluster_out)[v] =
+          key_cluster(b_->claim[v].load(std::memory_order_relaxed));
+    });
+  }
   // Moving the distance buffer out is right even for workspace-backed
   // runs: the result needs fresh n-sized storage either way, so a copy
   // would pay the same allocation *plus* the copy, while the workspace
   // re-grows this one buffer on the next acquire at exactly the cost the
   // copy destination would have paid here.
-  out.dist_to_center = std::move(b_->dist);
+  return std::move(b_->dist);
+}
+
+template <class G>
+Clustering GrowthStateT<G>::finish() && {
+  GCLUS_CHECK(covered_count_ == g_->num_nodes(),
+              "finish() requires full coverage; uncovered nodes remain");
+  Clustering out;
   out.centers = std::move(centers_);
   out.growth_steps = steps_executed_;
   out.push_steps = stats_.push_steps;
   out.pull_steps = stats_.pull_steps;
-  parallel_for(*pool_, 0, n, [&](std::size_t v) {
-    out.assignment[v] =
-        key_cluster(b_->claim[v].load(std::memory_order_relaxed));
-  });
+  out.dist_to_center = std::move(*this).take_distances(&out.assignment);
   finalize_cluster_stats(out);
   return out;
 }

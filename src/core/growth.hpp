@@ -1,7 +1,8 @@
 // The synchronous cluster-growing engine.
 //
 // All decomposition algorithms in this library (CLUSTER, CLUSTER2, the MPX
-// and random-centers baselines) share the same primitive: a set of
+// and random-centers baselines) and the owner-tracking multi-source BFS
+// (graph/bfs) share the same primitive: a set of
 // clusters, each with a frontier, grows one hop per step, claiming
 // uncovered nodes; concurrent claims on a node are resolved by an atomic
 // minimum over a per-cluster priority key.  Because fetch-min is
@@ -9,25 +10,31 @@
 // priorities) — independent of thread schedule — which is what the
 // determinism and MR-equivalence tests rely on.
 //
-// The engine is direction-optimizing.  Each step runs in one of two
-// directions with identical claim semantics:
+// The engine is direction-optimizing.  Every step is one claim pass in
+// one of two directions, with identical claim semantics, then one flag
+// pass:
 //   * push (top-down): every frontier node bids its cluster key to its
 //     uncovered neighbors via atomic fetch-min — work proportional to the
-//     frontier's degree sum;
+//     frontier's degree sum.  The one bid that moves a node off
+//     "unclaimed" (exactly one thread observes that transition) admits it
+//     to the next frontier, so no commit phase has to deduplicate;
 //   * pull (bottom-up): every uncovered node scans its own neighbors for
-//     frontier claimants — membership tested against a packed frontier
-//     bitmap (1 bit/node, cache-resident even for dense frontiers) — and
-//     takes the minimum key locally, contention-free because each node
-//     writes only itself.  The bitmap exists only for the step: the pull
-//     step sets the current frontier's bits before its scan and clears
-//     them before installing the next frontier, so push steps (the
-//     majority on high-diameter graphs) and add_center never touch it.
-// The two directions agree exactly: between steps every covered neighbor
-// of an uncovered node is a member of the current frontier (it was covered
-// in the immediately preceding step or activated as a center since), so
-// the pull-side minimum over frontier neighbors equals the push-side
-// fetch-min over frontier bids.  GrowthOptions picks the direction per
-// step with the classic degree-sum heuristic, or pins it for tests.
+//     covered ones and takes the minimum key locally, contention-free
+//     because each node writes only itself.  The scan stops early once it
+//     holds the smallest key any cluster has (for a single center this is
+//     BFS's first-hit exit).
+// Between steps every covered neighbor of an uncovered node is a member of
+// the current frontier (it was covered in the immediately preceding step
+// or activated as a center since), so the pull test `covered[u] != 0` is
+// an exact frontier test and the pull-side minimum equals the push-side
+// fetch-min.  Claims never flip coverage during the claim pass: the flag
+// pass that follows its barrier marks the new frontier covered and derives
+// each node's distance from its winning cluster, so same-step multi-hop
+// claims are impossible in either direction.  GrowthOptions picks the
+// direction per step with the classic degree-sum heuristic, or pins it for
+// tests.  A step lighter than kSerialPushCutoff (common/traversal.hpp)
+// runs inline on the caller thread, as parallel_bfs's levels do: a pool
+// dispatch would cost more than the edges.
 //
 // Per-step work is proportional to the cheaper of the two degree sums; a
 // full growth to cover the graph costs O(n + m) total claims.
@@ -147,6 +154,14 @@ class GrowthStateT {
   /// Turns every still-uncovered node into a singleton cluster.
   void add_singletons_for_uncovered();
 
+  /// Moves out the per-node hop distances to the claiming centers and,
+  /// when `cluster_out` is non-null, fills it with each node's cluster id.
+  /// Valid at any coverage, unlike finish(): an uncovered node reads
+  /// kInfDist and kNoCluster.  Multi-source BFS reads its result here,
+  /// since unreached components stay uncovered.
+  [[nodiscard]] std::vector<Dist> take_distances(
+      std::vector<ClusterId>* cluster_out) &&;
+
   /// Extracts the final Clustering.  All nodes must be covered.
   [[nodiscard]] Clustering finish() &&;
 
@@ -157,18 +172,20 @@ class GrowthStateT {
   /// between the push->pull and pull->push thresholds.
   [[nodiscard]] bool decide_pull();
 
-  /// Top-down step: frontier nodes fetch-min their keys into uncovered
-  /// neighbors, then proposals commit exactly once.
-  NodeId step_push(std::uint32_t step_index);
+  /// Top-down claim pass: frontier nodes fetch-min their keys into
+  /// uncovered neighbors; a node joins the next frontier on its unclaimed
+  /// -> claimed transition.
+  void claim_push();
 
-  /// Bottom-up step: uncovered nodes take the minimum key over their
-  /// covered (== frontier) neighbors.  Coverage flags flip only after the
-  /// scan barrier so concurrent workers never observe same-step coverage.
-  NodeId step_pull(std::uint32_t step_index);
+  /// Bottom-up claim pass: uncovered nodes take the minimum key over their
+  /// covered (== frontier) neighbors.
+  void claim_pull();
 
-  /// Rebuilds frontier_ from the per-worker buffers (prefix-sum parallel
-  /// compaction) and refreshes the degree-sum bookkeeping.
-  void install_next_frontier(std::uint64_t next_degree_sum);
+  /// Flag pass: installs the next frontier from the per-worker buffers
+  /// (prefix-sum parallel compaction), marks it covered with distances
+  /// from the winning clusters, and refreshes the degree-sum bookkeeping.
+  /// Returns the number of newly covered nodes.
+  NodeId install_next_frontier(std::uint32_t step_index);
 
   /// Drops covered entries from uncovered_candidates_ once more than half
   /// are stale; amortized O(n) over a full growth.
@@ -182,21 +199,14 @@ class GrowthStateT {
   /// owned.  Roles (b_ = the scratch):
   ///   * b_->claim — claim key per node: (priority << 32) | cluster_id
   ///     while racing; the cluster id is the low 32 bits; kUnclaimed when
-  ///     untouched;
-  ///   * b_->covered — committed coverage flags;
-  ///   * b_->committing — commit dedup latches (push phase 2);
+  ///     untouched (between steps: exactly the uncovered nodes);
+  ///   * b_->covered — coverage flags, flipped only by add_center and the
+  ///     flag pass, so they are stable during a claim pass; the pull
+  ///     scan's frontier test;
   ///   * b_->dist — per-node hop distance to the claiming center;
-  ///   * b_->frontier_bits — dense frontier, valid only during a pull
-  ///     step: step_pull sets bit v for every v in b_->frontier before
-  ///     its scan and clears them after it, so between steps (and across
-  ///     workspace reuses) every word is zero.  The scan tests it instead
-  ///     of the byte-wide covered array (8x less memory traffic on the
-  ///     neighbor scan); atomic words because distinct frontier nodes can
-  ///     share a word during the parallel set/clear passes;
   ///   * b_->uncovered_candidates — ascending superset of the uncovered
   ///     nodes (see uncovered_candidates());
-  ///   * b_->proposals / b_->next_frontier / b_->sample — per-worker
-  ///     output buffers.
+  ///   * b_->next_frontier / b_->sample — per-worker output buffers.
   Workspace* workspace_ = nullptr;
   std::unique_ptr<GrowthScratch> owned_;
   GrowthScratch* b_ = nullptr;
@@ -215,25 +225,15 @@ class GrowthStateT {
 
   static constexpr std::uint64_t kUnclaimed = ~std::uint64_t{0};
 
-  void set_frontier_bit(NodeId v) {
-    b_->frontier_bits[v >> 6].fetch_or(1ULL << (v & 63),
-                                       std::memory_order_relaxed);
-  }
-  void clear_frontier_bit(NodeId v) {
-    b_->frontier_bits[v >> 6].fetch_and(~(1ULL << (v & 63)),
-                                        std::memory_order_relaxed);
-  }
-  [[nodiscard]] bool in_frontier(NodeId v) const {
-    return (b_->frontier_bits[v >> 6].load(std::memory_order_relaxed) >>
-            (v & 63)) &
-           1ULL;
-  }
+  /// Smallest claim key of any cluster so far: a pull scan that holds it
+  /// cannot do better and stops.
+  std::uint64_t min_key_ = kUnclaimed;
 
-  [[nodiscard]] static std::uint64_t make_key(ClusterId c,
-                                              std::uint64_t priority) {
+  [[nodiscard]] static constexpr std::uint64_t make_key(
+      ClusterId c, std::uint64_t priority) {
     return (priority << 32) | static_cast<std::uint64_t>(c);
   }
-  [[nodiscard]] static ClusterId key_cluster(std::uint64_t key) {
+  [[nodiscard]] static constexpr ClusterId key_cluster(std::uint64_t key) {
     return static_cast<ClusterId>(key & 0xffffffffULL);
   }
 

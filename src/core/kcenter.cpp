@@ -89,10 +89,10 @@ std::vector<std::uint32_t> partition_forest(const Graph& q,
 }  // namespace
 
 std::pair<Dist, std::vector<std::uint32_t>> evaluate_centers(
-    const Graph& g, const std::vector<NodeId>& centers) {
+    const Graph& g, const std::vector<NodeId>& centers, ThreadPool* pool) {
   GCLUS_CHECK(!centers.empty());
   std::vector<std::uint32_t> owner;
-  const std::vector<Dist> dist = multi_source_bfs(g, centers, &owner);
+  const std::vector<Dist> dist = multi_source_bfs(g, centers, &owner, pool);
   Dist radius = 0;
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     GCLUS_CHECK(dist[v] != kInfDist,
@@ -151,13 +151,13 @@ KCenterResult kcenter_approx(const Graph& g, NodeId k,
   result.padded = k - static_cast<NodeId>(centers.size());
   std::vector<Dist> dist;
   if (result.padded > 0) {
-    dist = multi_source_bfs(g, centers);
+    dist = multi_source_bfs(g, centers, nullptr, options.pool);
     extend_farthest_first(g, k, centers, dist);
   }
   GCLUS_CHECK(centers.size() == k);
 
   // The final evaluation defines nearest_center's tie-breaking.
-  auto [radius, owner] = evaluate_centers(g, centers);
+  auto [radius, owner] = evaluate_centers(g, centers, options.pool);
   GCLUS_DCHECK(dist.empty() ||
                    radius == *std::max_element(dist.begin(), dist.end()),
                "padding distances diverged from the evaluated radius");

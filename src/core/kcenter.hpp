@@ -57,8 +57,10 @@ struct KCenterResult {
                                            const KCenterOptions& options = {});
 
 /// Evaluates the exact radius and per-node nearest center of a given
-/// center set (multi-source BFS).  Exposed for baselines and tests.
+/// center set (multi-source BFS over `pool`; nullptr: the global pool).
+/// Exposed for baselines and tests.
 [[nodiscard]] std::pair<Dist, std::vector<std::uint32_t>> evaluate_centers(
-    const Graph& g, const std::vector<NodeId>& centers);
+    const Graph& g, const std::vector<NodeId>& centers,
+    ThreadPool* pool = nullptr);
 
 }  // namespace gclus

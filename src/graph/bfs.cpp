@@ -1,50 +1,45 @@
 #include "graph/bfs.hpp"
 
 #include <atomic>
-#include <cstdio>
 
 #include "api/workspace.hpp"
 #include "common/check.hpp"
+#include "core/growth.hpp"
 #include "par/parallel_for.hpp"
 
 namespace gclus {
 
 std::vector<Dist> bfs_distances(const Graph& g, NodeId source) {
-  return multi_source_bfs(g, {source});
+  std::vector<Dist> dist(g.num_nodes(), kInfDist);
+  relax_from(g, source, dist);
+  return dist;
 }
 
 std::vector<Dist> multi_source_bfs(const Graph& g,
                                    const std::vector<NodeId>& sources,
-                                   std::vector<std::uint32_t>* owner_out) {
-  const NodeId n = g.num_nodes();
-  std::vector<Dist> dist(n, kInfDist);
-  if (owner_out != nullptr) owner_out->assign(n, UINT32_MAX);
-  std::vector<NodeId> frontier;
-  frontier.reserve(sources.size());
+                                   std::vector<std::uint32_t>* owner_out,
+                                   ThreadPool* pool) {
+  ThreadPool& p = pool != nullptr ? *pool : ThreadPool::global();
+  GrowthState state(g, p);
+  // Cluster c grows from the c-th distinct source; a later duplicate is
+  // skipped, so source_of[c] is the index of that source's first listing.
+  // Cluster ids double as claim priorities, so the engine's fetch-min
+  // hands every node the lowest-index source among its nearest.
+  std::vector<std::uint32_t> source_of;
+  source_of.reserve(sources.size());
   for (std::uint32_t i = 0; i < sources.size(); ++i) {
-    const NodeId s = sources[i];
-    GCLUS_CHECK(s < n, "BFS source out of range");
-    if (dist[s] == kInfDist) {
-      dist[s] = 0;
-      if (owner_out != nullptr) (*owner_out)[s] = i;
-      frontier.push_back(s);
-    }
+    GCLUS_CHECK(sources[i] < g.num_nodes(), "BFS source out of range");
+    if (state.is_covered(sources[i])) continue;
+    state.add_center(sources[i]);
+    source_of.push_back(i);
   }
-  std::vector<NodeId> next;
-  Dist level = 0;
-  while (!frontier.empty()) {
-    ++level;
-    next.clear();
-    for (const NodeId u : frontier) {
-      for (const NodeId v : g.neighbors(u)) {
-        if (dist[v] == kInfDist) {
-          dist[v] = level;
-          if (owner_out != nullptr) (*owner_out)[v] = (*owner_out)[u];
-          next.push_back(v);
-        }
-      }
-    }
-    frontier.swap(next);
+  while (!state.frontier_empty()) state.step();
+  std::vector<Dist> dist = std::move(state).take_distances(owner_out);
+  if (owner_out != nullptr && source_of.size() < sources.size()) {
+    parallel_for(p, 0, owner_out->size(), [&](std::size_t v) {
+      std::uint32_t& o = (*owner_out)[v];
+      if (o != kNoCluster) o = source_of[o];
+    });
   }
   return dist;
 }
@@ -91,11 +86,6 @@ void extend_farthest_first(const Graph& g, NodeId k,
 }
 
 namespace {
-
-/// Below this frontier degree sum a push level runs inline on the caller:
-/// the pool dispatch (mutex + condvar round trip) would dominate the
-/// actual edge work.  Matters for eccentricity sweeps over small graphs.
-constexpr std::uint64_t kSerialPushCutoff = 2048;
 
 /// The level-synchronous kernel, generic over the graph representation
 /// (plain CSR or CompressedGraph) — both claim directions are neighbor-
@@ -162,13 +152,6 @@ std::vector<Dist> parallel_bfs_impl(ThreadPool& pool, const G& g,
       ++counts.pull;
     } else {
       ++counts.push;
-    }
-    if (options.log_decisions) {
-      std::fprintf(stderr,
-                   "[bfs] level=%u mode=%s frontier=%zu fdeg=%llu udeg=%llu\n",
-                   next_level, pulling ? "pull" : "push", frontier.size(),
-                   static_cast<unsigned long long>(frontier_deg),
-                   static_cast<unsigned long long>(unvisited_deg));
     }
 
     for (auto& buf : local_next) buf.clear();

@@ -1,13 +1,14 @@
-// Breadth-first search kernels: sequential, level-synchronous parallel,
-// and multi-source variants.  These are both building blocks (cluster
-// growth is multi-source BFS at heart) and the exact-answer reference the
-// tests and the BFS diameter baseline rely on.
+// Breadth-first search kernels: the sequential reference, level-
+// synchronous parallel BFS, and owner-tracking multi-source BFS.  These are
+// both building blocks and the exact-answer reference the tests and the
+// BFS diameter baseline rely on.
 //
-// The parallel kernel is direction-optimizing: sparse levels expand
-// top-down (frontier nodes CAS their unvisited neighbors), dense levels
-// bottom-up (unvisited nodes scan for a parent in the current level and
-// stop at the first hit); GrowthOptions tunes or pins the per-level
-// choice.
+// Multi-source BFS is cluster growth from a center set, so it runs on the
+// growth engine (core/growth).  The parallel single-source kernel is still
+// its own direction-optimizing loop: sparse levels expand top-down
+// (frontier nodes CAS their unvisited neighbors), dense levels bottom-up
+// (unvisited nodes scan for a parent in the current level and stop at the
+// first hit); GrowthOptions tunes or pins the per-level choice.
 #pragma once
 
 #include <vector>
@@ -22,19 +23,23 @@ namespace gclus {
 
 class Workspace;
 
-/// Hop distances from `source`; kInfDist for unreachable nodes.
+/// Hop distances from `source`; kInfDist for unreachable nodes.  Serial —
+/// the reference the tests check the parallel kernels against.
 [[nodiscard]] std::vector<Dist> bfs_distances(const Graph& g, NodeId source);
 
 /// Hop distance to the nearest of `sources` (kInfDist if unreachable).
 /// When `owner_out` is non-null it receives, per node, the index into
-/// `sources` of the source that claimed it (UINT32_MAX if unreachable;
-/// duplicate sources resolve to the first index) — the Voronoi partition
-/// the k-center evaluation and the registry's center-set adapters build
-/// on.  Claims propagate along BFS tree edges, so every claimed non-source
-/// node has a same-owner neighbor one hop closer.
+/// `sources` of the lowest-index source at that nearest distance
+/// (UINT32_MAX if unreachable; duplicate sources resolve to the first
+/// index) — the Voronoi partition the k-center evaluation and the
+/// registry's center-set adapters build on.  Claims propagate along BFS
+/// tree edges, so every claimed non-source node has a same-owner neighbor
+/// one hop closer.  Runs on the growth engine over `pool` (nullptr: the
+/// process-global pool); the result does not depend on the pool size.
 [[nodiscard]] std::vector<Dist> multi_source_bfs(
     const Graph& g, const std::vector<NodeId>& sources,
-    std::vector<std::uint32_t>* owner_out = nullptr);
+    std::vector<std::uint32_t>* owner_out = nullptr,
+    ThreadPool* pool = nullptr);
 
 /// Adds `source` to the node set whose hop distances `dist` holds (e.g. a
 /// multi_source_bfs result; all kInfDist for the empty set): lowers each

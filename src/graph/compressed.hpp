@@ -44,9 +44,9 @@
 // Neighbor order: decode yields storage-ascending ids mapped through inv,
 // i.e. an arbitrary (but fixed) order in original-id space.  Consumers
 // must be neighbor-order-independent — the growth engine and parallel BFS
-// are (commutative min-reductions); order-dependent code paths
-// (multi_source_bfs) must use decompress(), which re-sorts each list and
-// reproduces the original CSR arrays byte-for-byte.
+// are (commutative min-reductions); order-dependent code paths must use
+// decompress(), which re-sorts each list and reproduces the original CSR
+// arrays byte-for-byte.
 #pragma once
 
 #include <bit>

@@ -114,16 +114,19 @@ T parallel_sum(ThreadPool& pool, std::size_t begin, std::size_t end,
 }
 
 /// Atomic fetch-min for unsigned integral types: lowers `target` to `value`
-/// if smaller.  Returns true if this call performed the update.
+/// if smaller.  Returns the value `target` held just before this call's
+/// update (or the value that made the update unnecessary), so exactly one
+/// of several racing callers observes any given prior value.
 template <typename T>
-bool atomic_fetch_min(std::atomic<T>& target, T value) {
+T atomic_fetch_min(std::atomic<T>& target, T value) {
   T cur = target.load(std::memory_order_relaxed);
   while (value < cur) {
+    // On success `cur` still holds the value this call replaced.
     if (target.compare_exchange_weak(cur, value, std::memory_order_relaxed)) {
-      return true;
+      break;
     }
   }
-  return false;
+  return cur;
 }
 
 /// Exclusive prefix sum of `values` in place; returns the grand total.

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "graph/bfs.hpp"
@@ -59,6 +61,59 @@ TEST(MultiSourceBfs, DuplicateSourcesTolerated) {
   const auto d = multi_source_bfs(g, {2, 2, 2});
   EXPECT_EQ(d[2], 0u);
   EXPECT_EQ(d[6], 4u);
+}
+
+// multi_source_bfs runs on the parallel growth engine, yet each node's
+// owner must stay the lowest-index source among its nearest, whatever the
+// pool size: ties abound on grids, cliques and expanders, duplicates
+// resolve to the first listing, and unreached components keep UINT32_MAX.
+// The 20k-node expander is large enough for push and pull steps to run on
+// the workers rather than inline.
+TEST(MultiSourceBfs, OwnersMatchBruteForceNearestSource) {
+  struct Case {
+    std::string name;
+    Graph g;
+    std::vector<NodeId> sources;
+  };
+  std::vector<Case> cases;
+  for (auto& [name, g] : testutil::small_connected_corpus()) {
+    Rng rng(0xb0a7 + g.num_nodes());
+    std::vector<NodeId> sources;
+    for (int i = 0; i < 6; ++i) {
+      sources.push_back(static_cast<NodeId>(rng.next_below(g.num_nodes())));
+    }
+    cases.push_back({name, std::move(g), std::move(sources)});
+  }
+  // grid(8, 8) holds ids 0..63; the ring of cliques after it stays unreached.
+  cases.push_back({"disjoint-union",
+                   gen::disjoint_union(gen::grid(8, 8), gen::ring_of_cliques(6, 5)),
+                   {27, 3, 60}});
+  cases.push_back({"duplicates", gen::cycle(40), {7, 30, 7, 12, 30, 12}});
+  cases.push_back({"descending", gen::grid(20, 20), {399, 250, 190, 21, 20, 3}});
+  {
+    Graph big = gen::expander(20000, 4, 5);
+    Rng rng(0x20000);
+    std::vector<NodeId> sources;
+    for (int i = 0; i < 12; ++i) {
+      sources.push_back(static_cast<NodeId>(rng.next_below(big.num_nodes())));
+    }
+    std::sort(sources.rbegin(), sources.rend());
+    cases.push_back({"expander-20000", std::move(big), std::move(sources)});
+  }
+
+  for (const Case& c : cases) {
+    const testutil::NearestSource ref =
+        testutil::brute_force_nearest_source(c.g, c.sources);
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      ThreadPool pool(threads);
+      std::vector<std::uint32_t> owner;
+      EXPECT_EQ(multi_source_bfs(c.g, c.sources, &owner, &pool), ref.dist)
+          << c.name << " threads=" << threads;
+      EXPECT_EQ(owner, ref.owner) << c.name << " threads=" << threads;
+      EXPECT_EQ(multi_source_bfs(c.g, c.sources, nullptr, &pool), ref.dist)
+          << c.name << " threads=" << threads;
+    }
+  }
 }
 
 TEST(RelaxFrom, MatchesMultiSourceBfsOverAllSourcesSoFar) {

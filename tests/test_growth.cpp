@@ -195,19 +195,22 @@ ScheduledRun run_center_schedule(const G& g, TraversalMode mode,
   return run;
 }
 
-// The frontier bitmap exists only inside a pull step.  Flipping directions
-// with centers added between steps (some right before a pull) must match
-// push-only growth byte for byte, on both graph layouts.  A Workspace
-// recycled across runs must keep matching: a bit left set by one run would
-// let a later run's pull step claim through a node it covers in that same
-// step, two hops at once (pull-only runs have the back-to-back pull steps
-// that expose it).
-TEST(GrowthState, FrontierBitmapIsLocalToPullSteps) {
+// Push and pull must agree byte for byte, on both graph layouts, while
+// directions flip and centers join mid-growth (some right before a pull
+// step, whose frontier test on the coverage flags must then count the new
+// center), and while one Workspace is recycled across runs, so that no
+// state leaks from one run into the next.  The ring of cliques makes
+// claimed nodes see two or more frontier clusters at once: ties that the
+// one-pass push (the single unclaimed -> claimed transition) and the
+// pull's min-key exit must resolve exactly like push-only growth.
+TEST(GrowthState, DirectionsAgreeUnderMidGrowthCentersAndReuse) {
   const Graph g = gen::disjoint_union(
-      gen::disjoint_union(gen::expander_with_path(1500, 60, 4, 21),
-                          gen::expander(1200, 4, 3)),
-      gen::disjoint_union(gen::road_like(30, 30, 0.08, 0.02, 5),
-                          gen::expander(800, 6, 9)));
+      gen::disjoint_union(
+          gen::disjoint_union(gen::expander_with_path(1500, 60, 4, 21),
+                              gen::expander(1200, 4, 3)),
+          gen::disjoint_union(gen::road_like(30, 30, 0.08, 0.02, 5),
+                              gen::expander(800, 6, 9))),
+      gen::ring_of_cliques(40, 12));
   const CompressedGraph cz = compress(g, {.relabel = RelabelMode::kNever});
   ThreadPool serial(1);
   const ScheduledRun push =

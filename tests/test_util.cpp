@@ -32,6 +32,23 @@ std::vector<NamedGraph> small_connected_corpus() {
   return out;
 }
 
+NearestSource brute_force_nearest_source(const Graph& g,
+                                         const std::vector<NodeId>& sources) {
+  NearestSource out{std::vector<Dist>(g.num_nodes(), kInfDist),
+                    std::vector<std::uint32_t>(g.num_nodes(), UINT32_MAX)};
+  for (std::uint32_t i = 0; i < sources.size(); ++i) {
+    const std::vector<Dist> d = bfs_distances(g, sources[i]);
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      // Strictly closer only: an equal distance keeps the lower index.
+      if (d[v] < out.dist[v]) {
+        out.dist[v] = d[v];
+        out.owner[v] = i;
+      }
+    }
+  }
+  return out;
+}
+
 Dist brute_force_kcenter_radius(const Graph& g, NodeId k) {
   const NodeId n = g.num_nodes();
   // Enumerate size-k subsets with a simple odometer.

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -56,6 +57,19 @@ inline Weight brute_force_weighted_diameter(const WeightedGraph& g) {
   }
   return best;
 }
+
+/// Per-node nearest source: hop distance (kInfDist if unreachable) and
+/// the lowest index into the source list at that distance (UINT32_MAX if
+/// unreachable).
+struct NearestSource {
+  std::vector<Dist> dist;
+  std::vector<std::uint32_t> owner;
+};
+
+/// Brute-force nearest source by one bfs_distances per source — the
+/// reference for multi_source_bfs's distances and owner tie-breaking.
+NearestSource brute_force_nearest_source(const Graph& g,
+                                         const std::vector<NodeId>& sources);
 
 /// Brute-force optimal k-center radius by trying every size-k center set —
 /// exponential; only for tiny graphs (n <= ~16, k <= 3).
