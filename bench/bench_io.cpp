@@ -80,6 +80,13 @@ double best_of(int reps, const Fn& fn, const Check& check) {
   return best;
 }
 
+/// Failing to write the bench's own scratch files ends the run.
+void expect_written(const Status& st) {
+  if (st.ok()) return;
+  std::fprintf(stderr, "BENCH FAILED: %s\n", st.to_string().c_str());
+  std::exit(1);
+}
+
 bool same_clustering(const Clustering& a, const Clustering& b) {
   return a.assignment == b.assignment && a.centers == b.centers &&
          a.dist_to_center == b.dist_to_center;
@@ -97,7 +104,7 @@ int main() {
   io::write_edge_list_file(g, txt_path);
   const double write_text_s = t_write_txt.elapsed_s();
   Timer t_write_csr;
-  io::write_csr_file(g, csr_path);
+  expect_written(io::write_csr(g, csr_path));
   const double write_csr_s = t_write_csr.elapsed_s();
   const auto text_bytes =
       static_cast<std::uint64_t>(std::filesystem::file_size(txt_path));
@@ -143,7 +150,7 @@ int main() {
   ThreadPool pool1(1), pool2(2), pool8(8);
   const auto parse_with = [&](ThreadPool& pool) {
     return best_of(
-        3, [&] { return io::read_edge_list_file(txt_path, pool); },
+        3, [&] { return io::load_edge_list(txt_path, pool).value(); },
         expect_reference);
   };
   const double parallel_1t_s = parse_with(pool1);
@@ -167,7 +174,8 @@ int main() {
   const double csr_copy_s = best_of(
       3,
       [&] {
-        return io::load_csr_file(csr_path, {.mode = io::CsrLoadMode::kCopy});
+        return io::load_csr(csr_path, {.mode = io::CsrLoadMode::kCopy})
+            .value();
       },
       expect_g);
   double csr_mmap_s = csr_copy_s;
@@ -176,8 +184,8 @@ int main() {
     csr_mmap_s = best_of(
         3,
         [&] {
-          return io::load_csr_file(csr_path,
-                                   {.mode = io::CsrLoadMode::kMmap});
+          return io::load_csr(csr_path, {.mode = io::CsrLoadMode::kMmap})
+              .value();
         },
         [&](const Graph& h) {
           if (h.owns_storage()) {
@@ -202,9 +210,9 @@ int main() {
                    "included");
 
   // --- determinism across thread counts (full graphs, not just times). ---
-  const Graph p1 = io::read_edge_list_file(txt_path, pool1);
-  const Graph p2 = io::read_edge_list_file(txt_path, pool2);
-  const Graph p8 = io::read_edge_list_file(txt_path, pool8);
+  const Graph p1 = io::load_edge_list(txt_path, pool1).value();
+  const Graph p2 = io::load_edge_list(txt_path, pool2).value();
+  const Graph p8 = io::load_edge_list(txt_path, pool8).value();
   const bool deterministic =
       std::ranges::equal(p1.neighbor_array(), p2.neighbor_array()) &&
       std::ranges::equal(p1.neighbor_array(), p8.neighbor_array()) &&
@@ -215,13 +223,15 @@ int main() {
   bool registry_identical = true;
   if (have_mmap) {
     const Graph mapped =
-        io::load_csr_file(csr_path, {.mode = io::CsrLoadMode::kMmap});
+        io::load_csr(csr_path, {.mode = io::CsrLoadMode::kMmap}).value();
     AlgoParams params;
     params.set("tau", std::uint64_t{16});
     RunContext ctx_own, ctx_map;
     ctx_own.seed = ctx_map.seed = 7;
-    const Clustering own = registry().run("cluster", g, params, ctx_own);
-    const Clustering map = registry().run("cluster", mapped, params, ctx_map);
+    const Clustering own =
+        registry().run("cluster", g, params, ctx_own).value();
+    const Clustering map =
+        registry().run("cluster", mapped, params, ctx_map).value();
     registry_identical = same_clustering(own, map);
     std::printf("registry cluster(16) owning vs mmap-backed: %s\n",
                 registry_identical ? "byte-identical" : "DIVERGED");
@@ -232,7 +242,7 @@ int main() {
   Timer t_compress;
   const CompressedGraph cz = compress(g, pool8);
   const double compress_s = t_compress.elapsed_s();
-  io::write_csr_file(cz, cz_path);
+  expect_written(io::write_csr(cz, cz_path));
   const auto cz_bytes =
       static_cast<std::uint64_t>(std::filesystem::file_size(cz_path));
   const double compression_ratio =
@@ -255,7 +265,7 @@ int main() {
   // Compressed load includes the checksum and the full structural decode
   // walk; the round trip must reproduce g's CSR arrays byte-for-byte.
   const double cz_load_s = best_of(
-      3, [&] { return io::load_compressed_csr_file(cz_path); },
+      3, [&] { return io::load_compressed_csr(cz_path).value(); },
       [&](const CompressedGraph& h) {
         if (h.num_nodes() != g.num_nodes() ||
             h.num_half_edges() != g.num_half_edges()) {
@@ -263,7 +273,7 @@ int main() {
           std::exit(1);
         }
       });
-  expect_g(io::load_compressed_csr_file(cz_path).decompress(pool8));
+  expect_g(io::load_compressed_csr(cz_path).value().decompress(pool8));
 
   TablePrinter cz_table({"layout", "bytes", "bits/half-edge", "vs csr2"});
   cz_table.add_row({"csr2 plain", fmt_u(csr_bytes),
@@ -289,7 +299,7 @@ int main() {
   };
   const Clustering push_ref = [&] {
     RunContext ctx = push_ctx(pool8);
-    return registry().run("cluster", g, cl_params, ctx);
+    return registry().run("cluster", g, cl_params, ctx).value();
   }();
   const auto expect_push_ref = [&](const Clustering& c) {
     if (!same_clustering(c, push_ref)) {
@@ -307,14 +317,15 @@ int main() {
     {
       RunContext ctx = push_ctx(pool8);
       Timer t;
-      const Clustering c = registry().run("cluster", g, cl_params, ctx);
+      const Clustering c = registry().run("cluster", g, cl_params, ctx).value();
       plain_cluster_s = std::min(plain_cluster_s, t.elapsed_s());
       expect_push_ref(c);
     }
     {
       RunContext ctx = push_ctx(pool8);
       Timer t;
-      const Clustering c = registry().run("cluster", cz, cl_params, ctx);
+      const Clustering c =
+          registry().run("cluster", cz, cl_params, ctx).value();
       cz_cluster_s = std::min(cz_cluster_s, t.elapsed_s());
       expect_push_ref(c);
     }
@@ -329,9 +340,10 @@ int main() {
     RunContext ctx_cz, ctx_plain;
     ctx_cz.seed = ctx_plain.seed = 7;
     ctx_cz.pool = ctx_plain.pool = pool;
-    const Clustering from_cz = registry().run("cluster", cz, cl_params, ctx_cz);
+    const Clustering from_cz =
+        registry().run("cluster", cz, cl_params, ctx_cz).value();
     const Clustering from_plain =
-        registry().run("cluster", g, cl_params, ctx_plain);
+        registry().run("cluster", g, cl_params, ctx_plain).value();
     compressed_identical =
         compressed_identical && same_clustering(from_cz, from_plain);
   }

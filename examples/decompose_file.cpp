@@ -330,10 +330,12 @@ int main(int argc, char** argv) {
   ctx.telemetry = &telemetry;
 
   StatusOr<Clustering> run = cg.has_value()
-                                 ? registry().try_run(algo, *cg, params, ctx)
-                                 : registry().try_run(algo, g, params, ctx);
+                                 ? registry().run(algo, *cg, params, ctx)
+                                 : registry().run(algo, g, params, ctx);
   if (!run.ok()) {
-    // A bad parameter key or value is a usage error: exit 1.
+    // The registry rejects a bad parameter key or value, and a graph
+    // outside the algorithm's preconditions (empty; disconnected where
+    // the algorithm needs one component): a usage error, exit 1.
     std::fprintf(stderr, "decompose_file: %s\n",
                  run.status().to_string().c_str());
     return 1;

@@ -3,8 +3,10 @@
 # test_cli_errors:
 #
 #   exit 0  success
-#   exit 1  usage error (bad flag, unknown algorithm, malformed
-#           algorithm parameter value)
+#   exit 1  usage error (bad flag, unknown algorithm, malformed or
+#           out-of-range algorithm parameter value, or a graph outside the
+#           algorithm's preconditions: empty, or disconnected where the
+#           algorithm needs a center or a BFS reach in every component)
 #   exit 2  unreadable or corrupt input (one-line Status diagnostic on
 #           stderr)
 #
@@ -77,6 +79,35 @@ for bad in --tau=abc --tau=99999999999; do
   [ "$(echo "$err" | wc -l)" -eq 1 ] ||
     fail "$bad: diagnostic is not one line: $err"
 done
+
+# The registry is the validation boundary: input that breaks an
+# algorithm's preconditions is exit 1 with a one-line INVALID_ARGUMENT
+# diagnostic, never an abort (exit 134).
+expect_invalid() {
+  local label="$1"
+  shift
+  set +e
+  err="$("$DECOMPOSE_FILE" "$@" 2>&1 >/dev/null)"
+  code=$?
+  set -e
+  [ "$code" -eq 1 ] || fail "$label: expected exit 1, got $code"
+  echo "$err" | grep -q "^decompose_file: INVALID_ARGUMENT: " ||
+    fail "$label: diagnostic not found in: $err"
+  [ "$(echo "$err" | wc -l)" -eq 1 ] ||
+    fail "$label: diagnostic is not one line: $err"
+}
+: > "$WORK/empty.txt"
+expect_invalid "empty file" "$WORK/empty.txt"
+printf '0 1\n1 2\n2 0\n3 4\n4 5\n' > "$WORK/two.txt"
+for algo in kcenter gonzalez; do
+  expect_invalid "two components, $algo k=1" "$WORK/two.txt" \
+    --algo="$algo" --k=1
+done
+expect_invalid "two components, mr.bfs" "$WORK/two.txt" --algo=mr.bfs
+expect_invalid "--tau=0" "$WORK/two.txt" --tau=0
+expect_invalid "--beta=0" "$WORK/two.txt" --algo=mpx --beta=0
+expect_invalid "--partitions=0" "$WORK/two.txt" --algo=mr.cluster \
+  --partitions=0
 
 # GCLUS_FAULT reaches the CLI.  A one-shot open failure is absorbed by
 # the mmap->read fallback: the run succeeds and reports the triggered

@@ -14,6 +14,7 @@
 // registry's uniform return type covers them too.
 #include <algorithm>
 #include <limits>
+#include <string>
 #include <utility>
 
 #include "api/registry.hpp"
@@ -27,6 +28,7 @@
 #include "core/kcenter.hpp"
 #include "core/weighted_cluster.hpp"
 #include "graph/bfs.hpp"
+#include "graph/connectivity.hpp"
 #include "graph/weighted.hpp"
 #include "mapreduce/engine.hpp"
 #include "mr_algos/mr_bfs.hpp"
@@ -39,7 +41,12 @@ namespace {
 using Type = ParamSpec::Type;
 
 const ParamSpec kTauSpec{"tau", Type::kU32, "8",
-                         "decomposition granularity (Theorem 1's τ)"};
+                         "decomposition granularity (Theorem 1's τ)",
+                         /*positive=*/true};
+const ParamSpec kBetaSpec{
+    "beta", Type::kDouble, "0.5",
+    "exponential-shift rate; larger β → more, smaller clusters",
+    /*positive=*/true};
 const ParamSpec kSelectionSpec{
     "selection_constant", Type::kDouble, "4",
     "constant of the selection probability 4·τ·log n / |uncovered|"};
@@ -51,6 +58,17 @@ const ParamSpec kThresholdSpec{"threshold_constant", Type::kDouble, "8",
 NodeId read_k(NodeId num_nodes, const AlgoParams& params, NodeId fallback) {
   const NodeId k = params.get_u32("k", fallback);
   return std::max<NodeId>(1, std::min<NodeId>(k, num_nodes));
+}
+
+/// A k-center solution needs a center in every connected component, so a
+/// k below the component count is rejected here rather than at the core
+/// functions' CHECKs (kcenter_approx, gonzalez_kcenter).
+Status check_k_covers_components(const Graph& g, NodeId k) {
+  const NodeId components = connected_components(g).count;
+  if (k >= components) return OkStatus();
+  return InvalidArgumentError(
+      "parameter k: " + std::to_string(k) + " centers cannot cover " +
+      std::to_string(components) + " connected components");
 }
 
 /// Nearest-center Voronoi partition of `centers`, via the owner-tracking
@@ -161,8 +179,7 @@ void register_mpx(Registry& r) {
   r.add({"mpx",
          "Miller–Peng–Xu random-shift decomposition [SPAA'13] — the paper's "
          "clustering baseline",
-         {{"beta", Type::kDouble, "0.5",
-           "exponential-shift rate; larger β → more, smaller clusters"}},
+         {kBetaSpec},
          run_mpx<Graph>,
          run_mpx<CompressedGraph>});
 }
@@ -190,10 +207,15 @@ void register_gonzalez(Registry& r) {
          "Gonzalez farthest-first k-center (sequential 2-approximation), "
          "returned as the nearest-center partition",
          {{"k", Type::kU32, "8", "number of centers (clamped to n)"},
-          {"first", Type::kU32, "0", "seed node of the sweep"}},
-         [](const Graph& g, const AlgoParams& p, RunContext& ctx) {
-           const auto res = baselines::gonzalez_kcenter(
-               g, read_k(g.num_nodes(), p, 8), p.get_u32("first", 0));
+          {"first", Type::kU32, "0",
+           "seed node of the sweep (clamped to n-1)"}},
+         [](const Graph& g, const AlgoParams& p,
+            RunContext& ctx) -> StatusOr<Clustering> {
+           const NodeId k = read_k(g.num_nodes(), p, 8);
+           GCLUS_RETURN_IF_ERROR(check_k_covers_components(g, k));
+           const NodeId first =
+               std::min<NodeId>(p.get_u32("first", 0), g.num_nodes() - 1);
+           const auto res = baselines::gonzalez_kcenter(g, k, first);
            ctx.emit("gonzalez.radius", static_cast<double>(res.radius));
            return clustering_from_centers(g, res.centers, ctx);
          },
@@ -207,12 +229,14 @@ void register_kcenter(Registry& r) {
          {{"k", Type::kU32, "8", "number of centers (clamped to n)"},
           {"tau_scale", Type::kDouble, "1",
            "scale of the τ = scale·k/log²n choice"}},
-         [](const Graph& g, const AlgoParams& p, RunContext& ctx) {
+         [](const Graph& g, const AlgoParams& p,
+            RunContext& ctx) -> StatusOr<Clustering> {
+           const NodeId k = read_k(g.num_nodes(), p, 8);
+           GCLUS_RETURN_IF_ERROR(check_k_covers_components(g, k));
            KCenterOptions o;
            o.context() = ctx;
            o.tau_scale = p.get_double("tau_scale", 1.0);
-           const KCenterResult res =
-               kcenter_approx(g, read_k(g.num_nodes(), p, 8), o);
+           const KCenterResult res = kcenter_approx(g, k, o);
            ctx.emit("kcenter.radius", static_cast<double>(res.radius));
            ctx.emit("kcenter.raw_clusters",
                     static_cast<double>(res.raw_clusters));
@@ -229,7 +253,8 @@ void register_kcenter(Registry& r) {
 
 const ParamSpec kMrParams[] = {
     {"partitions", Type::kU32, "64",
-     "shuffle partition count (pinned; never derived from threads)"},
+     "shuffle partition count (pinned; never derived from threads)",
+     /*positive=*/true},
     {"spill_bytes", Type::kU64, "0",
      "map-phase shuffle buffer budget in bytes; 0 = in-memory"},
     {"ml_pairs", Type::kU64, "0",
@@ -274,13 +299,13 @@ void emit_mr_metrics(RunContext& ctx, const mr::Engine& engine) {
 
 void add_mr(Registry& r, std::string name, std::string summary,
             std::vector<ParamSpec> own_params,
-            Clustering (*body)(mr::Engine&, const Graph&, const AlgoParams&,
-                               RunContext&)) {
+            StatusOr<Clustering> (*body)(mr::Engine&, const Graph&,
+                                         const AlgoParams&, RunContext&)) {
   for (const ParamSpec& spec : kMrParams) own_params.push_back(spec);
   r.add({std::move(name), std::move(summary), std::move(own_params),
          [body](const Graph& g, const AlgoParams& p, RunContext& ctx) {
            mr::Engine engine(mr_config(p, ctx));
-           Clustering c = body(engine, g, p, ctx);
+           StatusOr<Clustering> c = body(engine, g, p, ctx);
            emit_mr_metrics(ctx, engine);
            return c;
          },
@@ -293,7 +318,7 @@ void register_mr_algorithms(Registry& r) {
          "identical partition to 'cluster' for the same seed",
          {kTauSpec, kSelectionSpec, kThresholdSpec},
          [](mr::Engine& engine, const Graph& g, const AlgoParams& p,
-            RunContext& ctx) {
+            RunContext& ctx) -> StatusOr<Clustering> {
            mr_algos::MrClusterOptions o;
            o.seed = ctx.seed;
            o.selection_constant = p.get_double("selection_constant", 4.0);
@@ -305,10 +330,9 @@ void register_mr_algorithms(Registry& r) {
   add_mr(r, "mr.mpx",
          "MPX executed in MR rounds on the out-of-core engine; identical "
          "partition to 'mpx' for the same seed",
-         {{"beta", Type::kDouble, "0.5",
-           "exponential-shift rate; larger β → more, smaller clusters"}},
+         {kBetaSpec},
          [](mr::Engine& engine, const Graph& g, const AlgoParams& p,
-            RunContext& ctx) {
+            RunContext& ctx) -> StatusOr<Clustering> {
            return mr_algos::mr_mpx(engine, g, p.get_double("beta", 0.5),
                                    ctx.seed)
                .clustering;
@@ -319,21 +343,22 @@ void register_mr_algorithms(Registry& r) {
          "single-cluster decomposition (dist_to_center = BFS distance)",
          {{"source", Type::kU32, "0", "BFS source node (clamped to n-1)"}},
          [](mr::Engine& engine, const Graph& g, const AlgoParams& p,
-            RunContext& ctx) {
+            RunContext& ctx) -> StatusOr<Clustering> {
            const NodeId source = std::min<NodeId>(
                p.get_u32("source", 0), g.num_nodes() - 1);
            const mr_algos::MrBfsResult res =
                mr_algos::mr_bfs(engine, g, source);
            ctx.emit("mr.bfs.eccentricity",
                     static_cast<double>(res.eccentricity));
+           if (std::ranges::find(res.dist, kInfDist) != res.dist.end()) {
+             return InvalidArgumentError(
+                 "mr.bfs: source " + std::to_string(source) +
+                 " does not reach every node; run on one connected "
+                 "component");
+           }
            Clustering out;
            out.centers = {source};
            out.assignment.assign(g.num_nodes(), 0);
-           for (NodeId v = 0; v < g.num_nodes(); ++v) {
-             GCLUS_CHECK(res.dist[v] != kInfDist, "mr.bfs: source ", source,
-                         " does not reach node ", v,
-                         " — run on one connected component");
-           }
            out.dist_to_center = res.dist;
            out.growth_steps = res.supersteps;
            finalize_cluster_stats(out);

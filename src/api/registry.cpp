@@ -1,6 +1,7 @@
 #include "api/registry.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -56,10 +57,11 @@ int bool_word(const std::string& v) {
   return -1;
 }
 
-/// The value grammar of each ParamSpec::Type, shared by Registry::select
-/// (which returns the Status) and the AlgoParams getters (which abort).
+/// The value grammar of each ParamSpec::Type, plus the ParamSpec::positive
+/// bound, shared by Registry::select (which returns the Status) and the
+/// AlgoParams getters (which abort; they know no bound).
 Status check_value(const std::string& key, const std::string& value,
-                   ParamSpec::Type type) {
+                   ParamSpec::Type type, bool positive = false) {
   const auto bad = [&](const char* what) {
     return InvalidArgumentError("parameter " + key + ": '" + value +
                                 "' is not " + what);
@@ -72,13 +74,16 @@ Status check_value(const std::string& key, const std::string& value,
       if (type == ParamSpec::Type::kU32 && *v > UINT32_MAX) {
         return bad("an unsigned integer below 2^32");
       }
+      if (positive && *v == 0) return bad("a positive integer");
       return OkStatus();
     }
     case ParamSpec::Type::kDouble: {
       char* end = nullptr;
-      (void)std::strtod(value.c_str(), &end);
-      const bool whole = end != value.c_str() && *end == '\0';
-      return whole ? OkStatus() : bad("a number");
+      const double v = std::strtod(value.c_str(), &end);
+      if (end == value.c_str() || *end != '\0') return bad("a number");
+      if (!std::isfinite(v)) return bad("a finite number");
+      if (positive && !(v > 0)) return bad("a positive number");
+      return OkStatus();
     }
     case ParamSpec::Type::kBool:
       break;
@@ -141,25 +146,13 @@ std::vector<std::string> Registry::names() const {
   return out;
 }
 
-Clustering Registry::run(const std::string& name, const Graph& g,
-                         const AlgoParams& params, RunContext& ctx) const {
-  auto result = try_run(name, g, params, ctx);
-  GCLUS_CHECK(result.ok(), result.status().message());
-  return std::move(result).value();
-}
-
-Clustering Registry::run(const std::string& name, const CompressedGraph& g,
-                         const AlgoParams& params, RunContext& ctx) const {
-  auto result = try_run(name, g, params, ctx);
-  GCLUS_CHECK(result.ok(), result.status().message());
-  return std::move(result).value();
-}
-
-/// Selection checks shared by both try_run overloads: resolves the
-/// algorithm and rejects undeclared parameter keys and values that do not
-/// parse as their declared type.
+/// Selection checks shared by both run overloads: resolves the algorithm,
+/// rejects undeclared parameter keys and values outside their declared
+/// type or bound, and rejects the empty graph, on which no decomposition
+/// is defined.
 StatusOr<const AlgoInfo*> Registry::select(const std::string& name,
-                                           const AlgoParams& params) const {
+                                           const AlgoParams& params,
+                                           NodeId num_nodes) const {
   const AlgoInfo* info = find(name);
   if (info == nullptr) {
     std::string known;
@@ -178,23 +171,29 @@ StatusOr<const AlgoInfo*> Registry::select(const std::string& name,
                                   "' has no parameter '" + key +
                                   "'; declared:" + known);
     }
-    GCLUS_RETURN_IF_ERROR(check_value(key, value, spec->type));
+    GCLUS_RETURN_IF_ERROR(check_value(key, value, spec->type, spec->positive));
+  }
+  if (num_nodes == 0) {
+    return InvalidArgumentError("algorithm '" + name +
+                                "' needs a graph with at least one node");
   }
   return info;
 }
 
-StatusOr<Clustering> Registry::try_run(const std::string& name, const Graph& g,
-                                       const AlgoParams& params,
-                                       RunContext& ctx) const {
-  GCLUS_ASSIGN_OR_RETURN(const AlgoInfo* info, select(name, params));
+StatusOr<Clustering> Registry::run(const std::string& name, const Graph& g,
+                                   const AlgoParams& params,
+                                   RunContext& ctx) const {
+  GCLUS_ASSIGN_OR_RETURN(const AlgoInfo* info,
+                         select(name, params, g.num_nodes()));
   return info->run(g, params, ctx);
 }
 
-StatusOr<Clustering> Registry::try_run(const std::string& name,
-                                       const CompressedGraph& g,
-                                       const AlgoParams& params,
-                                       RunContext& ctx) const {
-  GCLUS_ASSIGN_OR_RETURN(const AlgoInfo* info, select(name, params));
+StatusOr<Clustering> Registry::run(const std::string& name,
+                                   const CompressedGraph& g,
+                                   const AlgoParams& params,
+                                   RunContext& ctx) const {
+  GCLUS_ASSIGN_OR_RETURN(const AlgoInfo* info,
+                         select(name, params, g.num_nodes()));
   if (info->run_compressed) return info->run_compressed(g, params, ctx);
   // Neighbor-order-dependent algorithm: materialize the plain CSR and run
   // the ordinary adapter, which is definitionally output-identical.

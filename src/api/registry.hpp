@@ -2,7 +2,7 @@
 // decomposition algorithm in the library.
 //
 // Each algorithm registers a uniform adapter
-//     Clustering run(const Graph&, const AlgoParams&, RunContext&)
+//     StatusOr<Clustering> run(const Graph&, const AlgoParams&, RunContext&)
 // plus a declared parameter schema, so benches, examples, tests, and any
 // future serving endpoint select algorithms and set parameters by name
 // (`--algo=cluster2 --tau=64`) instead of linking against a per-algorithm
@@ -12,9 +12,14 @@
 // registry run is byte-identical to the corresponding direct call with the
 // same seed.
 //
-// Parameter handling is strict: Registry::run validates every supplied key
-// against the algorithm's schema and aborts on unknown keys or malformed
-// values — a typo'd "--tua=64" must not silently run with the default.
+// The registry is the validation boundary between outside input and the
+// algorithms' preconditions.  Registry::run returns kInvalidArgument —
+// never aborts — on an unknown algorithm, an undeclared key (a typo'd
+// "--tua=64" must not silently run with the default), a value that does
+// not parse as its declared type or lies below its declared bound, an
+// empty graph, or a graph an adapter rejects (a k-center k below the
+// component count, MR BFS on a disconnected graph).  Behind it, the
+// algorithms' own GCLUS_CHECKs are caller contracts.
 #pragma once
 
 #include <cstdint>
@@ -39,13 +44,16 @@ struct ParamSpec {
   Type type = Type::kU32;
   std::string default_value;  // rendered for --list / docs
   std::string help;
+  /// The value must be > 0 (so >= 1 for the integer types).
+  bool positive = false;
 };
 
 const char* param_type_name(ParamSpec::Type type);
 
 /// String-keyed parameter bag.  Values are stored as strings (the CLI and
 /// config formats they come from) and parsed on access; parse failures
-/// abort with the offending key and value.
+/// abort with the offending key and value (Registry::run checks every
+/// value against its schema first, so adapters never reach that abort).
 class AlgoParams {
  public:
   AlgoParams() = default;
@@ -80,14 +88,16 @@ struct AlgoInfo {
   std::string name;
   std::string summary;
   std::vector<ParamSpec> params;
-  std::function<Clustering(const Graph&, const AlgoParams&, RunContext&)> run;
+  std::function<StatusOr<Clustering>(const Graph&, const AlgoParams&,
+                                     RunContext&)>
+      run;
   /// Native compressed-mode adapter, or null when the algorithm's
   /// traversal is neighbor-order dependent (center-set Voronoi
   /// propagation) — Registry::run on a CompressedGraph then decompresses
   /// and runs the plain adapter, so every algorithm accepts either
   /// representation with identical output.
-  std::function<Clustering(const CompressedGraph&, const AlgoParams&,
-                           RunContext&)>
+  std::function<StatusOr<Clustering>(const CompressedGraph&,
+                                     const AlgoParams&, RunContext&)>
       run_compressed;
 };
 
@@ -102,36 +112,26 @@ class Registry {
   /// Registered names, ascending.
   [[nodiscard]] std::vector<std::string> names() const;
 
-  /// Validates `params` against the schema of `name` and invokes its
-  /// adapter.  Aborts on everything try_run reports as a Status.
-  Clustering run(const std::string& name, const Graph& g,
-                 const AlgoParams& params, RunContext& ctx) const;
+  /// Validates `params` against the schema of `name`, rejects an empty
+  /// graph, and invokes the adapter.  Every failure is kInvalidArgument.
+  [[nodiscard]] StatusOr<Clustering> run(const std::string& name,
+                                         const Graph& g,
+                                         const AlgoParams& params,
+                                         RunContext& ctx) const;
 
   /// Runs `name` on a compressed graph: natively when the algorithm
   /// registered a compressed adapter, else by decompressing first.  The
-  /// result is identical to running on the equivalent plain Graph.
-  Clustering run(const std::string& name, const CompressedGraph& g,
-                 const AlgoParams& params, RunContext& ctx) const;
-
-  /// Like run(), but selection errors — unknown algorithm, undeclared
-  /// parameter key, a value that does not parse as its declared
-  /// ParamSpec::Type — come back as kInvalidArgument instead of aborting,
-  /// so a serving caller can reject one bad request and keep going.
-  [[nodiscard]] StatusOr<Clustering> try_run(const std::string& name,
-                                             const Graph& g,
-                                             const AlgoParams& params,
-                                             RunContext& ctx) const;
-
-  /// Compressed-graph counterpart of try_run; same fallback rule as the
-  /// compressed run().
-  [[nodiscard]] StatusOr<Clustering> try_run(const std::string& name,
-                                             const CompressedGraph& g,
-                                             const AlgoParams& params,
-                                             RunContext& ctx) const;
+  /// result, or the error, is identical to running on the equivalent plain
+  /// Graph.
+  [[nodiscard]] StatusOr<Clustering> run(const std::string& name,
+                                         const CompressedGraph& g,
+                                         const AlgoParams& params,
+                                         RunContext& ctx) const;
 
  private:
-  [[nodiscard]] StatusOr<const AlgoInfo*> select(
-      const std::string& name, const AlgoParams& params) const;
+  [[nodiscard]] StatusOr<const AlgoInfo*> select(const std::string& name,
+                                                 const AlgoParams& params,
+                                                 NodeId num_nodes) const;
 
   std::map<std::string, AlgoInfo> algos_;
 };

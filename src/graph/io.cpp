@@ -37,8 +37,6 @@ namespace {
 
 // ---- shared helpers ---------------------------------------------------------
 
-constexpr std::uint64_t kBinaryMagic = 0x67636c7573763101ULL;  // v1: "gclusv1"+1
-
 // Bytes "GCLUSCS2" when stored little-endian.
 constexpr std::uint64_t kCsr2Magic = 0x32534353554C4347ULL;
 constexpr std::uint32_t kCsr2Version = 2;
@@ -358,16 +356,6 @@ StatusOr<Graph> load_edge_list(const std::string& path) {
   return load_edge_list(path, ThreadPool::global());
 }
 
-Graph read_edge_list_file(const std::string& path, ThreadPool& pool) {
-  auto loaded = load_edge_list(path, pool);
-  GCLUS_CHECK(loaded.ok(), loaded.status().to_string());
-  return std::move(loaded).value();
-}
-
-Graph read_edge_list_file(const std::string& path) {
-  return read_edge_list_file(path, ThreadPool::global());
-}
-
 void write_edge_list(const Graph& g, std::ostream& out) {
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     for (const NodeId v : g.neighbors(u)) {
@@ -380,62 +368,6 @@ void write_edge_list_file(const Graph& g, const std::string& path) {
   std::ofstream out(path);
   GCLUS_CHECK(out.good(), "cannot open ", path.c_str());
   write_edge_list(g, out);
-}
-
-// ---- CSR v1 binary (legacy) -------------------------------------------------
-
-void write_binary_file(const Graph& g, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  GCLUS_CHECK(out.good(), "cannot open ", path.c_str());
-  const std::uint64_t n = g.num_nodes();
-  const std::uint64_t half_edges = g.num_half_edges();
-  out.write(reinterpret_cast<const char*>(&kBinaryMagic), sizeof kBinaryMagic);
-  out.write(reinterpret_cast<const char*>(&n), sizeof n);
-  out.write(reinterpret_cast<const char*>(&half_edges), sizeof half_edges);
-  out.write(reinterpret_cast<const char*>(g.offsets().data()),
-            static_cast<std::streamsize>(g.offsets().size() * sizeof(EdgeId)));
-  out.write(
-      reinterpret_cast<const char*>(g.neighbor_array().data()),
-      static_cast<std::streamsize>(g.neighbor_array().size() * sizeof(NodeId)));
-  GCLUS_CHECK(out.good(), "write failed for ", path.c_str());
-}
-
-Graph read_binary_file(const std::string& path) {
-  std::error_code ec;
-  const std::uint64_t file_bytes = std::filesystem::file_size(path, ec);
-  std::ifstream in(path, std::ios::binary);
-  GCLUS_CHECK(!ec && in.good(), "cannot open ", path.c_str());
-  GCLUS_CHECK(file_bytes >= sizeof kBinaryMagic,
-              "not a gclus binary graph: ", path.c_str());
-  std::uint64_t magic = 0, n = 0, half_edges = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof magic);
-  GCLUS_CHECK(magic == kBinaryMagic, "not a gclus binary graph: ",
-              path.c_str());
-  // Validate the header against the file size *before* trusting it for
-  // allocation sizes — a truncated or corrupted dump must fail cleanly,
-  // not read garbage into CSR arrays.
-  GCLUS_CHECK(file_bytes >= 24, "truncated gclus binary graph: ",
-              path.c_str());
-  in.read(reinterpret_cast<char*>(&n), sizeof n);
-  in.read(reinterpret_cast<char*>(&half_edges), sizeof half_edges);
-  GCLUS_CHECK(n <= std::numeric_limits<NodeId>::max(),
-              "corrupt gclus binary graph (node count ", n, "): ",
-              path.c_str());
-  GCLUS_CHECK(half_edges <= file_bytes / sizeof(NodeId),
-              "truncated gclus binary graph: ", path.c_str());
-  const std::uint64_t expected =
-      24 + (n + 1) * sizeof(EdgeId) + half_edges * sizeof(NodeId);
-  GCLUS_CHECK(file_bytes == expected, "truncated gclus binary graph: ",
-              path.c_str(), " (expected ", expected, " bytes, found ",
-              file_bytes, ")");
-  std::vector<EdgeId> offsets(n + 1);
-  std::vector<NodeId> neighbors(half_edges);
-  in.read(reinterpret_cast<char*>(offsets.data()),
-          static_cast<std::streamsize>(offsets.size() * sizeof(EdgeId)));
-  in.read(reinterpret_cast<char*>(neighbors.data()),
-          static_cast<std::streamsize>(neighbors.size() * sizeof(NodeId)));
-  GCLUS_CHECK(in.good(), "truncated gclus binary graph: ", path.c_str());
-  return Graph(std::move(offsets), std::move(neighbors));
 }
 
 // ---- CSR v2 binary ----------------------------------------------------------
@@ -454,9 +386,7 @@ struct Csr2Header {
 
 /// Core writer shared by the weighted and unweighted entry points.
 /// `weighted` is explicit (not inferred from the span, whose data pointer
-/// is null for edgeless graphs).  kIoError on any write failure; the
-/// public write_csr_file wrappers turn that into a GCLUS_CHECK abort, the
-/// best-effort consumers (try_write_csr_file, the dataset cache) don't.
+/// is null for edgeless graphs).  kIoError on any write failure.
 [[nodiscard]] Status write_csr2(const std::string& path,
                                 std::span<const EdgeId> offsets,
                                 std::span<const NodeId> neighbors,
@@ -1055,7 +985,7 @@ StatusOr<Graph> load_csr(const std::string& path, const CsrLoadOptions& opts) {
   GCLUS_RETURN_IF_ERROR(load_csr2(path, opts, loaded).with_context(path));
   if ((loaded.header.flags & kCsr2FlagWeights) != 0) {
     return InvalidArgumentError(
-        path + ": weighted CSR v2 file (use load_weighted_csr_file)");
+        path + ": weighted CSR v2 file (use load_weighted_csr)");
   }
   if (loaded.mapping != nullptr) {
     return Graph(loaded.offsets, loaded.neighbors, std::move(loaded.mapping));
@@ -1073,7 +1003,7 @@ StatusOr<WeightedGraph> load_weighted_csr(const std::string& path,
   GCLUS_RETURN_IF_ERROR(load_csr2(path, opts, loaded).with_context(path));
   if ((loaded.header.flags & kCsr2FlagWeights) == 0) {
     return InvalidArgumentError(
-        path + ": unweighted CSR v2 file (use load_csr_file)");
+        path + ": unweighted CSR v2 file (use load_csr)");
   }
   std::vector<EdgeId> offsets(loaded.offsets.begin(), loaded.offsets.end());
   std::vector<WeightedHalfEdge> adj(loaded.neighbors.size());
@@ -1081,52 +1011,6 @@ StatusOr<WeightedGraph> load_weighted_csr(const std::string& path,
     adj[i] = {loaded.neighbors[i], loaded.weights[i]};
   }
   return WeightedGraph::from_csr(std::move(offsets), std::move(adj));
-}
-
-void write_csr_file(const Graph& g, const std::string& path) {
-  const Status st = write_csr(g, path);
-  GCLUS_CHECK(st.ok(), "cannot write CSR v2 file: ", st.to_string());
-}
-
-void write_csr_file(const WeightedGraph& g, const std::string& path) {
-  const Status st = write_csr(g, path);
-  GCLUS_CHECK(st.ok(), "cannot write CSR v2 file: ", st.to_string());
-}
-
-void write_csr_file(const CompressedGraph& g, const std::string& path) {
-  const Status st = write_csr(g, path);
-  GCLUS_CHECK(st.ok(), "cannot write CSR v2 file: ", st.to_string());
-}
-
-CompressedGraph load_compressed_csr_file(const std::string& path,
-                                         const CsrLoadOptions& opts) {
-  auto loaded = load_compressed_csr(path, opts);
-  GCLUS_CHECK(loaded.ok(), loaded.status().to_string());
-  return std::move(loaded).value();
-}
-
-bool try_write_csr_file(const Graph& g, const std::string& path) {
-  return write_csr(g, path).ok();
-}
-
-Graph load_csr_file(const std::string& path, const CsrLoadOptions& opts) {
-  auto loaded = load_csr(path, opts);
-  GCLUS_CHECK(loaded.ok(), loaded.status().to_string());
-  return std::move(loaded).value();
-}
-
-std::optional<Graph> try_load_csr_file(const std::string& path,
-                                       const CsrLoadOptions& opts) {
-  auto loaded = load_csr(path, opts);
-  if (!loaded.ok()) return std::nullopt;
-  return std::move(loaded).value();
-}
-
-WeightedGraph load_weighted_csr_file(const std::string& path,
-                                     const CsrLoadOptions& opts) {
-  auto loaded = load_weighted_csr(path, opts);
-  GCLUS_CHECK(loaded.ok(), loaded.status().to_string());
-  return std::move(loaded).value();
 }
 
 bool is_csr_file(const std::string& path) {

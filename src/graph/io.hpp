@@ -1,6 +1,6 @@
 // Graph serialization and ingestion.
 //
-// Three on-disk representations:
+// Two on-disk representations:
 //
 //   * Edge-list text — the format of the SNAP/LAW datasets the paper uses:
 //     one "u v" pair per line, '#'/'%' comments, arbitrary sparse ids.
@@ -9,16 +9,13 @@
 //     machinery in par/) whose output is byte-identical to the serial
 //     stream parser at any thread count.
 //
-//   * CSR v1 binary (legacy) — magic + n + m + raw arrays in host
-//     endianness.  Kept for old dumps; the reader validates the header
-//     against the file size and rejects truncated files.
-//
-//   * CSR v2 binary — the scalable format: fixed little-endian layout,
-//     versioned header with explicit section positions, FNV-1a payload
-//     checksum, 64-byte-aligned sections, and an optional weights section.
-//     Loading can mmap the file and hand the offset/neighbor sections to
-//     Graph *in place* (zero copy, non-owning storage mode), falling back
-//     to read() on platforms without mmap.
+//   * CSR v2 binary — fixed little-endian layout, versioned header with
+//     explicit section positions, FNV-1a payload checksum, 64-byte-aligned
+//     sections, and an optional weights section (or, with flags bit 1, the
+//     Rice-compressed adjacency of graph/compressed.hpp).  Loading can mmap
+//     the file and hand the offset/neighbor sections to Graph *in place*
+//     (zero copy, non-owning storage mode), falling back to read() on
+//     platforms without mmap.
 //
 // CSR v2 layout (all integers little-endian):
 //
@@ -36,17 +33,17 @@
 //   ...           zero padding to offsets_pos
 //   sections: offsets (n+1)*8B, neighbors m*4B, weights m*8B, each start
 //   aligned to 64 bytes.
-// Error handling: the `load_*`/`write_*` Status functions are the
-// recoverable core — open/validation/write failures come back as a
-// Status (kInvalidArgument: not a CSR v2 file; kDataLoss: truncated or
-// checksum-mismatched; kIoError: the environment failed) instead of
-// aborting, so a long-lived caller can reject one bad file and keep
-// serving.  The historical abort-on-error entry points (load_csr_file,
-// write_csr_file, ...) and the optional-returning try_* variants are thin
-// wrappers over them.  Fault points "io.open", "io.mmap", "io.read",
-// "io.write" (common/faultpoint.hpp) cover every environmental failure
-// here; an injected "io.mmap" failure under CsrLoadMode::kAuto degrades
-// to the read() path with byte-identical results.
+//
+// Error handling: every load_* / write_csr call reports failure as a
+// Status, one error path per operation — kInvalidArgument: not a CSR v2 file
+// (or the wrong family for the loader); kDataLoss: truncated or
+// checksum-mismatched; kIoError: the environment failed.  A long-lived
+// caller rejects one bad file and keeps serving; a batch caller for which
+// any failure is terminal calls `.value()`, which aborts with the Status
+// text.  Fault points "io.open", "io.mmap", "io.read", "io.write"
+// (common/faultpoint.hpp) cover every environmental failure here; an
+// injected "io.mmap" failure under CsrLoadMode::kAuto degrades to the
+// read() path with byte-identical results.
 #pragma once
 
 #include <cstddef>
@@ -92,27 +89,15 @@ namespace gclus::io {
 [[nodiscard]] StatusOr<Graph> load_edge_list(const std::string& path,
                                              ThreadPool& pool);
 
-/// Abort-on-error wrappers over load_edge_list.
-[[nodiscard]] Graph read_edge_list_file(const std::string& path);
-[[nodiscard]] Graph read_edge_list_file(const std::string& path,
-                                        ThreadPool& pool);
-
 /// Writes "u v" per undirected edge (u < v).
 void write_edge_list(const Graph& g, std::ostream& out);
 void write_edge_list_file(const Graph& g, const std::string& path);
-
-// ---- CSR v1 binary (legacy) -------------------------------------------------
-
-/// Binary round-trip: magic, n, m, offsets, neighbors (host endianness).
-/// Prefer the CSR v2 functions below for new data.
-void write_binary_file(const Graph& g, const std::string& path);
-[[nodiscard]] Graph read_binary_file(const std::string& path);
 
 // ---- CSR v2 binary ----------------------------------------------------------
 
 enum class CsrLoadMode {
   kAuto,  ///< mmap when available, else copy
-  kMmap,  ///< require mmap; abort if unsupported
+  kMmap,  ///< require mmap; kIoError if unsupported
   kCopy,  ///< read() into owning vectors
 };
 
@@ -177,24 +162,6 @@ struct Csr2Info {
 /// is no mmap storage mode for weighted graphs.  Same error codes as
 /// load_csr.
 [[nodiscard]] StatusOr<WeightedGraph> load_weighted_csr(
-    const std::string& path, const CsrLoadOptions& opts = {});
-
-/// Abort-on-error wrappers over write_csr / load_csr /
-/// load_weighted_csr, for batch callers where any failure is terminal.
-void write_csr_file(const Graph& g, const std::string& path);
-void write_csr_file(const WeightedGraph& g, const std::string& path);
-void write_csr_file(const CompressedGraph& g, const std::string& path);
-[[nodiscard]] Graph load_csr_file(const std::string& path,
-                                  const CsrLoadOptions& opts = {});
-[[nodiscard]] WeightedGraph load_weighted_csr_file(
-    const std::string& path, const CsrLoadOptions& opts = {});
-[[nodiscard]] CompressedGraph load_compressed_csr_file(
-    const std::string& path, const CsrLoadOptions& opts = {});
-
-/// Optional-returning wrappers for best-effort consumers that only need
-/// success/failure, not the error detail.
-[[nodiscard]] bool try_write_csr_file(const Graph& g, const std::string& path);
-[[nodiscard]] std::optional<Graph> try_load_csr_file(
     const std::string& path, const CsrLoadOptions& opts = {});
 
 /// True if `path` exists and starts with the CSR v2 magic.

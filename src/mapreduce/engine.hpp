@@ -111,16 +111,6 @@ class Engine {
                                            std::move(reduce), NoCombiner{});
   }
 
-  /// Status-returning variant of round() for long-lived callers.
-  template <typename K, typename V, typename OutK, typename OutV,
-            typename Reduce>
-  StatusOr<std::vector<std::pair<OutK, OutV>>> try_round(
-      std::vector<std::pair<K, V>> input, Reduce reduce) {
-    return try_round_combine<K, V, OutK, OutV>(std::move(input),
-                                               std::move(reduce),
-                                               NoCombiner{});
-  }
-
   /// Executes one MR round with a mapper-side combiner.
   ///
   /// `Combine` is an associative, commutative fold `V(const V&, const V&)`

@@ -21,6 +21,7 @@
 #include "core/growth.hpp"
 #include "core/weighted_cluster.hpp"
 #include "graph/bfs.hpp"
+#include "graph/compressed.hpp"
 #include "graph/weighted.hpp"
 #include "par/thread_pool.hpp"
 #include "test_util.hpp"
@@ -74,41 +75,27 @@ TEST(Registry, DeclaredSchemasRenderableAndTyped) {
   }
 }
 
-TEST(Registry, RejectsUnknownParameters) {
+TEST(Registry, RunReportsUsageErrorsAsStatus) {
   const Graph g = gen::grid(6, 6);
   RunContext ctx;
-  EXPECT_DEATH(registry().run("cluster", g, AlgoParams{{"tua", "4"}}, ctx),
-               "has no parameter");
-  EXPECT_DEATH(registry().run("nope", g, {}, ctx), "unknown algorithm");
-  EXPECT_DEATH(registry().run("cluster", g, AlgoParams{{"tau", "abc"}}, ctx),
-               "not an unsigned integer");
-}
+  // Selection errors come back as kInvalidArgument, so long-lived callers
+  // (REPLs, servers) reject a bad request without dying.
+  EXPECT_TRUE(
+      testutil::fails_with(registry().run("nope", g, {}, ctx).status(),
+                           StatusCode::kInvalidArgument, "unknown algorithm"));
+  EXPECT_TRUE(testutil::fails_with(
+      registry().run("cluster", g, AlgoParams{{"tua", "4"}}, ctx).status(),
+      StatusCode::kInvalidArgument, "has no parameter"));
+  EXPECT_TRUE(testutil::fails_with(
+      registry().run("cluster", g, AlgoParams{{"tau", "abc"}}, ctx).status(),
+      StatusCode::kInvalidArgument, "not an unsigned integer"));
 
-TEST(Registry, TryRunReportsUsageErrorsAsStatus) {
-  const Graph g = gen::grid(6, 6);
-  RunContext ctx;
-  // The Status surface lets long-lived callers (REPLs, servers) reject a
-  // bad request without dying; the abort behavior above is the wrapper.
-  const auto unknown = registry().try_run("nope", g, {}, ctx);
-  ASSERT_FALSE(unknown.ok());
-  EXPECT_EQ(unknown.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(unknown.status().message().find("unknown algorithm"),
-            std::string::npos);
-
-  const auto bad_key =
-      registry().try_run("cluster", g, AlgoParams{{"tua", "4"}}, ctx);
-  ASSERT_FALSE(bad_key.ok());
-  EXPECT_EQ(bad_key.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(bad_key.status().message().find("has no parameter"),
-            std::string::npos);
-
-  const auto good =
-      registry().try_run("cluster", g, AlgoParams{{"tau", "4"}}, ctx);
+  const auto good = registry().run("cluster", g, AlgoParams{{"tau", "4"}}, ctx);
   ASSERT_TRUE(good.ok());
   EXPECT_TRUE(good.value().validate(g));
 }
 
-TEST(Registry, TryRunRejectsValuesThatDoNotParseAsTheirType) {
+TEST(Registry, RunRejectsValuesThatDoNotParseAsTheirType) {
   const Graph g = gen::grid(6, 6);
   RunContext ctx;
   // One malformed value per ParamSpec::Type: each is refused by selection
@@ -123,26 +110,98 @@ TEST(Registry, TryRunRejectsValuesThatDoNotParseAsTheirType) {
       {"mr.cluster", AlgoParams{{"combiners", "maybe"}}},
   };
   for (const auto& [algo, params] : bad) {
-    const auto r = registry().try_run(algo, g, params, ctx);
+    const auto r = registry().run(algo, g, params, ctx);
     const std::string key = params.entries().begin()->first;
-    ASSERT_FALSE(r.ok()) << algo << " " << key;
-    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(r.status().message().find("parameter " + key),
-              std::string::npos)
-        << r.status().message();
+    EXPECT_TRUE(testutil::fails_with(r.status(), StatusCode::kInvalidArgument,
+                                     "parameter " + key))
+        << algo;
   }
   // Well-formed values of every type still run.
-  EXPECT_TRUE(
-      registry().try_run("mpx", g, AlgoParams{{"beta", "0.4"}}, ctx).ok());
+  EXPECT_TRUE(registry().run("mpx", g, AlgoParams{{"beta", "0.4"}}, ctx).ok());
   EXPECT_TRUE(registry()
-                  .try_run("mr.cluster", g,
-                           AlgoParams{{"tau", "4"},
-                                      {"combiners", "off"},
-                                      {"spill_bytes", "4096"}},
-                           ctx)
+                  .run("mr.cluster", g,
+                       AlgoParams{{"tau", "4"},
+                                  {"combiners", "off"},
+                                  {"spill_bytes", "4096"}},
+                       ctx)
                   .ok());
   EXPECT_EQ(AlgoParams({{"tau", "4294967295"}}).get_u32("tau", 0),
             4294967295u);
+}
+
+// --- The registry is the validation boundary: input outside an
+// algorithm's preconditions is kInvalidArgument on both graph
+// representations, never an abort. ---
+
+/// The same run on the plain graph and on its compressed form; both must
+/// fail with kInvalidArgument mentioning `needle`.
+void expect_rejected(const std::string& algo, const Graph& g,
+                     const AlgoParams& params, const std::string& needle) {
+  RunContext ctx;
+  const auto plain = registry().run(algo, g, params, ctx);
+  EXPECT_TRUE(testutil::fails_with(plain.status(),
+                                   StatusCode::kInvalidArgument, needle))
+      << algo << " on the plain graph";
+  const auto packed = registry().run(algo, compress(g), params, ctx);
+  EXPECT_TRUE(testutil::fails_with(packed.status(),
+                                   StatusCode::kInvalidArgument, needle))
+      << algo << " on the compressed graph";
+}
+
+TEST(RegistryBoundary, RejectsValuesBelowTheirDeclaredBound) {
+  const Graph g = gen::grid(6, 6);
+  for (const char* algo :
+       {"cluster", "cluster2", "weighted_cluster", "mr.cluster"}) {
+    expect_rejected(algo, g, AlgoParams{{"tau", "0"}},
+                    "parameter tau: '0' is not a positive integer");
+  }
+  for (const char* algo : {"mpx", "mr.mpx"}) {
+    for (const char* beta : {"0", "-0.5", "inf", "nan"}) {
+      expect_rejected(algo, g, AlgoParams{{"beta", beta}}, "parameter beta");
+    }
+  }
+  expect_rejected("mr.cluster", g, AlgoParams{{"partitions", "0"}},
+                  "parameter partitions: '0' is not a positive integer");
+  // tau=0 keeps its meaning where the schema gives it one: the oracle
+  // picks √n/log²n.
+  RunContext ctx;
+  EXPECT_TRUE(registry().run("oracle", g, AlgoParams{{"tau", "0"}}, ctx).ok());
+}
+
+TEST(RegistryBoundary, RejectsTheEmptyGraph) {
+  const Graph empty;
+  for (const std::string& algo : registry().names()) {
+    expect_rejected(algo, empty, {}, "at least one node");
+  }
+}
+
+TEST(RegistryBoundary, RejectsTooFewCentersForTheComponents) {
+  const Graph two = gen::disjoint_union(gen::cycle(6), gen::path(5));
+  for (const char* algo : {"kcenter", "gonzalez"}) {
+    expect_rejected(algo, two, AlgoParams{{"k", "1"}},
+                    "cannot cover 2 connected components");
+    // One center per component is enough.
+    RunContext ctx;
+    const auto ok = registry().run(algo, two, AlgoParams{{"k", "2"}}, ctx);
+    ASSERT_TRUE(testutil::is_ok(ok.status())) << algo;
+    EXPECT_TRUE(ok.value().validate(two)) << algo;
+  }
+  expect_rejected("mr.bfs", two, {}, "does not reach every node");
+}
+
+TEST(RegistryBoundary, ClampsAnOutOfRangeGonzalezSeed) {
+  const Graph g = gen::path(9);
+  RunContext ctx;
+  const Clustering clamped =
+      registry()
+          .run("gonzalez", g, AlgoParams{{"k", "2"}, {"first", "1000"}}, ctx)
+          .value();
+  const Clustering last =
+      registry()
+          .run("gonzalez", g, AlgoParams{{"k", "2"}, {"first", "8"}}, ctx)
+          .value();
+  EXPECT_EQ(clamped.centers, last.centers);
+  EXPECT_EQ(clamped.assignment, last.assignment);
 }
 
 // --- The registry-driven property sweep: every registered algorithm, on
@@ -161,7 +220,8 @@ TEST_P(RegistryCorpusTest, AllAlgorithmsValidAndThreadCountInvariant) {
     RunContext ctx;
     ctx.seed = 7;
     ctx.pool = &serial;
-    const Clustering reference = registry().run(algo, graph, params, ctx);
+    const Clustering reference =
+        registry().run(algo, graph, params, ctx).value();
     EXPECT_TRUE(reference.validate(graph)) << algo << " on " << name;
 
     for (const std::size_t threads : {2u, 8u}) {
@@ -169,7 +229,7 @@ TEST_P(RegistryCorpusTest, AllAlgorithmsValidAndThreadCountInvariant) {
       RunContext tctx;
       tctx.seed = 7;
       tctx.pool = &pool;
-      const Clustering c = registry().run(algo, graph, params, tctx);
+      const Clustering c = registry().run(algo, graph, params, tctx).value();
       EXPECT_EQ(c.assignment, reference.assignment)
           << algo << " on " << name << " with " << threads << " threads";
       EXPECT_EQ(c.centers, reference.centers) << algo << " on " << name;
@@ -199,8 +259,10 @@ TEST(RegistryEquivalence, ClusterMatchesDirectCall) {
 
   RunContext ctx;
   ctx.seed = 5;
-  const Clustering via_registry = registry().run(
-      "cluster", g, AlgoParams{}.set("tau", std::uint64_t{3}), ctx);
+  const Clustering via_registry =
+      registry()
+          .run("cluster", g, AlgoParams{}.set("tau", std::uint64_t{3}), ctx)
+          .value();
   EXPECT_EQ(via_registry.assignment, direct.assignment);
   EXPECT_EQ(via_registry.centers, direct.centers);
   EXPECT_EQ(via_registry.dist_to_center, direct.dist_to_center);
@@ -214,8 +276,10 @@ TEST(RegistryEquivalence, Cluster2MatchesDirectCall) {
 
   RunContext ctx;
   ctx.seed = 11;
-  const Clustering via_registry = registry().run(
-      "cluster2", g, AlgoParams{}.set("tau", std::uint64_t{2}), ctx);
+  const Clustering via_registry =
+      registry()
+          .run("cluster2", g, AlgoParams{}.set("tau", std::uint64_t{2}), ctx)
+          .value();
   EXPECT_EQ(via_registry.assignment, direct.clustering.assignment);
   EXPECT_EQ(via_registry.centers, direct.clustering.centers);
 }
@@ -229,7 +293,7 @@ TEST(RegistryEquivalence, MpxMatchesDirectCall) {
   RunContext ctx;
   ctx.seed = 13;
   const Clustering via_registry =
-      registry().run("mpx", g, AlgoParams{}.set("beta", 0.7), ctx);
+      registry().run("mpx", g, AlgoParams{}.set("beta", 0.7), ctx).value();
   EXPECT_EQ(via_registry.assignment, direct.assignment);
   EXPECT_EQ(via_registry.centers, direct.centers);
 }
@@ -242,8 +306,11 @@ TEST(RegistryEquivalence, RandomCentersMatchesDirectCall) {
 
   RunContext ctx;
   ctx.seed = 17;
-  const Clustering via_registry = registry().run(
-      "random_centers", g, AlgoParams{}.set("k", std::uint64_t{10}), ctx);
+  const Clustering via_registry =
+      registry()
+          .run("random_centers", g, AlgoParams{}.set("k", std::uint64_t{10}),
+               ctx)
+          .value();
   EXPECT_EQ(via_registry.assignment, direct.assignment);
   EXPECT_EQ(via_registry.centers, direct.centers);
 }
@@ -257,8 +324,11 @@ TEST(RegistryEquivalence, WeightedClusterMatchesDirectUnitLift) {
 
   RunContext ctx;
   ctx.seed = 19;
-  const Clustering via_registry = registry().run(
-      "weighted_cluster", g, AlgoParams{}.set("tau", std::uint64_t{2}), ctx);
+  const Clustering via_registry =
+      registry()
+          .run("weighted_cluster", g,
+               AlgoParams{}.set("tau", std::uint64_t{2}), ctx)
+          .value();
   EXPECT_EQ(via_registry.assignment, direct.assignment);
   EXPECT_EQ(via_registry.centers, direct.centers);
   EXPECT_EQ(via_registry.dist_to_center, direct.hops_to_center);
@@ -288,8 +358,10 @@ TEST(Telemetry, RecordsAlgorithmInternals) {
   RunContext ctx;
   ctx.seed = 3;
   ctx.telemetry = &telemetry;
-  (void)registry().run("cluster2", g,
-                       AlgoParams{}.set("tau", std::uint64_t{2}), ctx);
+  ASSERT_TRUE(registry()
+                  .run("cluster2", g, AlgoParams{}.set("tau", std::uint64_t{2}),
+                       ctx)
+                  .ok());
   EXPECT_TRUE(telemetry.has("cluster2.r_alg"));
   EXPECT_TRUE(telemetry.has("cluster2.prelim_growth_steps"));
   EXPECT_GE(telemetry.value("cluster2.clusters"), 1.0);
@@ -303,16 +375,21 @@ TEST(WorkspaceReuse, RecycledScratchMatchesFreshAllocation) {
   const Graph g = gen::expander(2000, 4, 5);
   RunContext fresh;
   fresh.seed = 21;
-  const Clustering reference = registry().run(
-      "cluster", g, AlgoParams{}.set("tau", std::uint64_t{2}), fresh);
+  const Clustering reference =
+      registry()
+          .run("cluster", g, AlgoParams{}.set("tau", std::uint64_t{2}), fresh)
+          .value();
 
   Workspace ws;
   RunContext warm;
   warm.seed = 21;
   warm.workspace = &ws;
   for (int run = 0; run < 3; ++run) {
-    const Clustering c = registry().run(
-        "cluster", g, AlgoParams{}.set("tau", std::uint64_t{2}), warm);
+    const Clustering c =
+        registry()
+            .run("cluster", g, AlgoParams{}.set("tau", std::uint64_t{2}),
+                 warm)
+            .value();
     EXPECT_EQ(c.assignment, reference.assignment) << "run " << run;
     EXPECT_EQ(c.dist_to_center, reference.dist_to_center) << "run " << run;
   }
@@ -334,7 +411,7 @@ TEST(WorkspaceReuse, SurvivesSerialReuseAcrossAllAlgorithms) {
       RunContext ctx;
       ctx.seed = 31;
       ctx.workspace = &ws;
-      Clustering c = registry().run(algo, g, corpus_params(algo), ctx);
+      Clustering c = registry().run(algo, g, corpus_params(algo), ctx).value();
       EXPECT_TRUE(c.validate(g)) << algo;
       if (pass == 0) {
         first_pass.push_back(std::move(c));
@@ -353,10 +430,11 @@ TEST(WorkspaceReuse, SmallerGraphAfterLargerReusesCapacity) {
   ctx.workspace = &ws;
   const Graph big = gen::grid(40, 40);
   const Graph small = gen::cycle(64);
-  (void)registry().run("cluster", big, corpus_params("cluster"), ctx);
+  ASSERT_TRUE(
+      registry().run("cluster", big, corpus_params("cluster"), ctx).ok());
   const std::size_t bytes_after_big = ws.bytes();
   const Clustering c =
-      registry().run("cluster", small, corpus_params("cluster"), ctx);
+      registry().run("cluster", small, corpus_params("cluster"), ctx).value();
   EXPECT_TRUE(c.validate(small));
   // Serving a smaller graph must not grow the footprint.
   EXPECT_LE(ws.bytes(), bytes_after_big);
@@ -364,7 +442,9 @@ TEST(WorkspaceReuse, SmallerGraphAfterLargerReusesCapacity) {
   RunContext fresh;
   fresh.seed = 9;
   const Clustering reference =
-      registry().run("cluster", small, corpus_params("cluster"), fresh);
+      registry()
+          .run("cluster", small, corpus_params("cluster"), fresh)
+          .value();
   EXPECT_EQ(c.assignment, reference.assignment);
 }
 

@@ -1,10 +1,9 @@
 // Tests for graph serialization and ingestion: edge-list text parsing
 // (serial reference and the parallel parser, including SNAP-style
-// comments, sparse ids, and junk lines), the legacy v1 binary round trip
-// with header validation, and the CSR v2 format — text↔CSRv2↔mmap round
-// trips over the whole corpus (weighted and unweighted), checksum and
-// truncation rejection, and owning-vs-mmap byte equality through the
-// algorithm registry.
+// comments, sparse ids, and junk lines) and the CSR v2 format —
+// text↔CSRv2↔mmap round trips over the whole corpus (weighted and
+// unweighted), checksum, truncation and wrong-family rejection as Status
+// codes, and owning-vs-mmap byte equality through the algorithm registry.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -155,70 +154,11 @@ TEST(ParallelParser, FileEntryPointUsesGlobalPool) {
   TempFile f("gclus_io_parse.txt");
   const Graph g = gen::ring_of_cliques(12, 8);
   write_edge_list_file(g, f.path);
-  const Graph h = read_edge_list_file(f.path);
+  const Graph h = load_edge_list(f.path).value();
   std::stringstream buf;
   write_edge_list(g, buf);
   EXPECT_TRUE(testutil::same_csr(serial_parse(buf.str()), h));
   EXPECT_EQ(h.num_edges(), g.num_edges());
-}
-
-// ---- CSR v1 binary (legacy) -------------------------------------------------
-
-TEST(BinaryRoundTrip, BitExact) {
-  const Graph g = gen::rmat(256, 1024, 5);
-  TempFile f("gclus_io_test.bin");
-  write_binary_file(g, f.path);
-  const Graph h = read_binary_file(f.path);
-  EXPECT_TRUE(testutil::same_csr(g, h));
-}
-
-TEST(BinaryRoundTrip, EmptyGraph) {
-  const Graph g = build_graph(5, {});
-  TempFile f("gclus_io_empty.bin");
-  write_binary_file(g, f.path);
-  const Graph h = read_binary_file(f.path);
-  EXPECT_EQ(h.num_nodes(), 5u);
-  EXPECT_EQ(h.num_edges(), 0u);
-}
-
-TEST(BinaryReadDeathTest, RejectsGarbageMagic) {
-  TempFile f("gclus_io_bad.bin");
-  {
-    std::ofstream out(f.path, std::ios::binary);
-    out << "this is not a graph";
-  }
-  EXPECT_DEATH((void)read_binary_file(f.path), "not a gclus binary");
-}
-
-TEST(BinaryReadDeathTest, RejectsTruncatedFile) {
-  const Graph g = gen::grid(6, 6);
-  TempFile f("gclus_io_trunc.bin");
-  write_binary_file(g, f.path);
-  const auto full = std::filesystem::file_size(f.path);
-  std::filesystem::resize_file(f.path, full - 9);
-  EXPECT_DEATH((void)read_binary_file(f.path), "truncated gclus binary");
-}
-
-TEST(BinaryReadDeathTest, RejectsHeaderLargerThanFile) {
-  // A header claiming more payload than the file holds must be rejected
-  // before any allocation — this is the old UB path (reading garbage into
-  // the CSR arrays).
-  TempFile f("gclus_io_lying_header.bin");
-  {
-    const Graph g = gen::grid(4, 4);
-    write_binary_file(g, f.path);
-    std::fstream patch(f.path,
-                       std::ios::binary | std::ios::in | std::ios::out);
-    patch.seekp(8);  // n field
-    const std::uint64_t huge_n = 1u << 20;
-    patch.write(reinterpret_cast<const char*>(&huge_n), sizeof huge_n);
-  }
-  EXPECT_DEATH((void)read_binary_file(f.path), "truncated gclus binary");
-}
-
-TEST(FileIoDeathTest, MissingFileAborts) {
-  EXPECT_DEATH((void)read_edge_list_file("/nonexistent/gclus/file.txt"),
-               "cannot open");
 }
 
 // ---- CSR v2 -----------------------------------------------------------------
@@ -226,7 +166,7 @@ TEST(FileIoDeathTest, MissingFileAborts) {
 TEST(Csr2, CorpusRoundTripCopyAndMmap) {
   TempFile f("gclus_io_corpus.csr2");
   for (const auto& [name, g] : testutil::small_connected_corpus()) {
-    write_csr_file(g, f.path);
+    ASSERT_TRUE(testutil::is_ok(write_csr(g, f.path))) << name;
     EXPECT_TRUE(is_csr_file(f.path)) << name;
 
     const auto info = probe_csr_file(f.path);
@@ -236,14 +176,13 @@ TEST(Csr2, CorpusRoundTripCopyAndMmap) {
     EXPECT_EQ(info->num_nodes, g.num_nodes());
     EXPECT_EQ(info->num_half_edges, g.num_half_edges());
 
-    const Graph copy =
-        load_csr_file(f.path, {.mode = CsrLoadMode::kCopy});
+    const Graph copy = load_csr(f.path, {.mode = CsrLoadMode::kCopy}).value();
     EXPECT_TRUE(copy.owns_storage());
     EXPECT_TRUE(testutil::same_csr(g, copy)) << name;
 
     if (mmap_supported()) {
       const Graph mapped =
-          load_csr_file(f.path, {.mode = CsrLoadMode::kMmap});
+          load_csr(f.path, {.mode = CsrLoadMode::kMmap}).value();
       EXPECT_FALSE(mapped.owns_storage());
       EXPECT_TRUE(testutil::same_csr(g, mapped)) << name;
     }
@@ -257,9 +196,9 @@ TEST(Csr2, TextToCsr2ToMmapPipeline) {
   TempFile bin("gclus_io_pipe.csr2");
   const Graph g = gen::expander_with_path(2000, 44, 4, 9);
   write_edge_list_file(g, txt.path);
-  const Graph parsed = read_edge_list_file(txt.path);
-  write_csr_file(parsed, bin.path);
-  const Graph loaded = load_csr_file(bin.path);
+  const Graph parsed = load_edge_list(txt.path).value();
+  ASSERT_TRUE(testutil::is_ok(write_csr(parsed, bin.path)));
+  const Graph loaded = load_csr(bin.path).value();
   EXPECT_TRUE(testutil::same_csr(parsed, loaded));
   EXPECT_EQ(loaded.num_nodes(), g.num_nodes());
   EXPECT_EQ(loaded.num_edges(), g.num_edges());
@@ -269,8 +208,8 @@ TEST(Csr2, TextToCsr2ToMmapPipeline) {
 TEST(Csr2, EmptyAndEdgelessGraphs) {
   TempFile f("gclus_io_edgeless.csr2");
   const Graph g = build_graph(5, {});
-  write_csr_file(g, f.path);
-  const Graph h = load_csr_file(f.path);
+  ASSERT_TRUE(testutil::is_ok(write_csr(g, f.path)));
+  const Graph h = load_csr(f.path).value();
   EXPECT_EQ(h.num_nodes(), 5u);
   EXPECT_EQ(h.num_edges(), 0u);
 
@@ -278,22 +217,13 @@ TEST(Csr2, EmptyAndEdgelessGraphs) {
   // empty, but the format family is not inferred from a null data
   // pointer).
   const WeightedGraph w = WeightedGraph::from_edges(5, {});
-  write_csr_file(w, f.path);
+  ASSERT_TRUE(testutil::is_ok(write_csr(w, f.path)));
   const auto info = probe_csr_file(f.path);
   ASSERT_TRUE(info.has_value());
   EXPECT_TRUE(info->weighted);
-  const WeightedGraph r = load_weighted_csr_file(f.path);
+  const WeightedGraph r = load_weighted_csr(f.path).value();
   EXPECT_EQ(r.num_nodes(), 5u);
   EXPECT_EQ(r.num_half_edges(), 0u);
-}
-
-TEST(Csr2, TryWriteIsNonAborting) {
-  EXPECT_FALSE(
-      try_write_csr_file(gen::cycle(4), "/nonexistent/gclus/dir/x.csr2"));
-  TempFile f("gclus_io_trywrite.csr2");
-  const Graph g = gen::cycle(4);
-  ASSERT_TRUE(try_write_csr_file(g, f.path));
-  EXPECT_TRUE(testutil::same_csr(g, load_csr_file(f.path)));
 }
 
 TEST(Csr2, WeightedCorpusRoundTrip) {
@@ -308,12 +238,12 @@ TEST(Csr2, WeightedCorpusRoundTrip) {
     }
     const WeightedGraph w = WeightedGraph::from_edges(g.num_nodes(), edges);
 
-    write_csr_file(w, f.path);
+    ASSERT_TRUE(testutil::is_ok(write_csr(w, f.path))) << name;
     const auto info = probe_csr_file(f.path);
     ASSERT_TRUE(info.has_value()) << name;
     EXPECT_TRUE(info->weighted);
 
-    const WeightedGraph r = load_weighted_csr_file(f.path);
+    const WeightedGraph r = load_weighted_csr(f.path).value();
     ASSERT_EQ(r.num_nodes(), w.num_nodes()) << name;
     ASSERT_EQ(r.num_half_edges(), w.num_half_edges()) << name;
     EXPECT_TRUE(std::ranges::equal(r.offsets(), w.offsets())) << name;
@@ -325,8 +255,8 @@ TEST(Csr2, MappedGraphSurvivesUnlink) {
   if (!mmap_supported()) GTEST_SKIP() << "no mmap on this platform";
   TempFile f("gclus_io_unlink.csr2");
   const Graph g = gen::torus(20, 20);
-  write_csr_file(g, f.path);
-  const Graph mapped = load_csr_file(f.path, {.mode = CsrLoadMode::kMmap});
+  ASSERT_TRUE(testutil::is_ok(write_csr(g, f.path)));
+  const Graph mapped = load_csr(f.path, {.mode = CsrLoadMode::kMmap}).value();
   std::remove(f.path.c_str());  // mapping pins the inode
   EXPECT_TRUE(testutil::same_csr(g, mapped));
   // Copies share the mapping rather than materializing.
@@ -335,10 +265,10 @@ TEST(Csr2, MappedGraphSurvivesUnlink) {
   EXPECT_TRUE(testutil::same_csr(g, copy));
 }
 
-TEST(Csr2DeathTest, RejectsChecksumMismatch) {
+TEST(Csr2Status, RejectsChecksumMismatch) {
   TempFile f("gclus_io_checksum.csr2");
   const Graph g = gen::grid(8, 8);
-  write_csr_file(g, f.path);
+  ASSERT_TRUE(testutil::is_ok(write_csr(g, f.path)));
   {
     // Flip one payload byte in the neighbors section (near the end).
     std::fstream patch(f.path,
@@ -348,60 +278,71 @@ TEST(Csr2DeathTest, RejectsChecksumMismatch) {
     patch.seekp(-1, std::ios::end);
     patch.write(&c, 1);
   }
-  EXPECT_DEATH((void)load_csr_file(f.path), "checksum mismatch");
-  EXPECT_FALSE(try_load_csr_file(f.path).has_value());
+  EXPECT_TRUE(testutil::fails_with(load_csr(f.path).status(),
+                                   StatusCode::kDataLoss, "checksum mismatch"));
   // Opting out of verification loads the (corrupt) bytes — the caller's
   // explicit choice.
-  const Graph unchecked = load_csr_file(f.path, {.verify = false});
+  const Graph unchecked = load_csr(f.path, {.verify = false}).value();
   EXPECT_EQ(unchecked.num_nodes(), g.num_nodes());
 }
 
-TEST(Csr2DeathTest, RejectsTruncation) {
+TEST(Csr2Status, RejectsTruncation) {
   TempFile f("gclus_io_truncated.csr2");
   const Graph g = gen::grid(8, 8);
-  write_csr_file(g, f.path);
+  ASSERT_TRUE(testutil::is_ok(write_csr(g, f.path)));
   const auto full = std::filesystem::file_size(f.path);
   std::filesystem::resize_file(f.path, full - 16);
-  EXPECT_DEATH((void)load_csr_file(f.path), "truncated CSR v2");
-  EXPECT_FALSE(try_load_csr_file(f.path).has_value());
+  EXPECT_TRUE(testutil::fails_with(load_csr(f.path).status(),
+                                   StatusCode::kDataLoss, "truncated CSR v2"));
 }
 
-TEST(Csr2DeathTest, RejectsWrongFormatFamily) {
+TEST(Csr2Status, RejectsWrongFormatFamily) {
   TempFile f("gclus_io_family.csr2");
-  const Graph g = gen::grid(5, 5);
-  write_binary_file(g, f.path);  // v1 file...
-  EXPECT_DEATH((void)load_csr_file(f.path), "bad magic");  // ...is not v2
+  {
+    // A foreign binary graph: another format's 8-byte magic ("gclusv1"
+    // plus a version byte, little-endian) followed by a plausible
+    // header.
+    std::ofstream out(f.path, std::ios::binary);
+    const unsigned char foreign[] = {0x01, 0x31, 0x76, 0x73, 0x75, 0x6c,
+                                     0x63, 0x67, 25,   0,    0,    0,
+                                     0,    0,    0,    0};
+    out.write(reinterpret_cast<const char*>(foreign), sizeof foreign);
+    out << std::string(200, '\0');
+  }
+  EXPECT_TRUE(testutil::fails_with(load_csr(f.path).status(),
+                                   StatusCode::kInvalidArgument, "bad magic"));
   EXPECT_FALSE(is_csr_file(f.path));
-
-  write_csr_file(g, f.path);  // v2 file...
-  EXPECT_DEATH((void)read_binary_file(f.path), "not a gclus binary");
+  EXPECT_FALSE(probe_csr_file(f.path).has_value());
 
   // Weighted/unweighted loaders are strict about the flag.
-  EXPECT_DEATH((void)load_weighted_csr_file(f.path), "unweighted CSR v2");
-  const WeightedGraph w = WeightedGraph::from_unit_weights(g);
-  write_csr_file(w, f.path);
-  EXPECT_DEATH((void)load_csr_file(f.path), "weighted CSR v2");
+  const Graph g = gen::grid(5, 5);
+  ASSERT_TRUE(testutil::is_ok(write_csr(g, f.path)));
+  EXPECT_TRUE(testutil::fails_with(load_weighted_csr(f.path).status(),
+                                   StatusCode::kInvalidArgument,
+                                   "unweighted CSR v2"));
+  ASSERT_TRUE(
+      testutil::is_ok(write_csr(WeightedGraph::from_unit_weights(g), f.path)));
+  EXPECT_TRUE(testutil::fails_with(load_csr(f.path).status(),
+                                   StatusCode::kInvalidArgument,
+                                   "weighted CSR v2"));
 }
 
-TEST(Csr2, TryLoadIsNonAborting) {
-  EXPECT_FALSE(try_load_csr_file("/nonexistent/gclus/file.csr2").has_value());
-  TempFile f("gclus_io_tryload.csr2");
+TEST(Csr2Status, ShortGarbageIsRejected) {
+  TempFile f("gclus_io_short.csr2");
   {
     std::ofstream out(f.path, std::ios::binary);
     out << "garbage";
   }
-  EXPECT_FALSE(try_load_csr_file(f.path).has_value());
+  EXPECT_TRUE(testutil::fails_with(load_csr(f.path).status(),
+                                   StatusCode::kInvalidArgument, "bad magic"));
   const Graph g = gen::cycle(12);
-  write_csr_file(g, f.path);
-  const auto loaded = try_load_csr_file(f.path);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_TRUE(testutil::same_csr(g, *loaded));
+  ASSERT_TRUE(testutil::is_ok(write_csr(g, f.path)));
+  EXPECT_TRUE(testutil::same_csr(g, load_csr(f.path).value()));
 }
 
 // ---- Status API -------------------------------------------------------------
 // The load_* / write_* Status entry points carry the failure taxonomy the
-// long-lived callers (dataset cache, CLI) dispatch on; the abort wrappers
-// above are thin shims over these.
+// long-lived callers (dataset cache, CLI) dispatch on.
 
 TEST(Csr2Status, CodesMatchFailureTaxonomy) {
   // Hard environment failure: the file does not exist.
@@ -447,8 +388,8 @@ TEST(Csr2Status, WriteToUnwritableDirectoryIsIoError) {
 
 TEST(EdgeListStatus, MissingFileIsIoError) {
   const auto missing = load_edge_list("/nonexistent/gclus/edges.txt");
-  ASSERT_FALSE(missing.ok());
-  EXPECT_EQ(missing.status().code(), StatusCode::kIoError);
+  EXPECT_TRUE(testutil::fails_with(missing.status(), StatusCode::kIoError,
+                                   "cannot open"));
   EXPECT_NE(missing.status().message().find("/nonexistent/gclus/edges.txt"),
             std::string::npos);
 }
@@ -476,16 +417,16 @@ TEST(Csr2Registry, OwningAndMappedGraphsDecomposeIdentically) {
   if (!mmap_supported()) GTEST_SKIP() << "no mmap on this platform";
   TempFile f("gclus_io_registry.csr2");
   for (const auto& [name, g] : testutil::small_connected_corpus()) {
-    write_csr_file(g, f.path);
-    const Graph mapped = load_csr_file(f.path, {.mode = CsrLoadMode::kMmap});
+    ASSERT_TRUE(testutil::is_ok(write_csr(g, f.path))) << name;
+    const Graph mapped = load_csr(f.path, {.mode = CsrLoadMode::kMmap}).value();
     ASSERT_FALSE(mapped.owns_storage());
     for (const std::string& algo : registry().names()) {
       RunContext ctx_own, ctx_map;
       ctx_own.seed = ctx_map.seed = 12345;
       const Clustering own =
-          registry().run(algo, g, sweep_params(algo), ctx_own);
+          registry().run(algo, g, sweep_params(algo), ctx_own).value();
       const Clustering map =
-          registry().run(algo, mapped, sweep_params(algo), ctx_map);
+          registry().run(algo, mapped, sweep_params(algo), ctx_map).value();
       EXPECT_EQ(own.assignment, map.assignment) << name << "/" << algo;
       EXPECT_EQ(own.centers, map.centers) << name << "/" << algo;
       EXPECT_EQ(own.dist_to_center, map.dist_to_center)

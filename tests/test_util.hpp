@@ -1,13 +1,18 @@
 // Shared helpers for the test suite: a corpus of small named graphs used
-// by the parameterized property sweeps, and brute-force reference
-// implementations that the optimized kernels are checked against.
+// by the parameterized property sweeps, brute-force reference
+// implementations that the optimized kernels are checked against, and
+// gtest predicates over Status results.
 #pragma once
+
+#include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/status.hpp"
 #include "common/types.hpp"
 #include "graph/bfs.hpp"
 #include "graph/generators.hpp"
@@ -22,6 +27,24 @@ namespace gclus::testutil {
 inline bool same_csr(const Graph& a, const Graph& b) {
   return std::ranges::equal(a.offsets(), b.offsets()) &&
          std::ranges::equal(a.neighbor_array(), b.neighbor_array());
+}
+
+/// `ASSERT_TRUE(testutil::is_ok(io::write_csr(g, path)))`: prints the
+/// Status text when the operation failed.
+inline testing::AssertionResult is_ok(const Status& st) {
+  if (st.ok()) return testing::AssertionSuccess();
+  return testing::AssertionFailure() << st.to_string();
+}
+
+/// True when `st` failed with `code` and a message containing `needle`.
+inline testing::AssertionResult fails_with(const Status& st, StatusCode code,
+                                           std::string_view needle) {
+  if (st.code() == code && st.message().find(needle) != std::string::npos) {
+    return testing::AssertionSuccess();
+  }
+  return testing::AssertionFailure()
+         << "expected " << status_code_name(code) << " containing '" << needle
+         << "', got " << st.to_string();
 }
 
 struct NamedGraph {
