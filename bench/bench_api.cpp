@@ -178,10 +178,9 @@ int main() {
                   std::to_string(kReps) + " interleaved reps)",
               "cold = fresh allocation per run; warm = shared Workspace.  "
               "geomean speedup: " + fmt(geomean, 2) + "x");
-  std::printf("workspace retains %.1f MiB across %zu growth / %zu bfs "
-              "acquires\n",
+  std::printf("workspace retains %.1f MiB across %zu growth acquires\n",
               static_cast<double>(workspace.bytes()) / (1024.0 * 1024.0),
-              workspace.growth_acquires(), workspace.bfs_acquires());
+              workspace.growth_acquires());
 
   Json root = Json::object();
   root.set("bench", "api");

@@ -57,14 +57,6 @@ GrowthOptions default_growth_options() {
         o.mode = TraversalMode::kAuto;
       }
     }
-    if (const char* env = std::getenv("GCLUS_GROWTH_ALPHA")) {
-      const double v = std::strtod(env, nullptr);
-      if (v > 0.0) o.alpha = v;
-    }
-    if (const char* env = std::getenv("GCLUS_GROWTH_BETA")) {
-      const double v = std::strtod(env, nullptr);
-      if (v > 0.0) o.beta = v;
-    }
     return o;
   }();
   return cached;

@@ -1,8 +1,8 @@
-// Direction-optimizing traversal knobs shared by the cluster-growth engine
-// and the level-synchronous BFS.
+// Direction-optimizing traversal knobs of the cluster-growth engine
+// (core/growth), which also runs every parallel BFS.
 //
-// Both kernels expand a frontier one hop per synchronous step and can do so
-// in either direction:
+// The engine expands its frontier one hop per synchronous step and can do
+// so in either direction:
 //   * push (top-down): frontier nodes write claims to their uncovered
 //     neighbors — work proportional to the frontier's degree sum;
 //   * pull (bottom-up): uncovered nodes scan their own neighbors for a
@@ -46,15 +46,15 @@ struct GrowthOptions {
 /// Returns the mnemonic name of a mode ("push", "pull", "auto").
 const char* traversal_mode_name(TraversalMode mode);
 
-/// Per-direction step/level counters reported by the traversal kernels.
+/// Per-direction level counters reported by parallel_bfs.
 struct DirectionCounts {
   std::size_t push = 0;
   std::size_t pull = 0;
 };
 
-/// The per-step direction decision shared by the growth engine and BFS:
-/// pinned modes win outright; under kAuto the hysteresis state machine
-/// switches push -> pull when the frontier degree sum exceeds
+/// The growth engine's per-step direction decision: pinned modes win
+/// outright; under kAuto the hysteresis state machine switches push ->
+/// pull when the frontier degree sum exceeds
 /// remaining_degree_sum / alpha and back once the frontier shrinks below
 /// num_nodes / beta.  `pulling` is the previous step's decision; returns
 /// the new one.
@@ -65,23 +65,23 @@ struct DirectionCounts {
                                     const GrowthOptions& options);
 
 /// Below this frontier degree sum a push step runs inline on the caller
-/// (a pull step below four times it, counting the unvisited worklist):
+/// (a pull step below four times it, counting the uncovered worklist):
 /// the pool dispatch (mutex + condvar round trip) would dominate the
-/// actual edge work.  Matters for eccentricity sweeps and multi-source
-/// BFS over small graphs.
+/// actual edge work.  Matters for eccentricity sweeps and BFS over small
+/// graphs.
 inline constexpr std::uint64_t kSerialPushCutoff = 2048;
 
-/// Shared policy for the lazily-compacted uncovered/unvisited worklists:
-/// compact once more than half the entries are stale, but never bother
-/// below 1024 entries.
+/// Policy for the engine's lazily-compacted uncovered worklist: compact
+/// once more than half the entries are stale, but never bother below 1024
+/// entries.
 [[nodiscard]] inline bool worklist_needs_compaction(std::size_t size,
                                                     std::size_t remaining) {
   return size >= 1024 && size > 2 * remaining;
 }
 
-/// Process-wide default options: GrowthOptions{} overridden by the
-/// GCLUS_GROWTH_MODE (push|pull|auto), GCLUS_GROWTH_ALPHA and
-/// GCLUS_GROWTH_BETA environment variables, read once on first use.
+/// Process-wide default options: GrowthOptions{} with the mode overridden
+/// by the GCLUS_GROWTH_MODE environment variable (push|pull|auto), read
+/// once on first use.  alpha and beta are set through GrowthOptions.
 GrowthOptions default_growth_options();
 
 }  // namespace gclus

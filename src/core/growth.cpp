@@ -1,6 +1,7 @@
 #include "core/growth.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
@@ -25,17 +26,13 @@ GrowthStateT<G>::GrowthStateT(const G& g, ThreadPool& pool,
     owned_->ensure(n, pool.num_threads());
     b_ = owned_.get();
   }
-  // Reset every per-node slot: the scratch may carry a previous run's
-  // state (that is the point of reuse).  One fused parallel sweep — the
-  // writes stream into warm pages when the scratch is recycled.
+  // Reset the per-node state: the scratch may carry a previous run's
+  // (that is the point of reuse), or none at all when freshly allocated.
   parallel_for(pool, 0, n, [&](std::size_t v) {
-    b_->claim[v].store(kUnclaimed, std::memory_order_relaxed);
-    b_->covered[v] = 0;
-    b_->dist[v] = kInfDist;
-    b_->uncovered_candidates[v] = static_cast<NodeId>(v);
+    b_->level[v] = kInfDist;
+    b_->cluster[v] = kNoCluster;
   });
-  b_->frontier.clear();
-  for (auto& p : b_->next_frontier) p.clear();
+  for (auto& part : b_->frontier) part.clear();
 }
 
 template <class G>
@@ -50,20 +47,21 @@ GrowthStateT<G>::~GrowthStateT() {
 template <class G>
 ClusterId GrowthStateT<G>::add_center(NodeId v, std::uint64_t priority) {
   GCLUS_CHECK(v < g_->num_nodes());
-  GCLUS_CHECK(b_->covered[v] == 0, "center ", v, " already covered");
+  GCLUS_CHECK(!is_covered(v), "center ", v, " already covered");
   const auto cid = static_cast<ClusterId>(centers_.size());
-  GCLUS_CHECK(centers_.size() < (1ULL << 32), "cluster id overflow");
+  GCLUS_CHECK(centers_.size() < kNoCluster, "cluster id overflow");
   const std::uint64_t prio =
       priority == kPriorityFromClusterId ? cid : priority;
   GCLUS_CHECK(prio < (1ULL << 32), "priority must fit in 32 bits");
-  const std::uint64_t key = make_key(cid, prio);
-  b_->claim[v].store(key, std::memory_order_relaxed);
+  const std::uint64_t key = (prio << 32) | cid;
+  b_->level[v] = static_cast<Dist>(steps_executed_);
+  b_->cluster[v] = cid;
   min_key_ = std::min(min_key_, key);
-  b_->covered[v] = 1;
-  b_->dist[v] = 0;
   centers_.push_back(v);
   activation_.push_back(static_cast<std::uint32_t>(steps_executed_));
-  b_->frontier.push_back(v);
+  key_.push_back(key);
+  b_->frontier[0].push_back(v);
+  ++frontier_size_;
   frontier_degree_sum_ += g_->degree(v);
   uncovered_degree_sum_ -= g_->degree(v);
   ++covered_count_;
@@ -72,7 +70,7 @@ ClusterId GrowthStateT<G>::add_center(NodeId v, std::uint64_t priority) {
 
 template <class G>
 bool GrowthStateT<G>::decide_pull() {
-  pulling_ = decide_direction(pulling_, b_->frontier.size(), g_->num_nodes(),
+  pulling_ = decide_direction(pulling_, frontier_size_, g_->num_nodes(),
                               frontier_degree_sum_, uncovered_degree_sum_,
                               options_);
   return pulling_;
@@ -80,27 +78,30 @@ bool GrowthStateT<G>::decide_pull() {
 
 template <class G>
 NodeId GrowthStateT<G>::step() {
-  if (b_->frontier.empty()) return 0;
+  if (frontier_size_ == 0) return 0;
   ++steps_executed_;
-  const auto step_index = static_cast<std::uint32_t>(steps_executed_);
 
   const bool pull = decide_pull();
   GrowthStepLog log;
   if (options_.record_step_log) {
-    log.step = step_index;
+    log.step = static_cast<std::uint32_t>(steps_executed_);
     log.pull = pull;
-    log.frontier_size = static_cast<NodeId>(b_->frontier.size());
+    log.frontier_size = static_cast<NodeId>(frontier_size_);
     log.frontier_degree_sum = frontier_degree_sum_;
     log.uncovered_degree_sum = uncovered_degree_sum_;
   }
 
-  for (auto& nf : b_->next_frontier) nf.clear();
-  if (pull) {
-    claim_pull();
-  } else {
-    claim_push();
-  }
-  const NodeId newly = install_next_frontier(step_index);
+  for (auto& part : b_->next_frontier) part.clear();
+  const std::uint64_t next_degree_sum = pull ? claim_pull() : claim_push();
+  // Claims are final behind the claim pass's barrier and already carry
+  // this step's level, so the per-worker output buffers are the next
+  // frontier as they stand.
+  std::swap(b_->frontier, b_->next_frontier);
+  frontier_size_ = 0;
+  for (const auto& part : b_->frontier) frontier_size_ += part.size();
+  frontier_degree_sum_ = next_degree_sum;
+  uncovered_degree_sum_ -= next_degree_sum;
+  const auto newly = static_cast<NodeId>(frontier_size_);
 
   if (options_.record_step_log) {
     log.newly_covered = newly;
@@ -119,132 +120,163 @@ namespace {
 
 /// Runs one claim pass over items [0, total): `claim_range(lo, hi, out)`
 /// handles a chunk, appends the nodes it claims to `out` (the worker's
-/// next-frontier buffer) and returns the edges it scanned.  Workers drain
-/// a shared cursor; a pass too light to amortize a pool dispatch runs on
-/// the caller alone.  Returns the edges scanned.
+/// next-frontier buffer) and returns their degree sum.  Workers drain a
+/// shared cursor; a pass too light to amortize a pool dispatch runs on the
+/// caller alone.  Returns the degree sum of all claimed nodes.
 template <class ClaimRange>
 std::uint64_t run_claim_pass(ThreadPool& pool,
                              std::vector<std::vector<NodeId>>& next,
                              std::size_t total, std::size_t grain,
                              bool inline_pass, const ClaimRange& claim_range) {
   std::atomic<std::size_t> cursor{0};
-  std::atomic<std::uint64_t> edges_scanned{0};
+  std::atomic<std::uint64_t> degree_sum{0};
   const auto scan = [&](std::size_t worker) {
-    std::uint64_t scanned = 0;
+    std::uint64_t sum = 0;
     for (;;) {
       const std::size_t lo = cursor.fetch_add(grain, std::memory_order_relaxed);
       if (lo >= total) break;
-      scanned += claim_range(lo, std::min(lo + grain, total), next[worker]);
+      sum += claim_range(lo, std::min(lo + grain, total), next[worker]);
     }
-    edges_scanned.fetch_add(scanned, std::memory_order_relaxed);
+    degree_sum.fetch_add(sum, std::memory_order_relaxed);
   };
   if (inline_pass) {
     scan(0);
   } else {
     pool.run_on_workers(scan);
   }
-  return edges_scanned.load();
+  return degree_sum.load();
 }
 
 }  // namespace
 
 template <class G>
-void GrowthStateT<G>::claim_push() {
-  // Every frontier node bids for its uncovered neighbors with its cluster's
-  // claim key; fetch-min keeps the best bid.  The bid that finds a node
-  // unclaimed is the only one to see that value, so its thread alone
-  // appends the node to the next frontier.
-  const std::vector<NodeId>& frontier = b_->frontier;
+std::uint64_t GrowthStateT<G>::claim_push() {
+  // Every frontier node bids its cluster for its uncovered neighbors; the
+  // compare-and-swap loop keeps the cluster with the smallest key.  The
+  // bid that finds a node unclaimed is the only one to see that value, so
+  // its thread alone stamps the node's level and appends it to the next
+  // frontier.  The stamp is this step, so later (smaller) bids still land.
+  const auto level = static_cast<Dist>(steps_executed_);
+  Dist* const levels = b_->level.get();
+  ClusterId* const clusters = b_->cluster.get();
+  const std::uint64_t* const keys = key_.data();
   const auto claim_range = [&](std::size_t lo, std::size_t hi,
                                std::vector<NodeId>& out) {
-    const auto claim_for = [&](NodeId u) {
-      const std::uint64_t key = b_->claim[u].load(std::memory_order_relaxed);
-      return [&, key](NodeId v) {
-        if (b_->covered[v] != 0) return;
-        if (atomic_fetch_min(b_->claim[v], key) == kUnclaimed) {
+    std::uint64_t degree_sum = 0;
+    const auto bid_for = [&](NodeId u) {
+      const ClusterId c = load(clusters[u]);
+      const std::uint64_t key = keys[c];
+      return [&, c, key](NodeId v) {
+        if (load(levels[v]) < level) return;  // covered before this step
+        ClusterId cur = load(clusters[v]);
+        do {
+          if (cur != kNoCluster && keys[cur] <= key) return;
+        } while (!std::atomic_ref(clusters[v])
+                      .compare_exchange_weak(cur, c,
+                                             std::memory_order_relaxed));
+        if (cur == kNoCluster) {
+          store(levels[v], level);
           out.push_back(v);
+          degree_sum += g_->degree(v);
         }
       };
     };
-    std::uint64_t scanned = 0;
-    // Frontier vertices are scanned in adjacent pairs so the compressed
-    // representation can interleave the two independent decode chains
-    // (visit_neighbors2); for plain CSR the pair visit compiles to two
-    // plain loops.  Claims are commutative fetch-mins, so the visit order
-    // across the pair is immaterial.
-    std::size_t i = lo;
-    for (; i + 1 < hi; i += 2) {
-      const NodeId u0 = frontier[i];
-      const NodeId u1 = frontier[i + 1];
-      scanned += g_->degree(u0) + g_->degree(u1);
-      visit_neighbors2(*g_, u0, u1, claim_for(u0), claim_for(u1));
+    // The frontier is the previous pass's per-worker parts, read in place
+    // as one sequence: find the part holding `lo`, then walk forward.
+    const std::vector<std::size_t>& offset = frontier_offset_;
+    auto p = static_cast<std::size_t>(
+        std::upper_bound(offset.begin(), offset.end(), lo) - offset.begin() -
+        1);
+    for (; lo < hi; ++p) {
+      const std::vector<NodeId>& part = b_->frontier[p];
+      const std::size_t end = std::min(hi, offset[p + 1]) - offset[p];
+      std::size_t i = lo - offset[p];
+      // Frontier vertices are scanned in adjacent pairs so the compressed
+      // representation can interleave the two independent decode chains
+      // (visit_neighbors2); for plain CSR the pair visit compiles to two
+      // plain loops.  Bids are commutative minima, so the visit order
+      // across the pair is immaterial.
+      for (; i + 1 < end; i += 2) {
+        visit_neighbors2(*g_, part[i], part[i + 1], bid_for(part[i]),
+                         bid_for(part[i + 1]));
+      }
+      if (i < end) {
+        const auto bid = bid_for(part[i]);
+        for (const NodeId v : g_->neighbors(part[i])) bid(v);
+      }
+      lo = offset[p] + end;
     }
-    if (i < hi) {
-      const NodeId u = frontier[i];
-      scanned += g_->degree(u);
-      const auto claim = claim_for(u);
-      for (const NodeId v : g_->neighbors(u)) claim(v);
-    }
-    return scanned;
+    return degree_sum;
   };
-  stats_.push_edges_scanned += run_claim_pass(
-      *pool_, b_->next_frontier, frontier.size(), /*grain=*/64,
-      frontier_degree_sum_ <= kSerialPushCutoff, claim_range);
+  frontier_offset_.assign(1, 0);
+  for (const auto& part : b_->frontier) {
+    frontier_offset_.push_back(frontier_offset_.back() + part.size());
+  }
+  return run_claim_pass(*pool_, b_->next_frontier, frontier_size_,
+                        /*grain=*/64, frontier_degree_sum_ <= kSerialPushCutoff,
+                        claim_range);
 }
 
 template <class G>
-void GrowthStateT<G>::claim_pull() {
-  maybe_compact_candidates();
-
-  // Every uncovered node takes the minimum claim key over its covered
-  // neighbors, which between steps are exactly its frontier neighbors (see
-  // the header), so this minimum equals the push-side fetch-min.  Coverage
-  // flips only in the flag pass after this pass's barrier, so a node
-  // claimed here is never mistaken for a frontier node in the same step.
-  const std::vector<NodeId>& candidates = b_->uncovered_candidates;
+std::uint64_t GrowthStateT<G>::claim_pull() {
+  // Every uncovered node takes the minimum key over its neighbors covered
+  // before this step, which are exactly its frontier neighbors (see the
+  // header), so this minimum equals the push-side one.  A node claimed in
+  // this pass carries this step's level, so no other node mistakes it for
+  // a frontier node in the same step.
+  //
+  // A chunk runs in two passes.  The first finds each candidate's first
+  // frontier neighbor and prefetches that neighbor's cluster; the second
+  // reads those clusters, which by then arrive together instead of one
+  // cache miss at a time.  A cluster holding the smallest key any cluster
+  // has settles the claim (for a single center: BFS's first-hit exit);
+  // otherwise the second pass rescans for the minimum.
+  constexpr std::size_t kGrain = 256;
+  const std::vector<NodeId>& candidates = uncovered_candidates();
+  const auto level = static_cast<Dist>(steps_executed_);
   const std::uint64_t min_key = min_key_;
+  Dist* const levels = b_->level.get();
+  ClusterId* const clusters = b_->cluster.get();
+  const std::uint64_t* const keys = key_.data();
   const auto claim_range = [&](std::size_t lo, std::size_t hi,
                                std::vector<NodeId>& out) {
-    std::uint64_t scanned = 0;
+    std::array<NodeId, kGrain> claimant{};
+    std::array<NodeId, kGrain> first_parent{};
+    std::size_t found = 0;
     for (std::size_t i = lo; i < hi; ++i) {
       const NodeId v = candidates[i];
-      if (b_->covered[v] != 0) continue;
-      std::uint64_t best = kUnclaimed;
+      if (load(levels[v]) != kInfDist) continue;
       for (const NodeId u : g_->neighbors(v)) {
-        ++scanned;
-        if (b_->covered[u] == 0) continue;
-        best = std::min(best, b_->claim[u].load(std::memory_order_relaxed));
-        if (best == min_key) break;
+        if (load(levels[u]) >= level) continue;
+        __builtin_prefetch(&clusters[u]);
+        claimant[found] = v;
+        first_parent[found] = u;
+        ++found;
+        break;
       }
-      if (best == kUnclaimed) continue;
-      b_->claim[v].store(best, std::memory_order_relaxed);
-      out.push_back(v);
     }
-    return scanned;
+    std::uint64_t degree_sum = 0;
+    for (std::size_t h = 0; h < found; ++h) {
+      const NodeId v = claimant[h];
+      std::uint64_t best = keys[load(clusters[first_parent[h]])];
+      if (best != min_key) {
+        for (const NodeId u : g_->neighbors(v)) {
+          if (load(levels[u]) >= level) continue;
+          best = std::min(best, keys[load(clusters[u])]);
+          if (best == min_key) break;
+        }
+      }
+      store(clusters[v], key_cluster(best));
+      store(levels[v], level);
+      out.push_back(v);
+      degree_sum += g_->degree(v);
+    }
+    return degree_sum;
   };
-  stats_.pull_edges_scanned += run_claim_pass(
-      *pool_, b_->next_frontier, candidates.size(), /*grain=*/256,
+  return run_claim_pass(
+      *pool_, b_->next_frontier, candidates.size(), kGrain,
       uncovered_degree_sum_ + candidates.size() <= 4 * kSerialPushCutoff,
       claim_range);
-}
-
-template <class G>
-NodeId GrowthStateT<G>::install_next_frontier(std::uint32_t step_index) {
-  // Claims are final behind the claim pass's barrier: each new frontier
-  // node is covered once, at the distance its winning cluster has grown
-  // since activation.
-  parallel_concat(*pool_, b_->next_frontier, b_->frontier);
-  frontier_degree_sum_ = parallel_sum<std::uint64_t>(
-      *pool_, 0, b_->frontier.size(), [&](std::size_t i) -> std::uint64_t {
-        const NodeId v = b_->frontier[i];
-        const ClusterId c =
-            key_cluster(b_->claim[v].load(std::memory_order_relaxed));
-        b_->covered[v] = 1;
-        b_->dist[v] = static_cast<Dist>(step_index - activation_[c]);
-        return g_->degree(v);
-      });
-  uncovered_degree_sum_ -= frontier_degree_sum_;
-  return static_cast<NodeId>(b_->frontier.size());
 }
 
 template <class G>
@@ -254,19 +286,29 @@ void GrowthStateT<G>::maybe_compact_candidates() {
     return;
   }
   parallel_compact(*pool_, b_->uncovered_candidates,
-                   [&](NodeId v) { return b_->covered[v] == 0; });
+                   [&](NodeId v) { return !is_covered(v); });
 }
 
 template <class G>
 const std::vector<NodeId>& GrowthStateT<G>::uncovered_candidates() {
+  std::vector<NodeId>& candidates = b_->uncovered_candidates;
+  if (!candidates_built_) {
+    // Built on first use, so runs that never pull or sample (push-only
+    // BFS over a high-diameter graph) skip the O(n) fill.
+    candidates.resize(g_->num_nodes());
+    parallel_for(*pool_, 0, candidates.size(), [&](std::size_t v) {
+      candidates[v] = static_cast<NodeId>(v);
+    });
+    candidates_built_ = true;
+  }
   maybe_compact_candidates();
-  return b_->uncovered_candidates;
+  return candidates;
 }
 
 template <class G>
 NodeId GrowthStateT<G>::first_uncovered() {
-  for (const NodeId v : b_->uncovered_candidates) {
-    if (b_->covered[v] == 0) return v;
+  for (const NodeId v : uncovered_candidates()) {
+    if (!is_covered(v)) return v;
   }
   return kInvalidNode;
 }
@@ -274,7 +316,7 @@ NodeId GrowthStateT<G>::first_uncovered() {
 template <class G>
 NodeId GrowthStateT<G>::grow_steps(std::size_t steps) {
   NodeId total = 0;
-  for (std::size_t s = 0; s < steps && !b_->frontier.empty(); ++s) {
+  for (std::size_t s = 0; s < steps && frontier_size_ != 0; ++s) {
     total += step();
   }
   return total;
@@ -283,7 +325,7 @@ NodeId GrowthStateT<G>::grow_steps(std::size_t steps) {
 template <class G>
 NodeId GrowthStateT<G>::grow_until_covered(NodeId target_new) {
   NodeId total = 0;
-  while (total < target_new && !b_->frontier.empty()) {
+  while (total < target_new && frontier_size_ != 0) {
     total += step();
   }
   return total;
@@ -295,28 +337,25 @@ void GrowthStateT<G>::add_singletons_for_uncovered() {
   // singleton cluster ids are assigned in node order, exactly as a full
   // range scan would.
   for (const NodeId v : uncovered_candidates()) {
-    if (b_->covered[v] == 0) add_center(v);
+    if (!is_covered(v)) add_center(v);
   }
 }
 
 template <class G>
 std::vector<Dist> GrowthStateT<G>::take_distances(
     std::vector<ClusterId>* cluster_out) && {
-  static_assert(key_cluster(kUnclaimed) == kNoCluster,
-                "an unclaimed node must decode to no cluster");
-  if (cluster_out != nullptr) {
-    cluster_out->resize(g_->num_nodes());
-    parallel_for(*pool_, 0, g_->num_nodes(), [&](std::size_t v) {
-      (*cluster_out)[v] =
-          key_cluster(b_->claim[v].load(std::memory_order_relaxed));
-    });
-  }
-  // Moving the distance buffer out is right even for workspace-backed
-  // runs: the result needs fresh n-sized storage either way, so a copy
-  // would pay the same allocation *plus* the copy, while the workspace
-  // re-grows this one buffer on the next acquire at exactly the cost the
-  // copy destination would have paid here.
-  return std::move(b_->dist);
+  // A covered node's distance is the number of steps its cluster had grown
+  // when it claimed the node: its level minus the cluster's activation.
+  const NodeId n = g_->num_nodes();
+  std::vector<Dist> dist(n);
+  if (cluster_out != nullptr) cluster_out->resize(n);
+  parallel_for(*pool_, 0, n, [&](std::size_t v) {
+    const ClusterId c = b_->cluster[v];
+    if (cluster_out != nullptr) (*cluster_out)[v] = c;
+    const Dist level = b_->level[v];
+    dist[v] = level == kInfDist ? kInfDist : level - activation_[c];
+  });
+  return dist;
 }
 
 template <class G>
@@ -340,10 +379,11 @@ std::vector<NodeId> sample_uncovered_centers(GrowthStateT<G2>& state,
                                              std::uint64_t draw_key,
                                              double p) {
   const auto& candidates = state.uncovered_candidates();
-  // Per-worker buffers come from the engine's scratch so a warm workspace
-  // also serves the selection sweeps.  All buffers are cleared (not just
-  // the first num_threads) because parallel_concat reads every one.
-  std::vector<std::vector<NodeId>>& per_worker = state.b_->sample;
+  // Between steps the engine's next-frontier buffers are idle, so the
+  // selection sweeps borrow them as per-worker output.  All buffers are
+  // cleared (not just the first num_threads) because parallel_concat reads
+  // every one.
+  std::vector<std::vector<NodeId>>& per_worker = state.b_->next_frontier;
   if (per_worker.size() < pool.num_threads()) {
     per_worker.resize(pool.num_threads());
   }

@@ -1,23 +1,30 @@
 // The synchronous cluster-growing engine.
 //
 // All decomposition algorithms in this library (CLUSTER, CLUSTER2, the MPX
-// and random-centers baselines) and the owner-tracking multi-source BFS
-// (graph/bfs) share the same primitive: a set of
-// clusters, each with a frontier, grows one hop per step, claiming
-// uncovered nodes; concurrent claims on a node are resolved by an atomic
-// minimum over a per-cluster priority key.  Because fetch-min is
-// commutative, the final partition is a pure function of (graph, centers,
-// priorities) — independent of thread schedule — which is what the
-// determinism and MR-equivalence tests rely on.
+// and random-centers baselines) and every parallel BFS (graph/bfs: the
+// single-source parallel_bfs and the owner-tracking multi-source BFS)
+// share the same primitive: a set of clusters, each with a frontier,
+// grows one hop per step, claiming uncovered nodes; concurrent claims on
+// a node are resolved by an atomic minimum over a per-cluster priority
+// key.  BFS is the one-center case.  Because the minimum is commutative,
+// the final partition is a pure function of (graph, centers, priorities)
+// — independent of thread schedule — which is what the determinism and
+// MR-equivalence tests rely on.
+//
+// Each node holds its cluster and its level: the step that claimed it (a
+// center's is its activation step).  During step s a node counts as
+// covered iff its level is below s, so a claim made in step s never reads
+// as coverage within the same step: no flag pass is needed, and same-step
+// multi-hop claims are impossible.
 //
 // The engine is direction-optimizing.  Every step is one claim pass in
-// one of two directions, with identical claim semantics, then one flag
-// pass:
-//   * push (top-down): every frontier node bids its cluster key to its
-//     uncovered neighbors via atomic fetch-min — work proportional to the
-//     frontier's degree sum.  The one bid that moves a node off
-//     "unclaimed" (exactly one thread observes that transition) admits it
-//     to the next frontier, so no commit phase has to deduplicate;
+// one of two directions, with identical claim semantics:
+//   * push (top-down): every frontier node bids its cluster to its
+//     uncovered neighbors; a compare-and-swap loop keeps the cluster with
+//     the smallest key — work proportional to the frontier's degree sum.
+//     The one bid that moves a node off "unclaimed" (exactly one thread
+//     observes that transition) admits it to the next frontier, so no
+//     commit phase has to deduplicate;
 //   * pull (bottom-up): every uncovered node scans its own neighbors for
 //     covered ones and takes the minimum key locally, contention-free
 //     because each node writes only itself.  The scan stops early once it
@@ -25,25 +32,21 @@
 //     BFS's first-hit exit).
 // Between steps every covered neighbor of an uncovered node is a member of
 // the current frontier (it was covered in the immediately preceding step
-// or activated as a center since), so the pull test `covered[u] != 0` is
-// an exact frontier test and the pull-side minimum equals the push-side
-// fetch-min.  Claims never flip coverage during the claim pass: the flag
-// pass that follows its barrier marks the new frontier covered and derives
-// each node's distance from its winning cluster, so same-step multi-hop
-// claims are impossible in either direction.  GrowthOptions picks the
-// direction per step with the classic degree-sum heuristic, or pins it for
-// tests.  A step lighter than kSerialPushCutoff (common/traversal.hpp)
-// runs inline on the caller thread, as parallel_bfs's levels do: a pool
-// dispatch would cost more than the edges.
+// or activated as a center since), so the pull-side coverage test is an
+// exact frontier test and the pull-side minimum equals the push-side one.
+// The claimed nodes' per-worker buffers become the next frontier as they
+// are, read in place by the next pass.  GrowthOptions picks the direction
+// per step with the classic degree-sum heuristic, or pins it for tests.  A
+// step lighter than kSerialPushCutoff (common/traversal.hpp) runs inline
+// on the caller thread: a pool dispatch would cost more than the edges.
 //
 // Per-step work is proportional to the cheaper of the two degree sums; a
 // full growth to cover the graph costs O(n + m) total claims.
 // Scratch memory: all per-node and per-worker buffers live in a
 // GrowthScratch (api/workspace.hpp).  By default each GrowthState owns a
-// private one — allocation behavior identical to the historical engine —
-// but a caller serving many runs on the same graph passes a Workspace and
-// the engine borrows its warm scratch instead, skipping the O(n + m)
-// allocate/fault cost per request (the reset of per-node state still
+// private one, but a caller serving many runs on the same graph passes a
+// Workspace and the engine borrows its warm scratch instead, skipping the
+// O(n) allocate/fault cost per request (the reset of per-node state still
 // happens every run; see Workspace's header).
 #pragma once
 
@@ -76,8 +79,6 @@ struct GrowthStepLog {
 struct GrowthStats {
   std::size_t push_steps = 0;
   std::size_t pull_steps = 0;
-  std::uint64_t push_edges_scanned = 0;
-  std::uint64_t pull_edges_scanned = 0;
   std::vector<GrowthStepLog> steps;
 };
 
@@ -132,20 +133,23 @@ class GrowthStateT {
   [[nodiscard]] NodeId uncovered_count() const {
     return static_cast<NodeId>(g_->num_nodes() - covered_count_);
   }
-  [[nodiscard]] bool frontier_empty() const { return b_->frontier.empty(); }
+  [[nodiscard]] bool frontier_empty() const { return frontier_size_ == 0; }
   [[nodiscard]] std::size_t steps_executed() const { return steps_executed_; }
   [[nodiscard]] ClusterId num_clusters() const {
     return static_cast<ClusterId>(centers_.size());
   }
-  [[nodiscard]] bool is_covered(NodeId v) const { return b_->covered[v] != 0; }
+  [[nodiscard]] bool is_covered(NodeId v) const {
+    return load(b_->level[v]) != kInfDist;
+  }
 
-  /// Per-step direction decisions and edge-scan counters.
+  /// Per-step direction decisions and per-direction step counts.
   [[nodiscard]] const GrowthStats& stats() const { return stats_; }
 
-  /// An ascending superset of the uncovered nodes, compacted lazily as
-  /// coverage grows — center sampling iterates this instead of rescanning
-  /// the full node range every round.  Entries may be stale (already
-  /// covered); callers must re-check is_covered().
+  /// An ascending superset of the uncovered nodes, built on first use and
+  /// compacted lazily as coverage grows — center sampling and pull steps
+  /// iterate this instead of rescanning the full node range every round.
+  /// Entries may be stale (already covered); callers must re-check
+  /// is_covered().
   [[nodiscard]] const std::vector<NodeId>& uncovered_candidates();
 
   /// Smallest uncovered node, or kInvalidNode when fully covered.
@@ -154,10 +158,10 @@ class GrowthStateT {
   /// Turns every still-uncovered node into a singleton cluster.
   void add_singletons_for_uncovered();
 
-  /// Moves out the per-node hop distances to the claiming centers and,
-  /// when `cluster_out` is non-null, fills it with each node's cluster id.
+  /// Returns the per-node hop distances to the claiming centers and, when
+  /// `cluster_out` is non-null, fills it with each node's cluster id.
   /// Valid at any coverage, unlike finish(): an uncovered node reads
-  /// kInfDist and kNoCluster.  Multi-source BFS reads its result here,
+  /// kInfDist and kNoCluster.  The BFS kernels read their result here,
   /// since unreached components stay uncovered.
   [[nodiscard]] std::vector<Dist> take_distances(
       std::vector<ClusterId>* cluster_out) &&;
@@ -172,22 +176,17 @@ class GrowthStateT {
   /// between the push->pull and pull->push thresholds.
   [[nodiscard]] bool decide_pull();
 
-  /// Top-down claim pass: frontier nodes fetch-min their keys into
-  /// uncovered neighbors; a node joins the next frontier on its unclaimed
-  /// -> claimed transition.
-  void claim_push();
+  /// Top-down claim pass: frontier nodes bid their clusters to uncovered
+  /// neighbors; a node joins the next frontier on its unclaimed -> claimed
+  /// transition.  Returns the claimed nodes' degree sum.
+  std::uint64_t claim_push();
 
   /// Bottom-up claim pass: uncovered nodes take the minimum key over their
-  /// covered (== frontier) neighbors.
-  void claim_pull();
+  /// covered (== frontier) neighbors.  Returns the claimed nodes' degree
+  /// sum.
+  std::uint64_t claim_pull();
 
-  /// Flag pass: installs the next frontier from the per-worker buffers
-  /// (prefix-sum parallel compaction), marks it covered with distances
-  /// from the winning clusters, and refreshes the degree-sum bookkeeping.
-  /// Returns the number of newly covered nodes.
-  NodeId install_next_frontier(std::uint32_t step_index);
-
-  /// Drops covered entries from uncovered_candidates_ once more than half
+  /// Drops covered entries from the candidate worklist once more than half
   /// are stale; amortized O(n) over a full growth.
   void maybe_compact_candidates();
 
@@ -197,16 +196,16 @@ class GrowthStateT {
 
   /// The per-run buffers, either borrowed from workspace_ or privately
   /// owned.  Roles (b_ = the scratch):
-  ///   * b_->claim — claim key per node: (priority << 32) | cluster_id
-  ///     while racing; the cluster id is the low 32 bits; kUnclaimed when
-  ///     untouched (between steps: exactly the uncovered nodes);
-  ///   * b_->covered — coverage flags, flipped only by add_center and the
-  ///     flag pass, so they are stable during a claim pass; the pull
-  ///     scan's frontier test;
-  ///   * b_->dist — per-node hop distance to the claiming center;
+  ///   * b_->cluster / b_->level — per node, the claiming cluster and the
+  ///     step of the claim (see the file comment); kNoCluster / kInfDist
+  ///     while unclaimed, so between steps exactly the uncovered nodes
+  ///     read kInfDist;
   ///   * b_->uncovered_candidates — ascending superset of the uncovered
-  ///     nodes (see uncovered_candidates());
-  ///   * b_->next_frontier / b_->sample — per-worker output buffers.
+  ///     nodes (see uncovered_candidates()), valid once candidates_built_;
+  ///   * b_->frontier — the current frontier, split into per-worker parts
+  ///     (the previous claim pass's output); b_->next_frontier — the
+  ///     per-worker output buffers of the running pass, lent to the
+  ///     center sampler between steps.
   Workspace* workspace_ = nullptr;
   std::unique_ptr<GrowthScratch> owned_;
   GrowthScratch* b_ = nullptr;
@@ -214,30 +213,40 @@ class GrowthStateT {
   std::vector<NodeId> centers_;            // per cluster
   std::vector<std::uint32_t> activation_;  // per cluster: steps_executed_
                                            // at activation time
+  std::vector<std::uint64_t> key_;         // per cluster: claim priority,
+                                           // (priority << 32) | cluster id
+  std::vector<std::size_t> frontier_offset_;  // prefix sums of part sizes
 
+  std::size_t frontier_size_ = 0;           // over all frontier parts
   std::uint64_t frontier_degree_sum_ = 0;   // over current frontier
   std::uint64_t uncovered_degree_sum_ = 0;  // over uncovered nodes
   bool pulling_ = false;                    // hysteresis state for kAuto
+  bool candidates_built_ = false;
 
   NodeId covered_count_ = 0;
   std::size_t steps_executed_ = 0;
   GrowthStats stats_;
 
-  static constexpr std::uint64_t kUnclaimed = ~std::uint64_t{0};
+  static constexpr std::uint64_t kNoKey = ~std::uint64_t{0};
 
   /// Smallest claim key of any cluster so far: a pull scan that holds it
   /// cannot do better and stops.
-  std::uint64_t min_key_ = kUnclaimed;
+  std::uint64_t min_key_ = kNoKey;
 
-  [[nodiscard]] static constexpr std::uint64_t make_key(
-      ClusterId c, std::uint64_t priority) {
-    return (priority << 32) | static_cast<std::uint64_t>(c);
-  }
   [[nodiscard]] static constexpr ClusterId key_cluster(std::uint64_t key) {
     return static_cast<ClusterId>(key & 0xffffffffULL);
   }
 
-  // The center sampler reuses the scratch's per-worker sample buffers.
+  /// Relaxed access to the per-node words a claim pass shares between
+  /// workers.
+  [[nodiscard]] static std::uint32_t load(std::uint32_t& word) {
+    return std::atomic_ref(word).load(std::memory_order_relaxed);
+  }
+  static void store(std::uint32_t& word, std::uint32_t value) {
+    std::atomic_ref(word).store(value, std::memory_order_relaxed);
+  }
+
+  // The center sampler borrows the idle next-frontier buffers.
   template <class G2>
   friend std::vector<NodeId> sample_uncovered_centers(GrowthStateT<G2>& state,
                                                       ThreadPool& pool,

@@ -1,21 +1,19 @@
-// Breadth-first search kernels: the sequential reference, level-
-// synchronous parallel BFS, and owner-tracking multi-source BFS.  These are
-// both building blocks and the exact-answer reference the tests and the
-// BFS diameter baseline rely on.
+// Breadth-first search kernels: the sequential reference, parallel
+// single-source BFS, and owner-tracking multi-source BFS.  These are both
+// building blocks and the exact-answer reference the tests and the BFS
+// diameter baseline rely on.
 //
-// Multi-source BFS is cluster growth from a center set, so it runs on the
-// growth engine (core/growth).  The parallel single-source kernel is still
-// its own direction-optimizing loop: sparse levels expand top-down
-// (frontier nodes CAS their unvisited neighbors), dense levels bottom-up
-// (unvisited nodes scan for a parent in the current level and stop at the
-// first hit); GrowthOptions tunes or pins the per-level choice.
+// BFS is cluster growth from one center (multi-source BFS: from a center
+// set), so both parallel kernels run on the growth engine (core/growth):
+// one synchronous step per level, sparse levels top-down and dense levels
+// bottom-up, with GrowthOptions tuning or pinning the per-level choice.
+// The serial kernels (bfs_distances, relax_from) stay as the references.
 #pragma once
 
 #include <vector>
 
 #include "common/traversal.hpp"
 #include "common/types.hpp"
-#include "graph/compressed.hpp"
 #include "graph/graph.hpp"
 #include "par/thread_pool.hpp"
 
@@ -57,27 +55,19 @@ void extend_farthest_first(const Graph& g, NodeId k,
                            std::vector<NodeId>& centers,
                            std::vector<Dist>& dist);
 
-/// Level-synchronous parallel BFS.  Returns the same distances as
+/// Level-synchronous parallel BFS: the growth engine grown from `source`
+/// alone until its frontier empties.  Returns the same distances as
 /// bfs_distances; also reports the number of levels (rounds) executed via
-/// `levels_out` when non-null — this is the Θ(Δ)-round cost the paper's
-/// BFS baseline pays in the distributed setting.  `options` controls the
+/// `levels_out` when non-null — eccentricity + 1, counting the final level
+/// that finds nothing new; this is the Θ(Δ)-round cost the paper's BFS
+/// baseline pays in the distributed setting.  `options` controls the
 /// per-level push/pull direction choice; `counts_out` (when non-null)
 /// receives the per-direction level split.  A non-null `workspace` lends
-/// its BFS scratch (atomic distance array, worklists) for the duration of
-/// the call instead of allocating per run — the win repeated traversals of
-/// the same graph care about (eccentricity sweeps, serving loops).
+/// its growth scratch for the duration of the call instead of allocating
+/// per run — the win repeated traversals of the same graph care about
+/// (eccentricity sweeps, serving loops).
 [[nodiscard]] std::vector<Dist> parallel_bfs(
     ThreadPool& pool, const Graph& g, NodeId source,
-    std::size_t* levels_out = nullptr,
-    const GrowthOptions& options = default_growth_options(),
-    DirectionCounts* counts_out = nullptr, Workspace* workspace = nullptr);
-
-/// Parallel BFS over a compressed graph, same contract as above.  Both
-/// level directions visit neighbors through commutative updates (push CAS,
-/// pull first-hit-in-level), so the decoded adjacency order is immaterial
-/// and the distances match the plain-CSR kernel exactly.
-[[nodiscard]] std::vector<Dist> parallel_bfs(
-    ThreadPool& pool, const CompressedGraph& g, NodeId source,
     std::size_t* levels_out = nullptr,
     const GrowthOptions& options = default_growth_options(),
     DirectionCounts* counts_out = nullptr, Workspace* workspace = nullptr);

@@ -70,7 +70,6 @@ ExactDiameterResult exact_diameter(const Graph& g, NodeId start) {
       midlevel.push_back(u);
     }
   }
-  NodeId mid = midlevel.front();
   std::vector<Dist> dist_mid;
   {
     Dist best_ecc = kInfDist;
@@ -88,7 +87,6 @@ ExactDiameterResult exact_diameter(const Graph& g, NodeId start) {
       const Dist ecc = *std::max_element(d.begin(), d.end());
       if (ecc < best_ecc) {
         best_ecc = ecc;
-        mid = cand;
         dist_mid = std::move(d);
       }
     }

@@ -113,22 +113,6 @@ T parallel_sum(ThreadPool& pool, std::size_t begin, std::size_t end,
       pool, begin, end, T{}, map, [](T a, T b) { return a + b; }, grain);
 }
 
-/// Atomic fetch-min for unsigned integral types: lowers `target` to `value`
-/// if smaller.  Returns the value `target` held just before this call's
-/// update (or the value that made the update unnecessary), so exactly one
-/// of several racing callers observes any given prior value.
-template <typename T>
-T atomic_fetch_min(std::atomic<T>& target, T value) {
-  T cur = target.load(std::memory_order_relaxed);
-  while (value < cur) {
-    // On success `cur` still holds the value this call replaced.
-    if (target.compare_exchange_weak(cur, value, std::memory_order_relaxed)) {
-      break;
-    }
-  }
-  return cur;
-}
-
 /// Exclusive prefix sum of `values` in place; returns the grand total.
 /// Sequential: prefix sizes in this library are O(#clusters) or O(#workers),
 /// never the hot path.  (The MR engine has its own round-counted primitive.)

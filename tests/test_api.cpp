@@ -467,7 +467,47 @@ TEST(WorkspaceReuse, ParallelBfsMatchesFreshRun) {
                                    default_growth_options(), nullptr, &ws);
     EXPECT_EQ(dist, reference) << "run " << run;
   }
-  EXPECT_EQ(ws.bfs_acquires(), 3u);
+  EXPECT_EQ(ws.growth_acquires(), 3u);
+}
+
+// BFS and decomposition borrow the same scratch, so a Workspace that
+// alternates between them must reset everything the other left behind.
+TEST(WorkspaceReuse, ClusterBfsClusterMatchFreshRuns) {
+  const Graph g = gen::expander_with_path(1500, 120, 4, 3);
+  ThreadPool pool(2);
+  RunContext fresh;
+  fresh.seed = 17;
+  fresh.pool = &pool;
+  const AlgoParams params = AlgoParams{}.set("tau", std::uint64_t{4});
+  const Clustering reference =
+      registry().run("cluster", g, params, fresh).value();
+  const auto bfs_reference = parallel_bfs(pool, g, 7);
+
+  Workspace ws;
+  RunContext warm = fresh;
+  warm.workspace = &ws;
+  const Clustering first = registry().run("cluster", g, params, warm).value();
+  const auto dist = parallel_bfs(pool, g, 7, nullptr, default_growth_options(),
+                                 nullptr, &ws);
+  const Clustering again = registry().run("cluster", g, params, warm).value();
+  EXPECT_EQ(dist, bfs_reference);
+  for (const Clustering* c : {&first, &again}) {
+    EXPECT_EQ(c->assignment, reference.assignment);
+    EXPECT_EQ(c->dist_to_center, reference.dist_to_center);
+    EXPECT_EQ(c->centers, reference.centers);
+  }
+  EXPECT_EQ(ws.growth_acquires(), 3u);
+}
+
+TEST(WorkspaceReuse, ParallelBfsOnLentWorkspaceAborts) {
+  const Graph g = gen::grid(8, 8);
+  ThreadPool pool(1);
+  Workspace ws;
+  GrowthState live(g, pool, default_growth_options(), &ws);
+  EXPECT_DEATH(static_cast<void>(parallel_bfs(pool, g, 0, nullptr,
+                                              default_growth_options(),
+                                              nullptr, &ws)),
+               "already lent");
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Tests for the BFS kernels: sequential reference behavior, the parallel
-// level-synchronous variant (swept across worker counts and corpus
-// graphs), multi-source distances, and the pruned relax_from update with
-// the farthest-first extension built on it.
+// single-source BFS on the growth engine (swept across worker counts and
+// corpus graphs), multi-source distances, and the pruned relax_from
+// update with the farthest-first extension built on it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -203,6 +203,33 @@ TEST(ParallelBfs, TraversalModesMatchSequential) {
   }
 }
 
+// The corpus graphs are small enough that every level runs inline on the
+// caller.  These are large enough for push and pull levels to run on the
+// workers, so a frontier arrives split across per-worker parts.
+TEST(ParallelBfs, WorkerLevelsMatchSequential) {
+  const std::vector<std::pair<std::string, Graph>> graphs = {
+      {"expander-20k", gen::expander(20000, 8, 5)},
+      {"expander-path", gen::expander_with_path(20000, 400, 6, 9)}};
+  for (const auto& [name, graph] : graphs) {
+    const auto seq = bfs_distances(graph, 3);
+    const Dist ecc = *std::max_element(seq.begin(), seq.end());
+    for (const TraversalMode mode :
+         {TraversalMode::kPushOnly, TraversalMode::kPullOnly,
+          TraversalMode::kAuto}) {
+      for (const std::size_t threads : {2u, 8u}) {
+        ThreadPool pool(threads);
+        GrowthOptions opts;
+        opts.mode = mode;
+        std::size_t levels = 0;
+        const auto par = parallel_bfs(pool, graph, 3, &levels, opts);
+        EXPECT_EQ(par, seq) << name << " mode=" << traversal_mode_name(mode)
+                            << " threads=" << threads;
+        EXPECT_EQ(levels, ecc + 1) << name;
+      }
+    }
+  }
+}
+
 TEST(BfsExtremum, SingletonGraph) {
   const Graph g = gen::path(1);
   const auto e = bfs_extremum(g, 0);
@@ -223,12 +250,16 @@ TEST_P(ParallelBfsTest, MatchesSequentialBfs) {
   const auto& [name, graph] = corpus.at(GetParam().corpus_index);
   ThreadPool pool(GetParam().threads);
   std::size_t levels = 0;
-  const auto par = parallel_bfs(pool, graph, 0, &levels);
+  DirectionCounts counts;
+  const auto par = parallel_bfs(pool, graph, 0, &levels,
+                                default_growth_options(), &counts);
   const auto seq = bfs_distances(graph, 0);
   EXPECT_EQ(par, seq) << name;
-  // Levels = eccentricity of the source + 1 trailing empty check.
+  // Levels = eccentricity of the source + 1 trailing empty check, each
+  // run in exactly one direction.
   const Dist ecc = *std::max_element(seq.begin(), seq.end());
-  EXPECT_GE(levels, ecc);
+  EXPECT_EQ(levels, ecc + 1) << name;
+  EXPECT_EQ(counts.push + counts.pull, levels) << name;
 }
 
 std::vector<ParallelBfsParam> parallel_bfs_params() {

@@ -119,37 +119,6 @@ TEST(ThreadPool, GlobalPoolIsSingleton) {
   EXPECT_GE(a.num_threads(), 1u);
 }
 
-TEST(AtomicFetchMin, LowersMonotonically) {
-  std::atomic<std::uint64_t> target{100};
-  EXPECT_EQ(atomic_fetch_min(target, std::uint64_t{200}), 100u);
-  EXPECT_EQ(target.load(), 100u);
-  EXPECT_EQ(atomic_fetch_min(target, std::uint64_t{50}), 100u);
-  EXPECT_EQ(target.load(), 50u);
-  EXPECT_EQ(atomic_fetch_min(target, std::uint64_t{50}), 50u);  // equal: no-op
-  EXPECT_EQ(target.load(), 50u);
-}
-
-TEST(AtomicFetchMin, ConcurrentMinIsGlobalMin) {
-  std::atomic<std::uint64_t> target{~std::uint64_t{0}};
-  std::atomic<std::size_t> saw_initial{0};
-  ThreadPool pool(4);
-  constexpr std::size_t n = 100000;
-  parallel_for(pool, 0, n, [&](std::size_t i) {
-    const std::uint64_t prior = atomic_fetch_min(
-        target, static_cast<std::uint64_t>((i * 2654435761u) % 999983));
-    if (prior == ~std::uint64_t{0}) saw_initial.fetch_add(1);
-  });
-  // Exactly one caller observes the initial value: the growth engine's
-  // one-pass push admits a node to the next frontier on that observation.
-  EXPECT_EQ(saw_initial.load(), 1u);
-  // The minimum of (i * K) % p over i in [0, n) with n > p covers 0.
-  std::uint64_t expected = ~std::uint64_t{0};
-  for (std::size_t i = 0; i < n; ++i) {
-    expected = std::min<std::uint64_t>(expected, (i * 2654435761u) % 999983);
-  }
-  EXPECT_EQ(target.load(), expected);
-}
-
 TEST(ExclusivePrefixSum, MatchesReference) {
   std::vector<std::uint64_t> v{3, 1, 4, 1, 5, 9, 2, 6};
   const auto total = exclusive_prefix_sum(v);
