@@ -66,10 +66,14 @@ struct DirectionCounts {
 
 /// Below this frontier degree sum a push step runs inline on the caller
 /// (a pull step below four times it, counting the uncovered worklist):
-/// the pool dispatch (mutex + condvar round trip) would dominate the
-/// actual edge work.  Matters for eccentricity sweeps and BFS over small
-/// graphs.
-inline constexpr std::uint64_t kSerialPushCutoff = 2048;
+/// the pool dispatch (mutex + condvar round trip) and the cross-core
+/// traffic of a split step would dominate the actual edge work.  Matters
+/// for BFS over high-diameter graphs, whose thousands of levels each hold
+/// a few thousand edges: on a shared 4-vCPU host, single-source BFS over
+/// the 1.96M-node road_like(1400, 1400) graph at 3 threads took 130-146
+/// ms with a cutoff of 2048 and 110-117 ms with 8192, with no change on
+/// the 300k-node expander.
+inline constexpr std::uint64_t kSerialPushCutoff = 8192;
 
 /// Policy for the engine's lazily-compacted uncovered worklist: compact
 /// once more than half the entries are stale, but never bother below 1024
