@@ -1,12 +1,12 @@
 // Reusable per-run scratch memory — the serving-scenario allocator fix.
 //
 // Every decomposition request and every parallel BFS runs on the growth
-// engine (core/growth), whose per-node claim words, uncovered worklist and
-// per-worker frontier buffers would otherwise be allocated per call.  For
-// one-shot batch runs that cost disappears into the noise; for the
-// ROADMAP's serving scenario — many decompositions of the *same* graph per
-// second — for eccentricity sweeps, and for every multi-trial bench loop
-// it is pure overhead.
+// engine (core/growth), whose per-node cluster and level arrays, uncovered
+// worklist and per-worker frontier buffers would otherwise be allocated
+// per call.  For one-shot batch runs that cost disappears into the noise;
+// for the ROADMAP's serving scenario — many decompositions of the *same*
+// graph per second — for eccentricity sweeps, and for every multi-trial
+// bench loop it is pure overhead.
 //
 // A Workspace owns those buffers and lends them out run by run.  Buffers
 // only ever grow, so a workspace warmed on a graph serves any same-or-

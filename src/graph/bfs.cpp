@@ -91,8 +91,8 @@ std::vector<Dist> parallel_bfs(ThreadPool& pool, const Graph& g, NodeId source,
   GrowthState state(g, pool, options, workspace);
   state.add_center(source);
   while (!state.frontier_empty()) state.step();
-  // The last step claims nothing and empties the frontier: it is the
-  // level that finds the traversal done, as BFS's final empty level.
+  // The last step claims nothing: it is the level that finds the traversal
+  // done, so the level count is the eccentricity + 1.
   if (levels_out != nullptr) *levels_out = state.steps_executed();
   if (counts_out != nullptr) {
     *counts_out = {state.stats().push_steps, state.stats().pull_steps};
