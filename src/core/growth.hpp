@@ -14,8 +14,8 @@
 // Each node holds its cluster and its level: the step that claimed it (a
 // center's is its activation step).  During step s a node counts as
 // covered iff its level is below s, so a claim made in step s never reads
-// as coverage within the same step: no flag pass is needed, and same-step
-// multi-hop claims are impossible.
+// as coverage within the same step: a step is a single claim pass, and
+// same-step multi-hop claims are impossible.
 //
 // The engine is direction-optimizing.  Every step is one claim pass in
 // one of two directions, with identical claim semantics:
