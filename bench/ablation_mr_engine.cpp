@@ -31,7 +31,7 @@ void print_ml_sweep() {
     mr::Config cfg;
     cfg.local_memory_pairs = ml;
     mr::Engine engine(cfg);
-    const auto r = mr_algos::mr_bfs(engine, d.graph(), 0);
+    const auto r = mr_algos::mr_bfs(engine, d.graph(), 0).value();
     table.add_row({ml == SIZE_MAX ? "unbounded" : fmt_u(ml),
                    fmt_u(engine.metrics().rounds),
                    fmt(static_cast<double>(engine.metrics().rounds) /
@@ -55,7 +55,7 @@ void print_sort_sweep() {
       mr::Config cfg;
       cfg.local_memory_pairs = ml;
       mr::Engine engine(cfg);
-      auto sorted = mr_sort(engine, values);
+      const auto sorted = mr_sort(engine, values).value();
       const bool ok = std::is_sorted(sorted.begin(), sorted.end());
       table.add_row({fmt_u(n), ml == SIZE_MAX ? "unbounded" : fmt_u(ml),
                      fmt_u(engine.metrics().rounds) + (ok ? "" : " (BROKEN)"),
@@ -82,7 +82,7 @@ void print_spill_sweep() {
     cfg.spill_strict = budget != 0;
     mr::Engine engine(cfg);
     Timer t;
-    const auto r = mr_algos::mr_bfs(engine, d.graph(), 0);
+    const auto r = mr_algos::mr_bfs(engine, d.graph(), 0).value();
     const double wall = t.elapsed_s();
     if (budget == 0) {
       reference = r.dist;
@@ -122,7 +122,7 @@ void BM_EngineRound(benchmark::State& state) {
           std::uint64_t sum = 0;
           for (const auto v : vs) sum += v;
           emit.emit(k, sum);
-        });
+        }).value();
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
@@ -138,7 +138,7 @@ void BM_MrSort(benchmark::State& state) {
     mr::Config cfg;
     cfg.local_memory_pairs = ml;
     mr::Engine engine(cfg);
-    auto out = mr_sort(engine, values);
+    auto out = mr_sort(engine, values).value();
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
@@ -153,7 +153,7 @@ void BM_MrPrefixSum(benchmark::State& state) {
     mr::Config cfg;
     cfg.local_memory_pairs = 1024;
     mr::Engine engine(cfg);
-    auto out = mr_prefix_sum(engine, values);
+    auto out = mr_prefix_sum(engine, values).value();
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);

@@ -56,7 +56,7 @@ MrRun run_cluster(const Graph& g, std::uint64_t spill_bytes, bool combiners,
   o.seed = kRunSeed;
   Timer t;
   MrRun run;
-  run.clustering = mr_algos::mr_cluster(engine, g, kTau, o).clustering;
+  run.clustering = mr_algos::mr_cluster(engine, g, kTau, o).value().clustering;
   run.wall_s = t.elapsed_s();
   run.metrics = engine.metrics();
   return run;
@@ -69,7 +69,8 @@ MrRun run_mpx(const Graph& g, std::uint64_t spill_bytes, bool combiners) {
   mr::Engine engine(cfg);
   Timer t;
   MrRun run;
-  run.clustering = mr_algos::mr_mpx(engine, g, 0.5, kRunSeed).clustering;
+  run.clustering =
+      mr_algos::mr_mpx(engine, g, 0.5, kRunSeed).value().clustering;
   run.wall_s = t.elapsed_s();
   run.metrics = engine.metrics();
   return run;

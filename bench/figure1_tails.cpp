@@ -39,7 +39,7 @@ Point run_cluster_on(const Graph& g, bool large_diameter) {
   mr_algos::MrClusterOptions opts;
   opts.seed = kSeed;
   const auto r = mr_algos::mr_cluster_diameter(
-      engine, g, tau_for_target_clusters(g, target), opts);
+      engine, g, tau_for_target_clusters(g, target), opts).value();
   Point p;
   p.estimate = r.estimate;
   p.wall_s = timer.elapsed_s();
@@ -51,7 +51,7 @@ Point run_cluster_on(const Graph& g, bool large_diameter) {
 Point run_bfs_on(const Graph& g) {
   mr::Engine engine;
   Timer timer;
-  const auto r = mr_algos::mr_bfs_diameter(engine, g, 0);
+  const auto r = mr_algos::mr_bfs_diameter(engine, g, 0).value();
   Point p;
   p.estimate = r.estimate;
   p.wall_s = timer.elapsed_s();

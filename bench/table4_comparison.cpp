@@ -57,14 +57,14 @@ AlgoResult run_cluster(const BenchDataset& d) {
     opts.seed = kSeed;
     const auto r = mr_algos::mr_cluster_diameter(
         engine, d.graph(), tau_for_target_clusters(d.graph(), target), opts);
-    return r.estimate;
+    return r.value().estimate;
   });
 }
 
 AlgoResult run_bfs(const BenchDataset& d) {
   return measured([&](mr::Engine& engine) {
     // The paper runs BFS from an arbitrary source; use node 0.
-    return mr_algos::mr_bfs_diameter(engine, d.graph(), 0).estimate;
+    return mr_algos::mr_bfs_diameter(engine, d.graph(), 0).value().estimate;
   });
 }
 
@@ -77,7 +77,7 @@ AlgoResult run_hadi(const BenchDataset& d) {
     // before Δ on the regular meshes (the paper's HADI slightly
     // underestimates the road diameters the same way).
     opts.epsilon = 1e-12;
-    return mr_algos::mr_hadi(engine, d.graph(), opts).estimate;
+    return mr_algos::mr_hadi(engine, d.graph(), opts).value().estimate;
   });
 }
 

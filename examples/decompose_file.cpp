@@ -335,10 +335,12 @@ int main(int argc, char** argv) {
   if (!run.ok()) {
     // The registry rejects a bad parameter key or value, and a graph
     // outside the algorithm's preconditions (empty; disconnected where
-    // the algorithm needs one component): a usage error, exit 1.
+    // the algorithm needs one component), as INVALID_ARGUMENT: a usage
+    // error, exit 1.  Any other code is an environment failure (an mr.*
+    // round that lost spilled data): exit 2, like an unreadable input.
     std::fprintf(stderr, "decompose_file: %s\n",
                  run.status().to_string().c_str());
-    return 1;
+    return run.status().code() == StatusCode::kInvalidArgument ? 1 : 2;
   }
   const Clustering c = std::move(run).value();
   std::printf("%s: %u clusters, max radius %u, %zu growth steps%s\n",

@@ -31,7 +31,8 @@ int main() {
     mr::Engine engine;
     mr_algos::MrClusterOptions opts;
     opts.seed = 11;
-    const auto r = mr_algos::mr_cluster_diameter(engine, g, /*tau=*/16, opts);
+    const auto r =
+        mr_algos::mr_cluster_diameter(engine, g, /*tau=*/16, opts).value();
     std::printf("CLUSTER pipeline: estimate %llu (%.2fx exact)\n",
                 static_cast<unsigned long long>(r.estimate),
                 static_cast<double>(r.estimate) / exact);
@@ -51,7 +52,7 @@ int main() {
   // --- BFS baseline: 2·ecc upper bound, Θ(Δ) rounds.
   {
     mr::Engine engine;
-    const auto r = mr_algos::mr_bfs_diameter(engine, g, /*source=*/0);
+    const auto r = mr_algos::mr_bfs_diameter(engine, g, /*source=*/0).value();
     std::printf("BFS baseline:     estimate %llu (%.2fx exact)\n",
                 static_cast<unsigned long long>(r.estimate),
                 static_cast<double>(r.estimate) / exact);

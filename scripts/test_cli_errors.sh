@@ -7,12 +7,13 @@
 #           out-of-range algorithm parameter value, or a graph outside the
 #           algorithm's preconditions: empty, or disconnected where the
 #           algorithm needs a center or a BFS reach in every component)
-#   exit 2  unreadable or corrupt input (one-line Status diagnostic on
-#           stderr)
+#   exit 2  unreadable or corrupt input, or an mr.* run whose shuffle lost
+#           spilled data (one-line Status diagnostic on stderr)
 #
 # Exit code 2 is what batch drivers key retry/skip decisions on, so it is
 # pinned here against both a missing file and a truncated CSR v2 file,
-# along with the GCLUS_FAULT environment wiring end to end.
+# against persistent spill faults under mr.cluster, and along with the
+# GCLUS_FAULT environment wiring end to end.
 set -u
 
 DECOMPOSE_FILE="${1:?usage: test_cli_errors.sh /path/to/decompose_file}"
@@ -127,5 +128,38 @@ code=$?
 set -e
 [ "$code" -eq 2 ] ||
   fail "GCLUS_FAULT=io.open:always: expected exit 2, got $code"
+
+# An mr.* round that loses spilled data (a run that cannot be read back,
+# seeked or flushed) is an environment failure: exit 2 with one
+# IO_ERROR line, never an abort.  A failed spill *write* degrades to an
+# in-memory shuffle instead: exit 0 with the fault-free partition.
+mr_run() {
+  "$DECOMPOSE_FILE" "$WORK/ok.csr2" --format=csr2 --algo=mr.cluster --tau=4 \
+    --spill_bytes=4096 "$@"
+}
+partition_of() {
+  grep -v -e "^  telemetry" -e "^  fault" "$1"
+}
+mr_run >"$WORK/mr-clean.out" 2>/dev/null ||
+  fail "mr.cluster with a 4 KiB spill budget should succeed"
+for point in spill.read spill.seek spill.flush; do
+  set +e
+  err="$(GCLUS_FAULT="$point:always" mr_run 2>&1 >/dev/null)"
+  code=$?
+  set -e
+  [ "$code" -eq 2 ] ||
+    fail "GCLUS_FAULT=$point:always: expected exit 2, got $code"
+  echo "$err" | grep -q "^decompose_file: IO_ERROR: " ||
+    fail "GCLUS_FAULT=$point:always: diagnostic not found in: $err"
+  [ "$(echo "$err" | wc -l)" -eq 1 ] ||
+    fail "GCLUS_FAULT=$point:always: diagnostic is not one line: $err"
+done
+GCLUS_FAULT=spill.write:always mr_run >"$WORK/mr-write.out" 2>/dev/null ||
+  fail "GCLUS_FAULT=spill.write:always should degrade to an in-memory shuffle"
+grep -q "VALIDATION FAILED" "$WORK/mr-write.out" &&
+  fail "GCLUS_FAULT=spill.write:always: invalid partition"
+[ "$(partition_of "$WORK/mr-write.out")" = \
+  "$(partition_of "$WORK/mr-clean.out")" ] ||
+  fail "GCLUS_FAULT=spill.write:always: partition differs from the clean run"
 
 echo "PASS: decompose_file error contract holds"

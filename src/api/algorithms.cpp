@@ -323,8 +323,10 @@ void register_mr_algorithms(Registry& r) {
            o.seed = ctx.seed;
            o.selection_constant = p.get_double("selection_constant", 4.0);
            o.threshold_constant = p.get_double("threshold_constant", 8.0);
-           return mr_algos::mr_cluster(engine, g, p.get_u32("tau", 8), o)
-               .clustering;
+           GCLUS_ASSIGN_OR_RETURN(
+               mr_algos::MrClusterResult res,
+               mr_algos::mr_cluster(engine, g, p.get_u32("tau", 8), o));
+           return std::move(res.clustering);
          });
 
   add_mr(r, "mr.mpx",
@@ -333,9 +335,11 @@ void register_mr_algorithms(Registry& r) {
          {kBetaSpec},
          [](mr::Engine& engine, const Graph& g, const AlgoParams& p,
             RunContext& ctx) -> StatusOr<Clustering> {
-           return mr_algos::mr_mpx(engine, g, p.get_double("beta", 0.5),
-                                   ctx.seed)
-               .clustering;
+           GCLUS_ASSIGN_OR_RETURN(
+               mr_algos::MrMpxResult res,
+               mr_algos::mr_mpx(engine, g, p.get_double("beta", 0.5),
+                                ctx.seed));
+           return std::move(res.clustering);
          });
 
   add_mr(r, "mr.bfs",
@@ -346,8 +350,8 @@ void register_mr_algorithms(Registry& r) {
             RunContext& ctx) -> StatusOr<Clustering> {
            const NodeId source = std::min<NodeId>(
                p.get_u32("source", 0), g.num_nodes() - 1);
-           const mr_algos::MrBfsResult res =
-               mr_algos::mr_bfs(engine, g, source);
+           GCLUS_ASSIGN_OR_RETURN(const mr_algos::MrBfsResult res,
+                                  mr_algos::mr_bfs(engine, g, source));
            ctx.emit("mr.bfs.eccentricity",
                     static_cast<double>(res.eccentricity));
            if (std::ranges::find(res.dist, kInfDist) != res.dist.end()) {

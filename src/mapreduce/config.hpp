@@ -7,11 +7,9 @@
 // the per-reducer local memory M_L.  The engine tracks:
 //   * rounds executed                       (the paper's complexity measure),
 //   * key-value pairs shuffled per round    (communication volume),
-//   * the largest single reducer input      (M_L compliance),
-// and can *charge* a configurable per-round latency so benchmark numbers
-// reflect the round-dominated cost profile of a loosely-coupled cluster
-// (the regime in which the paper's experiments run) rather than the
-// shared-memory box the emulator happens to execute on.
+//   * the largest single reducer input      (M_L compliance).
+// M_L / M_G violations are recorded (Metrics::*_memory_exceeded), never
+// enforced.
 //
 // Beyond accounting, the engine can genuinely bound its shuffle memory:
 // `spill_memory_bytes` caps the bytes buffered during the map phase, with
@@ -39,12 +37,8 @@ inline constexpr std::uint64_t kSpillUnbounded =
     std::numeric_limits<std::uint64_t>::max();
 
 struct Config {
-  /// Worker threads executing reducers.  0 = use the global pool size.
-  /// Ignored when `pool` is set.
-  std::size_t num_workers = 0;
-
-  /// External thread pool to run on (not owned).  Takes precedence over
-  /// `num_workers`; lets a RunContext-provided pool drive the engine.
+  /// Thread pool the map and reduce workers run on (not owned); nullptr
+  /// means the process-global pool, the same rule as RunContext.
   ThreadPool* pool = nullptr;
 
   /// M_L: maximum number of key-value pairs a single reducer may receive.
@@ -53,13 +47,6 @@ struct Config {
   /// M_G: maximum number of key-value pairs alive in a round.
   std::uint64_t global_memory_pairs =
       std::numeric_limits<std::uint64_t>::max();
-
-  /// If true, exceeding M_L or M_G aborts; if false it is only recorded.
-  bool strict = false;
-
-  /// Simulated per-round latency (seconds), modeling scheduling + network
-  /// barrier costs of a distributed round.  Only accounted, never slept.
-  double per_round_latency_s = 0.0;
 
   /// Shuffle partition count.  Pinned in the config — never derived from
   /// the worker count — so the concatenated round output is a pure
@@ -110,9 +97,6 @@ struct Metrics {
   std::uint64_t max_round_pairs = 0;  // largest per-round volume (M_G proxy)
   bool local_memory_exceeded = false;
   bool global_memory_exceeded = false;
-
-  /// Modeled round overhead accumulated so far.
-  double simulated_latency_s = 0.0;
 
   // --- Out-of-core shuffle accounting. ---
 

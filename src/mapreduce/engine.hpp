@@ -1,7 +1,7 @@
 // The round-based MR(M_G, M_L) execution engine.
 //
 // Engine::round() implements exactly one round of the model as a two-phase
-// external shuffle:
+// external shuffle on Config::pool (or the global pool):
 //
 //   Map phase    — workers scan fixed-size chunks of the input and scatter
 //                  each pair into per-worker, per-partition buckets (the
@@ -27,6 +27,10 @@
 // reducer must be invariant to pre-aggregation of its inputs) for the
 // *reducer output* to be byte-identical; every combiner declared in
 // mr_algos/ satisfies it (min-folds, dedup, sketch OR).
+//
+// Errors: round() is the engine's one entry point and returns StatusOr;
+// lost spilled data comes back as kIoError / kDataLoss (see round()).
+// M_L / M_G violations are recorded in Metrics, never enforced.
 #pragma once
 
 #include <algorithm>
@@ -76,14 +80,10 @@ Config apply_env_overrides(Config config);
 class Engine {
  public:
   explicit Engine(Config config = {})
-      : config_(apply_env_overrides(std::move(config))),
-        pool_(config_.pool != nullptr || config_.num_workers == 0
-                  ? nullptr
-                  : new ThreadPool(config_.num_workers)) {
+      : config_(apply_env_overrides(std::move(config))) {
     GCLUS_CHECK(config_.num_partitions >= 1);
   }
 
-  ~Engine() { delete pool_; }
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
@@ -92,9 +92,10 @@ class Engine {
   Metrics& mutable_metrics() { return metrics_; }
   void reset_metrics() { metrics_.reset(); }
 
+  /// Config::pool, or the process-global pool when that is null (the same
+  /// rule as RunContext).
   ThreadPool& pool() {
-    if (config_.pool != nullptr) return *config_.pool;
-    return pool_ != nullptr ? *pool_ : ThreadPool::global();
+    return config_.pool != nullptr ? *config_.pool : ThreadPool::global();
   }
 
   /// Executes one MR round.
@@ -103,48 +104,31 @@ class Engine {
   /// Emitter<OutK, OutV>&).  Keys must be totally ordered (operator<) and
   /// values arrive in a deterministic order (sorted by their original
   /// position in `input`).
-  template <typename K, typename V, typename OutK, typename OutV,
-            typename Reduce>
-  std::vector<std::pair<OutK, OutV>> round(std::vector<std::pair<K, V>> input,
-                                           Reduce reduce) {
-    return round_combine<K, V, OutK, OutV>(std::move(input),
-                                           std::move(reduce), NoCombiner{});
-  }
-
-  /// Executes one MR round with a mapper-side combiner.
   ///
-  /// `Combine` is an associative, commutative fold `V(const V&, const V&)`
-  /// over same-key values; it pre-aggregates buckets before they are
-  /// buffered onward or spilled, cutting shuffle volume (tracked in
-  /// Metrics::combiner_pairs_in/out).  With a combiner, a reducer group
-  /// holds one folded value per run rather than every original value, so
-  /// only declare one when the reducer is invariant to that (the standard
-  /// MR combiner contract).  Config::enable_combiners == false makes this
-  /// identical to round().
+  /// `Combine`, unless NoCombiner, is an associative, commutative fold
+  /// `V(const V&, const V&)` over same-key values; it pre-aggregates
+  /// buckets before they are buffered onward or spilled, cutting shuffle
+  /// volume (tracked in Metrics::combiner_pairs_in/out).  With a combiner,
+  /// a reducer group holds one folded value per run rather than every
+  /// original value, so only declare one when the reducer is invariant to
+  /// that (the standard MR combiner contract).  Config::enable_combiners
+  /// == false ignores it.
+  ///
+  /// Spill failures degrade rather than fail: a run that cannot be
+  /// appended to the primary spill directory is retried against
+  /// Config::spill_fallback_dir (when set), and if that also fails the
+  /// engine stops spilling and keeps the rest of the round's shuffle in
+  /// memory — the output is byte-identical either way (the (key, pos)
+  /// merge order and the combiner contract are independent of run
+  /// placement).  Failures that *lose already-spilled data* — a sealed
+  /// file that cannot be flushed, a run file truncated or unreadable
+  /// during the reduce merge — cannot be degraded around and come back as
+  /// kIoError / kDataLoss.
   template <typename K, typename V, typename OutK, typename OutV,
-            typename Reduce, typename Combine>
-  std::vector<std::pair<OutK, OutV>> round_combine(
-      std::vector<std::pair<K, V>> input, Reduce reduce, Combine combine) {
-    auto result = try_round_combine<K, V, OutK, OutV>(
-        std::move(input), std::move(reduce), std::move(combine));
-    GCLUS_CHECK(result.ok(), "MR round failed: ", result.status().to_string());
-    return std::move(result).value();
-  }
-
-  /// The Status-returning core of round_combine.  Spill failures degrade
-  /// rather than fail: a run that cannot be appended to the primary spill
-  /// directory is retried against Config::spill_fallback_dir (when set),
-  /// and if that also fails the engine stops spilling and keeps the rest
-  /// of the round's shuffle in memory — the output is byte-identical
-  /// either way (the (key, pos) merge order and the combiner contract are
-  /// independent of run placement).  Failures that *lose already-spilled
-  /// data* — a sealed file that cannot be flushed, a run file truncated
-  /// or unreadable during the reduce merge — cannot be degraded around
-  /// and come back as kIoError / kDataLoss.
-  template <typename K, typename V, typename OutK, typename OutV,
-            typename Reduce, typename Combine>
-  StatusOr<std::vector<std::pair<OutK, OutV>>> try_round_combine(
-      std::vector<std::pair<K, V>> input, Reduce reduce, Combine combine) {
+            typename Reduce, typename Combine = NoCombiner>
+  StatusOr<std::vector<std::pair<OutK, OutV>>> round(
+      std::vector<std::pair<K, V>> input, Reduce reduce,
+      Combine combine = {}) {
     account_round(input.size(), sizeof(std::pair<K, V>));
 
     // A pair tagged with its input position: the reproducibility handle
@@ -476,13 +460,6 @@ class Engine {
     return result;
   }
 
-  /// Convenience: same key/value types in and out.
-  template <typename K, typename V, typename Reduce>
-  std::vector<std::pair<K, V>> round_kv(std::vector<std::pair<K, V>> input,
-                                        Reduce reduce) {
-    return round<K, V, K, V>(std::move(input), std::move(reduce));
-  }
-
  private:
   template <typename K>
   static std::size_t partition_of(const K& key, std::size_t num_partitions) {
@@ -577,11 +554,8 @@ class Engine {
     metrics_.bytes_shuffled += static_cast<std::uint64_t>(pairs) * pair_bytes;
     metrics_.max_round_pairs =
         std::max<std::uint64_t>(metrics_.max_round_pairs, pairs);
-    metrics_.simulated_latency_s += config_.per_round_latency_s;
     if (pairs > config_.global_memory_pairs) {
       metrics_.global_memory_exceeded = true;
-      GCLUS_CHECK(!config_.strict, "MR global memory (M_G) exceeded: ", pairs,
-                  " pairs > ", config_.global_memory_pairs);
     }
   }
 
@@ -590,8 +564,6 @@ class Engine {
         std::max(metrics_.max_reducer_pairs, max_group);
     if (max_group > config_.local_memory_pairs) {
       metrics_.local_memory_exceeded = true;
-      GCLUS_CHECK(!config_.strict, "MR local memory (M_L) exceeded: ",
-                  max_group, " pairs > ", config_.local_memory_pairs);
     }
   }
 
@@ -646,7 +618,6 @@ class Engine {
 
   Config config_;
   Metrics metrics_;
-  ThreadPool* pool_;  // owned iff non-null; else external/global pool
   std::mutex reduce_combiner_mu_;
   std::uint64_t reduce_combiner_in_ = 0;
   std::uint64_t reduce_combiner_out_ = 0;

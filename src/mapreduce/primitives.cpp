@@ -25,8 +25,8 @@ using SortItem = std::pair<std::uint64_t, std::uint64_t>;
 
 }  // namespace
 
-std::vector<std::uint64_t> mr_sort(Engine& engine,
-                                   std::vector<std::uint64_t> values) {
+StatusOr<std::vector<std::uint64_t>> mr_sort(
+    Engine& engine, std::vector<std::uint64_t> values) {
   const std::size_t n = values.size();
   if (n <= 1) return values;
   const std::size_t cap = capacity(engine);
@@ -71,19 +71,21 @@ std::vector<std::uint64_t> mr_sort(Engine& engine,
       }
     }
     std::vector<std::vector<SortItem>> splitters(oversized.size());
-    engine.round<std::uint32_t, SortItem, std::uint32_t, std::uint8_t>(
-        std::move(sample_input),
-        [&](const std::uint32_t& oi, std::span<SortItem> group,
-            Emitter<std::uint32_t, std::uint8_t>&) {
-          std::vector<SortItem> s(group.begin(), group.end());
-          std::sort(s.begin(), s.end());
-          const std::size_t children = children_of[oi];
-          auto& sp = splitters[oi];
-          for (std::size_t c = 1; c < children; ++c) {
-            sp.push_back(s[c * s.size() / children]);
-          }
-          sp.erase(std::unique(sp.begin(), sp.end()), sp.end());
-        });
+    const auto sampled =
+        engine.round<std::uint32_t, SortItem, std::uint32_t, std::uint8_t>(
+            std::move(sample_input),
+            [&](const std::uint32_t& oi, std::span<SortItem> group,
+                Emitter<std::uint32_t, std::uint8_t>&) {
+              std::vector<SortItem> s(group.begin(), group.end());
+              std::sort(s.begin(), s.end());
+              const std::size_t children = children_of[oi];
+              auto& sp = splitters[oi];
+              for (std::size_t c = 1; c < children; ++c) {
+                sp.push_back(s[c * s.size() / children]);
+              }
+              sp.erase(std::unique(sp.begin(), sp.end()), sp.end());
+            });
+    GCLUS_RETURN_IF_ERROR(sampled.status());
 
     // --- Round B: map-side partition against the splitters, reduce-side
     // local sort of every child bucket that now fits.
@@ -115,16 +117,18 @@ std::vector<std::uint64_t> mr_sort(Engine& engine,
         part_input.emplace_back(child_base[oi] + child, item);
       }
     }
-    engine.round<std::uint64_t, SortItem, std::uint64_t, std::uint8_t>(
-        std::move(part_input),
-        [&](const std::uint64_t& child, std::span<SortItem> group,
-            Emitter<std::uint64_t, std::uint8_t>&) {
-          auto& bucket = next[child];
-          bucket.assign(group.begin(), group.end());
-          if (bucket.size() <= cap) {
-            std::sort(bucket.begin(), bucket.end());
-          }
-        });
+    const auto partitioned =
+        engine.round<std::uint64_t, SortItem, std::uint64_t, std::uint8_t>(
+            std::move(part_input),
+            [&](const std::uint64_t& child, std::span<SortItem> group,
+                Emitter<std::uint64_t, std::uint8_t>&) {
+              auto& bucket = next[child];
+              bucket.assign(group.begin(), group.end());
+              if (bucket.size() <= cap) {
+                std::sort(bucket.begin(), bucket.end());
+              }
+            });
+    GCLUS_RETURN_IF_ERROR(partitioned.status());
     buckets = std::move(next);
   }
 
@@ -146,14 +150,16 @@ std::vector<std::uint64_t> mr_sort(Engine& engine,
         input.emplace_back(static_cast<std::uint32_t>(b), item);
       }
     }
-    engine.round<std::uint32_t, SortItem, std::uint32_t, std::uint8_t>(
-        std::move(input),
-        [&](const std::uint32_t& b, std::span<SortItem> group,
-            Emitter<std::uint32_t, std::uint8_t>&) {
-          auto& bucket = buckets[b];
-          bucket.assign(group.begin(), group.end());
-          std::sort(bucket.begin(), bucket.end());
-        });
+    const auto sorted =
+        engine.round<std::uint32_t, SortItem, std::uint32_t, std::uint8_t>(
+            std::move(input),
+            [&](const std::uint32_t& b, std::span<SortItem> group,
+                Emitter<std::uint32_t, std::uint8_t>&) {
+              auto& bucket = buckets[b];
+              bucket.assign(group.begin(), group.end());
+              std::sort(bucket.begin(), bucket.end());
+            });
+    GCLUS_RETURN_IF_ERROR(sorted.status());
   }
 
   std::vector<std::uint64_t> result;
@@ -164,14 +170,13 @@ std::vector<std::uint64_t> mr_sort(Engine& engine,
   return result;
 }
 
-std::vector<std::uint64_t> mr_prefix_sum(
+StatusOr<std::vector<std::uint64_t>> mr_prefix_sum(
     Engine& engine, const std::vector<std::uint64_t>& values,
     std::uint64_t* total_out) {
   const std::size_t n = values.size();
-  std::vector<std::uint64_t> out(n, 0);
   if (n == 0) {
     if (total_out != nullptr) *total_out = 0;
-    return out;
+    return std::vector<std::uint64_t>{};
   }
   const std::size_t fan = capacity(engine);
 
@@ -191,14 +196,17 @@ std::vector<std::uint64_t> mr_prefix_sum(
       input.emplace_back(i / fan, cur[i]);
     }
     std::vector<std::uint64_t> next(blocks, 0);
-    engine.round<std::uint64_t, std::uint64_t, std::uint64_t, std::uint64_t>(
-        std::move(input),
-        [&](const std::uint64_t& block, std::span<std::uint64_t> group,
-            Emitter<std::uint64_t, std::uint64_t>&) {
-          std::uint64_t sum = 0;
-          for (const auto v : group) sum += v;
-          next[block] = sum;
-        });
+    const auto summed =
+        engine.round<std::uint64_t, std::uint64_t, std::uint64_t,
+                     std::uint64_t>(
+            std::move(input),
+            [&](const std::uint64_t& block, std::span<std::uint64_t> group,
+                Emitter<std::uint64_t, std::uint64_t>&) {
+              std::uint64_t sum = 0;
+              for (const auto v : group) sum += v;
+              next[block] = sum;
+            });
+    GCLUS_RETURN_IF_ERROR(summed.status());
     levels.push_back(std::move(next));
   }
   if (total_out != nullptr) *total_out = levels.back()[0];
@@ -220,23 +228,25 @@ std::vector<std::uint64_t> mr_prefix_sum(
       input.emplace_back(i / fan, cur[i]);
     }
     std::vector<std::uint64_t> offsets(cur.size(), 0);
-    engine.round<std::uint64_t, std::uint64_t, std::uint64_t, std::uint64_t>(
-        std::move(input),
-        [&](const std::uint64_t& block, std::span<std::uint64_t> group,
-            Emitter<std::uint64_t, std::uint64_t>&) {
-          std::uint64_t running = offsets_above[block];
-          for (std::size_t c = 0; c < group.size(); ++c) {
-            offsets[block * fan + c] = running;
-            running += group[c];
-          }
-        });
+    const auto offset =
+        engine.round<std::uint64_t, std::uint64_t, std::uint64_t,
+                     std::uint64_t>(
+            std::move(input),
+            [&](const std::uint64_t& block, std::span<std::uint64_t> group,
+                Emitter<std::uint64_t, std::uint64_t>&) {
+              std::uint64_t running = offsets_above[block];
+              for (std::size_t c = 0; c < group.size(); ++c) {
+                offsets[block * fan + c] = running;
+                running += group[c];
+              }
+            });
+    GCLUS_RETURN_IF_ERROR(offset.status());
     offsets_above = std::move(offsets);
   }
-  out = std::move(offsets_above);
-  return out;
+  return offsets_above;
 }
 
-std::vector<std::uint64_t> mr_segmented_prefix_sum(
+StatusOr<std::vector<std::uint64_t>> mr_segmented_prefix_sum(
     Engine& engine, const std::vector<std::uint64_t>& values,
     const std::vector<std::uint32_t>& segment_ids) {
   GCLUS_CHECK(values.size() == segment_ids.size());
@@ -250,7 +260,8 @@ std::vector<std::uint64_t> mr_segmented_prefix_sum(
   // position of s.  head-sums are broadcast via one extra MR round keyed by
   // segment.
   const std::size_t n = values.size();
-  std::vector<std::uint64_t> prefix = mr_prefix_sum(engine, values);
+  GCLUS_ASSIGN_OR_RETURN(const std::vector<std::uint64_t> prefix,
+                         mr_prefix_sum(engine, values));
 
   using KV = std::pair<std::uint32_t, std::uint64_t>;
   std::vector<KV> heads;
@@ -261,12 +272,15 @@ std::vector<std::uint64_t> mr_segmented_prefix_sum(
   }
   std::vector<std::uint64_t> head_prefix(
       segment_ids.empty() ? 0 : segment_ids.back() + 1, 0);
-  engine.round<std::uint32_t, std::uint64_t, std::uint32_t, std::uint64_t>(
-      std::move(heads),
-      [&](const std::uint32_t& seg, std::span<std::uint64_t> group,
-          Emitter<std::uint32_t, std::uint64_t>&) {
-        head_prefix[seg] = group.front();
-      });
+  const auto broadcast =
+      engine.round<std::uint32_t, std::uint64_t, std::uint32_t,
+                   std::uint64_t>(
+          std::move(heads),
+          [&](const std::uint32_t& seg, std::span<std::uint64_t> group,
+              Emitter<std::uint32_t, std::uint64_t>&) {
+            head_prefix[seg] = group.front();
+          });
+  GCLUS_RETURN_IF_ERROR(broadcast.status());
 
   std::vector<std::uint64_t> out(n);
   for (std::size_t i = 0; i < n; ++i) {

@@ -6,7 +6,8 @@
 // selects splitters from a regular sample, one round partitions into
 // buckets of at most M_L pairs which each reducer sorts locally
 // (recursing in the unlikely case a bucket overflows).  Prefix sums use an
-// aggregation tree of fan-in M_L (up-sweep + down-sweep).
+// aggregation tree of fan-in M_L (up-sweep + down-sweep).  Each primitive
+// returns the first failed round's Status.
 #pragma once
 
 #include <cstdint>
@@ -18,19 +19,19 @@ namespace gclus::mr {
 
 /// Sorts `values` ascending using MR rounds on `engine`.
 /// Deterministic: equal keys keep their input order (stable).
-std::vector<std::uint64_t> mr_sort(Engine& engine,
-                                   std::vector<std::uint64_t> values);
+StatusOr<std::vector<std::uint64_t>> mr_sort(
+    Engine& engine, std::vector<std::uint64_t> values);
 
 /// Exclusive prefix sums of `values`; out[i] = sum of values[0..i).
 /// `total_out`, if non-null, receives the grand total.
-std::vector<std::uint64_t> mr_prefix_sum(Engine& engine,
-                                         const std::vector<std::uint64_t>& values,
-                                         std::uint64_t* total_out = nullptr);
+StatusOr<std::vector<std::uint64_t>> mr_prefix_sum(
+    Engine& engine, const std::vector<std::uint64_t>& values,
+    std::uint64_t* total_out = nullptr);
 
 /// Segmented exclusive prefix sums: the running sum resets whenever
 /// segment_id changes between consecutive positions.  segment_ids must be
 /// nondecreasing (the usual post-sort layout).
-std::vector<std::uint64_t> mr_segmented_prefix_sum(
+StatusOr<std::vector<std::uint64_t>> mr_segmented_prefix_sum(
     Engine& engine, const std::vector<std::uint64_t>& values,
     const std::vector<std::uint32_t>& segment_ids);
 

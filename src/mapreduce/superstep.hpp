@@ -7,7 +7,8 @@
 // destination is one sort, i.e. O(log_{M_L} m) rounds when local memory is
 // sublinear).  The layer executes one engine round per superstep and
 // *charges* the additional log_{M_L} m sorting rounds to the metrics, so
-// round counts reported by benches match the model's accounting.
+// round counts reported by benches match the model's accounting.  A failed
+// round ends the run and its Status is returned as is.
 #pragma once
 
 #include <cmath>
@@ -16,7 +17,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/check.hpp"
+#include "common/status.hpp"
 #include "common/types.hpp"
 #include "mapreduce/engine.hpp"
 
@@ -63,14 +64,13 @@ inline std::size_t rounds_per_superstep(std::size_t local_memory_pairs,
 /// algebraic contract: associative + commutative, and `compute` must be
 /// invariant to pre-aggregated inboxes).
 ///
-/// Returns the number of supersteps executed.
+/// Returns the number of supersteps executed, or the first failed
+/// round's Status.
 template <typename Msg, typename Compute, typename Combine = NoCombiner>
-std::size_t run_supersteps(Engine& engine,
-                           std::vector<std::pair<NodeId, Msg>> initial,
-                           Compute compute,
-                           std::size_t max_supersteps = SIZE_MAX,
-                           std::uint64_t charge_items = 0,
-                           Combine combine = {}) {
+StatusOr<std::size_t> run_supersteps(
+    Engine& engine, std::vector<std::pair<NodeId, Msg>> initial,
+    Compute compute, std::size_t max_supersteps = SIZE_MAX,
+    std::uint64_t charge_items = 0, Combine combine = {}) {
   std::size_t superstep = 0;
   auto inflight = std::move(initial);
   while (!inflight.empty() && superstep < max_supersteps) {
@@ -80,10 +80,8 @@ std::size_t run_supersteps(Engine& engine,
     const std::size_t cost =
         rounds_per_superstep(engine.config().local_memory_pairs, items);
     engine.mutable_metrics().rounds += cost - 1;
-    engine.mutable_metrics().simulated_latency_s +=
-        static_cast<double>(cost - 1) * engine.config().per_round_latency_s;
 
-    inflight = engine.round_combine<NodeId, Msg, NodeId, Msg>(
+    auto delivered = engine.round<NodeId, Msg, NodeId, Msg>(
         std::move(inflight),
         [&](const NodeId& vertex, std::span<Msg> inbox,
             Emitter<NodeId, Msg>& emitter) {
@@ -91,6 +89,8 @@ std::size_t run_supersteps(Engine& engine,
           compute(superstep, vertex, inbox, outbox);
         },
         combine);
+    GCLUS_RETURN_IF_ERROR(delivered.status());
+    inflight = std::move(delivered).value();
     ++superstep;
   }
   return superstep;

@@ -5,7 +5,8 @@
 
 namespace gclus::mr_algos {
 
-MrBfsResult mr_bfs(mr::Engine& engine, const Graph& g, NodeId source) {
+StatusOr<MrBfsResult> mr_bfs(mr::Engine& engine, const Graph& g,
+                             NodeId source) {
   const NodeId n = g.num_nodes();
   GCLUS_CHECK(source < n);
 
@@ -22,7 +23,7 @@ MrBfsResult mr_bfs(mr::Engine& engine, const Graph& g, NodeId source) {
   // Combiner: arrivals carry no payload, so same-destination duplicates
   // collapse to one (frontier dedup — the reducer only cares *that* a
   // message arrived).
-  result.supersteps = mr::run_supersteps<Msg>(
+  const auto supersteps = mr::run_supersteps<Msg>(
       engine, std::move(init),
       [&](std::size_t superstep, NodeId v, std::span<Msg>,
           mr::Outbox<Msg>& out) {
@@ -33,6 +34,8 @@ MrBfsResult mr_bfs(mr::Engine& engine, const Graph& g, NodeId source) {
       /*max_supersteps=*/SIZE_MAX,
       /*charge_items=*/g.num_half_edges(),
       /*combine=*/[](const Msg& a, const Msg&) { return a; });
+  GCLUS_RETURN_IF_ERROR(supersteps.status());
+  result.supersteps = *supersteps;
 
   for (const Dist d : result.dist) {
     if (d != kInfDist) result.eccentricity = std::max(result.eccentricity, d);
@@ -40,9 +43,9 @@ MrBfsResult mr_bfs(mr::Engine& engine, const Graph& g, NodeId source) {
   return result;
 }
 
-MrBfsDiameterResult mr_bfs_diameter(mr::Engine& engine, const Graph& g,
-                                    NodeId source) {
-  const MrBfsResult bfs = mr_bfs(engine, g, source);
+StatusOr<MrBfsDiameterResult> mr_bfs_diameter(mr::Engine& engine,
+                                              const Graph& g, NodeId source) {
+  GCLUS_ASSIGN_OR_RETURN(const MrBfsResult bfs, mr_bfs(engine, g, source));
   MrBfsDiameterResult out;
   out.estimate = 2ULL * bfs.eccentricity;
   out.supersteps = bfs.supersteps;

@@ -26,9 +26,9 @@ struct MrBfsResult {
 };
 
 /// BFS from `source` executed in MR rounds on `engine` (metrics accrue
-/// into the engine's counters).
-[[nodiscard]] MrBfsResult mr_bfs(mr::Engine& engine, const Graph& g,
-                                 NodeId source);
+/// into the engine's counters).  A failed round's Status is returned.
+[[nodiscard]] StatusOr<MrBfsResult> mr_bfs(mr::Engine& engine,
+                                           const Graph& g, NodeId source);
 
 struct MrBfsDiameterResult {
   std::uint64_t estimate = 0;  // 2·ecc(source)
@@ -36,8 +36,7 @@ struct MrBfsDiameterResult {
 };
 
 /// The Table-4 BFS baseline: one BFS from `source`, estimate = 2·ecc.
-[[nodiscard]] MrBfsDiameterResult mr_bfs_diameter(mr::Engine& engine,
-                                                  const Graph& g,
-                                                  NodeId source = 0);
+[[nodiscard]] StatusOr<MrBfsDiameterResult> mr_bfs_diameter(
+    mr::Engine& engine, const Graph& g, NodeId source = 0);
 
 }  // namespace gclus::mr_algos

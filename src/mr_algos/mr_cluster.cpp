@@ -48,9 +48,9 @@ struct State {
 
 }  // namespace
 
-MrClusterResult mr_cluster(mr::Engine& engine, const Graph& g,
-                           std::uint32_t tau,
-                           const MrClusterOptions& options) {
+StatusOr<MrClusterResult> mr_cluster(mr::Engine& engine, const Graph& g,
+                                     std::uint32_t tau,
+                                     const MrClusterOptions& options) {
   GCLUS_CHECK(tau >= 1);
   const NodeId n = g.num_nodes();
   GCLUS_CHECK(n >= 1);
@@ -79,7 +79,7 @@ MrClusterResult mr_cluster(mr::Engine& engine, const Graph& g,
     for (NodeId v = 0; v < n; ++v) {
       if (!st.covered[v]) probe.emplace_back(v, std::uint8_t{0});
     }
-    std::vector<std::pair<NodeId, std::uint8_t>> selected_pairs =
+    const auto selected_pairs =
         engine.round<NodeId, std::uint8_t, NodeId, std::uint8_t>(
             std::move(probe),
             [&](const NodeId& v, std::span<std::uint8_t>,
@@ -88,10 +88,11 @@ MrClusterResult mr_cluster(mr::Engine& engine, const Graph& g,
                 emit.emit(v, std::uint8_t{1});
               }
             });
+    GCLUS_RETURN_IF_ERROR(selected_pairs.status());
     ++result.selection_rounds;
     std::vector<NodeId> selected;
-    selected.reserve(selected_pairs.size());
-    for (const auto& [v, tag] : selected_pairs) selected.push_back(v);
+    selected.reserve(selected_pairs->size());
+    for (const auto& [v, tag] : *selected_pairs) selected.push_back(v);
     std::sort(selected.begin(), selected.end());
     for (const NodeId v : selected) {
       st.add_center(v);
@@ -126,29 +127,27 @@ MrClusterResult mr_cluster(mr::Engine& engine, const Graph& g,
       }
       // Combiner: claim ties break to the minimum cluster id, a fold the
       // reducer's min_element is invariant to.
-      std::vector<std::pair<NodeId, ClusterId>> newly =
-          engine.round_combine<NodeId, ClusterId, NodeId, ClusterId>(
-              std::move(claims),
-              [&](const NodeId& w, std::span<ClusterId> bids,
-                  mr::Emitter<NodeId, ClusterId>& emit) {
-                if (st.covered[w]) return;
-                const ClusterId win = *std::min_element(bids.begin(),
-                                                        bids.end());
-                st.covered[w] = 1;
-                st.claim[w] = win;
-                st.dist[w] =
-                    static_cast<Dist>(step_index - st.activation[win]);
-                emit.emit(w, win);
-              },
-              [](const ClusterId& a, const ClusterId& b) {
-                return std::min(a, b);
-              });
+      const auto newly = engine.round<NodeId, ClusterId, NodeId, ClusterId>(
+          std::move(claims),
+          [&](const NodeId& w, std::span<ClusterId> bids,
+              mr::Emitter<NodeId, ClusterId>& emit) {
+            if (st.covered[w]) return;
+            const ClusterId win = *std::min_element(bids.begin(), bids.end());
+            st.covered[w] = 1;
+            st.claim[w] = win;
+            st.dist[w] = static_cast<Dist>(step_index - st.activation[win]);
+            emit.emit(w, win);
+          },
+          [](const ClusterId& a, const ClusterId& b) {
+            return std::min(a, b);
+          });
+      GCLUS_RETURN_IF_ERROR(newly.status());
 
       frontier.clear();
-      frontier.reserve(newly.size());
-      for (const auto& [w, cid] : newly) frontier.push_back(w);
-      st.covered_count += static_cast<NodeId>(newly.size());
-      covered_this_iter += static_cast<NodeId>(newly.size());
+      frontier.reserve(newly->size());
+      for (const auto& [w, cid] : *newly) frontier.push_back(w);
+      st.covered_count += static_cast<NodeId>(newly->size());
+      covered_this_iter += static_cast<NodeId>(newly->size());
     }
     ++iteration;
   }
@@ -167,11 +166,12 @@ MrClusterResult mr_cluster(mr::Engine& engine, const Graph& g,
   return result;
 }
 
-MrDiameterResult mr_cluster_diameter(mr::Engine& engine, const Graph& g,
-                                     std::uint32_t tau,
-                                     const MrClusterOptions& options) {
+StatusOr<MrDiameterResult> mr_cluster_diameter(
+    mr::Engine& engine, const Graph& g, std::uint32_t tau,
+    const MrClusterOptions& options) {
   const std::size_t rounds_before = engine.metrics().rounds;
-  const MrClusterResult decomposition = mr_cluster(engine, g, tau, options);
+  GCLUS_ASSIGN_OR_RETURN(const MrClusterResult decomposition,
+                         mr_cluster(engine, g, tau, options));
   const Clustering& c = decomposition.clustering;
   const ClusterId k = c.num_clusters();
 
@@ -195,18 +195,19 @@ MrDiameterResult mr_cluster_diameter(mr::Engine& engine, const Graph& g,
   }
   // Combiner: the quotient keeps the shortest connection per cluster pair,
   // so mapper-side min-folding is exact.
-  const std::vector<std::pair<std::uint64_t, Weight>> reduced =
-      engine.round_combine<std::uint64_t, Weight, std::uint64_t, Weight>(
+  const auto reduced =
+      engine.round<std::uint64_t, Weight, std::uint64_t, Weight>(
           std::move(crossing),
           [&](const std::uint64_t& key, std::span<Weight> ws,
               mr::Emitter<std::uint64_t, Weight>& emit) {
             emit.emit(key, *std::min_element(ws.begin(), ws.end()));
           },
           [](const Weight& a, const Weight& b) { return std::min(a, b); });
+  GCLUS_RETURN_IF_ERROR(reduced.status());
 
   std::vector<std::tuple<NodeId, NodeId, Weight>> qedges;
-  qedges.reserve(reduced.size());
-  for (const auto& [key, w] : reduced) {
+  qedges.reserve(reduced->size());
+  for (const auto& [key, w] : *reduced) {
     qedges.emplace_back(static_cast<NodeId>(key >> 32),
                         static_cast<NodeId>(key & 0xffffffffULL), w);
   }
@@ -234,14 +235,16 @@ MrDiameterResult mr_cluster_diameter(mr::Engine& engine, const Graph& g,
   // solves the weighted diameter locally (Theorem 4's small-|E_C| case).
   Weight quotient_diameter = 0;
   std::vector<std::pair<std::uint8_t, std::uint64_t>> gather;
-  gather.reserve(reduced.size());
-  for (const auto& [key, w] : reduced) gather.emplace_back(0, key);
-  engine.round<std::uint8_t, std::uint64_t, std::uint8_t, std::uint8_t>(
-      std::move(gather),
-      [&](const std::uint8_t&, std::span<std::uint64_t>,
-          mr::Emitter<std::uint8_t, std::uint8_t>&) {
-        quotient_diameter = weighted_diameter_exact(quotient);
-      });
+  gather.reserve(reduced->size());
+  for (const auto& [key, w] : *reduced) gather.emplace_back(0, key);
+  const auto solved =
+      engine.round<std::uint8_t, std::uint64_t, std::uint8_t, std::uint8_t>(
+          std::move(gather),
+          [&](const std::uint8_t&, std::span<std::uint64_t>,
+              mr::Emitter<std::uint8_t, std::uint8_t>&) {
+            quotient_diameter = weighted_diameter_exact(quotient);
+          });
+  GCLUS_RETURN_IF_ERROR(solved.status());
 
   out.max_radius = c.max_radius();
   out.quotient_nodes = k;

@@ -41,10 +41,11 @@ struct MrClusterResult {
   std::size_t selection_rounds = 0;  // shuffles spent selecting centers
 };
 
-/// Runs CLUSTER(τ) in MR rounds on `engine`.
-[[nodiscard]] MrClusterResult mr_cluster(mr::Engine& engine, const Graph& g,
-                                         std::uint32_t tau,
-                                         const MrClusterOptions& options = {});
+/// Runs CLUSTER(τ) in MR rounds on `engine`; a failed round's Status is
+/// returned.
+[[nodiscard]] StatusOr<MrClusterResult> mr_cluster(
+    mr::Engine& engine, const Graph& g, std::uint32_t tau,
+    const MrClusterOptions& options = {});
 
 struct MrDiameterResult {
   std::uint64_t estimate = 0;   // Δ″ = 2·R + Δ′_C
@@ -61,7 +62,7 @@ struct MrDiameterResult {
 
 /// The Table-4 CLUSTER column: decompose at granularity τ, reduce the
 /// weighted quotient in one shuffle, solve its diameter on "one reducer".
-[[nodiscard]] MrDiameterResult mr_cluster_diameter(
+[[nodiscard]] StatusOr<MrDiameterResult> mr_cluster_diameter(
     mr::Engine& engine, const Graph& g, std::uint32_t tau,
     const MrClusterOptions& options = {});
 

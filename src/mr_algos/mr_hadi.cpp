@@ -42,8 +42,8 @@ double hadi_estimate(const HadiSketch& sketch) {
   return std::pow(2.0, avg) / kFmPhi;
 }
 
-HadiResult mr_hadi(mr::Engine& engine, const Graph& g,
-                   const HadiOptions& options) {
+StatusOr<HadiResult> mr_hadi(mr::Engine& engine, const Graph& g,
+                             const HadiOptions& options) {
   const NodeId n = g.num_nodes();
   GCLUS_CHECK(n >= 1);
   const std::size_t max_rounds =
@@ -78,7 +78,7 @@ HadiResult mr_hadi(mr::Engine& engine, const Graph& g,
     // Combiner: register-wise OR is the reducer's own fold — sketches for
     // the same destination merge before they are shuffled (the classic
     // HADI optimization; cuts the Θ(m·K) per-round volume).
-    engine.round_combine<NodeId, HadiSketch, NodeId, std::uint8_t>(
+    const auto merged = engine.round<NodeId, HadiSketch, NodeId, std::uint8_t>(
         std::move(msgs),
         [&](const NodeId& v, std::span<HadiSketch> inbox,
             mr::Emitter<NodeId, std::uint8_t>&) {
@@ -95,6 +95,7 @@ HadiResult mr_hadi(mr::Engine& engine, const Graph& g,
           }
           return out;
         });
+    GCLUS_RETURN_IF_ERROR(merged.status());
 
     const double nt = global_estimate();
     const double prev = result.neighborhood_function.back();

@@ -53,9 +53,11 @@ struct HadiResult {
   double estimated_reachable = 0.0;
 };
 
-/// Runs HADI on the connected graph `g` over `engine`.
-[[nodiscard]] HadiResult mr_hadi(mr::Engine& engine, const Graph& g,
-                                 const HadiOptions& options = {});
+/// Runs HADI on the connected graph `g` over `engine`; a failed round's
+/// Status is returned.
+[[nodiscard]] StatusOr<HadiResult> mr_hadi(mr::Engine& engine,
+                                           const Graph& g,
+                                           const HadiOptions& options = {});
 
 /// FM point estimate from one sketch (exposed for tests).
 [[nodiscard]] double hadi_estimate(const HadiSketch& sketch);

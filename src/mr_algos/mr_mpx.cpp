@@ -9,8 +9,8 @@
 
 namespace gclus::mr_algos {
 
-MrMpxResult mr_mpx(mr::Engine& engine, const Graph& g, double beta,
-                   std::uint64_t seed) {
+StatusOr<MrMpxResult> mr_mpx(mr::Engine& engine, const Graph& g,
+                             double beta, std::uint64_t seed) {
   GCLUS_CHECK(beta > 0.0, "MPX needs beta > 0");
   const NodeId n = g.num_nodes();
   GCLUS_CHECK(n >= 1);
@@ -104,8 +104,8 @@ MrMpxResult mr_mpx(mr::Engine& engine, const Graph& g, double beta,
     }
     // Combiner: the packed (priority << 32 | id) key makes "smallest bid
     // wins" a plain min-fold, exactly what the reducer computes.
-    std::vector<std::pair<NodeId, std::uint64_t>> newly =
-        engine.round_combine<NodeId, std::uint64_t, NodeId, std::uint64_t>(
+    const auto newly =
+        engine.round<NodeId, std::uint64_t, NodeId, std::uint64_t>(
             std::move(claims),
             [&](const NodeId& w, std::span<std::uint64_t> bids,
                 mr::Emitter<NodeId, std::uint64_t>& emit) {
@@ -121,9 +121,10 @@ MrMpxResult mr_mpx(mr::Engine& engine, const Graph& g, double beta,
             [](const std::uint64_t& a, const std::uint64_t& b) {
               return std::min(a, b);
             });
+    GCLUS_RETURN_IF_ERROR(newly.status());
     frontier.clear();
-    for (const auto& [w, key] : newly) frontier.push_back(w);
-    covered_count += static_cast<NodeId>(newly.size());
+    for (const auto& [w, key] : *newly) frontier.push_back(w);
+    covered_count += static_cast<NodeId>(newly->size());
     ++t;
   }
 

@@ -26,8 +26,10 @@ struct MrMpxResult {
   std::size_t clock_rounds = 0;  // shuffles executed (time steps)
 };
 
-/// Runs MPX with rate `beta` in MR rounds on `engine`.
-[[nodiscard]] MrMpxResult mr_mpx(mr::Engine& engine, const Graph& g,
-                                 double beta, std::uint64_t seed = 1);
+/// Runs MPX with rate `beta` in MR rounds on `engine`; a failed round's
+/// Status is returned.
+[[nodiscard]] StatusOr<MrMpxResult> mr_mpx(mr::Engine& engine,
+                                           const Graph& g, double beta,
+                                           std::uint64_t seed = 1);
 
 }  // namespace gclus::mr_algos

@@ -4,8 +4,9 @@
 // oracle artifact sidecar), asserting the process never aborts: each run either returns a clean
 // error Status or completes in degraded mode with output byte-identical
 // to the fault-free reference.  A header/payload bit-flip sweep covers
-// silent on-disk corruption the same way, and an end-to-end mr.cluster
-// run pins the degraded-shuffle partition to the fault-free one.
+// silent on-disk corruption the same way, an end-to-end mr.cluster run
+// pins the degraded-shuffle partition to the fault-free one, and every
+// mr.* algorithm returns lost spilled data through Registry::run.
 //
 // CI greps this binary's "fault points triggered:" line, and the sweep
 // asserts every point fired, so neither the sweep nor a single point can
@@ -26,11 +27,13 @@
 #include "api/run_context.hpp"
 #include "common/faultpoint.hpp"
 #include "common/status.hpp"
+#include "graph/bfs.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "mapreduce/engine.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
+#include "par/thread_pool.hpp"
 #include "server/engine.hpp"
 #include "server/server.hpp"
 #include "test_util.hpp"
@@ -116,15 +119,16 @@ std::vector<KV> mr_input() {
 
 StatusOr<std::vector<KV>> run_mr(const std::string& primary,
                                  const std::string& fallback) {
+  ThreadPool pool(2);
   mr::Config cfg;
-  cfg.num_workers = 2;
+  cfg.pool = &pool;
   cfg.num_partitions = 8;
   cfg.spill_memory_bytes = 1 << 10;  // tiny: every run spills
   cfg.spill_dir = primary;
   cfg.spill_fallback_dir = fallback;
   mr::Engine engine(cfg);
-  return engine.try_round_combine<std::uint32_t, std::uint64_t, std::uint32_t,
-                                  std::uint64_t>(
+  return engine.round<std::uint32_t, std::uint64_t, std::uint32_t,
+                      std::uint64_t>(
       mr_input(),
       [](const std::uint32_t& k, std::span<std::uint64_t> vs,
          mr::Emitter<std::uint32_t, std::uint64_t>& emit) {
@@ -300,6 +304,59 @@ TEST(FaultSweep, MrClusterIsByteIdenticalUnderSpillDegradation) {
   EXPECT_EQ(degraded.centers, clean.centers);
   EXPECT_EQ(degraded.radius, clean.radius);
   EXPECT_EQ(degraded.sizes, clean.sizes);
+}
+
+// Lost spilled data cannot be degraded around: a persistent read, seek or
+// flush failure must come back from Registry::run as a non-OK Status for
+// every mr.* algorithm, never abort.  Fault-free, the same spilling runs
+// equal the shared-memory partitions (and BFS distances).
+TEST(FaultSweep, MrAlgorithmsReturnSpillDataLossThroughRegistry) {
+  fault::disarm_all();
+  const Graph g = gen::ring_of_cliques(24, 16);
+  ThreadPool pool(2);
+  const auto params_for = [](const std::string& algo) {
+    AlgoParams p;
+    if (algo == "mpx" || algo == "mr.mpx") p.set("beta", 0.4);
+    if (algo == "cluster" || algo == "mr.cluster") p.set("tau", "4");
+    if (algo.rfind("mr.", 0) == 0) p.set("spill_bytes", "4096");
+    return p;
+  };
+  const auto run = [&](const std::string& algo) {
+    RunContext ctx;
+    ctx.seed = 7;
+    ctx.pool = &pool;
+    return registry().run(algo, g, params_for(algo), ctx);
+  };
+
+  for (const auto& [mr_algo, shared_algo] :
+       {std::pair<std::string, std::string>{"mr.cluster", "cluster"},
+        {"mr.mpx", "mpx"}}) {
+    SCOPED_TRACE(mr_algo);
+    const auto mr_out = run(mr_algo);
+    const auto shared = run(shared_algo);
+    ASSERT_TRUE(mr_out.ok()) << mr_out.status().to_string();
+    ASSERT_TRUE(shared.ok()) << shared.status().to_string();
+    EXPECT_EQ(mr_out->assignment, shared->assignment);
+    EXPECT_EQ(mr_out->centers, shared->centers);
+    EXPECT_EQ(mr_out->dist_to_center, shared->dist_to_center);
+  }
+  const auto bfs = run("mr.bfs");
+  ASSERT_TRUE(bfs.ok()) << bfs.status().to_string();
+  EXPECT_EQ(bfs->dist_to_center, bfs_distances(g, 0));
+
+  for (const char* point : {"spill.read", "spill.seek", "spill.flush"}) {
+    for (const char* algo : {"mr.cluster", "mr.mpx", "mr.bfs"}) {
+      SCOPED_TRACE(std::string(point) + " " + algo);
+      fault::arm(point, fault::FaultSpec::always());
+      const auto out = run(algo);
+      fault::disarm_all();
+      ASSERT_FALSE(out.ok());
+      const StatusCode code = out.status().code();
+      EXPECT_TRUE(code == StatusCode::kIoError ||
+                  code == StatusCode::kDataLoss)
+          << out.status().to_string();
+    }
+  }
 }
 
 // Flip every header byte and the first 64 payload bytes of a valid CSR v2

@@ -119,7 +119,7 @@ TEST(Integration, MrPipelineAgreesWithSharedMemoryOnWorkload) {
   mr::Engine engine;
   mr_algos::MrClusterOptions mopts;
   mopts.seed = 7;
-  const auto dist = mr_algos::mr_cluster(engine, g, 4, mopts);
+  const auto dist = mr_algos::mr_cluster(engine, g, 4, mopts).value();
   EXPECT_EQ(dist.clustering.assignment, shared.assignment);
 
   // Round accounting: growth rounds == growth steps, and the total round

@@ -16,6 +16,7 @@
 #include "mr_algos/mr_cluster.hpp"
 #include "mr_algos/mr_hadi.hpp"
 #include "mr_algos/mr_mpx.hpp"
+#include "par/thread_pool.hpp"
 #include "test_util.hpp"
 
 namespace gclus::mr_algos {
@@ -27,7 +28,7 @@ class MrBfsCorpusTest
 TEST_P(MrBfsCorpusTest, DistancesMatchSequentialBfs) {
   const auto& [name, graph] = GetParam();
   mr::Engine engine;
-  const MrBfsResult r = mr_bfs(engine, graph, 0);
+  const MrBfsResult r = mr_bfs(engine, graph, 0).value();
   EXPECT_EQ(r.dist, bfs_distances(graph, 0)) << name;
   // Supersteps: ecc rounds of propagation + the final quiescence check.
   EXPECT_GE(r.supersteps, r.eccentricity) << name;
@@ -46,11 +47,11 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(MrBfs, RoundCountScalesWithDiameter) {
   mr::Engine engine;
   const Graph longpath = gen::path(200);
-  (void)mr_bfs(engine, longpath, 0);
+  ASSERT_TRUE(mr_bfs(engine, longpath, 0).ok());
   const std::size_t rounds_long = engine.metrics().rounds;
   engine.reset_metrics();
   const Graph expander = gen::expander(256, 4, 3);
-  (void)mr_bfs(engine, expander, 0);
+  ASSERT_TRUE(mr_bfs(engine, expander, 0).ok());
   const std::size_t rounds_short = engine.metrics().rounds;
   EXPECT_GT(rounds_long, 10 * rounds_short);
 }
@@ -58,16 +59,16 @@ TEST(MrBfs, RoundCountScalesWithDiameter) {
 TEST(MrBfs, DiameterEstimateIsTwoEcc) {
   mr::Engine engine;
   const Graph g = gen::path(100);
-  const MrBfsDiameterResult r = mr_bfs_diameter(engine, g, 0);
+  const MrBfsDiameterResult r = mr_bfs_diameter(engine, g, 0).value();
   EXPECT_EQ(r.estimate, 198u);  // 2 * ecc(0) = 2 * 99
-  const MrBfsDiameterResult mid = mr_bfs_diameter(engine, g, 50);
+  const MrBfsDiameterResult mid = mr_bfs_diameter(engine, g, 50).value();
   EXPECT_EQ(mid.estimate, 100u);  // 2 * 50: tight from the middle
 }
 
 TEST(MrBfs, AggregateCommunicationLinearInEdges) {
   mr::Engine engine;
   const Graph g = gen::grid(30, 30);
-  (void)mr_bfs(engine, g, 0);
+  ASSERT_TRUE(mr_bfs(engine, g, 0).ok());
   // Every node sends along each incident edge exactly once: the shuffled
   // pair count is bounded by the directed edge count (plus the seed).
   EXPECT_LE(engine.metrics().pairs_shuffled, g.num_half_edges() + 4);
@@ -94,8 +95,8 @@ TEST_P(MrClusterEquivalenceTest, IdenticalPartitionToSharedMemory) {
   mr::Engine engine;
   MrClusterOptions mr_opts;
   mr_opts.seed = GetParam().seed;
-  const MrClusterResult dist = mr_cluster(engine, graph, GetParam().tau,
-                                          mr_opts);
+  const MrClusterResult dist =
+      mr_cluster(engine, graph, GetParam().tau, mr_opts).value();
 
   EXPECT_EQ(dist.clustering.assignment, shared.assignment) << name;
   EXPECT_EQ(dist.clustering.dist_to_center, shared.dist_to_center) << name;
@@ -129,7 +130,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(MrCluster, GrowthRoundsTrackGrowthSteps) {
   const Graph g = gen::grid(25, 25);
   mr::Engine engine;
-  const MrClusterResult r = mr_cluster(engine, g, 2, {});
+  const MrClusterResult r = mr_cluster(engine, g, 2, {}).value();
   EXPECT_EQ(r.growth_rounds, r.clustering.growth_steps);
   EXPECT_GE(r.selection_rounds, 1u);
   EXPECT_GE(engine.metrics().rounds, r.growth_rounds + r.selection_rounds);
@@ -140,9 +141,9 @@ TEST(MrCluster, ChargesSortingRoundsUnderSmallLocalMemory) {
   mr::Config small_ml;
   small_ml.local_memory_pairs = 64;
   mr::Engine engine_small(small_ml);
-  (void)mr_cluster(engine_small, g, 2, {});
+  ASSERT_TRUE(mr_cluster(engine_small, g, 2, {}).ok());
   mr::Engine engine_big;
-  (void)mr_cluster(engine_big, g, 2, {});
+  ASSERT_TRUE(mr_cluster(engine_big, g, 2, {}).ok());
   EXPECT_GT(engine_small.metrics().rounds, engine_big.metrics().rounds);
 }
 
@@ -174,7 +175,7 @@ TEST(MrHadi, RoundsTrackDiameterOnPath) {
   mr::Engine engine;
   HadiOptions opts;
   opts.seed = 3;
-  const HadiResult r = mr_hadi(engine, g, opts);
+  const HadiResult r = mr_hadi(engine, g, opts).value();
   // Sketch fixpoint on a path needs ~diameter rounds; the FM threshold may
   // stop a bit early.  Accept [Δ/2, Δ+2].
   EXPECT_GE(r.rounds, 30u);
@@ -186,7 +187,7 @@ TEST(MrHadi, RoundsTrackDiameterOnPath) {
 TEST(MrHadi, FewRoundsOnExpander) {
   const Graph g = gen::expander(512, 4, 7);
   mr::Engine engine;
-  const HadiResult r = mr_hadi(engine, g, {});
+  const HadiResult r = mr_hadi(engine, g, {}).value();
   const Dist diam = exact_diameter(g).diameter;
   EXPECT_LE(r.rounds, static_cast<std::size_t>(diam) + 2);
   EXPECT_GE(r.estimate, 2u);
@@ -195,7 +196,7 @@ TEST(MrHadi, FewRoundsOnExpander) {
 TEST(MrHadi, NeighborhoodFunctionIsMonotone) {
   const Graph g = gen::grid(12, 12);
   mr::Engine engine;
-  const HadiResult r = mr_hadi(engine, g, {});
+  const HadiResult r = mr_hadi(engine, g, {}).value();
   for (std::size_t t = 1; t < r.neighborhood_function.size(); ++t) {
     EXPECT_GE(r.neighborhood_function[t], r.neighborhood_function[t - 1]);
   }
@@ -208,7 +209,7 @@ TEST(MrHadi, NeighborhoodFunctionIsMonotone) {
 TEST(MrHadi, PerRoundCommunicationLinearInEdges) {
   const Graph g = gen::grid(15, 15);
   mr::Engine engine;
-  const HadiResult r = mr_hadi(engine, g, {});
+  const HadiResult r = mr_hadi(engine, g, {}).value();
   // Each round ships one sketch per directed edge.
   EXPECT_EQ(engine.metrics().pairs_shuffled,
             static_cast<std::uint64_t>(r.rounds) * g.num_half_edges());
@@ -225,7 +226,7 @@ TEST(MrHadi, PerRoundCommunicationLinearInEdges) {
 struct EngineMode {
   const char* name;
   std::uint64_t spill_bytes;
-  std::size_t workers;
+  std::size_t workers;  // 0 = the global pool
   bool combiners;
 };
 
@@ -238,10 +239,23 @@ constexpr EngineMode kEngineModes[] = {
     {"spill1k_8workers", 1024, 8, true},
 };
 
+/// The pool a mode runs on; pools are shared across tests, one per size.
+ThreadPool* mode_pool(const EngineMode& mode) {
+  static ThreadPool two(2);
+  static ThreadPool eight(8);
+  switch (mode.workers) {
+    case 0: return nullptr;
+    case 2: return &two;
+    case 8: return &eight;
+  }
+  ADD_FAILURE() << "no pool for " << mode.workers << " workers";
+  return nullptr;
+}
+
 mr::Engine make_mode_engine(const EngineMode& mode) {
   mr::Config cfg;
   cfg.spill_memory_bytes = mode.spill_bytes;
-  cfg.num_workers = mode.workers;
+  cfg.pool = mode_pool(mode);
   cfg.enable_combiners = mode.combiners;
   cfg.spill_strict = true;
   return mr::Engine(cfg);
@@ -277,7 +291,7 @@ TEST_P(MrDifferentialCorpusTest, AllEngineModesMatchSharedMemory) {
       mr::Engine engine = make_mode_engine(mode);
       MrClusterOptions o;
       o.seed = seed;
-      const MrClusterResult r = mr_cluster(engine, graph, 2, o);
+      const MrClusterResult r = mr_cluster(engine, graph, 2, o).value();
       expect_same_clustering(r.clustering, shared_cluster,
                              label + " mr_cluster");
       // Small-frontier graphs (long paths) legitimately stay under even
@@ -289,12 +303,12 @@ TEST_P(MrDifferentialCorpusTest, AllEngineModesMatchSharedMemory) {
     }
     {
       mr::Engine engine = make_mode_engine(mode);
-      const MrMpxResult r = mr_mpx(engine, graph, 0.4, seed);
+      const MrMpxResult r = mr_mpx(engine, graph, 0.4, seed).value();
       expect_same_clustering(r.clustering, shared_mpx, label + " mr_mpx");
     }
     {
       mr::Engine engine = make_mode_engine(mode);
-      const MrBfsResult r = mr_bfs(engine, graph, 0);
+      const MrBfsResult r = mr_bfs(engine, graph, 0).value();
       EXPECT_EQ(r.dist, shared_bfs) << label << " mr_bfs";
     }
   }
@@ -316,11 +330,11 @@ TEST(MrHadi, SpilledExecutionMatchesInMemory) {
   HadiOptions opts;
   opts.seed = 11;
   mr::Engine big = make_mode_engine(kEngineModes[0]);
-  const HadiResult in_memory = mr_hadi(big, g, opts);
+  const HadiResult in_memory = mr_hadi(big, g, opts).value();
   for (const EngineMode& mode : {kEngineModes[2], kEngineModes[3],
                                  kEngineModes[4]}) {
     mr::Engine engine = make_mode_engine(mode);
-    const HadiResult spilled = mr_hadi(engine, g, opts);
+    const HadiResult spilled = mr_hadi(engine, g, opts).value();
     EXPECT_EQ(spilled.estimate, in_memory.estimate) << mode.name;
     EXPECT_EQ(spilled.rounds, in_memory.rounds) << mode.name;
     EXPECT_EQ(spilled.neighborhood_function,
@@ -338,7 +352,7 @@ TEST(MrCluster, CombinerCutsShuffledSpillVolume) {
     mr::Engine engine(cfg);
     MrClusterOptions o;
     o.seed = 5;
-    const MrClusterResult r = mr_cluster(engine, g, 4, o);
+    const MrClusterResult r = mr_cluster(engine, g, 4, o).value();
     return std::make_pair(r.clustering.assignment,
                           engine.metrics().bytes_spilled);
   };
@@ -354,7 +368,8 @@ TEST(MrClusterDiameter, SoundUpperBoundOnCorpusSubset) {
   for (const std::size_t idx : {0ul, 3ul, 4ul, 11ul}) {
     const auto& [name, graph] = corpus.at(idx);
     mr::Engine engine;
-    const MrDiameterResult r = mr_cluster_diameter(engine, graph, 2, {});
+    const MrDiameterResult r =
+        mr_cluster_diameter(engine, graph, 2, {}).value();
     const Dist truth = testutil::brute_force_diameter(graph);
     EXPECT_GE(r.estimate, truth) << name;
     EXPECT_GT(r.quotient_nodes, 0u) << name;
@@ -367,7 +382,8 @@ TEST(MrClusterDiameter, MatchesSharedMemoryPipelineEstimate) {
   mr::Engine engine;
   MrClusterOptions mopts;
   mopts.seed = 43;
-  const MrDiameterResult mr_result = mr_cluster_diameter(engine, g, 3, mopts);
+  const MrDiameterResult mr_result =
+      mr_cluster_diameter(engine, g, 3, mopts).value();
 
   // The shared-memory pipeline over the same clustering must agree on the
   // Δ″ estimate (identical partition -> identical weighted quotient).

@@ -1,7 +1,7 @@
 // Tests for the MR(M_G, M_L) engine: round semantics (grouping, value
 // order, determinism), the out-of-core shuffle (spilled vs in-memory
-// equality, budget compliance, combiners), metrics accounting, and
-// memory-bound enforcement.
+// equality, budget compliance, combiners), and metrics accounting,
+// including the recorded M_L / M_G violations.
 //
 // Reducers for distinct keys may run concurrently (that is the engine's
 // contract), so tests that collect into shared containers lock them.
@@ -13,11 +13,28 @@
 #include <numeric>
 
 #include "mapreduce/engine.hpp"
+#include "par/thread_pool.hpp"
 
 namespace gclus::mr {
 namespace {
 
 using KV = std::pair<std::uint32_t, std::uint64_t>;
+using KVEmitter = Emitter<std::uint32_t, std::uint64_t>;
+
+/// One round from KV pairs to KV pairs; a failed round fails the test and
+/// yields no output.
+template <typename Reduce, typename Combine = NoCombiner>
+std::vector<KV> kv_round(Engine& engine, std::vector<KV> input, Reduce reduce,
+                         Combine combine = {}) {
+  auto out =
+      engine.round<std::uint32_t, std::uint64_t, std::uint32_t, std::uint64_t>(
+          std::move(input), std::move(reduce), std::move(combine));
+  EXPECT_TRUE(out.ok()) << out.status().to_string();
+  return out.ok() ? std::move(out).value() : std::vector<KV>{};
+}
+
+/// A reducer that ignores its group.
+void drop_group(const std::uint32_t&, std::span<std::uint64_t>, KVEmitter&) {}
 
 /// A deterministic pseudo-random workload: `n` pairs over `keys` keys.
 std::vector<KV> make_input(std::size_t n, std::uint64_t keys,
@@ -34,15 +51,13 @@ std::vector<KV> make_input(std::size_t n, std::uint64_t keys,
 /// determinism tests (output compared *unsorted*, so concatenation order
 /// matters too).
 std::vector<KV> sum_round(Engine& engine, std::vector<KV> input) {
-  return engine.round<std::uint32_t, std::uint64_t, std::uint32_t,
-                      std::uint64_t>(
-      std::move(input),
-      [](const std::uint32_t& k, std::span<std::uint64_t> vs,
-         Emitter<std::uint32_t, std::uint64_t>& emit) {
-        std::uint64_t sum = 0;
-        for (const auto v : vs) sum += v;
-        emit.emit(k, sum);
-      });
+  return kv_round(engine, std::move(input),
+                  [](const std::uint32_t& k, std::span<std::uint64_t> vs,
+                     KVEmitter& emit) {
+                    std::uint64_t sum = 0;
+                    for (const auto v : vs) sum += v;
+                    emit.emit(k, sum);
+                  });
 }
 
 TEST(Engine, GroupsValuesByKey) {
@@ -50,12 +65,12 @@ TEST(Engine, GroupsValuesByKey) {
   std::vector<KV> input{{1, 10}, {2, 20}, {1, 11}, {3, 30}, {2, 21}};
   std::mutex mu;
   std::map<std::uint32_t, std::vector<std::uint64_t>> seen;
-  engine.round<std::uint32_t, std::uint64_t, std::uint32_t, std::uint64_t>(
-      input, [&](const std::uint32_t& k, std::span<std::uint64_t> vs,
-                 Emitter<std::uint32_t, std::uint64_t>&) {
-        const std::lock_guard<std::mutex> lock(mu);
-        seen[k].assign(vs.begin(), vs.end());
-      });
+  kv_round(engine, input,
+           [&](const std::uint32_t& k, std::span<std::uint64_t> vs,
+               KVEmitter&) {
+             const std::lock_guard<std::mutex> lock(mu);
+             seen[k].assign(vs.begin(), vs.end());
+           });
   ASSERT_EQ(seen.size(), 3u);
   EXPECT_EQ(seen[1], (std::vector<std::uint64_t>{10, 11}));
   EXPECT_EQ(seen[2], (std::vector<std::uint64_t>{20, 21}));
@@ -67,12 +82,10 @@ TEST(Engine, ValuesArriveInInputOrder) {
   std::vector<KV> input;
   for (std::uint64_t i = 0; i < 500; ++i) input.emplace_back(7, i);
   std::vector<std::uint64_t> got;
-  engine.round<std::uint32_t, std::uint64_t, std::uint32_t, std::uint64_t>(
-      std::move(input),
-      [&](const std::uint32_t&, std::span<std::uint64_t> vs,
-          Emitter<std::uint32_t, std::uint64_t>&) {
-        got.assign(vs.begin(), vs.end());
-      });
+  kv_round(engine, std::move(input),
+           [&](const std::uint32_t&, std::span<std::uint64_t> vs, KVEmitter&) {
+             got.assign(vs.begin(), vs.end());
+           });
   ASSERT_EQ(got.size(), 500u);
   EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
 }
@@ -86,12 +99,10 @@ TEST(Engine, ValuesArriveInInputOrderAcrossSpilledRuns) {
   std::vector<KV> input;
   for (std::uint64_t i = 0; i < 5000; ++i) input.emplace_back(7, i);
   std::vector<std::uint64_t> got;
-  engine.round<std::uint32_t, std::uint64_t, std::uint32_t, std::uint64_t>(
-      std::move(input),
-      [&](const std::uint32_t&, std::span<std::uint64_t> vs,
-          Emitter<std::uint32_t, std::uint64_t>&) {
-        got.assign(vs.begin(), vs.end());
-      });
+  kv_round(engine, std::move(input),
+           [&](const std::uint32_t&, std::span<std::uint64_t> vs, KVEmitter&) {
+             got.assign(vs.begin(), vs.end());
+           });
   EXPECT_GT(engine.metrics().bytes_spilled, 0u);
   ASSERT_EQ(got.size(), 5000u);
   EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
@@ -100,13 +111,11 @@ TEST(Engine, ValuesArriveInInputOrderAcrossSpilledRuns) {
 TEST(Engine, EmittedPairsAreReturned) {
   Engine engine;
   std::vector<KV> input{{1, 1}, {2, 2}, {3, 3}};
-  auto out =
-      engine.round<std::uint32_t, std::uint64_t, std::uint32_t, std::uint64_t>(
-          std::move(input),
-          [](const std::uint32_t& k, std::span<std::uint64_t> vs,
-             Emitter<std::uint32_t, std::uint64_t>& emit) {
-            for (const auto v : vs) emit.emit(k * 10, v * 10);
-          });
+  auto out = kv_round(engine, std::move(input),
+                      [](const std::uint32_t& k, std::span<std::uint64_t> vs,
+                         KVEmitter& emit) {
+                        for (const auto v : vs) emit.emit(k * 10, v * 10);
+                      });
   ASSERT_EQ(out.size(), 3u);
   std::sort(out.begin(), out.end());
   EXPECT_EQ(out[0], (std::pair<std::uint32_t, std::uint64_t>{10, 10}));
@@ -118,8 +127,9 @@ TEST(Engine, EmittedPairsAreReturned) {
 
 TEST(Engine, OutputIdenticalAcrossWorkerCounts) {
   auto run = [](std::size_t workers) {
+    ThreadPool pool(workers);
     Config cfg;
-    cfg.num_workers = workers;
+    cfg.pool = &pool;
     Engine engine(cfg);
     return sum_round(engine, make_input(20000, 97));
   };
@@ -130,8 +140,9 @@ TEST(Engine, OutputIdenticalAcrossWorkerCounts) {
 
 TEST(Engine, OutputIdenticalSpilledVsInMemory) {
   auto run = [](std::uint64_t budget, std::size_t workers) {
+    ThreadPool pool(workers);
     Config cfg;
-    cfg.num_workers = workers;
+    cfg.pool = &pool;
     cfg.spill_memory_bytes = budget;
     Engine engine(cfg);
     auto out = sum_round(engine, make_input(20000, 97));
@@ -160,10 +171,12 @@ TEST(Engine, PartitionCountPinnedInConfigNotThreads) {
   // different worker counts but the same config produce identical
   // unsorted output, and an explicit partition count changes *layout*
   // only — the key->value mapping stays equal.
+  ThreadPool one(1);
+  ThreadPool eight(8);
   Config a;
-  a.num_workers = 1;
+  a.pool = &one;
   Config b;
-  b.num_workers = 8;
+  b.pool = &eight;
   EXPECT_EQ(a.num_partitions, 64u);
   Engine ea(a);
   Engine eb(b);
@@ -188,11 +201,10 @@ TEST(Engine, CombinerPreservesReducerOutputAndCutsVolume) {
     cfg.enable_combiners = combiners;
     cfg.spill_memory_bytes = budget;
     Engine engine(cfg);
-    auto out = engine.round_combine<std::uint32_t, std::uint64_t,
-                                    std::uint32_t, std::uint64_t>(
-        make_input(20000, 13),
+    auto out = kv_round(
+        engine, make_input(20000, 13),
         [](const std::uint32_t& k, std::span<std::uint64_t> vs,
-           Emitter<std::uint32_t, std::uint64_t>& emit) {
+           KVEmitter& emit) {
           std::uint64_t m = vs.front();
           for (const auto v : vs) m = std::min(m, v);
           emit.emit(k, m);
@@ -218,13 +230,10 @@ TEST(Engine, CombinerShrinksSpilledBytes) {
     cfg.enable_combiners = combiners;
     cfg.spill_memory_bytes = 4096;
     Engine engine(cfg);
-    (void)engine.round_combine<std::uint32_t, std::uint64_t, std::uint32_t,
-                               std::uint64_t>(
-        make_input(20000, 13),
+    kv_round(
+        engine, make_input(20000, 13),
         [](const std::uint32_t& k, std::span<std::uint64_t> vs,
-           Emitter<std::uint32_t, std::uint64_t>& emit) {
-          emit.emit(k, vs.size());
-        },
+           KVEmitter& emit) { emit.emit(k, vs.size()); },
         [](const std::uint64_t& x, const std::uint64_t&) { return x; });
     return engine.metrics().bytes_spilled;
   };
@@ -234,8 +243,9 @@ TEST(Engine, CombinerShrinksSpilledBytes) {
 // --- Spill accounting. ---
 
 TEST(Engine, SpillMetricsAccountRunsAndPeak) {
+  ThreadPool pool(2);
   Config cfg;
-  cfg.num_workers = 2;
+  cfg.pool = &pool;
   cfg.spill_memory_bytes = 4096;
   cfg.spill_strict = true;  // abort if the budget is ever exceeded
   Engine engine(cfg);
@@ -281,12 +291,8 @@ TEST(Engine, UnwritableSpillDirDegradesToInMemory) {
 TEST(Engine, MetricsCountRoundsAndVolume) {
   Engine engine;
   std::vector<KV> input{{1, 1}, {1, 2}, {2, 3}};
-  engine.round<std::uint32_t, std::uint64_t, std::uint32_t, std::uint64_t>(
-      input, [](const std::uint32_t&, std::span<std::uint64_t>,
-                Emitter<std::uint32_t, std::uint64_t>&) {});
-  engine.round<std::uint32_t, std::uint64_t, std::uint32_t, std::uint64_t>(
-      input, [](const std::uint32_t&, std::span<std::uint64_t>,
-                Emitter<std::uint32_t, std::uint64_t>&) {});
+  kv_round(engine, input, drop_group);
+  kv_round(engine, input, drop_group);
   const Metrics& m = engine.metrics();
   EXPECT_EQ(m.rounds, 2u);
   EXPECT_EQ(m.pairs_shuffled, 6u);
@@ -295,28 +301,13 @@ TEST(Engine, MetricsCountRoundsAndVolume) {
   EXPECT_GT(m.bytes_shuffled, 0u);
 }
 
-TEST(Engine, PerRoundLatencyAccrues) {
-  Config cfg;
-  cfg.per_round_latency_s = 0.25;
-  Engine engine(cfg);
-  std::vector<KV> input{{1, 1}};
-  for (int i = 0; i < 4; ++i) {
-    engine.round<std::uint32_t, std::uint64_t, std::uint32_t, std::uint64_t>(
-        input, [](const std::uint32_t&, std::span<std::uint64_t>,
-                  Emitter<std::uint32_t, std::uint64_t>&) {});
-  }
-  EXPECT_DOUBLE_EQ(engine.metrics().simulated_latency_s, 1.0);
-}
-
 TEST(Engine, LocalMemoryViolationRecorded) {
   Config cfg;
   cfg.local_memory_pairs = 3;
   Engine engine(cfg);
   std::vector<KV> input;
   for (std::uint64_t i = 0; i < 10; ++i) input.emplace_back(1, i);
-  engine.round<std::uint32_t, std::uint64_t, std::uint32_t, std::uint64_t>(
-      std::move(input), [](const std::uint32_t&, std::span<std::uint64_t>,
-                           Emitter<std::uint32_t, std::uint64_t>&) {});
+  kv_round(engine, std::move(input), drop_group);
   EXPECT_TRUE(engine.metrics().local_memory_exceeded);
 }
 
@@ -325,32 +316,14 @@ TEST(Engine, GlobalMemoryViolationRecorded) {
   cfg.global_memory_pairs = 2;
   Engine engine(cfg);
   std::vector<KV> input{{1, 1}, {2, 2}, {3, 3}};
-  engine.round<std::uint32_t, std::uint64_t, std::uint32_t, std::uint64_t>(
-      std::move(input), [](const std::uint32_t&, std::span<std::uint64_t>,
-                           Emitter<std::uint32_t, std::uint64_t>&) {});
+  kv_round(engine, std::move(input), drop_group);
   EXPECT_TRUE(engine.metrics().global_memory_exceeded);
-}
-
-TEST(EngineDeathTest, StrictModeAbortsOnLocalMemory) {
-  Config cfg;
-  cfg.local_memory_pairs = 2;
-  cfg.strict = true;
-  Engine engine(cfg);
-  std::vector<KV> input{{1, 1}, {1, 2}, {1, 3}};
-  EXPECT_DEATH(
-      (engine.round<std::uint32_t, std::uint64_t, std::uint32_t,
-                    std::uint64_t>(
-          std::move(input), [](const std::uint32_t&, std::span<std::uint64_t>,
-                               Emitter<std::uint32_t, std::uint64_t>&) {})),
-      "local memory");
 }
 
 TEST(Engine, ResetMetricsClearsCounters) {
   Engine engine;
   std::vector<KV> input{{1, 1}};
-  engine.round<std::uint32_t, std::uint64_t, std::uint32_t, std::uint64_t>(
-      std::move(input), [](const std::uint32_t&, std::span<std::uint64_t>,
-                           Emitter<std::uint32_t, std::uint64_t>&) {});
+  kv_round(engine, std::move(input), drop_group);
   engine.reset_metrics();
   EXPECT_EQ(engine.metrics().rounds, 0u);
   EXPECT_EQ(engine.metrics().pairs_shuffled, 0u);
@@ -358,9 +331,7 @@ TEST(Engine, ResetMetricsClearsCounters) {
 
 TEST(Engine, EmptyInputStillCountsARound) {
   Engine engine;
-  engine.round<std::uint32_t, std::uint64_t, std::uint32_t, std::uint64_t>(
-      {}, [](const std::uint32_t&, std::span<std::uint64_t>,
-             Emitter<std::uint32_t, std::uint64_t>&) {});
+  kv_round(engine, {}, drop_group);
   EXPECT_EQ(engine.metrics().rounds, 1u);
   EXPECT_EQ(engine.metrics().pairs_shuffled, 0u);
 }
@@ -373,15 +344,17 @@ TEST(Engine, StringKeysSupported) {
       {"b", 2}, {"a", 1}, {"b", 3}};
   std::mutex mu;
   std::map<std::string, std::uint64_t> sums;
-  engine.round<std::string, std::uint64_t, std::string, std::uint64_t>(
-      std::move(input),
-      [&](const std::string& k, std::span<std::uint64_t> vs,
-          Emitter<std::string, std::uint64_t>&) {
-        const std::uint64_t sum =
-            std::accumulate(vs.begin(), vs.end(), std::uint64_t{0});
-        const std::lock_guard<std::mutex> lock(mu);
-        sums[k] = sum;
-      });
+  const auto out =
+      engine.round<std::string, std::uint64_t, std::string, std::uint64_t>(
+          std::move(input),
+          [&](const std::string& k, std::span<std::uint64_t> vs,
+              Emitter<std::string, std::uint64_t>&) {
+            const std::uint64_t sum =
+                std::accumulate(vs.begin(), vs.end(), std::uint64_t{0});
+            const std::lock_guard<std::mutex> lock(mu);
+            sums[k] = sum;
+          });
+  ASSERT_TRUE(out.ok()) << out.status().to_string();
   EXPECT_EQ(sums["a"], 1u);
   EXPECT_EQ(sums["b"], 5u);
 }

@@ -26,7 +26,7 @@ TEST_P(MrMpxEquivalenceTest, IdenticalPartitionToSharedMemory) {
   const Clustering shared = baselines::mpx(graph, beta, sopts);
 
   mr::Engine engine;
-  const MrMpxResult dist = mr_mpx(engine, graph, beta, seed);
+  const MrMpxResult dist = mr_mpx(engine, graph, beta, seed).value();
 
   EXPECT_EQ(dist.clustering.assignment, shared.assignment) << name;
   EXPECT_EQ(dist.clustering.dist_to_center, shared.dist_to_center) << name;
@@ -49,7 +49,7 @@ TEST(MrMpx, MoreRoundsThanClusterRadiusWouldSuggest) {
   // activations serialize growth that CLUSTER performs concurrently.
   const Graph g = gen::grid(40, 40);
   mr::Engine engine;
-  const MrMpxResult r = mr_mpx(engine, g, 0.3, 3);
+  const MrMpxResult r = mr_mpx(engine, g, 0.3, 3).value();
   EXPECT_GE(r.clock_rounds, r.clustering.max_radius());
   EXPECT_GT(r.clock_rounds, 0u);
 }
@@ -57,8 +57,8 @@ TEST(MrMpx, MoreRoundsThanClusterRadiusWouldSuggest) {
 TEST(MrMpx, SmallBetaMeansFewerClustersMoreRounds) {
   const Graph g = gen::grid(40, 40);
   mr::Engine e1, e2;
-  const MrMpxResult sparse = mr_mpx(e1, g, 0.05, 5);
-  const MrMpxResult dense = mr_mpx(e2, g, 2.0, 5);
+  const MrMpxResult sparse = mr_mpx(e1, g, 0.05, 5).value();
+  const MrMpxResult dense = mr_mpx(e2, g, 2.0, 5).value();
   EXPECT_LT(sparse.clustering.num_clusters(),
             dense.clustering.num_clusters());
   EXPECT_GE(sparse.clustering.max_radius(), dense.clustering.max_radius());
@@ -67,7 +67,7 @@ TEST(MrMpx, SmallBetaMeansFewerClustersMoreRounds) {
 TEST(MrMpx, DisconnectedSafetyValve) {
   const Graph g = gen::disjoint_union(gen::path(20), gen::grid(5, 5));
   mr::Engine engine;
-  const MrMpxResult r = mr_mpx(engine, g, 0.4, 9);
+  const MrMpxResult r = mr_mpx(engine, g, 0.4, 9).value();
   EXPECT_TRUE(r.clustering.validate(g));
 }
 

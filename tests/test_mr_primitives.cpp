@@ -32,7 +32,7 @@ TEST_P(MrSortTest, MatchesStdSort) {
   auto values = random_values(GetParam().n, 42 + GetParam().n);
   auto expected = values;
   std::sort(expected.begin(), expected.end());
-  const auto got = mr_sort(engine, std::move(values));
+  const auto got = mr_sort(engine, std::move(values)).value();
   EXPECT_EQ(got, expected);
   if (GetParam().n > 1) {
     EXPECT_GE(engine.metrics().rounds, 1u);
@@ -54,7 +54,7 @@ TEST(MrSort, SingleRoundWhenInputFitsLocally) {
   Config cfg;
   cfg.local_memory_pairs = 10000;
   Engine engine(cfg);
-  (void)mr_sort(engine, random_values(100, 7));
+  ASSERT_TRUE(mr_sort(engine, random_values(100, 7)).ok());
   EXPECT_EQ(engine.metrics().rounds, 1u);
 }
 
@@ -62,7 +62,7 @@ TEST(MrSort, MultiRoundWhenInputExceedsLocalMemory) {
   Config cfg;
   cfg.local_memory_pairs = 100;
   Engine engine(cfg);
-  (void)mr_sort(engine, random_values(5000, 7));
+  ASSERT_TRUE(mr_sort(engine, random_values(5000, 7)).ok());
   EXPECT_GE(engine.metrics().rounds, 2u);  // splitter round + bucket round
   // Skewed-sample recursions may add rounds, but the headroom in the
   // bucket count keeps the total small.
@@ -75,9 +75,9 @@ TEST(MrSort, AlreadySortedAndReversedInputs) {
   Engine engine(cfg);
   std::vector<std::uint64_t> asc(1000);
   std::iota(asc.begin(), asc.end(), 0);
-  EXPECT_EQ(mr_sort(engine, asc), asc);
+  EXPECT_EQ(mr_sort(engine, asc).value(), asc);
   std::vector<std::uint64_t> desc(asc.rbegin(), asc.rend());
-  EXPECT_EQ(mr_sort(engine, desc), asc);
+  EXPECT_EQ(mr_sort(engine, desc).value(), asc);
 }
 
 TEST(MrSort, AllEqualValues) {
@@ -85,7 +85,7 @@ TEST(MrSort, AllEqualValues) {
   cfg.local_memory_pairs = 32;
   Engine engine(cfg);
   std::vector<std::uint64_t> same(500, 77);
-  EXPECT_EQ(mr_sort(engine, same), same);
+  EXPECT_EQ(mr_sort(engine, same).value(), same);
 }
 
 struct PrefixParam {
@@ -101,7 +101,7 @@ TEST_P(MrPrefixSumTest, MatchesSequentialScan) {
   Engine engine(cfg);
   const auto values = random_values(GetParam().n, 5 + GetParam().n);
   std::uint64_t total = 0;
-  const auto got = mr_prefix_sum(engine, values, &total);
+  const auto got = mr_prefix_sum(engine, values, &total).value();
   std::uint64_t running = 0;
   ASSERT_EQ(got.size(), values.size());
   for (std::size_t i = 0; i < values.size(); ++i) {
@@ -124,7 +124,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(MrPrefixSum, EmptyInput) {
   Engine engine;
   std::uint64_t total = 99;
-  const auto got = mr_prefix_sum(engine, {}, &total);
+  const auto got = mr_prefix_sum(engine, {}, &total).value();
   EXPECT_TRUE(got.empty());
   EXPECT_EQ(total, 0u);
 }
@@ -135,7 +135,7 @@ TEST(MrPrefixSum, RoundCountGrowsAsLocalMemoryShrinks) {
     Config cfg;
     cfg.local_memory_pairs = ml;
     Engine engine(cfg);
-    (void)mr_prefix_sum(engine, values);
+    EXPECT_TRUE(mr_prefix_sum(engine, values).ok());
     return engine.metrics().rounds;
   };
   // Fan-in 2 needs ~2·log2(n) rounds; fan-in 4096 needs ~2.
@@ -147,7 +147,7 @@ TEST(MrSegmentedPrefixSum, ResetsAtSegmentBoundaries) {
   Engine engine;
   const std::vector<std::uint64_t> values{1, 2, 3, 4, 5, 6};
   const std::vector<std::uint32_t> segs{0, 0, 1, 1, 1, 2};
-  const auto got = mr_segmented_prefix_sum(engine, values, segs);
+  const auto got = mr_segmented_prefix_sum(engine, values, segs).value();
   const std::vector<std::uint64_t> expected{0, 1, 0, 3, 7, 0};
   EXPECT_EQ(got, expected);
 }
@@ -158,9 +158,9 @@ TEST(MrSegmentedPrefixSum, SingleSegmentEqualsPlainScan) {
   Engine engine(cfg);
   const auto values = random_values(300, 11);
   const std::vector<std::uint32_t> segs(300, 5);
-  const auto seg = mr_segmented_prefix_sum(engine, values, segs);
+  const auto seg = mr_segmented_prefix_sum(engine, values, segs).value();
   Engine engine2;
-  const auto plain = mr_prefix_sum(engine2, values);
+  const auto plain = mr_prefix_sum(engine2, values).value();
   EXPECT_EQ(seg, plain);
 }
 
@@ -168,7 +168,7 @@ TEST(MrSegmentedPrefixSum, EverySegmentSingleton) {
   Engine engine;
   const std::vector<std::uint64_t> values{9, 8, 7};
   const std::vector<std::uint32_t> segs{0, 1, 2};
-  const auto got = mr_segmented_prefix_sum(engine, values, segs);
+  const auto got = mr_segmented_prefix_sum(engine, values, segs).value();
   EXPECT_EQ(got, (std::vector<std::uint64_t>{0, 0, 0}));
 }
 

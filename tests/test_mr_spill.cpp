@@ -24,6 +24,7 @@
 #include "mapreduce/engine.hpp"
 #include "mapreduce/spill.hpp"
 #include "mr_algos/mr_cluster.hpp"
+#include "par/thread_pool.hpp"
 
 namespace gclus::mr {
 namespace {
@@ -260,16 +261,18 @@ TEST(SpillStress, ClusterOnDenseGraphUnder1KiB) {
   mr_algos::MrClusterOptions o;
   o.seed = 23;
   const auto reference =
-      mr_algos::mr_cluster(reference_engine, g, 8, o).clustering;
+      mr_algos::mr_cluster(reference_engine, g, 8, o).value().clustering;
 
   mr::Config cfg;
   cfg.spill_memory_bytes = 1024;
   cfg.spill_strict = true;
   // Pinned worker count: the peak assertion below relies on budget/W
   // staying above one record, which a huge machine's global pool breaks.
-  cfg.num_workers = 4;
+  ThreadPool pool(4);
+  cfg.pool = &pool;
   mr::Engine engine(cfg);
-  const auto spilled = mr_algos::mr_cluster(engine, g, 8, o).clustering;
+  const auto spilled =
+      mr_algos::mr_cluster(engine, g, 8, o).value().clustering;
   EXPECT_EQ(spilled.assignment, reference.assignment);
   EXPECT_EQ(spilled.centers, reference.centers);
   EXPECT_GT(engine.metrics().bytes_spilled, 1u << 20);

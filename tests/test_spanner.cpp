@@ -141,7 +141,7 @@ TEST(Theorem4Integration, SparsifiedPipelineStaysSound) {
   mr_algos::MrClusterOptions opts;
   opts.seed = 3;
   opts.max_quotient_edges = 64;
-  const auto sparse = mr_algos::mr_cluster_diameter(engine, g, 8, opts);
+  const auto sparse = mr_algos::mr_cluster_diameter(engine, g, 8, opts).value();
   EXPECT_TRUE(sparse.sparsified);
   EXPECT_LE(sparse.sparsified_edges, sparse.quotient_edges);
   EXPECT_GE(sparse.estimate, 78u);  // true diameter of the 40x40 grid
@@ -150,7 +150,8 @@ TEST(Theorem4Integration, SparsifiedPipelineStaysSound) {
   mr::Engine engine2;
   mr_algos::MrClusterOptions dense_opts;
   dense_opts.seed = 3;
-  const auto dense = mr_algos::mr_cluster_diameter(engine2, g, 8, dense_opts);
+  const auto dense =
+      mr_algos::mr_cluster_diameter(engine2, g, 8, dense_opts).value();
   EXPECT_FALSE(dense.sparsified);
   EXPECT_LE(sparse.estimate, 3 * dense.estimate);
 }

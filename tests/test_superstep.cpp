@@ -36,7 +36,7 @@ TEST(RunSupersteps, PropagatesToQuiescence) {
         if (visited_at[v] >= 0) return;
         visited_at[v] = static_cast<int>(superstep) + 1;
         if (v + 1 < 10) out.send(v + 1, 0);
-      });
+      }).value();
   EXPECT_EQ(steps, 9u);
   for (NodeId v = 1; v < 10; ++v) EXPECT_EQ(visited_at[v], static_cast<int>(v));
 }
@@ -54,7 +54,7 @@ TEST(RunSupersteps, MaxSuperstepsCapRespected) {
         messages_seen.fetch_add(1);
         out.send((v + 1) % 8, 0);
       },
-      /*max_supersteps=*/5);
+      /*max_supersteps=*/5).value();
   EXPECT_EQ(steps, 5u);
   EXPECT_EQ(messages_seen.load(), 5);
 }
@@ -65,7 +65,7 @@ TEST(RunSupersteps, EmptyInitialMessagesNoSupersteps) {
       engine, {},
       [](std::size_t, NodeId, std::span<std::uint8_t>, Outbox<std::uint8_t>&) {
         FAIL() << "no vertex should run";
-      });
+      }).value();
   EXPECT_EQ(steps, 0u);
   EXPECT_EQ(engine.metrics().rounds, 0u);
 }
@@ -78,13 +78,14 @@ TEST(RunSupersteps, ChargesSortingRoundsUnderSmallLocalMemory) {
   Engine engine(cfg);
   std::vector<std::pair<NodeId, std::uint8_t>> init{{0, 0}};
   int hops = 0;
-  run_supersteps<std::uint8_t>(
+  const std::size_t steps = run_supersteps<std::uint8_t>(
       engine, std::move(init),
       [&](std::size_t, NodeId v, std::span<std::uint8_t>,
           Outbox<std::uint8_t>& out) {
         if (++hops < 3) out.send(v + 1, 0);
       },
-      /*max_supersteps=*/SIZE_MAX, /*charge_items=*/10000);
+      /*max_supersteps=*/SIZE_MAX, /*charge_items=*/10000).value();
+  EXPECT_EQ(steps, 3u);
   // 3 supersteps executed, each charged ceil(log_4(10^4)) = 7 rounds.
   EXPECT_EQ(engine.metrics().rounds, 21u);
 }
@@ -96,7 +97,7 @@ TEST(RunSupersteps, InboxAggregatesAllMessagesToVertex) {
       {5, 100}, {5, 200}, {5, 300}};
   std::size_t inbox_size = 0;
   std::uint32_t inbox_sum = 0;
-  run_supersteps<std::uint32_t>(
+  const auto steps = run_supersteps<std::uint32_t>(
       engine, std::move(init),
       [&](std::size_t, NodeId v, std::span<std::uint32_t> inbox,
           Outbox<std::uint32_t>&) {
@@ -104,6 +105,7 @@ TEST(RunSupersteps, InboxAggregatesAllMessagesToVertex) {
         inbox_size = inbox.size();
         for (const auto m : inbox) inbox_sum += m;
       });
+  ASSERT_TRUE(steps.ok()) << steps.status().to_string();
   EXPECT_EQ(inbox_size, 3u);
   EXPECT_EQ(inbox_sum, 600u);
 }
