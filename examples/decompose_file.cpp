@@ -7,6 +7,8 @@
 //   --algo=NAME                algorithm to run (default: cluster)
 //   --seed=N --threads=N       RunContext knobs
 //   --growth.mode=push|pull|auto --growth.alpha=F --growth.beta=F
+//                              (F finite and > 0: the direction heuristic
+//                              divides by it)
 //   --format=auto|edges|csr2   input format (auto sniffs the CSR v2 magic)
 //   --load=auto|mmap|copy      CSR v2 load mode (auto prefers mmap)
 //   --layout=plain|compressed  in-memory representation for the run: plain
@@ -40,6 +42,7 @@
 // summary, the largest clusters, telemetry events, and the quotient graph
 // written next to the input.
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -52,7 +55,6 @@
 
 #include "api/registry.hpp"
 #include "api/run_context.hpp"
-#include "api/workspace.hpp"
 #include "common/faultpoint.hpp"
 #include "common/parse.hpp"
 #include "common/status.hpp"
@@ -92,12 +94,14 @@ std::uint64_t parse_u64_or_die(const std::string& key,
   return *v;
 }
 
-double parse_double_or_die(const std::string& key, const std::string& value) {
+double parse_positive_double_or_die(const std::string& key,
+                                    const std::string& value) {
   char* end = nullptr;
   const double v = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0') {
-    std::fprintf(stderr, "--%s=%s is not a number\n", key.c_str(),
-                 value.c_str());
+  if (end == value.c_str() || *end != '\0' || !std::isfinite(v) ||
+      !(v > 0)) {
+    std::fprintf(stderr, "--%s=%s is not a finite positive number\n",
+                 key.c_str(), value.c_str());
     std::exit(1);
   }
   return v;
@@ -194,9 +198,9 @@ int main(int argc, char** argv) {
         return 1;
       }
     } else if (key == "growth.alpha") {
-      ctx.growth.alpha = parse_double_or_die(key, value);
+      ctx.growth.alpha = parse_positive_double_or_die(key, value);
     } else if (key == "growth.beta") {
-      ctx.growth.beta = parse_double_or_die(key, value);
+      ctx.growth.beta = parse_positive_double_or_die(key, value);
     } else {
       params.set(key, value);
     }
@@ -324,8 +328,6 @@ int main(int argc, char** argv) {
     private_pool = std::make_unique<ThreadPool>(threads);
     ctx.pool = private_pool.get();
   }
-  Workspace workspace;
-  ctx.workspace = &workspace;
   RecordingTelemetry telemetry;
   ctx.telemetry = &telemetry;
 

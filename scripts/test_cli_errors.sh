@@ -110,6 +110,23 @@ expect_invalid "--beta=0" "$WORK/two.txt" --algo=mpx --beta=0
 expect_invalid "--partitions=0" "$WORK/two.txt" --algo=mr.cluster \
   --partitions=0
 
+# The growth-direction heuristic divides by alpha and beta, so a
+# non-finite or non-positive value is a usage error: exit 1 with one
+# diagnostic line, before any run starts.
+for flag in growth.alpha growth.beta; do
+  for bad in nan 0 -3 inf; do
+    set +e
+    err="$("$DECOMPOSE_FILE" "$WORK/two.txt" "--$flag=$bad" 2>&1 >/dev/null)"
+    code=$?
+    set -e
+    [ "$code" -eq 1 ] || fail "--$flag=$bad: expected exit 1, got $code"
+    echo "$err" | grep -q "^--$flag=$bad is not a finite positive number$" ||
+      fail "--$flag=$bad: diagnostic not found in: $err"
+    [ "$(echo "$err" | wc -l)" -eq 1 ] ||
+      fail "--$flag=$bad: diagnostic is not one line: $err"
+  done
+done
+
 # GCLUS_FAULT reaches the CLI.  A one-shot open failure is absorbed by
 # the mmap->read fallback: the run succeeds and reports the triggered
 # point on its fault counter line.

@@ -2,8 +2,8 @@
 //
 // Every adapter follows the same recipe: copy the caller's RunContext into
 // the algorithm's native options struct (options *are* RunContexts, so
-// this is one slice assignment — same seed, pool, growth knobs, telemetry,
-// workspace), read declared parameters out of the AlgoParams bag, and call
+// this is one slice assignment — same seed, pool, growth knobs,
+// telemetry), read declared parameters out of the AlgoParams bag, and call
 // the existing entry point.  No randomness is re-derived here: a registry
 // run is byte-identical to the corresponding direct call with the same
 // context.

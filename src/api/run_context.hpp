@@ -10,8 +10,8 @@
 //     unchanged;
 //   * pipelines propagate the whole environment in one assignment
 //     (`copts.context() = options.context();`) instead of field-by-field;
-//   * cross-cutting additions — the telemetry sink, the reusable
-//     Workspace — reach every algorithm at once.
+//   * cross-cutting additions such as the telemetry sink reach every
+//     algorithm at once.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +25,6 @@
 namespace gclus {
 
 class ThreadPool;
-class Workspace;
 
 /// Receiver for named scalar metrics emitted during a run (iteration
 /// counts, R_ALG, growth steps...).  Implementations must tolerate calls
@@ -74,10 +73,6 @@ struct RunContext {
 
   /// Optional metric sink; nullptr drops emissions.
   TelemetrySink* telemetry = nullptr;
-
-  /// Optional reusable scratch memory; nullptr allocates per run (the
-  /// pre-Workspace behavior, still right for one-shot calls).
-  Workspace* workspace = nullptr;
 
   [[nodiscard]] ThreadPool& pool_or_global() const;
 

@@ -18,7 +18,6 @@ Clustering mpx_impl(const G& g, double beta, const MpxOptions& options) {
   GCLUS_CHECK(beta > 0.0, "MPX needs beta > 0");
   const NodeId n = g.num_nodes();
   GCLUS_CHECK(n >= 1);
-  ThreadPool& pool = options.pool_or_global();
 
   // Draw shifts; start time of u is delta_max - delta_u.
   std::vector<double> delta(n);
@@ -45,7 +44,7 @@ Clustering mpx_impl(const G& g, double beta, const MpxOptions& options) {
   // cluster ids (node order, like CLUSTER's batches).
   for (auto& bucket : starts) std::sort(bucket.begin(), bucket.end());
 
-  GrowthStateT<G> state(g, pool, options.growth, options.workspace);
+  GrowthStateT<G> state(g, options);
   std::size_t t = 0;
   while (state.covered_count() < n) {
     if (t < starts.size()) {

@@ -17,7 +17,6 @@ Clustering random_centers_impl(const G& g, NodeId k,
                                const RandomCentersOptions& options) {
   const NodeId n = g.num_nodes();
   GCLUS_CHECK(k >= 1 && k <= n);
-  ThreadPool& pool = options.pool_or_global();
 
   // Sample k distinct nodes (Floyd's algorithm would also do; with k << n
   // rejection is cheap and deterministic given the seed).
@@ -35,7 +34,7 @@ Clustering random_centers_impl(const G& g, NodeId k,
   }
   std::sort(centers.begin(), centers.end());
 
-  GrowthStateT<G> state(g, pool, options.growth, options.workspace);
+  GrowthStateT<G> state(g, options);
   for (const NodeId c : centers) state.add_center(c);
   while (state.covered_count() < n) {
     if (state.frontier_empty()) {

@@ -36,9 +36,8 @@ Clustering cluster_impl(const G& g, std::uint32_t tau,
   GCLUS_CHECK(tau >= 1, "CLUSTER requires tau >= 1");
   const NodeId n = g.num_nodes();
   GCLUS_CHECK(n >= 1);
-  ThreadPool& pool = options.pool_or_global();
 
-  GrowthStateT<G> state(g, pool, options.growth, options.workspace);
+  GrowthStateT<G> state(g, options);
   const double logn = log2_clamped(n);
   const double stop_threshold = options.threshold_constant * tau * logn;
 
@@ -56,7 +55,7 @@ Clustering cluster_impl(const G& g, std::uint32_t tau,
     // worklist instead of the full node range, so late rounds stop paying
     // O(n) per batch; cluster ids are assigned in node order.
     const std::vector<NodeId> selected =
-        sample_uncovered_centers(state, pool, options.seed, iteration, p);
+        sample_uncovered_centers(state, options.seed, iteration, p);
     for (const NodeId c : selected) state.add_center(c);
 
     // Progress guard: with no active frontier and an empty batch the grow

@@ -22,7 +22,7 @@ namespace gclus {
 
 class CompressedGraph;
 
-/// Execution environment (seed, pool, growth knobs, telemetry, workspace)
+/// Execution environment (seed, pool, growth knobs, telemetry)
 /// plus CLUSTER's own constants.  Emits "cluster.iterations",
 /// "cluster.clusters", "cluster.max_radius" and "cluster.growth_steps" to
 /// the context's telemetry sink.

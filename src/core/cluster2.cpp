@@ -19,11 +19,9 @@ Cluster2Result cluster2_impl(const G& g, std::uint32_t tau,
   GCLUS_CHECK(tau >= 1);
   const NodeId n = g.num_nodes();
   GCLUS_CHECK(n >= 1);
-  ThreadPool& pool = options.pool_or_global();
 
   // Phase 1: learn R_ALG with a plain CLUSTER(τ) run on a derived seed.
-  // The full context (pool, growth knobs, workspace) carries over; the
-  // runs are sequential, so a shared workspace is reused, not contended.
+  // The full context (pool, growth knobs) carries over.
   ClusterOptions prelim = options;
   prelim.telemetry = nullptr;  // phase 1 metrics would shadow CLUSTER2's
   prelim.seed = derive_seed(options.seed, kSeedTagCluster2Prelim);
@@ -42,7 +40,7 @@ Cluster2Result cluster2_impl(const G& g, std::uint32_t tau,
   const auto log_n = static_cast<std::size_t>(
       std::ceil(std::log2(std::max<double>(2.0, n))));
 
-  GrowthStateT<G> state(g, pool, options.growth, options.workspace);
+  GrowthStateT<G> state(g, options);
 
   std::size_t iterations = 0;
   for (std::size_t i = 1; i <= log_n && state.uncovered_count() > 0; ++i) {
@@ -54,7 +52,7 @@ Cluster2Result cluster2_impl(const G& g, std::uint32_t tau,
     // all n nodes; the keyed draw makes the selected set independent of
     // the sweep order.
     const std::vector<NodeId> selected =
-        sample_uncovered_centers(state, pool, options.seed, 0x5EC0 + i, p);
+        sample_uncovered_centers(state, options.seed, 0x5EC0 + i, p);
     for (const NodeId c : selected) state.add_center(c);
 
     state.grow_steps(quota);

@@ -12,37 +12,26 @@ namespace gclus {
 
 template <class G>
 GrowthStateT<G>::GrowthStateT(const G& g, ThreadPool& pool,
-                              GrowthOptions options, Workspace* workspace)
+                              GrowthOptions options)
     : g_(&g),
       pool_(&pool),
       options_(options),
-      workspace_(workspace),
+      cluster_(std::make_unique_for_overwrite<ClusterId[]>(g.num_nodes())),
+      level_(std::make_unique_for_overwrite<Dist[]>(g.num_nodes())),
+      frontier_(pool.num_threads()),
+      next_frontier_(pool.num_threads()),
       uncovered_degree_sum_(g.num_half_edges()) {
-  const NodeId n = g.num_nodes();
-  if (workspace_ != nullptr) {
-    b_ = workspace_->acquire_growth(n, pool.num_threads());
-  } else {
-    owned_ = std::make_unique<GrowthScratch>();
-    owned_->ensure(n, pool.num_threads());
-    b_ = owned_.get();
-  }
-  // Reset the per-node state: the scratch may carry a previous run's
-  // (that is the point of reuse), or none at all when freshly allocated.
-  parallel_for(pool, 0, n, [&](std::size_t v) {
-    b_->level[v] = kInfDist;
-    b_->cluster[v] = kNoCluster;
+  // The per-node arrays were allocated uninitialized: this parallel reset
+  // is their first touch.
+  parallel_for(pool, 0, g.num_nodes(), [&](std::size_t v) {
+    level_[v] = kInfDist;
+    cluster_[v] = kNoCluster;
   });
-  for (auto& part : b_->frontier) part.clear();
 }
 
 template <class G>
 GrowthStateT<G>::GrowthStateT(const G& g, const RunContext& ctx)
-    : GrowthStateT(g, ctx.pool_or_global(), ctx.growth, ctx.workspace) {}
-
-template <class G>
-GrowthStateT<G>::~GrowthStateT() {
-  if (workspace_ != nullptr && b_ != nullptr) workspace_->release_growth(b_);
-}
+    : GrowthStateT(g, ctx.pool_or_global(), ctx.growth) {}
 
 template <class G>
 ClusterId GrowthStateT<G>::add_center(NodeId v, std::uint64_t priority) {
@@ -54,13 +43,13 @@ ClusterId GrowthStateT<G>::add_center(NodeId v, std::uint64_t priority) {
       priority == kPriorityFromClusterId ? cid : priority;
   GCLUS_CHECK(prio < (1ULL << 32), "priority must fit in 32 bits");
   const std::uint64_t key = (prio << 32) | cid;
-  b_->level[v] = static_cast<Dist>(steps_executed_);
-  b_->cluster[v] = cid;
+  level_[v] = static_cast<Dist>(steps_executed_);
+  cluster_[v] = cid;
   min_key_ = std::min(min_key_, key);
   centers_.push_back(v);
   activation_.push_back(static_cast<std::uint32_t>(steps_executed_));
   key_.push_back(key);
-  b_->frontier[0].push_back(v);
+  frontier_[0].push_back(v);
   ++frontier_size_;
   frontier_degree_sum_ += g_->degree(v);
   uncovered_degree_sum_ -= g_->degree(v);
@@ -91,14 +80,14 @@ NodeId GrowthStateT<G>::step() {
     log.uncovered_degree_sum = uncovered_degree_sum_;
   }
 
-  for (auto& part : b_->next_frontier) part.clear();
+  for (auto& part : next_frontier_) part.clear();
   const std::uint64_t next_degree_sum = pull ? claim_pull() : claim_push();
   // Claims are final behind the claim pass's barrier and already carry
   // this step's level, so the per-worker output buffers are the next
   // frontier as they stand.
-  std::swap(b_->frontier, b_->next_frontier);
+  std::swap(frontier_, next_frontier_);
   frontier_size_ = 0;
-  for (const auto& part : b_->frontier) frontier_size_ += part.size();
+  for (const auto& part : frontier_) frontier_size_ += part.size();
   frontier_degree_sum_ = next_degree_sum;
   uncovered_degree_sum_ -= next_degree_sum;
   const auto newly = static_cast<NodeId>(frontier_size_);
@@ -157,8 +146,8 @@ std::uint64_t GrowthStateT<G>::claim_push() {
   // its thread alone stamps the node's level and appends it to the next
   // frontier.  The stamp is this step, so later (smaller) bids still land.
   const auto level = static_cast<Dist>(steps_executed_);
-  Dist* const levels = b_->level.get();
-  ClusterId* const clusters = b_->cluster.get();
+  Dist* const levels = level_.get();
+  ClusterId* const clusters = cluster_.get();
   const std::uint64_t* const keys = key_.data();
   const auto claim_range = [&](std::size_t lo, std::size_t hi,
                                std::vector<NodeId>& out) {
@@ -188,7 +177,7 @@ std::uint64_t GrowthStateT<G>::claim_push() {
         std::upper_bound(offset.begin(), offset.end(), lo) - offset.begin() -
         1);
     for (; lo < hi; ++p) {
-      const std::vector<NodeId>& part = b_->frontier[p];
+      const std::vector<NodeId>& part = frontier_[p];
       const std::size_t end = std::min(hi, offset[p + 1]) - offset[p];
       std::size_t i = lo - offset[p];
       // Frontier vertices are scanned in adjacent pairs so the compressed
@@ -209,10 +198,10 @@ std::uint64_t GrowthStateT<G>::claim_push() {
     return degree_sum;
   };
   frontier_offset_.assign(1, 0);
-  for (const auto& part : b_->frontier) {
+  for (const auto& part : frontier_) {
     frontier_offset_.push_back(frontier_offset_.back() + part.size());
   }
-  return run_claim_pass(*pool_, b_->next_frontier, frontier_size_,
+  return run_claim_pass(*pool_, next_frontier_, frontier_size_,
                         /*grain=*/64, frontier_degree_sum_ <= kSerialPushCutoff,
                         claim_range);
 }
@@ -235,8 +224,8 @@ std::uint64_t GrowthStateT<G>::claim_pull() {
   const std::vector<NodeId>& candidates = uncovered_candidates();
   const auto level = static_cast<Dist>(steps_executed_);
   const std::uint64_t min_key = min_key_;
-  Dist* const levels = b_->level.get();
-  ClusterId* const clusters = b_->cluster.get();
+  Dist* const levels = level_.get();
+  ClusterId* const clusters = cluster_.get();
   const std::uint64_t* const keys = key_.data();
   const auto claim_range = [&](std::size_t lo, std::size_t hi,
                                std::vector<NodeId>& out) {
@@ -274,24 +263,24 @@ std::uint64_t GrowthStateT<G>::claim_pull() {
     return degree_sum;
   };
   return run_claim_pass(
-      *pool_, b_->next_frontier, candidates.size(), kGrain,
+      *pool_, next_frontier_, candidates.size(), kGrain,
       uncovered_degree_sum_ + candidates.size() <= 4 * kSerialPushCutoff,
       claim_range);
 }
 
 template <class G>
 void GrowthStateT<G>::maybe_compact_candidates() {
-  if (!worklist_needs_compaction(b_->uncovered_candidates.size(),
+  if (!worklist_needs_compaction(uncovered_candidates_.size(),
                                  uncovered_count())) {
     return;
   }
-  parallel_compact(*pool_, b_->uncovered_candidates,
+  parallel_compact(*pool_, uncovered_candidates_,
                    [&](NodeId v) { return !is_covered(v); });
 }
 
 template <class G>
 const std::vector<NodeId>& GrowthStateT<G>::uncovered_candidates() {
-  std::vector<NodeId>& candidates = b_->uncovered_candidates;
+  std::vector<NodeId>& candidates = uncovered_candidates_;
   if (!candidates_built_) {
     // Built on first use, so runs that never pull or sample (push-only
     // BFS over a high-diameter graph) skip the O(n) fill.
@@ -350,9 +339,9 @@ std::vector<Dist> GrowthStateT<G>::take_distances(
   std::vector<Dist> dist(n);
   if (cluster_out != nullptr) cluster_out->resize(n);
   parallel_for(*pool_, 0, n, [&](std::size_t v) {
-    const ClusterId c = b_->cluster[v];
+    const ClusterId c = cluster_[v];
     if (cluster_out != nullptr) (*cluster_out)[v] = c;
-    const Dist level = b_->level[v];
+    const Dist level = level_[v];
     dist[v] = level == kInfDist ? kInfDist : level - activation_[c];
   });
   return dist;
@@ -374,19 +363,14 @@ Clustering GrowthStateT<G>::finish() && {
 
 template <class G2>
 std::vector<NodeId> sample_uncovered_centers(GrowthStateT<G2>& state,
-                                             ThreadPool& pool,
                                              std::uint64_t seed,
                                              std::uint64_t draw_key,
                                              double p) {
+  ThreadPool& pool = *state.pool_;
   const auto& candidates = state.uncovered_candidates();
   // Between steps the engine's next-frontier buffers are idle, so the
-  // selection sweeps borrow them as per-worker output.  All buffers are
-  // cleared (not just the first num_threads) because parallel_concat reads
-  // every one.
-  std::vector<std::vector<NodeId>>& per_worker = state.b_->next_frontier;
-  if (per_worker.size() < pool.num_threads()) {
-    per_worker.resize(pool.num_threads());
-  }
+  // selection sweeps borrow them as per-worker output.
+  std::vector<std::vector<NodeId>>& per_worker = state.next_frontier_;
   for (auto& out : per_worker) out.clear();
   std::atomic<std::size_t> cursor{0};
   pool.run_on_workers([&](std::size_t worker) {
@@ -413,9 +397,8 @@ template class GrowthStateT<Graph>;
 template class GrowthStateT<CompressedGraph>;
 
 template std::vector<NodeId> sample_uncovered_centers<Graph>(
-    GrowthStateT<Graph>&, ThreadPool&, std::uint64_t, std::uint64_t, double);
+    GrowthStateT<Graph>&, std::uint64_t, std::uint64_t, double);
 template std::vector<NodeId> sample_uncovered_centers<CompressedGraph>(
-    GrowthStateT<CompressedGraph>&, ThreadPool&, std::uint64_t, std::uint64_t,
-    double);
+    GrowthStateT<CompressedGraph>&, std::uint64_t, std::uint64_t, double);
 
 }  // namespace gclus

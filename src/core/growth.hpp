@@ -42,12 +42,10 @@
 //
 // Per-step work is proportional to the cheaper of the two degree sums; a
 // full growth to cover the graph costs O(n + m) total claims.
-// Scratch memory: all per-node and per-worker buffers live in a
-// GrowthScratch (api/workspace.hpp).  By default each GrowthState owns a
-// private one, but a caller serving many runs on the same graph passes a
-// Workspace and the engine borrows its warm scratch instead, skipping the
-// O(n) allocate/fault cost per request (the reset of per-node state still
-// happens every run; see Workspace's header).
+// Memory: each GrowthState owns its per-node and per-worker buffers, O(n)
+// words in all.  The per-node arrays are allocated uninitialized and the
+// constructor's parallel reset is their first touch, so a run writes them
+// once, not twice.
 #pragma once
 
 #include <atomic>
@@ -56,7 +54,6 @@
 #include <vector>
 
 #include "api/run_context.hpp"
-#include "api/workspace.hpp"
 #include "common/traversal.hpp"
 #include "common/types.hpp"
 #include "core/clustering.hpp"
@@ -94,18 +91,12 @@ struct GrowthStats {
 template <class G>
 class GrowthStateT {
  public:
-  /// Starts with every node uncovered and no clusters.  With a non-null
-  /// `workspace` the engine borrows its growth scratch for the lifetime of
-  /// this object (released on destruction); otherwise it allocates a
-  /// private scratch.
+  /// Starts with every node uncovered and no clusters.
   explicit GrowthStateT(const G& g, ThreadPool& pool,
-                        GrowthOptions options = default_growth_options(),
-                        Workspace* workspace = nullptr);
+                        GrowthOptions options = default_growth_options());
 
-  /// Resolves pool, growth options, and workspace from the context.
+  /// Resolves pool and growth options from the context.
   GrowthStateT(const G& g, const RunContext& ctx);
-
-  ~GrowthStateT();
 
   GrowthStateT(const GrowthStateT&) = delete;
   GrowthStateT& operator=(const GrowthStateT&) = delete;
@@ -139,7 +130,7 @@ class GrowthStateT {
     return static_cast<ClusterId>(centers_.size());
   }
   [[nodiscard]] bool is_covered(NodeId v) const {
-    return load(b_->level[v]) != kInfDist;
+    return load(level_[v]) != kInfDist;
   }
 
   /// Per-step direction decisions and per-direction step counts.
@@ -194,21 +185,19 @@ class GrowthStateT {
   ThreadPool* pool_;
   GrowthOptions options_;
 
-  /// The per-run buffers, either borrowed from workspace_ or privately
-  /// owned.  Roles (b_ = the scratch):
-  ///   * b_->cluster / b_->level — per node, the claiming cluster and the
-  ///     step of the claim (see the file comment); kNoCluster / kInfDist
-  ///     while unclaimed, so between steps exactly the uncovered nodes
-  ///     read kInfDist;
-  ///   * b_->uncovered_candidates — ascending superset of the uncovered
-  ///     nodes (see uncovered_candidates()), valid once candidates_built_;
-  ///   * b_->frontier — the current frontier, split into per-worker parts
-  ///     (the previous claim pass's output); b_->next_frontier — the
-  ///     per-worker output buffers of the running pass, lent to the
-  ///     center sampler between steps.
-  Workspace* workspace_ = nullptr;
-  std::unique_ptr<GrowthScratch> owned_;
-  GrowthScratch* b_ = nullptr;
+  /// Per node, the claiming cluster and the step of the claim (see the
+  /// file comment); kNoCluster / kInfDist while unclaimed, so between
+  /// steps exactly the uncovered nodes read kInfDist.
+  std::unique_ptr<ClusterId[]> cluster_;
+  std::unique_ptr<Dist[]> level_;
+  /// Ascending superset of the uncovered nodes (see
+  /// uncovered_candidates()), valid once candidates_built_.
+  std::vector<NodeId> uncovered_candidates_;
+  /// The current frontier, split into per-worker parts (the previous claim
+  /// pass's output), and the per-worker output buffers of the running
+  /// pass, lent to the center sampler between steps.
+  std::vector<std::vector<NodeId>> frontier_;
+  std::vector<std::vector<NodeId>> next_frontier_;
 
   std::vector<NodeId> centers_;            // per cluster
   std::vector<std::uint32_t> activation_;  // per cluster: steps_executed_
@@ -246,10 +235,9 @@ class GrowthStateT {
     std::atomic_ref(word).store(value, std::memory_order_relaxed);
   }
 
-  // The center sampler borrows the idle next-frontier buffers.
+  // The center sampler borrows the pool and the idle next-frontier buffers.
   template <class G2>
   friend std::vector<NodeId> sample_uncovered_centers(GrowthStateT<G2>& state,
-                                                      ThreadPool& pool,
                                                       std::uint64_t seed,
                                                       std::uint64_t draw_key,
                                                       double p);
@@ -261,12 +249,13 @@ using GrowthState = GrowthStateT<Graph>;
 /// Samples every uncovered node independently with probability `p`, using
 /// the deterministic draw keyed_bernoulli(seed, draw_key, node) — the
 /// selected set depends only on the key inputs, never on the sweep
-/// schedule.  Sweeps the engine's uncovered worklist in parallel and
-/// returns the selected nodes in ascending order, ready for add_center in
-/// node order.  Shared by CLUSTER's and CLUSTER2's batch selection.
+/// schedule.  Sweeps the engine's uncovered worklist in parallel on the
+/// engine's pool and returns the selected nodes in ascending order, ready
+/// for add_center in node order.  Shared by CLUSTER's and CLUSTER2's batch
+/// selection.
 template <class G2>
 [[nodiscard]] std::vector<NodeId> sample_uncovered_centers(
-    GrowthStateT<G2>& state, ThreadPool& pool, std::uint64_t seed,
-    std::uint64_t draw_key, double p);
+    GrowthStateT<G2>& state, std::uint64_t seed, std::uint64_t draw_key,
+    double p);
 
 }  // namespace gclus

@@ -25,7 +25,7 @@ namespace gclus {
 
 /// Execution environment plus the stretch parameter.  The sparsification
 /// is sequential and randomized only through counter-based draws on the
-/// context seed; pool/growth/workspace are currently unused.
+/// context seed; pool/growth are currently unused.
 struct SpannerOptions : RunContext {
   /// Stretch parameter: the result is a (2k−1)-spanner.  k = 2 gives a
   /// 3-spanner with ~n^{3/2} edges; k = 3 a 5-spanner with ~n^{4/3}.

@@ -30,8 +30,8 @@ namespace gclus {
 
 /// Execution environment plus CLUSTER's selection constants.  The weighted
 /// growth process is a serial deterministic Dijkstra, so the context's
-/// pool/growth/workspace fields are currently unused here; they exist so
-/// the weighted pipeline shares the uniform front door (and gains them for
+/// pool/growth fields are currently unused here; they exist so the
+/// weighted pipeline shares the uniform front door (and gains them for
 /// free once the growth process is parallelized).  The per-wave center
 /// draws intentionally share CLUSTER's exact (seed, iteration, node)
 /// coordinates — the unit-weight equivalence guarantee depends on it.

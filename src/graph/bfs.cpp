@@ -85,10 +85,9 @@ void extend_farthest_first(const Graph& g, NodeId k,
 std::vector<Dist> parallel_bfs(ThreadPool& pool, const Graph& g, NodeId source,
                                std::size_t* levels_out,
                                const GrowthOptions& options,
-                               DirectionCounts* counts_out,
-                               Workspace* workspace) {
+                               DirectionCounts* counts_out) {
   GCLUS_CHECK(source < g.num_nodes(), "BFS source out of range");
-  GrowthState state(g, pool, options, workspace);
+  GrowthState state(g, pool, options);
   state.add_center(source);
   while (!state.frontier_empty()) state.step();
   // The last step claims nothing: it is the level that finds the traversal
@@ -100,11 +99,9 @@ std::vector<Dist> parallel_bfs(ThreadPool& pool, const Graph& g, NodeId source,
   return std::move(state).take_distances(nullptr);
 }
 
-BfsExtremum bfs_extremum(const Graph& g, NodeId source, ThreadPool* pool,
-                         Workspace* workspace) {
+BfsExtremum bfs_extremum(const Graph& g, NodeId source, ThreadPool* pool) {
   ThreadPool& p = pool != nullptr ? *pool : ThreadPool::global();
-  const auto dist = parallel_bfs(p, g, source, nullptr,
-                                 default_growth_options(), nullptr, workspace);
+  const auto dist = parallel_bfs(p, g, source);
   BfsExtremum out;
   out.farthest_node = source;
   for (NodeId v = 0; v < g.num_nodes(); ++v) {

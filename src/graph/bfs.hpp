@@ -19,8 +19,6 @@
 
 namespace gclus {
 
-class Workspace;
-
 /// Hop distances from `source`; kInfDist for unreachable nodes.  Serial —
 /// the reference the tests check the parallel kernels against.
 [[nodiscard]] std::vector<Dist> bfs_distances(const Graph& g, NodeId source);
@@ -62,15 +60,12 @@ void extend_farthest_first(const Graph& g, NodeId k,
 /// that finds nothing new; this is the Θ(Δ)-round cost the paper's BFS
 /// baseline pays in the distributed setting.  `options` controls the
 /// per-level push/pull direction choice; `counts_out` (when non-null)
-/// receives the per-direction level split.  A non-null `workspace` lends
-/// its growth scratch for the duration of the call instead of allocating
-/// per run — the win repeated traversals of the same graph care about
-/// (eccentricity sweeps, serving loops).
+/// receives the per-direction level split.
 [[nodiscard]] std::vector<Dist> parallel_bfs(
     ThreadPool& pool, const Graph& g, NodeId source,
     std::size_t* levels_out = nullptr,
     const GrowthOptions& options = default_growth_options(),
-    DirectionCounts* counts_out = nullptr, Workspace* workspace = nullptr);
+    DirectionCounts* counts_out = nullptr);
 
 /// Result of one BFS used for eccentricity-style queries.
 struct BfsExtremum {
@@ -90,7 +85,6 @@ struct BfsExtremum {
 /// must either pass a dedicated pool per thread or use the sequential
 /// bfs_distances instead.
 [[nodiscard]] BfsExtremum bfs_extremum(const Graph& g, NodeId source,
-                                       ThreadPool* pool = nullptr,
-                                       Workspace* workspace = nullptr);
+                                       ThreadPool* pool = nullptr);
 
 }  // namespace gclus

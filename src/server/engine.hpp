@@ -5,7 +5,7 @@
 // decomposition (build) or an mmap-ed sidecar (load) — both read-only, so
 // any number of threads may query one engine concurrently with no
 // synchronization.  Per-query scratch lives in QueryScratch: one instance
-// per worker thread, the same ownership discipline as api/workspace.hpp.
+// per worker thread.
 //
 // Query errors follow the PR 6 taxonomy: out-of-range node ids are
 // kInvalidArgument (the request is wrong, the server is fine); nothing in

@@ -1,9 +1,7 @@
 // Tests for the unified API: the algorithm registry (schema validation,
 // old-vs-new byte equivalence, corpus-wide validity and thread-count
 // determinism for every registered algorithm), RunContext seed derivation
-// and telemetry, and Workspace reuse (recycled scratch must be
-// indistinguishable from fresh allocation — the use-after-reset hazard the
-// sanitizer CI job watches).
+// and telemetry.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,15 +10,12 @@
 
 #include "api/registry.hpp"
 #include "api/run_context.hpp"
-#include "api/workspace.hpp"
 #include "baselines/mpx.hpp"
 #include "baselines/random_centers.hpp"
 #include "common/rng.hpp"
 #include "core/cluster.hpp"
 #include "core/cluster2.hpp"
-#include "core/growth.hpp"
 #include "core/weighted_cluster.hpp"
-#include "graph/bfs.hpp"
 #include "graph/compressed.hpp"
 #include "graph/weighted.hpp"
 #include "par/thread_pool.hpp"
@@ -367,147 +362,6 @@ TEST(Telemetry, RecordsAlgorithmInternals) {
   EXPECT_GE(telemetry.value("cluster2.clusters"), 1.0);
   telemetry.clear();
   EXPECT_FALSE(telemetry.has("cluster2.r_alg"));
-}
-
-// --- Workspace reuse. ---
-
-TEST(WorkspaceReuse, RecycledScratchMatchesFreshAllocation) {
-  const Graph g = gen::expander(2000, 4, 5);
-  RunContext fresh;
-  fresh.seed = 21;
-  const Clustering reference =
-      registry()
-          .run("cluster", g, AlgoParams{}.set("tau", std::uint64_t{2}), fresh)
-          .value();
-
-  Workspace ws;
-  RunContext warm;
-  warm.seed = 21;
-  warm.workspace = &ws;
-  for (int run = 0; run < 3; ++run) {
-    const Clustering c =
-        registry()
-            .run("cluster", g, AlgoParams{}.set("tau", std::uint64_t{2}),
-                 warm)
-            .value();
-    EXPECT_EQ(c.assignment, reference.assignment) << "run " << run;
-    EXPECT_EQ(c.dist_to_center, reference.dist_to_center) << "run " << run;
-  }
-  // CLUSTER acquires once per run (cluster2 would acquire twice).
-  EXPECT_EQ(ws.growth_acquires(), 3u);
-  EXPECT_GT(ws.bytes(), 0u);
-}
-
-TEST(WorkspaceReuse, SurvivesSerialReuseAcrossAllAlgorithms) {
-  // The cross-algorithm recycling sweep: every algorithm runs on the same
-  // scratch in sequence, twice, and the second pass must reproduce the
-  // first.  This is the test the ASan+UBSan CI job exists for.
-  const Graph g = gen::ring_of_cliques(8, 10);
-  Workspace ws;
-  std::vector<Clustering> first_pass;
-  for (int pass = 0; pass < 2; ++pass) {
-    std::size_t i = 0;
-    for (const std::string& algo : registry().names()) {
-      RunContext ctx;
-      ctx.seed = 31;
-      ctx.workspace = &ws;
-      Clustering c = registry().run(algo, g, corpus_params(algo), ctx).value();
-      EXPECT_TRUE(c.validate(g)) << algo;
-      if (pass == 0) {
-        first_pass.push_back(std::move(c));
-      } else {
-        EXPECT_EQ(c.assignment, first_pass[i].assignment) << algo;
-      }
-      ++i;
-    }
-  }
-}
-
-TEST(WorkspaceReuse, SmallerGraphAfterLargerReusesCapacity) {
-  Workspace ws;
-  RunContext ctx;
-  ctx.seed = 9;
-  ctx.workspace = &ws;
-  const Graph big = gen::grid(40, 40);
-  const Graph small = gen::cycle(64);
-  ASSERT_TRUE(
-      registry().run("cluster", big, corpus_params("cluster"), ctx).ok());
-  const std::size_t bytes_after_big = ws.bytes();
-  const Clustering c =
-      registry().run("cluster", small, corpus_params("cluster"), ctx).value();
-  EXPECT_TRUE(c.validate(small));
-  // Serving a smaller graph must not grow the footprint.
-  EXPECT_LE(ws.bytes(), bytes_after_big);
-
-  RunContext fresh;
-  fresh.seed = 9;
-  const Clustering reference =
-      registry()
-          .run("cluster", small, corpus_params("cluster"), fresh)
-          .value();
-  EXPECT_EQ(c.assignment, reference.assignment);
-}
-
-TEST(WorkspaceReuse, OverlappingGrowthAcquireAborts) {
-  const Graph g = gen::grid(8, 8);
-  ThreadPool pool(1);
-  Workspace ws;
-  GrowthState first(g, pool, default_growth_options(), &ws);
-  EXPECT_DEATH(GrowthState(g, pool, default_growth_options(), &ws),
-               "already lent");
-}
-
-TEST(WorkspaceReuse, ParallelBfsMatchesFreshRun) {
-  const Graph g = gen::expander_with_path(1500, 120, 4, 3);
-  ThreadPool pool(2);
-  const auto reference = parallel_bfs(pool, g, 0);
-  Workspace ws;
-  for (int run = 0; run < 3; ++run) {
-    const auto dist = parallel_bfs(pool, g, 0, nullptr,
-                                   default_growth_options(), nullptr, &ws);
-    EXPECT_EQ(dist, reference) << "run " << run;
-  }
-  EXPECT_EQ(ws.growth_acquires(), 3u);
-}
-
-// BFS and decomposition borrow the same scratch, so a Workspace that
-// alternates between them must reset everything the other left behind.
-TEST(WorkspaceReuse, ClusterBfsClusterMatchFreshRuns) {
-  const Graph g = gen::expander_with_path(1500, 120, 4, 3);
-  ThreadPool pool(2);
-  RunContext fresh;
-  fresh.seed = 17;
-  fresh.pool = &pool;
-  const AlgoParams params = AlgoParams{}.set("tau", std::uint64_t{4});
-  const Clustering reference =
-      registry().run("cluster", g, params, fresh).value();
-  const auto bfs_reference = parallel_bfs(pool, g, 7);
-
-  Workspace ws;
-  RunContext warm = fresh;
-  warm.workspace = &ws;
-  const Clustering first = registry().run("cluster", g, params, warm).value();
-  const auto dist = parallel_bfs(pool, g, 7, nullptr, default_growth_options(),
-                                 nullptr, &ws);
-  const Clustering again = registry().run("cluster", g, params, warm).value();
-  EXPECT_EQ(dist, bfs_reference);
-  for (const Clustering* c : {&first, &again}) {
-    EXPECT_EQ(c->assignment, reference.assignment);
-    EXPECT_EQ(c->dist_to_center, reference.dist_to_center);
-    EXPECT_EQ(c->centers, reference.centers);
-  }
-  EXPECT_EQ(ws.growth_acquires(), 3u);
-}
-
-TEST(WorkspaceReuse, ParallelBfsOnLentWorkspaceAborts) {
-  const Graph g = gen::grid(8, 8);
-  ThreadPool pool(1);
-  Workspace ws;
-  GrowthState live(g, pool, default_growth_options(), &ws);
-  EXPECT_DEATH(static_cast<void>(parallel_bfs(pool, g, 0, nullptr,
-                                              default_growth_options(),
-                                              nullptr, &ws)),
-               "already lent");
 }
 
 }  // namespace

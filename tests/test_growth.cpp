@@ -167,13 +167,13 @@ struct ScheduledRun {
 
 template <class G>
 ScheduledRun run_center_schedule(const G& g, TraversalMode mode,
-                                 ThreadPool& pool, Workspace* workspace) {
+                                 ThreadPool& pool) {
   GrowthOptions opts;
   opts.mode = mode;
   opts.alpha = 40.0;
   opts.beta = 6.0;
   opts.record_step_log = true;
-  GrowthStateT<G> state(g, pool, opts, workspace);
+  GrowthStateT<G> state(g, pool, opts);
   std::vector<std::size_t> add_steps;  // steps_executed() at each add
   state.add_center(0);
   while (state.covered_count() < g.num_nodes()) {
@@ -198,7 +198,7 @@ ScheduledRun run_center_schedule(const G& g, TraversalMode mode,
 // Push and pull must agree byte for byte, on both graph layouts, while
 // directions flip and centers join mid-growth (some right before a pull
 // step, whose frontier test on the coverage flags must then count the new
-// center), and while one Workspace is recycled across runs, so that no
+// center), and across 12 back-to-back states in one process, so that no
 // state leaks from one run into the next.  The ring of cliques makes
 // claimed nodes see two or more frontier clusters at once: ties that the
 // one-pass push (the single unclaimed -> claimed transition) and the
@@ -214,18 +214,17 @@ TEST(GrowthState, DirectionsAgreeUnderMidGrowthCentersAndReuse) {
   const CompressedGraph cz = compress(g, {.relabel = RelabelMode::kNever});
   ThreadPool serial(1);
   const ScheduledRun push =
-      run_center_schedule(g, TraversalMode::kPushOnly, serial, nullptr);
+      run_center_schedule(g, TraversalMode::kPushOnly, serial);
   ASSERT_TRUE(push.clustering.validate(g));
 
-  Workspace ws;
   for (const std::size_t threads : {1u, 2u, 8u}) {
     ThreadPool pool(threads);
     for (const TraversalMode mode :
          {TraversalMode::kAuto, TraversalMode::kPullOnly}) {
       for (const bool compressed : {false, true}) {
         const ScheduledRun r =
-            compressed ? run_center_schedule(cz, mode, pool, &ws)
-                       : run_center_schedule(g, mode, pool, &ws);
+            compressed ? run_center_schedule(cz, mode, pool)
+                       : run_center_schedule(g, mode, pool);
         const std::string where = "threads=" + std::to_string(threads) +
                                   " mode=" + traversal_mode_name(mode) +
                                   (compressed ? " compressed" : " plain");
@@ -241,7 +240,6 @@ TEST(GrowthState, DirectionsAgreeUnderMidGrowthCentersAndReuse) {
       }
     }
   }
-  EXPECT_EQ(ws.growth_acquires(), 12u);
 }
 
 TEST(GrowthState, StatsSplitStepsByDirection) {
