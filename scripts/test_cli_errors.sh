@@ -179,4 +179,18 @@ grep -q "VALIDATION FAILED" "$WORK/mr-write.out" &&
   "$(partition_of "$WORK/mr-clean.out")" ] ||
   fail "GCLUS_FAULT=spill.write:always: partition differs from the clean run"
 
+# A malformed retry setting is not an error: the run keeps the default
+# policy and succeeds, with one warning naming the variable (the
+# environment parses through env_u64, like every other GCLUS_* knob).
+set +e
+err="$(GCLUS_IO_RETRIES=abc "$DECOMPOSE_FILE" --algo=mr.cluster --tau=4 \
+  --spill_bytes=4096 2>&1 >/dev/null)"
+code=$?
+set -e
+[ "$code" -eq 0 ] || fail "GCLUS_IO_RETRIES=abc: expected exit 0, got $code"
+echo "$err" | grep -q "^GCLUS_IO_RETRIES=abc " ||
+  fail "GCLUS_IO_RETRIES=abc: warning not found in: $err"
+[ "$(echo "$err" | wc -l)" -eq 1 ] ||
+  fail "GCLUS_IO_RETRIES=abc: warning is not one line: $err"
+
 echo "PASS: decompose_file error contract holds"

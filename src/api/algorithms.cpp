@@ -373,8 +373,8 @@ void register_mr_algorithms(Registry& r) {
 void register_oracle(Registry& r) {
   r.add({"oracle",
          "distance-oracle decomposition (§4): CLUSTER2 at τ = √n/log²n on "
-         "the oracle's derived seed stream; emits quotient size and APSP "
-         "path telemetry",
+         "the oracle's derived seed stream, the clustering an oracle "
+         "artifact stores; emits the resolved τ",
          {{"tau", Type::kU32, "0",
            "granularity; 0 picks √n/log²n automatically"},
           {"use_cluster2", Type::kBool, "true",
@@ -384,8 +384,7 @@ void register_oracle(Registry& r) {
            o.context() = ctx;
            o.tau = p.get_u32("tau", 0);
            o.use_cluster2 = p.get_bool("use_cluster2", true);
-           OracleBuild build = DistanceOracle::build_full(g, o);
-           return std::move(build.clustering);
+           return oracle_clustering(g, o);
          },
          /*run_compressed=*/nullptr});
 }

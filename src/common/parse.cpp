@@ -29,14 +29,19 @@ StatusOr<std::uint64_t> parse_u64(std::string_view text) {
 }
 
 std::uint64_t env_u64(const char* name, std::uint64_t fallback,
-                      std::uint64_t minimum) {
+                      std::uint64_t minimum, std::uint64_t maximum) {
   const char* env = std::getenv(name);
   if (env == nullptr || *env == '\0') return fallback;
   const auto parsed = parse_u64(env);
-  if (!parsed.ok() || *parsed < minimum) {
+  if (!parsed.ok() || *parsed < minimum || *parsed > maximum) {
+    std::string range = ">= " + std::to_string(minimum);
+    if (maximum != std::numeric_limits<std::uint64_t>::max()) {
+      range = "in [" + std::to_string(minimum) + ", " +
+              std::to_string(maximum) + "]";
+    }
     std::fprintf(stderr,
-                 "%s=%s is not a valid unsigned integer >= %llu; using %llu\n",
-                 name, env, static_cast<unsigned long long>(minimum),
+                 "%s=%s is not a valid unsigned integer %s; using %llu\n",
+                 name, env, range.c_str(),
                  static_cast<unsigned long long>(fallback));
     return fallback;
   }

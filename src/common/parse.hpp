@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string_view>
 
 #include "common/status.hpp"
@@ -33,9 +34,10 @@ namespace gclus {
 
 /// Reads the environment variable `name` through parse_u64.  Returns
 /// `fallback` when the variable is unset or empty; when it is set but
-/// malformed or parses below `minimum`, warns on stderr (naming the
-/// variable and the offending value) and returns `fallback`.
-[[nodiscard]] std::uint64_t env_u64(const char* name, std::uint64_t fallback,
-                                    std::uint64_t minimum = 0);
+/// malformed or parses outside [minimum, maximum], warns on stderr (naming
+/// the variable and the offending value) and returns `fallback`.
+[[nodiscard]] std::uint64_t env_u64(
+    const char* name, std::uint64_t fallback, std::uint64_t minimum = 0,
+    std::uint64_t maximum = std::numeric_limits<std::uint64_t>::max());
 
 }  // namespace gclus

@@ -2,9 +2,10 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <thread>
+
+#include "common/parse.hpp"
 
 namespace gclus {
 
@@ -61,20 +62,11 @@ Status status_from_errno(int err, std::string_view context) {
 const RetryPolicy& io_retry_policy() {
   static const RetryPolicy policy = [] {
     RetryPolicy p;
-    if (const char* env = std::getenv("GCLUS_IO_RETRIES")) {
-      char* end = nullptr;
-      const long v = std::strtol(env, &end, 10);
-      if (end != env && *end == '\0' && v >= 1 && v <= 100) {
-        p.attempts = static_cast<int>(v);
-      }
-    }
-    if (const char* env = std::getenv("GCLUS_IO_BACKOFF_US")) {
-      char* end = nullptr;
-      const long v = std::strtol(env, &end, 10);
-      if (end != env && *end == '\0' && v >= 0 && v <= 10'000'000) {
-        p.initial_backoff_us = static_cast<std::uint32_t>(v);
-      }
-    }
+    p.attempts = static_cast<int>(
+        env_u64("GCLUS_IO_RETRIES", static_cast<std::uint64_t>(p.attempts),
+                1, 100));
+    p.initial_backoff_us = static_cast<std::uint32_t>(env_u64(
+        "GCLUS_IO_BACKOFF_US", p.initial_backoff_us, 0, 10'000'000));
     return p;
   }();
   return policy;

@@ -157,11 +157,13 @@ class [[nodiscard]] StatusOr {
 struct RetryPolicy {
   int attempts = 4;
   std::uint32_t initial_backoff_us = 100;
-  double multiplier = 4.0;
+  /// Each sleep is this many times the previous one.
+  static constexpr double multiplier = 4.0;
 };
 
-/// The process-wide policy: GCLUS_IO_RETRIES (total attempts, >= 1) and
-/// GCLUS_IO_BACKOFF_US (first sleep; later sleeps multiply by 4).
+/// The process-wide policy: GCLUS_IO_RETRIES (total attempts, 1..100) and
+/// GCLUS_IO_BACKOFF_US (first sleep, 0..10^7 µs), read through env_u64 —
+/// a malformed or out-of-range value warns once and keeps the default.
 [[nodiscard]] const RetryPolicy& io_retry_policy();
 
 namespace detail {

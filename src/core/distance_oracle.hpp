@@ -1,4 +1,4 @@
-// Linear-space distance oracle (§4, final remark).
+// Linear-space distance oracle (§4, final remark): the decomposition step.
 //
 // Build: run the decomposition at granularity τ = O(√n / log⁴ n), build
 // the *weighted* quotient graph, and store its dense all-pairs
@@ -8,17 +8,18 @@
 // corresponds to a concrete path in G through the cluster centers.  The
 // paper shows d′(u,v) = O(d(u,v)·log³ n + R_ALG2) with high probability —
 // polylogarithmic distortion for far-apart node pairs.
+//
+// This header owns the first step only: which clustering the oracle is
+// built on.  The stored oracle is server::OracleArtifact
+// (server/artifact.hpp, built by build_oracle_artifact), and d′ is
+// evaluated in exactly one place, server::QueryEngine::approx_distance.
 #pragma once
 
 #include <cstdint>
-#include <span>
-#include <vector>
 
 #include "api/run_context.hpp"
-#include "core/cluster.hpp"
 #include "core/clustering.hpp"
 #include "graph/graph.hpp"
-#include "graph/weighted.hpp"
 
 namespace gclus {
 
@@ -42,68 +43,13 @@ struct DistanceOracleOptions : RunContext {
   bool use_cluster2 = true;
 };
 
-/// τ actually used for an n-node build when `tau` may be the 0 sentinel.
-[[nodiscard]] std::uint32_t resolve_oracle_tau(NodeId n, std::uint32_t tau);
-
-struct OracleBuild;
-
-class DistanceOracle {
- public:
-  /// Builds the oracle over the *connected* graph `g`.
-  static DistanceOracle build(const Graph& g,
-                              const DistanceOracleOptions& options = {});
-
-  /// Like build, but also hands back the clustering and weighted quotient
-  /// the oracle was derived from.  Telemetry (when options.telemetry is
-  /// set): "oracle.tau", "oracle.quotient_nodes",
-  /// "oracle.quotient_half_edges", "oracle.apsp_small_path" (1 when the
-  /// linear-scan small-quotient APSP path was taken).
-  static OracleBuild build_full(const Graph& g,
-                                const DistanceOracleOptions& options = {});
-
-  /// Upper bound on dist(u, v).  Exact 0 when u == v.
-  [[nodiscard]] std::uint64_t upper_bound(NodeId u, NodeId v) const;
-
-  /// Clusters in the underlying decomposition.
-  [[nodiscard]] ClusterId num_clusters() const {
-    return static_cast<ClusterId>(num_clusters_);
-  }
-
-  /// Maximum cluster radius (the additive term of the guarantee).
-  [[nodiscard]] Dist max_radius() const { return max_radius_; }
-
-  /// Bytes of storage: labels + APSP matrix.
-  [[nodiscard]] std::size_t memory_bytes() const;
-
-  /// The stored label arrays and the dense k×k row-major APSP matrix —
-  /// the exact payload the artifact sidecar serializes.
-  [[nodiscard]] std::span<const ClusterId> cluster_of() const {
-    return cluster_of_;
-  }
-  [[nodiscard]] std::span<const Dist> dist_to_center() const {
-    return dist_to_center_;
-  }
-  [[nodiscard]] std::span<const Weight> apsp() const { return apsp_; }
-
- private:
-  friend struct OracleBuild;
-  DistanceOracle() = default;
-
-  std::vector<ClusterId> cluster_of_;
-  std::vector<Dist> dist_to_center_;
-  std::vector<Weight> apsp_;  // num_clusters_² row-major
-  std::size_t num_clusters_ = 0;
-  Dist max_radius_ = 0;
-};
-
-/// Everything the oracle build produces, for callers that persist or
-/// inspect the intermediate structures (the artifact serializer stores
-/// the clustering labels and the quotient next to the APSP matrix).
-struct OracleBuild {
-  Clustering clustering;
-  WeightedGraph quotient;
-  DistanceOracle oracle;
-  std::uint32_t resolved_tau = 0;
-};
+/// The decomposition the oracle over the *connected* graph `g` is built
+/// on: CLUSTER2 (or CLUSTER) at the resolved τ, seeded with
+/// derive_seed(options.seed, kSeedTagOracleBuild).  Emits "oracle.tau"
+/// (the resolved τ, never the 0 sentinel) after the algorithm's own
+/// telemetry; `resolved_tau`, when non-null, receives the same value.
+[[nodiscard]] Clustering oracle_clustering(
+    const Graph& g, const DistanceOracleOptions& options = {},
+    std::uint32_t* resolved_tau = nullptr);
 
 }  // namespace gclus

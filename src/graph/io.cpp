@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <cstring>
@@ -9,13 +10,17 @@
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <random>
 #include <sstream>
+#include <string>
+#include <system_error>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+// POSIX: mmap for zero-copy loads, fsync for crash-durable publishes.
 #if defined(__unix__) || defined(__APPLE__)
-#define GCLUS_HAS_MMAP 1
+#define GCLUS_HAS_POSIX_IO 1
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
@@ -83,7 +88,7 @@ constexpr std::uint32_t kCz2ParamsVersion = 1;
 class MappedFile {
  public:
   static std::shared_ptr<MappedFile> map(const std::string& path) {
-#ifdef GCLUS_HAS_MMAP
+#ifdef GCLUS_HAS_POSIX_IO
     // An injected mmap failure behaves exactly like a real one: callers
     // in kAuto mode fall back to the read() path (byte-identical result),
     // kMmap callers report it.
@@ -116,7 +121,7 @@ class MappedFile {
   [[nodiscard]] std::size_t size() const { return size_; }
 
   ~MappedFile() {
-#ifdef GCLUS_HAS_MMAP
+#ifdef GCLUS_HAS_POSIX_IO
     if (addr_ != nullptr) ::munmap(addr_, size_);
 #endif
   }
@@ -753,7 +758,7 @@ void store_cz2_params(const Cz2Layout& lay, std::byte* out) {
 }  // namespace
 
 bool mmap_supported() {
-#ifdef GCLUS_HAS_MMAP
+#ifdef GCLUS_HAS_POSIX_IO
   return true;
 #else
   return false;
@@ -779,6 +784,58 @@ StatusOr<FileContents> read_or_map_file(const std::string& path,
   fc.bytes = {owned->data(), owned->size()};
   fc.keepalive = std::move(owned);
   return fc;
+}
+
+std::string unique_tmp_path(const std::string& path) {
+  static std::atomic<std::uint64_t> counter{0};
+  static const std::uint64_t salt = std::random_device{}();
+  return path + ".tmp." + std::to_string(salt) + "-" +
+         std::to_string(counter.fetch_add(1));
+}
+
+namespace {
+
+/// fsyncs one path (a file, or with `directory` a directory entry).  On
+/// platforms without fsync this is a no-op success.
+bool sync_path(const std::string& path, bool directory) {
+#ifdef GCLUS_HAS_POSIX_IO
+  const int fd = ::open(path.c_str(), directory ? O_RDONLY : O_WRONLY);
+  if (fd < 0) return false;
+  const bool ok = ::fsync(fd) == 0;
+  ::close(fd);
+  return ok;
+#else
+  (void)path;
+  (void)directory;
+  return true;
+#endif
+}
+
+}  // namespace
+
+Status publish_file(const std::string& tmp, const std::string& path,
+                    std::string_view what) {
+  namespace fs = std::filesystem;
+  std::error_code ec;
+  if (!sync_path(tmp, /*directory=*/false)) {
+    fs::remove(tmp, ec);
+    return IoError("cannot fsync " + std::string(what) + " temp file: " + tmp);
+  }
+  fs::rename(tmp, path, ec);
+  if (ec) {
+    const std::string reason = ec.message();
+    fs::remove(tmp, ec);
+    return IoError("cannot publish " + std::string(what) + " " + path + ": " +
+                   reason);
+  }
+  const fs::path target(path);
+  const std::string dir = target.has_parent_path()
+                              ? target.parent_path().string()
+                              : std::string(".");
+  if (!sync_path(dir, /*directory=*/true)) {
+    return IoError("cannot fsync " + std::string(what) + " directory: " + dir);
+  }
+  return OkStatus();
 }
 
 Status write_csr(const Graph& g, const std::string& path) {

@@ -195,4 +195,23 @@ struct FileContents {
 [[nodiscard]] StatusOr<FileContents> read_or_map_file(const std::string& path,
                                                       bool prefer_mmap = true);
 
+// ---- atomic publish ---------------------------------------------------------
+
+/// `path` plus a ".tmp." suffix distinct per process and per call, so
+/// concurrent writers never collide on the temp file they publish from.
+[[nodiscard]] std::string unique_tmp_path(const std::string& path);
+
+/// Publishes the fully written temp file `tmp` as `path`, crash-
+/// consistently: fsync `tmp`, rename it over `path`, fsync the directory
+/// so the rename itself survives a crash.  A reader never observes a torn
+/// file: before the rename it sees the old inode (or nothing), after it a
+/// durable new one.  kIoError names the failed step and `what` (e.g.
+/// "cannot fsync artifact temp file: ..."); a failure before the rename
+/// removes `tmp` (best effort).  A failed directory fsync leaves the
+/// complete file published, only its crash durability in doubt.  Without
+/// fsync (non-POSIX) the publish is atomic but not crash-durable.
+[[nodiscard]] Status publish_file(const std::string& tmp,
+                                  const std::string& path,
+                                  std::string_view what);
+
 }  // namespace gclus::io

@@ -1,25 +1,19 @@
 #include "server/artifact.hpp"
 
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
 #include <limits>
-#include <random>
 #include <string>
 #include <system_error>
 #include <utility>
 #include <vector>
 
-#if defined(__unix__) || defined(__APPLE__)
-#define GCLUS_ARTIFACT_HAS_FSYNC 1
-#include <fcntl.h>
-#include <unistd.h>
-#endif
-
 #include "common/faultpoint.hpp"
+#include "core/quotient.hpp"
 #include "graph/io.hpp"
+#include "graph/weighted.hpp"
 #include "graph/wire.hpp"
 
 namespace gclus::server {
@@ -105,31 +99,6 @@ OracleArtifact artifact_from_owned(OracleArtifactMeta meta,
   a.mapped = false;
   a.storage = std::move(owned);
   return a;
-}
-
-/// Distinct per process and per call, so concurrent builders never collide
-/// on the temp file they publish from (the dataset-cache discipline).
-std::string unique_tmp_suffix() {
-  static std::atomic<std::uint64_t> counter{0};
-  static const std::uint64_t salt = std::random_device{}();
-  return std::to_string(salt) + "-" + std::to_string(counter.fetch_add(1));
-}
-
-/// fsyncs one path (a file, or with `directory` its parent directory
-/// entry).  On platforms without fsync this is a no-op success — the
-/// publish is still atomic, just not crash-durable.
-bool sync_path(const std::string& path, bool directory) {
-#ifdef GCLUS_ARTIFACT_HAS_FSYNC
-  const int fd = ::open(path.c_str(), directory ? O_RDONLY : O_WRONLY);
-  if (fd < 0) return false;
-  const bool ok = ::fsync(fd) == 0;
-  ::close(fd);
-  return ok;
-#else
-  (void)path;
-  (void)directory;
-  return true;
-#endif
 }
 
 /// Serializes `a` to `path` in one pass (no atomicity — the caller
@@ -318,71 +287,59 @@ Status validate_artifact_arrays(const OracleArtifact& a) {
 
 OracleArtifact build_oracle_artifact(const Graph& g,
                                      const DistanceOracleOptions& opts) {
-  OracleBuild build = DistanceOracle::build_full(g, opts);
+  std::uint32_t tau = 0;
+  Clustering clustering = oracle_clustering(g, opts, &tau);
+  const WeightedGraph quotient =
+      std::move(build_quotient(g, clustering, /*with_weights=*/true).weighted);
 
   OracleArtifactMeta meta;
   meta.graph_num_nodes = g.num_nodes();
   meta.graph_num_half_edges = g.num_half_edges();
-  meta.num_clusters = build.clustering.num_clusters();
-  meta.quotient_num_half_edges = build.quotient.num_half_edges();
+  meta.num_clusters = clustering.num_clusters();
+  meta.quotient_num_half_edges = quotient.num_half_edges();
   meta.build_seed = opts.seed;
-  meta.tau = build.resolved_tau;
+  meta.tau = tau;
   meta.use_cluster2 = opts.use_cluster2;
-  meta.max_radius = build.clustering.max_radius();
+  meta.max_radius = clustering.max_radius();
 
   auto owned = std::make_shared<OwnedPayload>();
-  owned->cluster_of = std::move(build.clustering.assignment);
-  owned->dist_to_center = std::move(build.clustering.dist_to_center);
-  owned->centers = std::move(build.clustering.centers);
-  const auto qoff = build.quotient.offsets();
+  owned->cluster_of = std::move(clustering.assignment);
+  owned->dist_to_center = std::move(clustering.dist_to_center);
+  owned->centers = std::move(clustering.centers);
+  const auto qoff = quotient.offsets();
   owned->quotient_offsets.assign(qoff.begin(), qoff.end());
-  const auto qadj = build.quotient.adjacency();
+  const auto qadj = quotient.adjacency();
   owned->quotient_neighbors.resize(qadj.size());
   owned->quotient_weights.resize(qadj.size());
   for (std::size_t i = 0; i < qadj.size(); ++i) {
     owned->quotient_neighbors[i] = qadj[i].to;
     owned->quotient_weights[i] = qadj[i].w;
   }
-  const auto apsp = build.oracle.apsp();
-  owned->apsp.assign(apsp.begin(), apsp.end());
+  // The dense APSP is the deliberate O(k²) cost; cap via apsp_matrix.
+  owned->apsp = apsp_matrix(quotient, /*max_nodes=*/40000);
+
+  opts.emit("oracle.quotient_nodes",
+            static_cast<double>(quotient.num_nodes()));
+  opts.emit("oracle.quotient_half_edges",
+            static_cast<double>(quotient.num_half_edges()));
+  opts.emit("oracle.apsp_small_path",
+            quotient.num_nodes() <= kApspSmallGraphNodes ? 1.0 : 0.0);
   return artifact_from_owned(meta, std::move(owned));
 }
 
 Status write_oracle_artifact(const OracleArtifact& a,
                              const std::string& path) {
-  const fs::path target(path);
-  const std::string dir = target.has_parent_path()
-                              ? target.parent_path().string()
-                              : std::string(".");
-  const std::string tmp = path + ".tmp." + unique_tmp_suffix();
-  std::error_code ec;
-
-  const Status written = write_artifact_bytes(a, tmp);
+  const std::string tmp = io::unique_tmp_path(path);
+  Status written = write_artifact_bytes(a, tmp);
+  if (written.ok() && GCLUS_FAULTPOINT("artifact.publish")) {
+    written = IoError("cannot fsync artifact temp file: " + tmp);
+  }
   if (!written.ok()) {
+    std::error_code ec;
     fs::remove(tmp, ec);  // best effort; a failed write may leave debris
     return written;
   }
-  // Crash-consistent publish: fsync the temp file, rename it over `path`,
-  // fsync the directory so the rename itself survives a crash.  A reader
-  // can then never observe a torn artifact: before the rename it sees the
-  // old inode (or nothing), after it a fully durable new one.
-  if (GCLUS_FAULTPOINT("artifact.publish") ||
-      !sync_path(tmp, /*directory=*/false)) {
-    fs::remove(tmp, ec);
-    return IoError("cannot fsync artifact temp file: " + tmp);
-  }
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    std::error_code ec2;
-    fs::remove(tmp, ec2);
-    return IoError("cannot publish artifact " + path + ": " + ec.message());
-  }
-  if (!sync_path(dir, /*directory=*/true)) {
-    // The rename landed (readers see a complete artifact); only crash
-    // durability of the directory entry is in doubt.
-    return IoError("cannot fsync artifact directory: " + dir);
-  }
-  return OkStatus();
+  return io::publish_file(tmp, path, "artifact");
 }
 
 StatusOr<OracleArtifact> load_oracle_artifact(const std::string& path,
@@ -407,21 +364,16 @@ StatusOr<OracleArtifact> load_oracle_artifact(const std::string& path,
   const std::uint64_t k = meta.num_clusters;
   const std::uint64_t qm = meta.quotient_num_half_edges;
 
-  if (opts.verify) {
-    std::uint64_t sum =
-        fnv1a(kFnvOffsetBasis, data, kOrcChecksumCoverBytes);
-    sum = fnv1a(sum, data + p.labels_pos, static_cast<std::size_t>(n) * 4);
-    sum = fnv1a(sum, data + p.dist_pos, static_cast<std::size_t>(n) * 4);
-    sum = fnv1a(sum, data + p.centers_pos, static_cast<std::size_t>(k) * 4);
-    sum = fnv1a(sum, data + p.qoffsets_pos,
-                static_cast<std::size_t>(k + 1) * 8);
-    sum = fnv1a(sum, data + p.qneighbors_pos,
-                static_cast<std::size_t>(qm) * 4);
-    sum = fnv1a(sum, data + p.qweights_pos, static_cast<std::size_t>(qm) * 8);
-    sum = fnv1a(sum, data + p.apsp_pos, static_cast<std::size_t>(k * k) * 8);
-    if (sum != read_le_at<std::uint64_t>(data + 128)) {
-      return DataLossError(path + ": artifact checksum mismatch");
-    }
+  std::uint64_t sum = fnv1a(kFnvOffsetBasis, data, kOrcChecksumCoverBytes);
+  sum = fnv1a(sum, data + p.labels_pos, static_cast<std::size_t>(n) * 4);
+  sum = fnv1a(sum, data + p.dist_pos, static_cast<std::size_t>(n) * 4);
+  sum = fnv1a(sum, data + p.centers_pos, static_cast<std::size_t>(k) * 4);
+  sum = fnv1a(sum, data + p.qoffsets_pos, static_cast<std::size_t>(k + 1) * 8);
+  sum = fnv1a(sum, data + p.qneighbors_pos, static_cast<std::size_t>(qm) * 4);
+  sum = fnv1a(sum, data + p.qweights_pos, static_cast<std::size_t>(qm) * 8);
+  sum = fnv1a(sum, data + p.apsp_pos, static_cast<std::size_t>(k * k) * 8);
+  if (sum != read_le_at<std::uint64_t>(data + 128)) {
+    return DataLossError(path + ": artifact checksum mismatch");
   }
 
   OracleArtifact a;
@@ -461,9 +413,7 @@ StatusOr<OracleArtifact> load_oracle_artifact(const std::string& path,
     a = artifact_from_owned(meta, std::move(owned));
   }
 
-  if (opts.verify) {
-    GCLUS_RETURN_IF_ERROR(validate_artifact_arrays(a).with_context(path));
-  }
+  GCLUS_RETURN_IF_ERROR(validate_artifact_arrays(a).with_context(path));
   return a;
 }
 

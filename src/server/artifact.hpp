@@ -1,13 +1,15 @@
 // Serialized distance-oracle artifacts — the "decompose once, serve many
 // restarts" half of the query service.
 //
-// An artifact file stores everything DistanceOracle::build_full computes
-// for a fixed (graph, seed, τ) triple: the per-node cluster labels and
-// dist-to-center values, the cluster centers, the weighted quotient graph
-// in CSR form, and the dense quotient APSP matrix.  A server restart
-// mmaps this sidecar (checksum-validated) instead of re-running the
-// decomposition, and serves byte-identical answers because the payload is
-// the oracle's exact state.
+// An OracleArtifact *is* the §4 distance oracle — there is no second
+// in-memory form.  For a fixed (graph, seed, τ) triple it holds the
+// per-node cluster labels and dist-to-center values of oracle_clustering
+// (core/distance_oracle.hpp), the cluster centers, the weighted quotient
+// graph in CSR form, and the dense quotient APSP matrix; QueryEngine
+// (server/engine.hpp) evaluates the query formula over it.  A server
+// restart mmaps this sidecar (checksum-validated) instead of re-running
+// the decomposition, and serves byte-identical answers because the
+// payload is the oracle's exact state.
 //
 // On-disk layout, CSR v2 dialect (all integers little-endian, sections
 // 64-byte aligned, FNV-1a payload checksum — see graph/wire.hpp):
@@ -40,9 +42,10 @@
 // Error handling follows graph/io.hpp: kInvalidArgument means the bytes
 // don't claim to be a supported artifact, kDataLoss means they do but are
 // truncated / checksum-mismatched / structurally corrupt, kIoError means
-// the environment failed.  Writing publishes atomically (private temp
-// file, fsync, rename, directory fsync — the dataset-cache discipline),
-// so readers never observe a torn artifact.  Fault points:
+// the environment failed.  Writing publishes atomically through
+// io::publish_file (private temp file, fsync, rename, directory fsync —
+// the dataset cache publishes the same way), so readers never observe a
+// torn artifact.  Fault points:
 // "artifact.write", "artifact.publish", "artifact.load", plus the io.*
 // points under the shared file mapping path.
 #pragma once
@@ -92,9 +95,12 @@ struct OracleArtifact {
   std::shared_ptr<const void> storage;
 };
 
-/// Runs the oracle decomposition on `g` and packages the result.  The
-/// artifact owns its payload (mapped == false).  Build telemetry flows
-/// through `opts` as in DistanceOracle::build_full.
+/// Builds the oracle over the connected graph `g`: oracle_clustering, the
+/// weighted quotient, its APSP matrix, each moved into a payload the
+/// artifact owns (mapped == false).  Telemetry (when opts.telemetry is
+/// set): oracle_clustering's, then "oracle.quotient_nodes",
+/// "oracle.quotient_half_edges", "oracle.apsp_small_path" (1 when the
+/// linear-scan small-quotient APSP path was taken).
 [[nodiscard]] OracleArtifact build_oracle_artifact(
     const Graph& g, const DistanceOracleOptions& opts = {});
 
@@ -109,15 +115,13 @@ struct ArtifactLoadOptions {
   /// mmap the file when the platform allows (falling back to a copy);
   /// false forces the copy path.
   bool prefer_mmap = true;
-  /// Verify the payload checksum and the structural invariants every
-  /// query-time index depends on (labels < k, quotient CSR well-formed,
-  /// centers consistent).  One sequential pass; keep it on outside
-  /// microbenchmarks.
-  bool verify = true;
 };
 
-/// Loads an artifact written by write_oracle_artifact.  Error codes as in
-/// the header comment; never aborts on corrupt input.
+/// Loads an artifact written by write_oracle_artifact.  Every load
+/// verifies the payload checksum and the structural invariants every
+/// query-time index depends on (labels < k, quotient CSR well-formed,
+/// centers consistent) in one sequential pass.  Error codes as in the
+/// header comment; never aborts on corrupt input.
 [[nodiscard]] StatusOr<OracleArtifact> load_oracle_artifact(
     const std::string& path, const ArtifactLoadOptions& opts = {});
 

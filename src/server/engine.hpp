@@ -1,6 +1,9 @@
 // QueryEngine — the embeddable half of the decomposition query service.
 //
-// One engine = one immutable (graph, oracle artifact) pair.  The graph is
+// One engine = one immutable (graph, oracle artifact) pair.  The artifact
+// is the §4 distance oracle itself (server/artifact.hpp), and
+// approx_distance is the one place its query formula d′(u,v) is
+// evaluated.  The graph is
 // typically an mmap-backed CSR v2 load and the artifact either a fresh
 // decomposition (build) or an mmap-ed sidecar (load) — both read-only, so
 // any number of threads may query one engine concurrently with no
@@ -77,8 +80,10 @@ class QueryEngine {
 
   // ---- queries --------------------------------------------------------------
 
-  /// Upper bound on dist(u, v): dist(u, ctr(u)) + apsp + dist(v, ctr(v)),
-  /// exact 0 for u == v.  kInvalidArgument on out-of-range ids.
+  /// The oracle's d′(u, v) = dist(u, ctr(u)) + apsp[c(u)][c(v)] +
+  /// dist(v, ctr(v)) (the APSP term drops out when c(u) == c(v)): an
+  /// upper bound on dist(u, v), exact 0 for u == v.  kInvalidArgument on
+  /// out-of-range ids.
   [[nodiscard]] StatusOr<std::uint64_t> approx_distance(NodeId u,
                                                         NodeId v) const;
 

@@ -77,10 +77,12 @@ struct QueryResult {
   friend bool operator==(const QueryResult&, const QueryResult&) = default;
 };
 
-/// Executes one query.  This is the single definition of query semantics:
-/// server workers and the serial reference path of the determinism tests
-/// both call it, so they cannot drift.  `scratch`/`neighborhood_buf` are
-/// the caller's reusable per-thread buffers.
+/// Executes one query: dispatches to the QueryEngine method of its kind
+/// (the engine defines what each kind answers) and folds the answer into
+/// a QueryResult.  Server workers and the serial reference path of the
+/// determinism tests both call it, so they cannot drift.
+/// `scratch`/`neighborhood_buf` are the caller's reusable per-thread
+/// buffers.
 [[nodiscard]] QueryResult execute_query(const QueryEngine& engine,
                                         const Query& q, QueryScratch& scratch,
                                         std::vector<ClusterId>& neighborhood_buf);

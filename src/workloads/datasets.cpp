@@ -6,14 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <random>
 #include <system_error>
-
-#if defined(__unix__) || defined(__APPLE__)
-#define GCLUS_HAS_FSYNC 1
-#include <fcntl.h>
-#include <unistd.h>
-#endif
 
 #include "common/check.hpp"
 #include "common/faultpoint.hpp"
@@ -66,43 +59,56 @@ std::string scale_tag() {
   return buf;
 }
 
-/// Distinct per process and per call, so concurrent cache fillers never
-/// collide on the temp file they publish from.
-std::string unique_tmp_suffix() {
-  static std::atomic<std::uint64_t> counter{0};
-  static const std::uint64_t salt = std::random_device{}();
-  return std::to_string(salt) + "-" + std::to_string(counter.fetch_add(1));
-}
+/// The cache fill shared by both layouts: load the entry at
+/// dir/key<tag>-g<version>.csr2; on a miss build it with `make` and
+/// publish it.  `load` reads an entry (validating magic, sections and
+/// checksum).  The load's status code tells an absent entry (plain miss)
+/// from a *corrupt* one — truncated, bit-flipped, or torn by a crash on a
+/// filesystem without atomic rename — which is deleted so it cannot poison
+/// every later run, then rebuilt.
+template <typename G, typename Load, typename Make>
+G cached_entry(const std::string& key, const char* tag, Load load,
+               Make make) {
+  const std::string dir = dataset_cache_dir();
+  if (dir.empty()) return make();
 
-/// fsyncs one path (a file, or with `directory` its parent directory
-/// entry).  On platforms without fsync this is a no-op success — the
-/// publish is still atomic, just not crash-durable.
-bool sync_path(const std::string& path, bool directory) {
-#ifdef GCLUS_HAS_FSYNC
-  const int fd = ::open(path.c_str(), directory ? O_RDONLY : O_WRONLY);
-  if (fd < 0) return false;
-  const bool ok = ::fsync(fd) == 0;
-  ::close(fd);
-  return ok;
-#else
-  (void)path;
-  (void)directory;
-  return true;
-#endif
-}
-
-/// Crash-consistent publish: fsync the temp file, rename it over `path`,
-/// fsync the directory so the rename itself survives a crash.  A reader
-/// can then never observe a torn entry: before the rename it sees the old
-/// inode (or nothing), after it a fully durable new one.
-bool publish_cache_entry(const std::string& tmp, const std::string& path,
-                         const std::string& dir) {
-  if (GCLUS_FAULTPOINT("cache.publish")) return false;
-  if (!sync_path(tmp, /*directory=*/false)) return false;
+  namespace fs = std::filesystem;
   std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) return false;
-  return sync_path(dir, /*directory=*/true);
+  fs::create_directories(dir, ec);  // best effort; a miss just rebuilds
+  const std::string path = dir + "/" + key + tag + "-g" +
+                           std::to_string(kDatasetGeneratorVersion) + ".csr2";
+  auto cached = GCLUS_FAULTPOINT("cache.load")
+                    ? StatusOr<G>(DataLossError("injected corrupt entry"))
+                    : load(path);
+  if (cached.ok()) {
+    counters().hits.fetch_add(1, std::memory_order_relaxed);
+    return std::move(cached).value();
+  }
+  const StatusCode code = cached.status().code();
+  if (code == StatusCode::kDataLoss || code == StatusCode::kInvalidArgument) {
+    std::fprintf(stderr,
+                 "gclus: evicting corrupt dataset cache entry %s (%s)\n",
+                 path.c_str(), cached.status().to_string().c_str());
+    counters().corrupt_evictions.fetch_add(1, std::memory_order_relaxed);
+    fs::remove(path, ec);  // best effort; rebuild either way
+  }
+  counters().misses.fetch_add(1, std::memory_order_relaxed);
+  G g = make();
+
+  // Concurrent fillers (parallel ctest) each write a private temp file and
+  // the last rename wins — readers mmap whichever complete inode they
+  // opened.  Publication is best-effort end to end: an unwritable or full
+  // cache volume degrades to regeneration, never aborts the run.
+  const std::string tmp = io::unique_tmp_path(path);
+  if (!GCLUS_FAULTPOINT("cache.write") && io::write_csr(g, tmp).ok() &&
+      !GCLUS_FAULTPOINT("cache.publish") &&
+      io::publish_file(tmp, path, "dataset cache entry").ok()) {
+    counters().stores.fetch_add(1, std::memory_order_relaxed);
+    return g;
+  }
+  counters().publish_failures.fetch_add(1, std::memory_order_relaxed);
+  fs::remove(tmp, ec);
+  return g;
 }
 
 }  // namespace
@@ -131,96 +137,19 @@ DatasetCacheStats dataset_cache_stats() {
 
 Graph cached_graph(const std::string& key,
                    const std::function<Graph()>& build) {
-  const std::string dir = dataset_cache_dir();
-  if (dir.empty()) return build();
-
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  fs::create_directories(dir, ec);  // best effort; a miss just rebuilds
-  const std::string path = dir + "/" + key + "-g" +
-                           std::to_string(kDatasetGeneratorVersion) + ".csr2";
-  // load_csr validates magic, sections, and checksum.  The code tells an
-  // absent entry (plain miss) from a *corrupt* one — truncated, bit-
-  // flipped, or torn by a crash on a filesystem without atomic rename —
-  // which is deleted so it cannot poison every later run, then rebuilt.
-  auto cached = GCLUS_FAULTPOINT("cache.load")
-                    ? StatusOr<Graph>(DataLossError("injected corrupt entry"))
-                    : io::load_csr(path);
-  if (cached.ok()) {
-    counters().hits.fetch_add(1, std::memory_order_relaxed);
-    return std::move(cached).value();
-  }
-  const StatusCode code = cached.status().code();
-  if (code == StatusCode::kDataLoss || code == StatusCode::kInvalidArgument) {
-    std::fprintf(stderr,
-                 "gclus: evicting corrupt dataset cache entry %s (%s)\n",
-                 path.c_str(), cached.status().to_string().c_str());
-    counters().corrupt_evictions.fetch_add(1, std::memory_order_relaxed);
-    fs::remove(path, ec);  // best effort; rebuild either way
-  }
-  counters().misses.fetch_add(1, std::memory_order_relaxed);
-  Graph g = build();
-
-  // Publish atomically and crash-consistently: concurrent fillers
-  // (parallel ctest) each write a private temp file and the last rename
-  // wins — readers mmap whichever complete inode they opened — and the
-  // file plus directory entry are fsynced around the rename so a crash
-  // cannot leave a published name pointing at unwritten data.
-  // Publication is best-effort end to end: an unwritable or full cache
-  // volume degrades to regeneration, never aborts the run.
-  const std::string tmp = path + ".tmp." + unique_tmp_suffix();
-  const bool wrote =
-      !GCLUS_FAULTPOINT("cache.write") && io::write_csr(g, tmp).ok();
-  if (wrote && publish_cache_entry(tmp, path, dir)) {
-    counters().stores.fetch_add(1, std::memory_order_relaxed);
-    return g;
-  }
-  counters().publish_failures.fetch_add(1, std::memory_order_relaxed);
-  fs::remove(tmp, ec);
-  return g;
+  return cached_entry<Graph>(
+      key, "", [](const std::string& path) { return io::load_csr(path); },
+      build);
 }
 
 CompressedGraph cached_compressed_graph(const std::string& key,
                                         const std::function<Graph()>& build) {
-  const std::string dir = dataset_cache_dir();
-  if (dir.empty()) return compress(build());
-
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  fs::create_directories(dir, ec);
   // The "-cz" tag keeps compressed entries keyed apart from the plain ones
   // for the same graph, so both layouts can coexist in one cache dir.
-  const std::string path = dir + "/" + key + "-cz-g" +
-                           std::to_string(kDatasetGeneratorVersion) + ".csr2";
-  auto cached =
-      GCLUS_FAULTPOINT("cache.load")
-          ? StatusOr<CompressedGraph>(DataLossError("injected corrupt entry"))
-          : io::load_compressed_csr(path);
-  if (cached.ok()) {
-    counters().hits.fetch_add(1, std::memory_order_relaxed);
-    return std::move(cached).value();
-  }
-  const StatusCode code = cached.status().code();
-  if (code == StatusCode::kDataLoss || code == StatusCode::kInvalidArgument) {
-    std::fprintf(stderr,
-                 "gclus: evicting corrupt dataset cache entry %s (%s)\n",
-                 path.c_str(), cached.status().to_string().c_str());
-    counters().corrupt_evictions.fetch_add(1, std::memory_order_relaxed);
-    fs::remove(path, ec);
-  }
-  counters().misses.fetch_add(1, std::memory_order_relaxed);
-  CompressedGraph cg = compress(build());
-
-  const std::string tmp = path + ".tmp." + unique_tmp_suffix();
-  const bool wrote =
-      !GCLUS_FAULTPOINT("cache.write") && io::write_csr(cg, tmp).ok();
-  if (wrote && publish_cache_entry(tmp, path, dir)) {
-    counters().stores.fetch_add(1, std::memory_order_relaxed);
-    return cg;
-  }
-  counters().publish_failures.fetch_add(1, std::memory_order_relaxed);
-  fs::remove(tmp, ec);
-  return cg;
+  return cached_entry<CompressedGraph>(
+      key, "-cz",
+      [](const std::string& path) { return io::load_compressed_csr(path); },
+      [&build] { return compress(build()); });
 }
 
 const std::vector<std::string>& dataset_names() {

@@ -2,7 +2,8 @@
 // build→write→load round trips over the whole corpus (mmap and copy
 // paths), byte-identical restart answers, header/payload bit-flip
 // corruption sweeps that must yield kDataLoss/kInvalidArgument — never an
-// abort — and the load_or_build evict+rebuild+republish discipline.
+// abort — the load_or_build evict+rebuild+republish discipline, and that
+// the registry's "oracle" algorithm runs the artifact's decomposition.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,11 +14,14 @@
 #include <string>
 #include <vector>
 
+#include "api/registry.hpp"
 #include "common/rng.hpp"
 #include "common/status.hpp"
 #include "core/distance_oracle.hpp"
 #include "graph/builder.hpp"
+#include "graph/compressed.hpp"
 #include "graph/generators.hpp"
+#include "par/thread_pool.hpp"
 #include "server/artifact.hpp"
 #include "server/engine.hpp"
 #include "test_util.hpp"
@@ -104,10 +108,8 @@ TEST_P(ArtifactRoundTripTest, WriteLoadPreservesEveryByte) {
   EXPECT_TRUE(validate_artifact_for_graph(*mapped, graph).ok());
 }
 
-TEST_P(ArtifactRoundTripTest, LoadedEngineMatchesInMemoryOracle) {
+TEST_P(ArtifactRoundTripTest, LoadedEngineMatchesOracleFormula) {
   const auto& [name, graph] = GetParam();
-  const DistanceOracle oracle = DistanceOracle::build(graph, fixed_opts());
-
   TempFile file("gclus_artifact_eng_" + name + ".orc");
   auto built = QueryEngine::build(Graph(graph), fixed_opts());
   ASSERT_TRUE(built.ok()) << name;
@@ -126,7 +128,37 @@ TEST_P(ArtifactRoundTripTest, LoadedEngineMatchesInMemoryOracle) {
     ASSERT_TRUE(fresh.ok());
     ASSERT_TRUE(reloaded.ok());
     EXPECT_EQ(*fresh, *reloaded) << name;
-    EXPECT_EQ(*fresh, oracle.upper_bound(u, v)) << name;
+    EXPECT_EQ(*fresh, testutil::oracle_formula(built->artifact(), u, v))
+        << name;
+  }
+}
+
+// The registry's "oracle" algorithm and the artifact must run one
+// decomposition: same labels for the same context, at every thread count
+// and on either graph layout.
+TEST_P(ArtifactRoundTripTest, RegistryOracleIsTheArtifactDecomposition) {
+  const auto& [name, graph] = GetParam();
+  const CompressedGraph packed = compress(graph);
+  const AlgoParams params{{"tau", std::to_string(fixed_opts().tau)}};
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    ThreadPool pool(threads);
+    DistanceOracleOptions opts = fixed_opts();
+    opts.pool = &pool;
+    const OracleArtifact a = build_oracle_artifact(graph, opts);
+    RunContext ctx = opts.context();
+    const Clustering plain =
+        registry().run("oracle", graph, params, ctx).value();
+    const Clustering compressed =
+        registry().run("oracle", packed, params, ctx).value();
+    for (const Clustering* c : {&plain, &compressed}) {
+      const bool is_plain = c == &plain;
+      EXPECT_TRUE(std::ranges::equal(c->assignment, a.cluster_of))
+          << name << " threads " << threads << " plain " << is_plain;
+      EXPECT_TRUE(std::ranges::equal(c->centers, a.centers))
+          << name << " threads " << threads << " plain " << is_plain;
+      EXPECT_TRUE(std::ranges::equal(c->dist_to_center, a.dist_to_center))
+          << name << " threads " << threads << " plain " << is_plain;
+    }
   }
 }
 

@@ -193,6 +193,10 @@ TEST(EnvU64, FallsBackAndEnforcesMinimum) {
   EXPECT_EQ(env_u64("GCLUS_TEST_ENV_U64", 7, 5), 7u);  // below minimum
   ::setenv("GCLUS_TEST_ENV_U64", "5", 1);
   EXPECT_EQ(env_u64("GCLUS_TEST_ENV_U64", 7, 5), 5u);  // at minimum
+  ::setenv("GCLUS_TEST_ENV_U64", "101", 1);
+  EXPECT_EQ(env_u64("GCLUS_TEST_ENV_U64", 7, 1, 100), 7u);  // above maximum
+  ::setenv("GCLUS_TEST_ENV_U64", "100", 1);
+  EXPECT_EQ(env_u64("GCLUS_TEST_ENV_U64", 7, 1, 100), 100u);  // at maximum
   ::unsetenv("GCLUS_TEST_ENV_U64");
 }
 

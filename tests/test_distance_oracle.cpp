@@ -1,20 +1,28 @@
-// Tests for the distance oracle (§4 final remark): upper-bound soundness
+// Tests for the distance oracle (§4 final remark), queried through
+// QueryEngine — the one evaluation of d′(u,v): upper-bound soundness
 // against exact BFS distances over sampled pairs, the zero-on-identity
 // contract, the additive+multiplicative distortion guarantee with
-// explicit slack, and memory accounting.
+// explicit slack, and the decomposition oracle_clustering picks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 
 #include "common/rng.hpp"
+#include "core/cluster2.hpp"
 #include "core/distance_oracle.hpp"
 #include "graph/bfs.hpp"
 #include "graph/generators.hpp"
+#include "server/engine.hpp"
 #include "test_util.hpp"
 
 namespace gclus {
 namespace {
+
+server::QueryEngine build_oracle(const Graph& g,
+                                 const DistanceOracleOptions& opts = {}) {
+  return server::QueryEngine::build(Graph(g), opts).value();
+}
 
 class OracleSoundnessTest
     : public ::testing::TestWithParam<testutil::NamedGraph> {};
@@ -23,7 +31,7 @@ TEST_P(OracleSoundnessTest, NeverUnderestimates) {
   const auto& [name, graph] = GetParam();
   DistanceOracleOptions opts;
   opts.seed = 3;
-  const DistanceOracle oracle = DistanceOracle::build(graph, opts);
+  const server::QueryEngine oracle = build_oracle(graph, opts);
 
   // Exact distances from a few sampled sources; every queried pair must
   // satisfy bfs <= oracle and the distortion bound.
@@ -35,7 +43,7 @@ TEST_P(OracleSoundnessTest, NeverUnderestimates) {
     const auto exact = bfs_distances(graph, u);
     for (int q = 0; q < 50; ++q) {
       const auto v = static_cast<NodeId>(rng.next_below(graph.num_nodes()));
-      const std::uint64_t ub = oracle.upper_bound(u, v);
+      const std::uint64_t ub = oracle.approx_distance(u, v).value();
       EXPECT_GE(ub, exact[v]) << name;
       // d'(u,v) = O(d·log³n + R_ALG2) with generous constant 16.
       EXPECT_LE(static_cast<double>(ub),
@@ -55,64 +63,74 @@ INSTANTIATE_TEST_SUITE_P(
       return n;
     });
 
-TEST(DistanceOracle, IdentityQueriesAreZero) {
+TEST(Oracle, IdentityQueriesAreZero) {
   const Graph g = gen::grid(15, 15);
-  const DistanceOracle oracle = DistanceOracle::build(g, {});
+  const server::QueryEngine oracle = build_oracle(g);
   for (NodeId v = 0; v < g.num_nodes(); v += 17) {
-    EXPECT_EQ(oracle.upper_bound(v, v), 0u);
+    EXPECT_EQ(oracle.approx_distance(v, v).value(), 0u);
   }
 }
 
-TEST(DistanceOracle, SymmetricQueries) {
+TEST(Oracle, SymmetricQueries) {
   const Graph g = gen::road_like(18, 18, 0.08, 0.02, 7);
-  const DistanceOracle oracle = DistanceOracle::build(g, {});
+  const server::QueryEngine oracle = build_oracle(g);
   Rng rng(5);
   for (int q = 0; q < 100; ++q) {
     const auto u = static_cast<NodeId>(rng.next_below(g.num_nodes()));
     const auto v = static_cast<NodeId>(rng.next_below(g.num_nodes()));
-    EXPECT_EQ(oracle.upper_bound(u, v), oracle.upper_bound(v, u));
+    EXPECT_EQ(oracle.approx_distance(u, v).value(),
+              oracle.approx_distance(v, u).value());
   }
 }
 
-TEST(DistanceOracle, SameClusterUsesLabelPath) {
+TEST(Oracle, SameClusterUsesLabelPath) {
   // On a clique, everything lands in one cluster with radius <= 1:
   // oracle bound for distinct nodes is at most 2.
   const Graph g = gen::complete(40);
   DistanceOracleOptions opts;
   opts.tau = 1;
-  const DistanceOracle oracle = DistanceOracle::build(g, opts);
-  EXPECT_LE(oracle.upper_bound(3, 17), 2u);
-  EXPECT_GE(oracle.upper_bound(3, 17), 1u);
+  const server::QueryEngine oracle = build_oracle(g, opts);
+  EXPECT_LE(oracle.approx_distance(3, 17).value(), 2u);
+  EXPECT_GE(oracle.approx_distance(3, 17).value(), 1u);
 }
 
-TEST(DistanceOracle, ExplicitTauControlsClusterCount) {
+TEST(Oracle, ExplicitTauControlsClusterCount) {
   const Graph g = gen::grid(30, 30);
   DistanceOracleOptions coarse, fine;
   coarse.tau = 1;
   fine.tau = 16;
-  const auto oc = DistanceOracle::build(g, coarse);
-  const auto of = DistanceOracle::build(g, fine);
-  EXPECT_LT(oc.num_clusters(), of.num_clusters());
+  EXPECT_LT(oracle_clustering(g, coarse).num_clusters(),
+            oracle_clustering(g, fine).num_clusters());
 }
 
-TEST(DistanceOracle, MemoryAccountingIsPlausible) {
-  const Graph g = gen::grid(25, 25);
-  const DistanceOracle oracle = DistanceOracle::build(g, {});
-  const std::size_t k = oracle.num_clusters();
-  // Labels: n·(4+4) bytes; APSP: k²·8 bytes.
-  const std::size_t expected =
-      g.num_nodes() * 8ull + static_cast<std::size_t>(k) * k * 8ull;
-  EXPECT_EQ(oracle.memory_bytes(), expected);
+TEST(Oracle, ClusteringResolvesTauOnTheDerivedSeed) {
+  // n = 1024: √n / log²n = 32 / 100 < 1, so τ resolves to its floor 1.
+  const Graph g = gen::grid(32, 32);
+  DistanceOracleOptions opts;
+  opts.seed = 9;
+  RecordingTelemetry telemetry;
+  opts.telemetry = &telemetry;
+  std::uint32_t tau = 0;
+  const Clustering c = oracle_clustering(g, opts, &tau);
+  EXPECT_EQ(tau, 1u);
+  EXPECT_EQ(telemetry.value("oracle.tau"), 1.0);
+
+  ClusterOptions copts;
+  copts.seed = derive_seed(opts.seed, kSeedTagOracleBuild);
+  const Clustering direct = cluster2(g, tau, copts).clustering;
+  EXPECT_EQ(c.assignment, direct.assignment);
+  EXPECT_EQ(c.centers, direct.centers);
+  EXPECT_EQ(c.dist_to_center, direct.dist_to_center);
 }
 
-TEST(DistanceOracle, ClusterVariantAlsoSound) {
+TEST(Oracle, ClusterVariantAlsoSound) {
   const Graph g = gen::cycle(300);
   DistanceOracleOptions opts;
   opts.use_cluster2 = false;
-  const DistanceOracle oracle = DistanceOracle::build(g, opts);
+  const server::QueryEngine oracle = build_oracle(g, opts);
   const auto exact = bfs_distances(g, 0);
   for (NodeId v = 0; v < g.num_nodes(); v += 13) {
-    EXPECT_GE(oracle.upper_bound(0, v), exact[v]);
+    EXPECT_GE(oracle.approx_distance(0, v).value(), exact[v]);
   }
 }
 

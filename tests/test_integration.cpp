@@ -13,6 +13,7 @@
 #include "graph/generators.hpp"
 #include "graph/properties.hpp"
 #include "mr_algos/mr_cluster.hpp"
+#include "server/engine.hpp"
 #include "workloads/datasets.hpp"
 
 namespace gclus {
@@ -94,11 +95,11 @@ TEST(Integration, OracleOnRoadNetwork) {
   DistanceOracleOptions opts;
   opts.seed = 6;
   opts.use_cluster2 = false;  // the cheaper pipeline variant
-  const DistanceOracle oracle = DistanceOracle::build(g, opts);
+  const auto oracle = server::QueryEngine::build(Graph(g), opts).value();
   const auto exact = bfs_distances(g, 0);
   std::uint64_t max_ratio_num = 0, max_ratio_den = 1;
   for (NodeId v = 0; v < g.num_nodes(); v += 37) {
-    const auto ub = oracle.upper_bound(0, v);
+    const std::uint64_t ub = oracle.approx_distance(0, v).value();
     ASSERT_GE(ub, exact[v]);
     if (exact[v] > 10 && ub * max_ratio_den > max_ratio_num * exact[v]) {
       max_ratio_num = ub;

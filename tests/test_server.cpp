@@ -1,9 +1,9 @@
 // Tests for the concurrent query service (server/server.hpp): query
-// semantics against the in-memory oracle, the Status taxonomy for bad
-// requests, load shedding on a full queue, clean shutdown draining, and
-// the headline determinism contract — N concurrent workers answer a query
-// stream byte-identically to serial execution.  This binary is the TSan
-// target of the sanitizer CI job.
+// semantics against the oracle formula over the artifact's spans, the
+// Status taxonomy for bad requests, load shedding on a full queue, clean
+// shutdown draining, and the headline determinism contract — N concurrent
+// workers answer a query stream byte-identically to serial execution.
+// This binary is the TSan target of the sanitizer CI job.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,6 +18,7 @@
 #include "graph/generators.hpp"
 #include "server/engine.hpp"
 #include "server/server.hpp"
+#include "test_util.hpp"
 
 namespace gclus::server {
 namespace {
@@ -74,10 +75,6 @@ std::vector<QueryResult> run_serial(const QueryEngine& engine,
 
 TEST(QueryEngine, ApproxDistanceMatchesOracleFormula) {
   const Graph g = gen::ring_of_cliques(6, 10);
-  DistanceOracleOptions opts;
-  opts.seed = 11;
-  opts.tau = 4;
-  const DistanceOracle oracle = DistanceOracle::build(g, opts);
   const QueryEngine engine = make_engine(g);
   Rng rng(123);
   for (int i = 0; i < 500; ++i) {
@@ -85,7 +82,7 @@ TEST(QueryEngine, ApproxDistanceMatchesOracleFormula) {
     const auto v = static_cast<NodeId>(rng.next_below(g.num_nodes()));
     const auto d = engine.approx_distance(u, v);
     ASSERT_TRUE(d.ok());
-    EXPECT_EQ(*d, oracle.upper_bound(u, v));
+    EXPECT_EQ(*d, testutil::oracle_formula(engine.artifact(), u, v));
   }
 }
 

@@ -112,8 +112,7 @@ TEST(StatusOrDeathTest, ValueOnErrorAborts) {
 }
 
 TEST(RetryTest, TransientErrorsRetryUntilSuccess) {
-  const RetryPolicy fast{/*attempts=*/4, /*initial_backoff_us=*/0,
-                         /*multiplier=*/1.0};
+  const RetryPolicy fast{/*attempts=*/4, /*initial_backoff_us=*/0};
   int calls = 0;
   std::uint64_t retries = 0;
   const Status st = retry_transient(
@@ -128,8 +127,7 @@ TEST(RetryTest, TransientErrorsRetryUntilSuccess) {
 }
 
 TEST(RetryTest, ExhaustionEscalatesToIoError) {
-  const RetryPolicy fast{/*attempts=*/3, /*initial_backoff_us=*/0,
-                         /*multiplier=*/1.0};
+  const RetryPolicy fast{/*attempts=*/3, /*initial_backoff_us=*/0};
   int calls = 0;
   const Status st = retry_transient(fast, [&] {
     ++calls;
@@ -143,8 +141,7 @@ TEST(RetryTest, ExhaustionEscalatesToIoError) {
 }
 
 TEST(RetryTest, NonTransientErrorsReturnImmediately) {
-  const RetryPolicy fast{/*attempts=*/5, /*initial_backoff_us=*/0,
-                         /*multiplier=*/1.0};
+  const RetryPolicy fast{/*attempts=*/5, /*initial_backoff_us=*/0};
   int calls = 0;
   const Status st = retry_transient(fast, [&] {
     ++calls;

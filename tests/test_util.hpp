@@ -18,6 +18,7 @@
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "graph/weighted.hpp"
+#include "server/artifact.hpp"
 
 namespace gclus::testutil {
 
@@ -45,6 +46,21 @@ inline testing::AssertionResult fails_with(const Status& st, StatusCode code,
   return testing::AssertionFailure()
          << "expected " << status_code_name(code) << " containing '" << needle
          << "', got " << st.to_string();
+}
+
+/// The oracle's d′(u,v) = dist(u, ctr(u)) + apsp[c(u)][c(v)] +
+/// dist(v, ctr(v)) (0 for u == v), evaluated straight from an artifact's
+/// label and APSP spans — the restatement QueryEngine::approx_distance is
+/// checked against.
+inline std::uint64_t oracle_formula(const server::OracleArtifact& a, NodeId u,
+                                    NodeId v) {
+  if (u == v) return 0;
+  const std::uint64_t labels =
+      std::uint64_t{a.dist_to_center[u]} + a.dist_to_center[v];
+  const ClusterId cu = a.cluster_of[u];
+  const ClusterId cv = a.cluster_of[v];
+  if (cu == cv) return labels;
+  return labels + a.apsp[std::size_t{cu} * a.meta.num_clusters + cv];
 }
 
 struct NamedGraph {
