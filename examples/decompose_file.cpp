@@ -317,16 +317,15 @@ int main(int argc, char** argv) {
                 convert_out.c_str());
     return 0;
   }
-  const Components comps = connected_components(g);
-  if (comps.count > 1) {
-    std::printf("note: %u connected components; clustering all of them\n",
-                comps.count);
-  }
-
   std::unique_ptr<ThreadPool> private_pool;
   if (threads > 0) {
     private_pool = std::make_unique<ThreadPool>(threads);
     ctx.pool = private_pool.get();
+  }
+  const Components comps = connected_components(g, ctx.pool);
+  if (comps.count > 1) {
+    std::printf("note: %u connected components; clustering all of them\n",
+                comps.count);
   }
   RecordingTelemetry telemetry;
   ctx.telemetry = &telemetry;
@@ -373,7 +372,8 @@ int main(int argc, char** argv) {
                 c.sizes[id], c.radius[id]);
   }
 
-  const QuotientGraph q = build_quotient(g, c, /*with_weights=*/false);
+  const QuotientGraph q =
+      build_quotient(g, c, /*with_weights=*/false, ctx.pool);
   const std::string out = path + ".quotient";
   io::write_edge_list_file(q.graph, out);
   std::printf("quotient graph (%u nodes, %llu edges) written to %s\n",

@@ -62,9 +62,11 @@ NodeId read_k(NodeId num_nodes, const AlgoParams& params, NodeId fallback) {
 
 /// A k-center solution needs a center in every connected component, so a
 /// k below the component count is rejected here rather than at the core
-/// functions' CHECKs (kcenter_approx, gonzalez_kcenter).
-Status check_k_covers_components(const Graph& g, NodeId k) {
-  const NodeId components = connected_components(g).count;
+/// functions' CHECKs (kcenter_approx, gonzalez_kcenter).  Components are
+/// counted on the run's pool.
+Status check_k_covers_components(const Graph& g, NodeId k,
+                                 ThreadPool* pool) {
+  const NodeId components = connected_components(g, pool).count;
   if (k >= components) return OkStatus();
   return InvalidArgumentError(
       "parameter k: " + std::to_string(k) + " centers cannot cover " +
@@ -212,7 +214,7 @@ void register_gonzalez(Registry& r) {
          [](const Graph& g, const AlgoParams& p,
             RunContext& ctx) -> StatusOr<Clustering> {
            const NodeId k = read_k(g.num_nodes(), p, 8);
-           GCLUS_RETURN_IF_ERROR(check_k_covers_components(g, k));
+           GCLUS_RETURN_IF_ERROR(check_k_covers_components(g, k, ctx.pool));
            const NodeId first =
                std::min<NodeId>(p.get_u32("first", 0), g.num_nodes() - 1);
            const auto res = baselines::gonzalez_kcenter(g, k, first);
@@ -232,7 +234,7 @@ void register_kcenter(Registry& r) {
          [](const Graph& g, const AlgoParams& p,
             RunContext& ctx) -> StatusOr<Clustering> {
            const NodeId k = read_k(g.num_nodes(), p, 8);
-           GCLUS_RETURN_IF_ERROR(check_k_covers_components(g, k));
+           GCLUS_RETURN_IF_ERROR(check_k_covers_components(g, k, ctx.pool));
            KCenterOptions o;
            o.context() = ctx;
            o.tau_scale = p.get_double("tau_scale", 1.0);

@@ -9,8 +9,10 @@
 namespace gclus {
 
 DiameterApprox diameter_from_clustering(const Graph& g,
-                                        const Clustering& clustering) {
-  const QuotientGraph q = build_quotient(g, clustering, /*with_weights=*/true);
+                                        const Clustering& clustering,
+                                        ThreadPool* pool) {
+  const QuotientGraph q =
+      build_quotient(g, clustering, /*with_weights=*/true, pool);
   GCLUS_CHECK(q.graph.num_nodes() > 0);
 
   DiameterApprox out;
@@ -40,12 +42,13 @@ DiameterApprox approximate_diameter(const Graph& g, std::uint32_t tau,
 
   if (options.use_cluster2) {
     const Cluster2Result r2 = cluster2(g, tau, copts);
-    DiameterApprox out = diameter_from_clustering(g, r2.clustering);
+    DiameterApprox out =
+        diameter_from_clustering(g, r2.clustering, options.pool);
     out.growth_steps += r2.prelim_growth_steps;
     return out;
   }
   const Clustering c = cluster(g, tau, copts);
-  return diameter_from_clustering(g, c);
+  return diameter_from_clustering(g, c, options.pool);
 }
 
 }  // namespace gclus

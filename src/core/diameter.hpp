@@ -63,8 +63,9 @@ struct DiameterApprox {
     const Graph& g, std::uint32_t tau, const DiameterOptions& options = {});
 
 /// Same pipeline, but reusing an already-computed clustering (lets benches
-/// time the phases separately and tests inject crafted clusterings).
+/// time the phases separately and tests inject crafted clusterings).  The
+/// quotient is built on `pool` (nullptr: the process-global pool).
 [[nodiscard]] DiameterApprox diameter_from_clustering(
-    const Graph& g, const Clustering& clustering);
+    const Graph& g, const Clustering& clustering, ThreadPool* pool = nullptr);
 
 }  // namespace gclus

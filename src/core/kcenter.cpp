@@ -106,7 +106,7 @@ KCenterResult kcenter_approx(const Graph& g, NodeId k,
                              const KCenterOptions& options) {
   const NodeId n = g.num_nodes();
   GCLUS_CHECK(k >= 1 && k <= n);
-  const Components comps = connected_components(g);
+  const Components comps = connected_components(g, options.pool);
   GCLUS_CHECK(k >= comps.count,
               "k-center needs k >= number of connected components");
 
@@ -129,7 +129,7 @@ KCenterResult kcenter_approx(const Graph& g, NodeId k,
   } else {
     // Merge clusters along the quotient spanning forest (Theorem 2).
     const QuotientGraph q =
-        build_quotient(g, clustering, /*with_weights=*/false);
+        build_quotient(g, clustering, /*with_weights=*/false, options.pool);
     const std::vector<std::uint32_t> part = partition_forest(q.graph, k);
     std::uint32_t num_parts = 0;
     for (const auto p : part) num_parts = std::max(num_parts, p + 1);

@@ -290,7 +290,8 @@ OracleArtifact build_oracle_artifact(const Graph& g,
   std::uint32_t tau = 0;
   Clustering clustering = oracle_clustering(g, opts, &tau);
   const WeightedGraph quotient =
-      std::move(build_quotient(g, clustering, /*with_weights=*/true).weighted);
+      std::move(build_quotient(g, clustering, /*with_weights=*/true, opts.pool)
+                    .weighted);
 
   OracleArtifactMeta meta;
   meta.graph_num_nodes = g.num_nodes();

@@ -1,11 +1,82 @@
 // Tests for connected components and largest-component extraction.
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/rng.hpp"
+#include "graph/builder.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
+#include "par/thread_pool.hpp"
+#include "test_util.hpp"
 
 namespace gclus {
 namespace {
+
+/// `g` with its node ids shuffled, so components interleave in id order.
+Graph shuffled(const Graph& g, std::uint64_t seed) {
+  std::vector<NodeId> perm(g.num_nodes());
+  std::iota(perm.begin(), perm.end(), NodeId{0});
+  Rng rng(seed);
+  for (std::size_t i = perm.size(); i > 1; --i) {
+    std::swap(perm[i - 1], perm[rng.next_below(i)]);
+  }
+  std::vector<Edge> edges;
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    for (const NodeId v : g.neighbors(u)) {
+      if (u < v) edges.emplace_back(perm[u], perm[v]);
+    }
+  }
+  return build_graph(g.num_nodes(), edges);
+}
+
+/// Disconnected inputs for the differential test: isolated nodes,
+/// interleaved components, many small components and a hub.
+std::vector<testutil::NamedGraph> disconnected_corpus() {
+  std::vector<testutil::NamedGraph> out;
+  const Graph isolated = build_graph(7, {});
+  out.push_back({"union-with-isolated",
+                 gen::disjoint_union(
+                     gen::disjoint_union(gen::path(4), isolated),
+                     gen::disjoint_union(gen::cycle(6), isolated))});
+  // Component {0, 5} holds the smallest node but is not contiguous, and
+  // in {1, 2, 4, 7} the hub 7 is every leaf's first neighbour: only
+  // hooking the larger root under the smaller makes 0 and 1 the roots.
+  out.push_back({"interleaved-by-hand",
+                 build_graph(9, {{5, 0}, {7, 1}, {7, 2}, {7, 4}, {3, 6}})});
+  const Graph mixed = gen::disjoint_union(
+      gen::disjoint_union(gen::grid(40, 40), gen::random_tree(3000, 3)),
+      gen::disjoint_union(gen::star(500), build_graph(200, {})));
+  out.push_back({"shuffled-union", shuffled(mixed, 5)});
+  // Unextracted: thousands of components, most of them isolated nodes.
+  out.push_back({"rmat-2^14", gen::rmat(NodeId{1} << 14, 1u << 15, 29)});
+  out.push_back({"star-5000", gen::star(5000)});
+  out.push_back({"shuffled-star-5000", shuffled(gen::star(5000), 9)});
+  return out;
+}
+
+void expect_same_components(const Components& got, const Components& want,
+                            const std::string& what) {
+  EXPECT_EQ(got.count, want.count) << what;
+  EXPECT_EQ(got.label, want.label) << what;
+  EXPECT_EQ(got.sizes, want.sizes) << what;
+}
+
+TEST(ConnectedComponents, MatchesSerialSweepAtEveryPoolSize) {
+  std::vector<testutil::NamedGraph> graphs = testutil::small_connected_corpus();
+  for (auto& named : disconnected_corpus()) graphs.push_back(std::move(named));
+  for (const std::size_t threads : {1, 2, 8}) {
+    ThreadPool pool(threads);
+    for (const auto& [name, g] : graphs) {
+      expect_same_components(connected_components(g, &pool),
+                             testutil::serial_components(g),
+                             name + " @" + std::to_string(threads));
+    }
+  }
+}
 
 TEST(ConnectedComponents, SingleComponent) {
   const Graph g = gen::cycle(10);

@@ -5,12 +5,15 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 
 #include "core/cluster.hpp"
 #include "core/growth.hpp"
 #include "core/quotient.hpp"
 #include "graph/connectivity.hpp"
+#include "graph/bfs.hpp"
 #include "graph/generators.hpp"
+#include "par/thread_pool.hpp"
 #include "test_util.hpp"
 
 namespace gclus {
@@ -129,6 +132,61 @@ TEST(Quotient, SingletonClusteringIsIsomorphicToInput) {
   // All weights are 0 + 1 + 0 = 1.
   for (NodeId a = 0; a < q.weighted.num_nodes(); ++a) {
     for (const auto& [b, w] : q.weighted.neighbors(a)) EXPECT_EQ(w, 1u);
+  }
+}
+
+/// Element-wise equality of both quotient CSRs, weights included.
+void expect_same_quotient(const QuotientGraph& got, const QuotientGraph& want,
+                          const std::string& what) {
+  EXPECT_TRUE(testutil::same_csr(got.graph, want.graph)) << what;
+  EXPECT_TRUE(std::ranges::equal(got.weighted.offsets(),
+                                 want.weighted.offsets()))
+      << what;
+  const auto a = got.weighted.adjacency();
+  const auto b = want.weighted.adjacency();
+  EXPECT_TRUE(std::ranges::equal(a, b, [](const auto& x, const auto& y) {
+    return x.to == y.to && x.w == y.w;
+  })) << what;
+}
+
+TEST(Quotient, MatchesSerialBuildAtEveryPoolSize) {
+  const auto corpus = testutil::small_connected_corpus();
+  for (const std::size_t threads : {1, 2, 8}) {
+    ThreadPool pool(threads);
+    for (const auto& [name, g] : corpus) {
+      for (const std::uint32_t tau : {1u, 4u, 16u}) {
+        const Clustering c = cluster(g, tau, {});
+        for (const bool weights : {false, true}) {
+          expect_same_quotient(
+              build_quotient(g, c, weights, &pool),
+              testutil::serial_quotient(g, c, weights),
+              name + " tau=" + std::to_string(tau) +
+                  (weights ? " weighted" : "") + " @" +
+                  std::to_string(threads));
+        }
+      }
+    }
+  }
+}
+
+TEST(Quotient, ManyCrossingPairsMatchSerialBuild) {
+  // Voronoi cells of every third node of an expander: over 10k crossing
+  // pairs with weights 1..3, so several workers fill large maps at once.
+  const Graph g = gen::expander(30000, 4, 31);
+  std::vector<NodeId> centers;
+  for (NodeId v = 0; v < g.num_nodes(); v += 3) centers.push_back(v);
+  Clustering c;
+  std::vector<std::uint32_t> owner;
+  c.dist_to_center = multi_source_bfs(g, centers, &owner);
+  c.assignment.assign(owner.begin(), owner.end());
+  c.centers = centers;
+  finalize_cluster_stats(c);
+  const QuotientGraph want = testutil::serial_quotient(g, c, true);
+  ASSERT_GT(want.graph.num_edges(), 10000u);
+  for (const std::size_t threads : {1, 2, 8}) {
+    ThreadPool pool(threads);
+    expect_same_quotient(build_quotient(g, c, true, &pool), want,
+                         "@" + std::to_string(threads));
   }
 }
 

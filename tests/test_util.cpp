@@ -1,8 +1,10 @@
 #include "test_util.hpp"
 
 #include <algorithm>
+#include <tuple>
+#include <unordered_map>
 
-#include "graph/connectivity.hpp"
+#include "graph/builder.hpp"
 
 namespace gclus::testutil {
 
@@ -45,6 +47,68 @@ NearestSource brute_force_nearest_source(const Graph& g,
         out.owner[v] = i;
       }
     }
+  }
+  return out;
+}
+
+Components serial_components(const Graph& g) {
+  const NodeId n = g.num_nodes();
+  Components out;
+  out.label.assign(n, kInvalidNode);
+  std::vector<NodeId> stack;
+  for (NodeId s = 0; s < n; ++s) {
+    if (out.label[s] != kInvalidNode) continue;
+    const NodeId comp = out.count++;
+    NodeId size = 0;
+    stack.push_back(s);
+    out.label[s] = comp;
+    while (!stack.empty()) {
+      const NodeId u = stack.back();
+      stack.pop_back();
+      ++size;
+      for (const NodeId v : g.neighbors(u)) {
+        if (out.label[v] == kInvalidNode) {
+          out.label[v] = comp;
+          stack.push_back(v);
+        }
+      }
+    }
+    out.sizes.push_back(size);
+  }
+  return out;
+}
+
+QuotientGraph serial_quotient(const Graph& g, const Clustering& clustering,
+                              bool with_weights) {
+  const ClusterId k = clustering.num_clusters();
+  std::unordered_map<std::uint64_t, Weight> best;
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    const ClusterId cu = clustering.assignment[u];
+    for (const NodeId v : g.neighbors(u)) {
+      if (u >= v) continue;
+      const ClusterId cv = clustering.assignment[v];
+      if (cu == cv) continue;
+      const std::uint64_t key =
+          (static_cast<std::uint64_t>(std::min(cu, cv)) << 32) |
+          std::max(cu, cv);
+      const Weight w = Weight{clustering.dist_to_center[u]} + 1 +
+                       clustering.dist_to_center[v];
+      const auto [it, inserted] = best.try_emplace(key, w);
+      if (!inserted) it->second = std::min(it->second, w);
+    }
+  }
+  std::vector<Edge> edges;
+  std::vector<std::tuple<NodeId, NodeId, Weight>> weighted_edges;
+  for (const auto& [key, w] : best) {
+    const auto a = static_cast<ClusterId>(key >> 32);
+    const auto b = static_cast<ClusterId>(key & 0xffffffffULL);
+    edges.emplace_back(a, b);
+    weighted_edges.emplace_back(a, b, w);
+  }
+  QuotientGraph out;
+  out.graph = build_graph(k, edges);
+  if (with_weights) {
+    out.weighted = WeightedGraph::from_edges(k, std::move(weighted_edges));
   }
   return out;
 }

@@ -14,7 +14,10 @@
 
 #include "common/status.hpp"
 #include "common/types.hpp"
+#include "core/clustering.hpp"
+#include "core/quotient.hpp"
 #include "graph/bfs.hpp"
+#include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "graph/weighted.hpp"
@@ -109,6 +112,15 @@ struct NearestSource {
 /// reference for multi_source_bfs's distances and owner tie-breaking.
 NearestSource brute_force_nearest_source(const Graph& g,
                                          const std::vector<NodeId>& sources);
+
+/// Serial DFS sweep: components numbered in the order the sweep over node
+/// ids first reaches them — the reference for connected_components.
+Components serial_components(const Graph& g);
+
+/// Serial quotient: one hash-map probe per crossing edge, in node order —
+/// the reference for build_quotient.
+QuotientGraph serial_quotient(const Graph& g, const Clustering& clustering,
+                              bool with_weights);
 
 /// Brute-force optimal k-center radius by trying every size-k center set —
 /// exponential; only for tiny graphs (n <= ~16, k <= 3).
