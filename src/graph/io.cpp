@@ -377,6 +377,61 @@ void write_edge_list_file(const Graph& g, const std::string& path) {
 
 // ---- CSR v2 binary ----------------------------------------------------------
 
+bool mmap_supported() {
+#ifdef GCLUS_HAS_POSIX_IO
+  return true;
+#else
+  return false;
+#endif
+}
+
+StatusOr<FileContents> read_or_map_file(const std::string& path,
+                                        CsrLoadMode mode) {
+  if (mode == CsrLoadMode::kMmap && !mmap_supported()) {
+    return InvalidArgumentError(
+        path + ": mmap loading not supported on this platform");
+  }
+  if (mode != CsrLoadMode::kCopy) {
+    if (auto mapping = MappedFile::map(path)) {
+      FileContents fc;
+      fc.bytes = {mapping->data(), mapping->size()};
+      fc.mapped = true;
+      fc.keepalive = std::move(mapping);
+      return fc;
+    }
+    if (mode == CsrLoadMode::kMmap) return IoError(path + ": cannot mmap file");
+    // kAuto falls through to the read() path.
+  }
+  auto bytes = read_file_bytes(path);
+  if (!bytes.ok()) return Status(bytes.status()).with_context(path);
+  auto owned =
+      std::make_shared<std::vector<std::byte>>(std::move(bytes).value());
+  FileContents fc;
+  fc.bytes = {owned->data(), owned->size()};
+  fc.keepalive = std::move(owned);
+  return fc;
+}
+
+Status validate_csr_arrays(std::span<const EdgeId> offsets,
+                           std::span<const NodeId> neighbors,
+                           std::string_view what) {
+  const auto corrupt = [what](std::string_view detail) {
+    return DataLossError(std::string(what) + " (" + std::string(detail) + ")");
+  };
+  if (offsets.empty() || offsets.front() != 0 ||
+      offsets.back() != neighbors.size()) {
+    return corrupt("offset endpoints");
+  }
+  for (std::size_t u = 1; u < offsets.size(); ++u) {
+    if (offsets[u] < offsets[u - 1]) return corrupt("offsets not monotone");
+  }
+  const auto n = static_cast<NodeId>(offsets.size() - 1);
+  for (const NodeId v : neighbors) {
+    if (v >= n) return corrupt("neighbor id out of range");
+  }
+  return OkStatus();
+}
+
 namespace {
 
 struct Csr2Header {
@@ -387,58 +442,65 @@ struct Csr2Header {
   std::uint64_t neighbors_pos = 0;
   std::uint64_t weights_pos = 0;
   std::uint64_t checksum = 0;
+
+  [[nodiscard]] bool weighted() const {
+    return (flags & kCsr2FlagWeights) != 0;
+  }
+  [[nodiscard]] bool compressed() const {
+    return (flags & kCsr2FlagCompressed) != 0;
+  }
 };
 
-/// Core writer shared by the weighted and unweighted entry points.
-/// `weighted` is explicit (not inferred from the span, whose data pointer
-/// is null for edgeless graphs).  kIoError on any write failure.
-[[nodiscard]] Status write_csr2(const std::string& path,
-                                std::span<const EdgeId> offsets,
-                                std::span<const NodeId> neighbors,
-                                bool weighted,
-                                std::span<const Weight> weights) {
-  Csr2Header h;
-  h.num_nodes = offsets.size() - 1;
-  h.num_half_edges = neighbors.size();
-  h.offsets_pos = align_up(kCsr2HeaderBytes, kCsr2Align);
-  h.neighbors_pos =
-      align_up(h.offsets_pos + offsets.size() * sizeof(EdgeId), kCsr2Align);
-  const std::uint64_t neighbors_end =
-      h.neighbors_pos + neighbors.size() * sizeof(NodeId);
-  if (weighted) {
-    h.flags |= kCsr2FlagWeights;
-    h.weights_pos = align_up(neighbors_end, kCsr2Align);
-  }
+/// The plain layout's sections in file order: offsets, neighbors and, in
+/// weighted files only, weights (take the first num_csr2_sections).
+std::array<Section, 3> csr2_sections(const Csr2Header& h) {
+  return {{{.pos = h.offsets_pos, .count = h.num_nodes + 1, .width = 8},
+           {.pos = h.neighbors_pos, .count = h.num_half_edges, .width = 4},
+           {.pos = h.weights_pos, .count = h.num_half_edges, .width = 8}}};
+}
 
-  h.checksum = fnv1a_array_le(kFnvOffsetBasis, offsets.data(), offsets.size());
-  h.checksum = fnv1a_array_le(h.checksum, neighbors.data(), neighbors.size());
-  if (weighted) {
-    h.checksum = fnv1a_array_le(h.checksum, weights.data(), weights.size());
-  }
+std::size_t num_csr2_sections(const Csr2Header& h) {
+  return h.weighted() ? 3 : 2;
+}
+
+/// The compressed layout's sections in file order: the parameter block,
+/// then the six sections whose sizes it implies.  Block byte 24 + 8i
+/// holds the position of section i + 1; perm and inv exist only in
+/// relabeled files.
+std::array<Section, 7> cz2_sections(const CompressedSectionSizes& z) {
+  return {{{.count = kCz2ParamsBytes},
+           {.count = z.degrees},
+           {.count = z.anchors},
+           {.count = z.locals},
+           {.count = z.adj},
+           {.count = z.perm, .optional = true},
+           {.count = z.inv, .optional = true}}};
+}
+
+std::size_t num_cz2_sections(const CompressedParams& p) {
+  return p.relabeled ? 7 : 5;
+}
+
+/// Writes a CSR v2 file: the header for `h`, its checksum taken over the
+/// placed `table`, then the sections.  kIoError on any write failure.
+[[nodiscard]] Status write_csr2(const std::string& path, const Csr2Header& h,
+                                std::span<const Section> table) {
+  std::array<std::byte, kCsr2HeaderBytes> header{};  // reserved field: 0
+  store_le_at(header.data(), kCsr2Magic);
+  store_le_at(header.data() + 8, kCsr2Version);
+  store_le_at(header.data() + 12, h.flags);
+  store_le_at(header.data() + 16, h.num_nodes);
+  store_le_at(header.data() + 24, h.num_half_edges);
+  store_le_at(header.data() + 32, h.offsets_pos);
+  store_le_at(header.data() + 40, h.neighbors_pos);
+  store_le_at(header.data() + 48, h.weights_pos);
+  store_le_at(header.data() + 56, checksum_sections(kFnvOffsetBasis, table));
 
   std::ofstream out(path, std::ios::binary);
   if (GCLUS_FAULTPOINT("io.write") || !out.good()) {
     return IoError("cannot open for writing: " + path);
   }
-  put_le(out, kCsr2Magic);
-  put_le(out, kCsr2Version);
-  put_le(out, h.flags);
-  put_le(out, h.num_nodes);
-  put_le(out, h.num_half_edges);
-  put_le(out, h.offsets_pos);
-  put_le(out, h.neighbors_pos);
-  put_le(out, h.weights_pos);
-  put_le(out, h.checksum);
-  put_le(out, std::uint64_t{0});  // reserved
-  write_zeros(out, h.offsets_pos - kCsr2HeaderBytes);
-  write_array_le(out, offsets.data(), offsets.size());
-  write_zeros(out, h.neighbors_pos -
-                       (h.offsets_pos + offsets.size() * sizeof(EdgeId)));
-  write_array_le(out, neighbors.data(), neighbors.size());
-  if (weighted) {
-    write_zeros(out, h.weights_pos - neighbors_end);
-    write_array_le(out, weights.data(), weights.size());
-  }
+  emit_sections(out, header, table);
   if (!out.good()) {
     // ofstream hides errno, so disk-full vs hard error is not
     // distinguishable here; both are terminal for this write.
@@ -447,11 +509,37 @@ struct Csr2Header {
   return OkStatus();
 }
 
-/// Parses and sanity-checks a CSR v2 header against the buffer size.
-/// kInvalidArgument: the bytes don't claim to be a (supported) CSR v2
-/// file; kDataLoss: they do, but the structure is inconsistent.
-Status parse_csr2_header(const std::byte* data, std::uint64_t size,
-                         Csr2Header& h) {
+/// Writer of the plain and weighted layouts.  `weighted` is explicit (not
+/// inferred from the span, whose data pointer is null for edgeless
+/// graphs).
+[[nodiscard]] Status write_plain_csr2(const std::string& path,
+                                      std::span<const EdgeId> offsets,
+                                      std::span<const NodeId> neighbors,
+                                      bool weighted,
+                                      std::span<const Weight> weights) {
+  Csr2Header h;
+  h.flags = weighted ? kCsr2FlagWeights : 0;
+  h.num_nodes = offsets.size() - 1;
+  h.num_half_edges = neighbors.size();
+  auto table = csr2_sections(h);
+  table[0].data = offsets.data();
+  table[1].data = neighbors.data();
+  table[2].data = weights.data();
+  const auto sections = std::span(table).first(num_csr2_sections(h));
+  place_sections(sections, kCsr2HeaderBytes);
+  h.offsets_pos = table[0].pos;
+  h.neighbors_pos = table[1].pos;
+  h.weights_pos = table[2].pos;
+  return write_csr2(path, h, sections);
+}
+
+/// Parses and sanity-checks a CSR v2 header and its section table against
+/// the file size.  kInvalidArgument: the bytes don't claim to be a
+/// (supported) CSR v2 file; kDataLoss: they do, but the structure is
+/// inconsistent.
+Status parse_csr2_header(std::span<const std::byte> file, Csr2Header& h) {
+  const std::byte* data = file.data();
+  const std::uint64_t size = file.size();
   if (size < 8 || read_le_at<std::uint64_t>(data) != kCsr2Magic) {
     return InvalidArgumentError("not a gclus CSR v2 file (bad magic)");
   }
@@ -480,11 +568,11 @@ Status parse_csr2_header(const std::byte* data, std::uint64_t size,
   if (h.num_nodes > std::numeric_limits<NodeId>::max()) {
     return DataLossError("node count exceeds NodeId range");
   }
-  if ((h.flags & kCsr2FlagCompressed) != 0) {
+  if (h.compressed()) {
     // Compressed layout: offsets_pos locates the parameter block, the
-    // other section pointers are unused.  Section bounds are validated by
-    // parse_cz2 against the sizes the parameters imply.
-    if ((h.flags & kCsr2FlagWeights) != 0) {
+    // other section positions are unused.  The sections the block locates
+    // are checked by parse_cz2.
+    if (h.weighted()) {
       return InvalidArgumentError("compressed CSR v2 files cannot carry "
                                   "weights");
     }
@@ -492,202 +580,98 @@ Status parse_csr2_header(const std::byte* data, std::uint64_t size,
       return DataLossError("compressed CSR v2 header has stray section "
                            "positions");
     }
-    if (h.offsets_pos < kCsr2HeaderBytes || h.offsets_pos % kCsr2Align != 0 ||
-        h.offsets_pos > size || kCz2ParamsBytes > size - h.offsets_pos) {
+    const Section block{.pos = h.offsets_pos, .count = kCz2ParamsBytes};
+    if (!sections_fit({&block, 1}, kCsr2HeaderBytes, size)) {
       return DataLossError("truncated CSR v2 file (compressed parameter "
                            "block out of bounds)");
     }
     return OkStatus();
   }
-  // Section bounds, written to be overflow-safe: divide before multiply.
-  const std::uint64_t num_offsets = h.num_nodes + 1;
-  if (h.offsets_pos < kCsr2HeaderBytes || h.offsets_pos % kCsr2Align != 0 ||
-      h.offsets_pos > size || num_offsets > (size - h.offsets_pos) / 8) {
-    return DataLossError("truncated CSR v2 file (offsets section out of "
-                         "bounds)");
+  const auto table = csr2_sections(h);
+  if (!sections_fit(std::span(table).first(num_csr2_sections(h)),
+                    kCsr2HeaderBytes, size)) {
+    return DataLossError("truncated CSR v2 file (section out of bounds)");
   }
-  if (h.neighbors_pos < h.offsets_pos + num_offsets * 8 ||
-      h.neighbors_pos % kCsr2Align != 0 || h.neighbors_pos > size ||
-      h.num_half_edges > (size - h.neighbors_pos) / 4) {
-    return DataLossError("truncated CSR v2 file (neighbors section out of "
-                         "bounds)");
-  }
-  if ((h.flags & kCsr2FlagWeights) != 0) {
-    if (h.weights_pos < h.neighbors_pos + h.num_half_edges * 4 ||
-        h.weights_pos % kCsr2Align != 0 || h.weights_pos > size ||
-        h.num_half_edges > (size - h.weights_pos) / 8) {
-      return DataLossError("truncated CSR v2 file (weights section out of "
-                           "bounds)");
-    }
-  } else if (h.weights_pos != 0) {
+  if (!h.weighted() && h.weights_pos != 0) {
     return DataLossError("weights position set without the weights flag");
   }
   return OkStatus();
 }
 
-/// Structural validation of decoded arrays: offsets monotone from 0 to m,
-/// every neighbor id in range.  Guards algorithms against out-of-bounds
-/// indexing on corrupted (but checksum-consistent, e.g. maliciously
-/// crafted) files.
-Status validate_csr_arrays(std::span<const EdgeId> offsets,
-                           std::span<const NodeId> neighbors) {
-  if (offsets.empty() || offsets.front() != 0 ||
-      offsets.back() != neighbors.size()) {
-    return DataLossError("corrupt CSR v2 payload (offset endpoints)");
-  }
-  for (std::size_t u = 1; u < offsets.size(); ++u) {
-    if (offsets[u] < offsets[u - 1]) {
-      return DataLossError("corrupt CSR v2 payload (offsets not monotone)");
-    }
-  }
-  const auto n = static_cast<NodeId>(offsets.size() - 1);
-  for (const NodeId v : neighbors) {
-    if (v >= n) {
-      return DataLossError("corrupt CSR v2 payload (neighbor id out of "
-                           "range)");
-    }
-  }
-  return OkStatus();
+/// A mapped or read CSR v2 file and its parsed header.
+struct Csr2File {
+  FileContents file;
+  Csr2Header header;
+};
+
+StatusOr<Csr2File> open_csr2(const std::string& path, CsrLoadMode mode) {
+  Csr2File f;
+  GCLUS_ASSIGN_OR_RETURN(f.file, read_or_map_file(path, mode));
+  GCLUS_RETURN_IF_ERROR(
+      parse_csr2_header(f.file.bytes, f.header).with_context(path));
+  return f;
 }
 
+/// The sections of a plain or weighted file: views of the mapping, or
+/// decoded copies (the read() path and big-endian hosts).
 struct LoadedCsr2 {
-  Csr2Header header;
-  // Exactly one of these is populated: mapped spans (+ the mapping) or
-  // owned vectors.
   std::span<const EdgeId> offsets;
   std::span<const NodeId> neighbors;
   std::span<const Weight> weights;
-  std::shared_ptr<MappedFile> mapping;
+  bool in_place = false;
   std::vector<EdgeId> owned_offsets;
   std::vector<NodeId> owned_neighbors;
   std::vector<Weight> owned_weights;
 };
 
-/// Loads + validates a CSR v2 file into spans (mapped) or vectors
-/// (copied).
-Status load_csr2(const std::string& path, const CsrLoadOptions& opts,
+/// Reads and (with opts.verify) checksums and validates the sections of
+/// a plain or weighted file.
+Status load_csr2(const Csr2File& f, const CsrLoadOptions& opts,
                  LoadedCsr2& out) {
-  // mmap zero-copy requires a little-endian host (the arrays are used in
-  // place); BE hosts decode through the copy path.
-  const bool can_mmap = mmap_supported() && kLittleEndian;
-  bool use_mmap = false;
-  switch (opts.mode) {
-    case CsrLoadMode::kAuto:
-      use_mmap = can_mmap;
-      break;
-    case CsrLoadMode::kMmap:
-      if (!can_mmap) {
-        return InvalidArgumentError(
-            "mmap loading not supported on this platform");
-      }
-      use_mmap = true;
-      break;
-    case CsrLoadMode::kCopy:
-      break;
-  }
-
-  const std::byte* data = nullptr;
-  std::uint64_t size = 0;
-  std::vector<std::byte> bytes;
-  if (use_mmap) {
-    out.mapping = MappedFile::map(path);
-    if (out.mapping == nullptr) {
-      if (opts.mode == CsrLoadMode::kMmap) return IoError("cannot mmap file");
-      use_mmap = false;  // fall back to read()
-    } else {
-      data = out.mapping->data();
-      size = out.mapping->size();
-    }
-  }
-  if (!use_mmap) {
-    GCLUS_ASSIGN_OR_RETURN(bytes, read_file_bytes(path));
-    data = bytes.data();
-    size = bytes.size();
-  }
-
-  Csr2Header& h = out.header;
-  GCLUS_RETURN_IF_ERROR(parse_csr2_header(data, size, h));
-  if ((h.flags & kCsr2FlagCompressed) != 0) {
+  const Csr2Header& h = f.header;
+  if (h.compressed()) {
     return InvalidArgumentError(
         "compressed CSR v2 file (use load_compressed_csr)");
   }
-  const bool weighted = (h.flags & kCsr2FlagWeights) != 0;
-  const std::uint64_t num_offsets = h.num_nodes + 1;
-
-  if (opts.verify) {
-    std::uint64_t sum = fnv1a(kFnvOffsetBasis, data + h.offsets_pos,
-                              static_cast<std::size_t>(num_offsets) * 8);
-    sum = fnv1a(sum, data + h.neighbors_pos,
-                static_cast<std::size_t>(h.num_half_edges) * 4);
-    if (weighted) {
-      sum = fnv1a(sum, data + h.weights_pos,
-                  static_cast<std::size_t>(h.num_half_edges) * 8);
-    }
-    if (sum != h.checksum) return DataLossError("CSR v2 checksum mismatch");
+  // Zero copy uses the arrays in place, which needs a little-endian host.
+  if (!kLittleEndian && opts.mode == CsrLoadMode::kMmap) {
+    return InvalidArgumentError("mmap loading not supported on this platform");
   }
-
-  if (use_mmap) {
-    out.offsets = {reinterpret_cast<const EdgeId*>(data + h.offsets_pos),
-                   static_cast<std::size_t>(num_offsets)};
-    out.neighbors = {reinterpret_cast<const NodeId*>(data + h.neighbors_pos),
-                     static_cast<std::size_t>(h.num_half_edges)};
-    if (weighted) {
-      out.weights = {reinterpret_cast<const Weight*>(data + h.weights_pos),
-                     static_cast<std::size_t>(h.num_half_edges)};
-    }
-  } else {
-    out.owned_offsets =
-        decode_array_le<EdgeId>(data + h.offsets_pos, num_offsets);
-    out.owned_neighbors =
-        decode_array_le<NodeId>(data + h.neighbors_pos, h.num_half_edges);
-    if (weighted) {
-      out.owned_weights =
-          decode_array_le<Weight>(data + h.weights_pos, h.num_half_edges);
-    }
-    out.offsets = out.owned_offsets;
-    out.neighbors = out.owned_neighbors;
-    out.weights = out.owned_weights;
-    out.mapping = nullptr;
+  const std::byte* data = f.file.bytes.data();
+  auto table = csr2_sections(h);
+  out.in_place = f.file.mapped && kLittleEndian;
+  read_section(table[0], data, out.in_place, out.offsets, out.owned_offsets);
+  read_section(table[1], data, out.in_place, out.neighbors,
+               out.owned_neighbors);
+  if (h.weighted()) {
+    read_section(table[2], data, out.in_place, out.weights,
+                 out.owned_weights);
   }
-
   if (opts.verify) {
-    GCLUS_RETURN_IF_ERROR(validate_csr_arrays(out.offsets, out.neighbors));
+    if (checksum_sections(kFnvOffsetBasis,
+                          std::span(table).first(num_csr2_sections(h))) !=
+        h.checksum) {
+      return DataLossError("CSR v2 checksum mismatch");
+    }
+    GCLUS_RETURN_IF_ERROR(validate_csr_arrays(out.offsets, out.neighbors,
+                                              "corrupt CSR v2 payload"));
   }
   return OkStatus();
 }
 
 // ---- CSR v2 compressed layout ----------------------------------------------
 
-/// Parsed parameter block of a compressed file: encoding parameters plus
-/// the absolute byte position of every section.
-struct Cz2Layout {
-  CompressedParams params;
-  CompressedSectionSizes sizes;
-  std::uint64_t degrees_pos = 0;
-  std::uint64_t anchors_pos = 0;
-  std::uint64_t locals_pos = 0;
-  std::uint64_t adj_pos = 0;
-  std::uint64_t perm_pos = 0;
-  std::uint64_t inv_pos = 0;
-};
-
-/// Validates one section position against the file size.  `pos == 0` with
-/// `bytes == 0` marks an absent section (perm/inv when not relabeled).
-bool cz2_section_in_bounds(std::uint64_t pos, std::uint64_t bytes,
-                           std::uint64_t file_size, std::uint64_t min_pos) {
-  if (bytes == 0 && pos == 0) return true;
-  return pos >= min_pos && pos % kCsr2Align == 0 && pos <= file_size &&
-         bytes <= file_size - pos;
-}
-
-Status parse_cz2(const std::byte* data, std::uint64_t size,
-                 const Csr2Header& h, Cz2Layout& lay) {
-  const std::byte* b = data + h.offsets_pos;
+/// Parses the parameter block of a compressed file into `p` and checks the
+/// sections it locates (and, with `verify`, the checksum); `table` is left
+/// pointing into the file.
+Status parse_cz2(std::span<const std::byte> file, const Csr2Header& h,
+                 bool verify, CompressedParams& p,
+                 std::array<Section, 7>& table) {
+  const std::byte* b = file.data() + h.offsets_pos;
   if (read_le_at<std::uint32_t>(b) != kCz2ParamsVersion) {
     return InvalidArgumentError("unsupported compressed CSR parameter "
                                 "version");
   }
-  CompressedParams& p = lay.params;
   p.num_nodes = h.num_nodes;
   p.num_half_edges = h.num_half_edges;
   p.first_mode = static_cast<std::uint8_t>(b[4]);
@@ -697,12 +681,6 @@ Status parse_cz2(const std::byte* data, std::uint64_t size,
   p.degree_bits = read_le_at<std::uint32_t>(b + 8);
   p.local_bits = read_le_at<std::uint32_t>(b + 12);
   p.adj_bytes = read_le_at<std::uint64_t>(b + 16);
-  lay.degrees_pos = read_le_at<std::uint64_t>(b + 24);
-  lay.anchors_pos = read_le_at<std::uint64_t>(b + 32);
-  lay.locals_pos = read_le_at<std::uint64_t>(b + 40);
-  lay.adj_pos = read_le_at<std::uint64_t>(b + 48);
-  lay.perm_pos = read_le_at<std::uint64_t>(b + 56);
-  lay.inv_pos = read_le_at<std::uint64_t>(b + 64);
   for (std::uint64_t i = 72; i < kCz2ParamsBytes; ++i) {
     if (b[i] != std::byte{0}) {
       return DataLossError("nonzero reserved compressed parameter field");
@@ -710,81 +688,74 @@ Status parse_cz2(const std::byte* data, std::uint64_t size,
   }
   if (static_cast<std::uint8_t>(b[7]) > 1 || p.first_mode > 1 ||
       p.k_first > cz::kMaxK || p.k_gap > cz::kMaxK || p.degree_bits > 32 ||
-      p.local_bits > 56 || p.adj_bytes > size) {
+      p.local_bits > 56 || p.adj_bytes > file.size()) {
     return DataLossError("compressed CSR parameters out of range");
   }
-  lay.sizes = compressed_section_sizes(p);
-  const std::uint64_t min_pos = h.offsets_pos + kCz2ParamsBytes;
-  if (!cz2_section_in_bounds(lay.degrees_pos, lay.sizes.degrees, size,
-                             min_pos) ||
-      !cz2_section_in_bounds(lay.anchors_pos, lay.sizes.anchors, size,
-                             min_pos) ||
-      !cz2_section_in_bounds(lay.locals_pos, lay.sizes.locals, size,
-                             min_pos) ||
-      !cz2_section_in_bounds(lay.adj_pos, lay.sizes.adj, size, min_pos) ||
-      !cz2_section_in_bounds(lay.perm_pos, lay.sizes.perm, size, min_pos) ||
-      !cz2_section_in_bounds(lay.inv_pos, lay.sizes.inv, size, min_pos)) {
-    return DataLossError("truncated CSR v2 file (compressed section out of "
-                         "bounds)");
+  table = cz2_sections(compressed_section_sizes(p));
+  table[0].pos = h.offsets_pos;
+  for (std::size_t i = 1; i < table.size(); ++i) {
+    table[i].pos = read_le_at<std::uint64_t>(b + 16 + 8 * i);
   }
-  if (p.relabeled != (lay.perm_pos != 0) || p.relabeled != (lay.inv_pos != 0)) {
+  if (!sections_fit(table, kCsr2HeaderBytes, file.size())) {
+    return DataLossError("corrupt CSR v2 file (compressed sections overlap "
+                         "or out of bounds)");
+  }
+  if (p.relabeled != (table[5].pos != 0) ||
+      p.relabeled != (table[6].pos != 0)) {
     return DataLossError("compressed CSR relabeling sections inconsistent "
                          "with the relabeled flag");
+  }
+  // The byte sections are used in place on any host.
+  for (Section& s : table) s.data = file.data() + s.pos;
+  if (verify && checksum_sections(kFnvOffsetBasis, table) != h.checksum) {
+    return DataLossError("CSR v2 checksum mismatch");
   }
   return OkStatus();
 }
 
-/// Serializes the parameter block into a 128-byte buffer (for writing and
-/// for checksum computation).
-void store_cz2_params(const Cz2Layout& lay, std::byte* out) {
-  std::memset(out, 0, kCz2ParamsBytes);
-  const CompressedParams& p = lay.params;
-  store_le_at(out, kCz2ParamsVersion);
+/// Serializes the parameter block of `p`, with the section positions of
+/// `table`, into `out`.
+void store_cz2_params(const CompressedParams& p,
+                      const std::array<Section, 7>& table,
+                      std::span<std::byte, kCz2ParamsBytes> out) {
+  std::ranges::fill(out, std::byte{0});
+  store_le_at(out.data(), kCz2ParamsVersion);
   out[4] = static_cast<std::byte>(p.first_mode);
   out[5] = static_cast<std::byte>(p.k_first);
   out[6] = static_cast<std::byte>(p.k_gap);
   out[7] = static_cast<std::byte>(p.relabeled ? 1 : 0);
-  store_le_at(out + 8, p.degree_bits);
-  store_le_at(out + 12, p.local_bits);
-  store_le_at(out + 16, p.adj_bytes);
-  store_le_at(out + 24, lay.degrees_pos);
-  store_le_at(out + 32, lay.anchors_pos);
-  store_le_at(out + 40, lay.locals_pos);
-  store_le_at(out + 48, lay.adj_pos);
-  store_le_at(out + 56, lay.perm_pos);
-  store_le_at(out + 64, lay.inv_pos);
+  store_le_at(out.data() + 8, p.degree_bits);
+  store_le_at(out.data() + 12, p.local_bits);
+  store_le_at(out.data() + 16, p.adj_bytes);
+  for (std::size_t i = 1; i < table.size(); ++i) {
+    store_le_at(out.data() + 16 + 8 * i, table[i].pos);
+  }
+}
+
+/// The compressed graph of an opened compressed file; a flipped bit
+/// anywhere in it is kDataLoss here (with `verify`), not a wrong answer
+/// later.
+StatusOr<CompressedGraph> load_cz2(const std::string& path, const Csr2File& f,
+                                   bool verify) {
+  CompressedParams p;
+  std::array<Section, 7> table;
+  GCLUS_RETURN_IF_ERROR(
+      parse_cz2(f.file.bytes, f.header, verify, p, table).with_context(path));
+  const auto bytes = [&](std::size_t i) -> std::span<const std::byte> {
+    return {static_cast<const std::byte*>(table[i].data),
+            static_cast<std::size_t>(table[i].count)};
+  };
+  CompressedGraph cg(p, bytes(1), bytes(2), bytes(3), bytes(4), bytes(5),
+                     bytes(6), f.file.keepalive);
+  if (verify) {
+    GCLUS_RETURN_IF_ERROR(
+        validate_compressed_structure(cg, ThreadPool::global())
+            .with_context(path));
+  }
+  return cg;
 }
 
 }  // namespace
-
-bool mmap_supported() {
-#ifdef GCLUS_HAS_POSIX_IO
-  return true;
-#else
-  return false;
-#endif
-}
-
-StatusOr<FileContents> read_or_map_file(const std::string& path,
-                                        bool prefer_mmap) {
-  if (prefer_mmap && mmap_supported()) {
-    if (auto mapping = MappedFile::map(path)) {
-      FileContents fc;
-      fc.bytes = {mapping->data(), mapping->size()};
-      fc.mapped = true;
-      fc.keepalive = std::move(mapping);
-      return fc;
-    }
-    // Fall through to the read() path — the kAuto degradation.
-  }
-  std::vector<std::byte> bytes;
-  GCLUS_ASSIGN_OR_RETURN(bytes, read_file_bytes(path));
-  auto owned = std::make_shared<std::vector<std::byte>>(std::move(bytes));
-  FileContents fc;
-  fc.bytes = {owned->data(), owned->size()};
-  fc.keepalive = std::move(owned);
-  return fc;
-}
 
 std::string unique_tmp_path(const std::string& path) {
   static std::atomic<std::uint64_t> counter{0};
@@ -839,8 +810,8 @@ Status publish_file(const std::string& tmp, const std::string& path,
 }
 
 Status write_csr(const Graph& g, const std::string& path) {
-  return write_csr2(path, g.offsets(), g.neighbor_array(),
-                    /*weighted=*/false, {});
+  return write_plain_csr2(path, g.offsets(), g.neighbor_array(),
+                          /*weighted=*/false, {});
 }
 
 Status write_csr(const WeightedGraph& g, const std::string& path) {
@@ -852,200 +823,68 @@ Status write_csr(const WeightedGraph& g, const std::string& path) {
     neighbors[i] = adj[i].to;
     weights[i] = adj[i].w;
   }
-  return write_csr2(path, g.offsets(), neighbors, /*weighted=*/true, weights);
+  return write_plain_csr2(path, g.offsets(), neighbors, /*weighted=*/true,
+                          weights);
 }
 
 Status write_csr(const CompressedGraph& g, const std::string& path) {
-  Cz2Layout lay;
-  lay.params = g.params();
-  lay.sizes = compressed_section_sizes(lay.params);
-  GCLUS_CHECK(lay.sizes.degrees == g.degrees_section().size() &&
-                  lay.sizes.anchors == g.anchors_section().size() &&
-                  lay.sizes.locals == g.locals_section().size() &&
-                  lay.sizes.adj == g.adj_section().size() &&
-                  lay.sizes.perm == g.perm_section().size() &&
-                  lay.sizes.inv == g.inv_section().size(),
-              "compressed graph sections inconsistent with parameters");
-  const std::uint64_t params_pos = align_up(kCsr2HeaderBytes, kCsr2Align);
-  std::uint64_t pos = align_up(params_pos + kCz2ParamsBytes, kCsr2Align);
-  auto place = [&](std::uint64_t bytes) {
-    const std::uint64_t at = pos;
-    pos = align_up(pos + bytes, kCsr2Align);
-    return at;
-  };
-  lay.degrees_pos = place(lay.sizes.degrees);
-  lay.anchors_pos = place(lay.sizes.anchors);
-  lay.locals_pos = place(lay.sizes.locals);
-  lay.adj_pos = place(lay.sizes.adj);
-  lay.perm_pos = lay.params.relabeled ? place(lay.sizes.perm) : 0;
-  lay.inv_pos = lay.params.relabeled ? place(lay.sizes.inv) : 0;
+  const CompressedParams& p = g.params();
+  auto table = cz2_sections(compressed_section_sizes(p));
+  const std::span<const std::byte> sections[] = {
+      g.degrees_section(), g.anchors_section(), g.locals_section(),
+      g.adj_section(),     g.perm_section(),    g.inv_section()};
+  for (std::size_t i = 1; i < table.size(); ++i) {
+    GCLUS_CHECK(table[i].count == sections[i - 1].size(),
+                "compressed graph sections inconsistent with parameters");
+    table[i].data = sections[i - 1].data();
+  }
+  std::array<std::byte, kCz2ParamsBytes> params_block{};
+  table[0].data = params_block.data();
+  const auto placed = std::span(table).first(num_cz2_sections(p));
+  place_sections(placed, kCsr2HeaderBytes);
+  store_cz2_params(p, table, params_block);
 
-  std::byte params_block[kCz2ParamsBytes];
-  store_cz2_params(lay, params_block);
-  std::uint64_t checksum =
-      fnv1a(kFnvOffsetBasis, params_block, kCz2ParamsBytes);
-  for (const auto section :
-       {g.degrees_section(), g.anchors_section(), g.locals_section(),
-        g.adj_section(), g.perm_section(), g.inv_section()}) {
-    checksum = fnv1a(checksum, section.data(), section.size());
-  }
-
-  std::ofstream out(path, std::ios::binary);
-  if (GCLUS_FAULTPOINT("io.write") || !out.good()) {
-    return IoError("cannot open for writing: " + path);
-  }
-  put_le(out, kCsr2Magic);
-  put_le(out, kCsr2Version);
-  put_le(out, kCsr2FlagCompressed);
-  put_le(out, lay.params.num_nodes);
-  put_le(out, lay.params.num_half_edges);
-  put_le(out, params_pos);
-  put_le(out, std::uint64_t{0});  // neighbors_pos (unused)
-  put_le(out, std::uint64_t{0});  // weights_pos (unused)
-  put_le(out, checksum);
-  put_le(out, std::uint64_t{0});  // reserved
-  write_zeros(out, params_pos - kCsr2HeaderBytes);
-  out.write(reinterpret_cast<const char*>(params_block), kCz2ParamsBytes);
-  std::uint64_t written = params_pos + kCz2ParamsBytes;
-  auto emit = [&](std::uint64_t at, std::span<const std::byte> bytes) {
-    if (bytes.empty()) return;
-    write_zeros(out, at - written);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-    written = at + bytes.size();
-  };
-  emit(lay.degrees_pos, g.degrees_section());
-  emit(lay.anchors_pos, g.anchors_section());
-  emit(lay.locals_pos, g.locals_section());
-  emit(lay.adj_pos, g.adj_section());
-  emit(lay.perm_pos, g.perm_section());
-  emit(lay.inv_pos, g.inv_section());
-  if (!out.good()) {
-    return IoError("write failed (disk full or I/O error): " + path);
-  }
-  return OkStatus();
+  Csr2Header h;
+  h.flags = kCsr2FlagCompressed;
+  h.num_nodes = p.num_nodes;
+  h.num_half_edges = p.num_half_edges;
+  h.offsets_pos = table[0].pos;
+  return write_csr2(path, h, placed);
 }
 
 StatusOr<CompressedGraph> load_compressed_csr(const std::string& path,
                                               const CsrLoadOptions& opts) {
-  // The compressed sections are defined as byte sequences (LSB-first
-  // bitstreams, explicit little-endian fields), so zero-copy mapping is
-  // endian-independent — unlike the plain layout, kMmap works everywhere
-  // mmap exists.
-  bool use_mmap = false;
-  switch (opts.mode) {
-    case CsrLoadMode::kAuto:
-      use_mmap = mmap_supported();
-      break;
-    case CsrLoadMode::kMmap:
-      if (!mmap_supported()) {
-        return InvalidArgumentError(
-            path + ": mmap loading not supported on this platform");
-      }
-      use_mmap = true;
-      break;
-    case CsrLoadMode::kCopy:
-      break;
-  }
-
-  const std::byte* data = nullptr;
-  std::uint64_t size = 0;
-  std::shared_ptr<const void> keepalive;
-  if (use_mmap) {
-    if (auto mapping = MappedFile::map(path)) {
-      data = mapping->data();
-      size = mapping->size();
-      keepalive = std::move(mapping);
-    } else if (opts.mode == CsrLoadMode::kMmap) {
-      return IoError(path + ": cannot mmap file");
-    } else {
-      use_mmap = false;  // fall back to read()
-    }
-  }
-  if (!use_mmap) {
-    auto bytes = read_file_bytes(path);
-    if (!bytes.ok()) return Status(bytes.status()).with_context(path);
-    auto owned =
-        std::make_shared<std::vector<std::byte>>(std::move(bytes).value());
-    data = owned->data();
-    size = owned->size();
-    keepalive = std::move(owned);
-  }
-
-  Csr2Header h;
-  GCLUS_RETURN_IF_ERROR(parse_csr2_header(data, size, h).with_context(path));
-  if ((h.flags & kCsr2FlagWeights) != 0) {
+  // The compressed sections are byte sequences (LSB-first bitstreams,
+  // explicit little-endian fields), so zero-copy mapping is endian-
+  // independent: kMmap works everywhere mmap exists.
+  GCLUS_ASSIGN_OR_RETURN(const Csr2File f, open_csr2(path, opts.mode));
+  if (f.header.weighted()) {
     return InvalidArgumentError(
         path + ": weighted CSR v2 file (use load_weighted_csr)");
   }
-  if ((h.flags & kCsr2FlagCompressed) == 0) {
+  if (!f.header.compressed()) {
     return InvalidArgumentError(path + ": plain CSR v2 file (use load_csr)");
   }
-  Cz2Layout lay;
-  GCLUS_RETURN_IF_ERROR(parse_cz2(data, size, h, lay).with_context(path));
-
-  if (opts.verify) {
-    std::uint64_t sum =
-        fnv1a(kFnvOffsetBasis, data + h.offsets_pos, kCz2ParamsBytes);
-    const std::pair<std::uint64_t, std::uint64_t> sections[] = {
-        {lay.degrees_pos, lay.sizes.degrees},
-        {lay.anchors_pos, lay.sizes.anchors},
-        {lay.locals_pos, lay.sizes.locals},
-        {lay.adj_pos, lay.sizes.adj},
-        {lay.perm_pos, lay.sizes.perm},
-        {lay.inv_pos, lay.sizes.inv},
-    };
-    for (const auto& [at, bytes] : sections) {
-      sum = fnv1a(sum, data + at, static_cast<std::size_t>(bytes));
-    }
-    if (sum != h.checksum) {
-      return DataLossError(path + ": CSR v2 checksum mismatch");
-    }
-  }
-
-  auto section = [&](std::uint64_t at,
-                     std::uint64_t bytes) -> std::span<const std::byte> {
-    return {data + at, static_cast<std::size_t>(bytes)};
-  };
-  CompressedGraph cg(lay.params, section(lay.degrees_pos, lay.sizes.degrees),
-                     section(lay.anchors_pos, lay.sizes.anchors),
-                     section(lay.locals_pos, lay.sizes.locals),
-                     section(lay.adj_pos, lay.sizes.adj),
-                     section(lay.perm_pos, lay.sizes.perm),
-                     section(lay.inv_pos, lay.sizes.inv),
-                     std::move(keepalive));
-  if (opts.verify) {
-    GCLUS_RETURN_IF_ERROR(
-        validate_compressed_structure(cg, ThreadPool::global())
-            .with_context(path));
-  }
-  return cg;
+  return load_cz2(path, f, opts.verify);
 }
 
 StatusOr<Graph> load_csr(const std::string& path, const CsrLoadOptions& opts) {
-  // Sniff the flags word: compressed files route through the compressed
-  // loader and materialize, so plain-CSR consumers accept either layout.
-  {
-    std::ifstream in(path, std::ios::binary);
-    std::byte head[16];
-    if (in.good()) {
-      in.read(reinterpret_cast<char*>(head), sizeof head);
-      if (in.good() && read_le_at<std::uint64_t>(head) == kCsr2Magic &&
-          (read_le_at<std::uint32_t>(head + 12) & kCsr2FlagCompressed) != 0) {
-        auto cg = load_compressed_csr(path, opts);
-        if (!cg.ok()) return cg.status();
-        return cg.value().decompress();
-      }
-    }
+  GCLUS_ASSIGN_OR_RETURN(Csr2File f, open_csr2(path, opts.mode));
+  if (f.header.compressed()) {
+    // Decompressed, so plain-CSR consumers accept either layout.
+    GCLUS_ASSIGN_OR_RETURN(const CompressedGraph cg,
+                           load_cz2(path, f, opts.verify));
+    return cg.decompress();
   }
   LoadedCsr2 loaded;
-  GCLUS_RETURN_IF_ERROR(load_csr2(path, opts, loaded).with_context(path));
-  if ((loaded.header.flags & kCsr2FlagWeights) != 0) {
+  GCLUS_RETURN_IF_ERROR(load_csr2(f, opts, loaded).with_context(path));
+  if (f.header.weighted()) {
     return InvalidArgumentError(
         path + ": weighted CSR v2 file (use load_weighted_csr)");
   }
-  if (loaded.mapping != nullptr) {
-    return Graph(loaded.offsets, loaded.neighbors, std::move(loaded.mapping));
+  if (loaded.in_place) {
+    return Graph(loaded.offsets, loaded.neighbors,
+                 std::move(f.file.keepalive));
   }
   return Graph(std::move(loaded.owned_offsets),
                std::move(loaded.owned_neighbors));
@@ -1056,9 +895,10 @@ StatusOr<WeightedGraph> load_weighted_csr(const std::string& path,
   // Weighted graphs interleave (to, w) in memory, so loading always
   // materializes; map the file read-only all the same (kAuto) to skip the
   // intermediate buffer.
+  GCLUS_ASSIGN_OR_RETURN(const Csr2File f, open_csr2(path, opts.mode));
   LoadedCsr2 loaded;
-  GCLUS_RETURN_IF_ERROR(load_csr2(path, opts, loaded).with_context(path));
-  if ((loaded.header.flags & kCsr2FlagWeights) == 0) {
+  GCLUS_RETURN_IF_ERROR(load_csr2(f, opts, loaded).with_context(path));
+  if (!f.header.weighted()) {
     return InvalidArgumentError(
         path + ": unweighted CSR v2 file (use load_csr)");
   }

@@ -9,9 +9,10 @@
 //     machinery in par/) whose output is byte-identical to the serial
 //     stream parser at any thread count.
 //
-//   * CSR v2 binary — fixed little-endian layout, versioned header with
-//     explicit section positions, FNV-1a payload checksum, 64-byte-aligned
-//     sections, and an optional weights section (or, with flags bit 1, the
+//   * CSR v2 binary — a sectioned file in the container of
+//     graph/wire.hpp (fixed little-endian header with explicit section
+//     positions, FNV-1a payload checksum, 64-byte-aligned sections), with
+//     an optional weights section (or, with flags bit 1, the
 //     Rice-compressed adjacency of graph/compressed.hpp).  Loading can mmap
 //     the file and hand the offset/neighbor sections to Graph *in place*
 //     (zero copy, non-owning storage mode), falling back to read() on
@@ -22,7 +23,9 @@
 //   offset  size  field
 //   0       8     magic "GCLUSCS2"
 //   8       4     version (2)
-//   12      4     flags (bit 0: weights section present)
+//   12      4     flags (bit 0: weights section present; bit 1: compressed
+//                 layout, offsets_pos then locates its parameter block and
+//                 neighbors_pos / weights_pos are 0)
 //   16      8     n  (node count; offsets section has n+1 entries)
 //   24      8     m  (directed half-edge count; 2x undirected edges)
 //   32      8     offsets_pos    (byte position of the offsets section)
@@ -32,7 +35,7 @@
 //   64      8     reserved (0)
 //   ...           zero padding to offsets_pos
 //   sections: offsets (n+1)*8B, neighbors m*4B, weights m*8B, each start
-//   aligned to 64 bytes.
+//   aligned to 64 bytes and after the previous section's end.
 //
 // Error handling: every load_* / write_csr call reports failure as a
 // Status, one error path per operation — kInvalidArgument: not a CSR v2 file
@@ -138,9 +141,10 @@ struct Csr2Info {
 /// Loads an unweighted CSR v2 file.  In mmap mode the returned Graph views
 /// the mapped sections in place (Graph::owns_storage() == false) and the
 /// mapping is pinned for the graph's lifetime — the file may be unlinked
-/// afterwards.  A compressed file is loaded through load_compressed_csr
-/// and decompressed, so plain-CSR consumers (the dataset cache) accept
-/// either layout transparently.  Errors: kInvalidArgument (not CSR v2 /
+/// afterwards.  The file is mapped and its header parsed once; a
+/// compressed file is decoded as by load_compressed_csr and decompressed,
+/// so plain-CSR consumers (the dataset cache) accept either layout
+/// transparently.  Errors: kInvalidArgument (not CSR v2 /
 /// unknown flags / weighted file), kDataLoss (truncated, checksum
 /// mismatch, corrupt payload), kIoError (cannot open / mmap).
 [[nodiscard]] StatusOr<Graph> load_csr(const std::string& path,
@@ -186,14 +190,24 @@ struct FileContents {
   bool mapped = false;
 };
 
-/// Maps (when `prefer_mmap` and the platform allows — falling back to a
-/// plain read, the CsrLoadMode::kAuto degradation) or reads `path`.
-/// kIoError when the file cannot be opened or read.  Covered by the
-/// "io.open" / "io.mmap" / "io.read" fault points; consumers of other
-/// formats (the oracle artifact sidecar) build on this instead of
-/// reimplementing the mapping path.
-[[nodiscard]] StatusOr<FileContents> read_or_map_file(const std::string& path,
-                                                      bool prefer_mmap = true);
+/// Maps or reads `path` as `mode` asks: kAuto maps when the platform
+/// allows and falls back to a plain read, kMmap maps or fails (kIoError;
+/// kInvalidArgument without mmap support), kCopy reads.  kIoError when
+/// the file cannot be opened or read.  Every error message names `path`.
+/// The one mapping path of every binary loader (CSR v2, compressed CSR,
+/// the oracle artifact sidecar); covered by the "io.open" / "io.mmap" /
+/// "io.read" fault points.
+[[nodiscard]] StatusOr<FileContents> read_or_map_file(
+    const std::string& path, CsrLoadMode mode = CsrLoadMode::kAuto);
+
+/// Structural validation of CSR arrays read from a file: offsets monotone
+/// from 0 to neighbors.size(), every neighbor id < offsets.size() - 1.
+/// Guards algorithms against out-of-bounds indexing on corrupted (but
+/// checksum-consistent, e.g. maliciously crafted) files.  kDataLoss whose
+/// message starts with `what`.
+[[nodiscard]] Status validate_csr_arrays(std::span<const EdgeId> offsets,
+                                         std::span<const NodeId> neighbors,
+                                         std::string_view what);
 
 // ---- atomic publish ---------------------------------------------------------
 

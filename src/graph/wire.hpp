@@ -1,19 +1,29 @@
-// Little-endian wire-format helpers shared by the binary serializers.
+// The sectioned-file container shared by every binary format, plus the
+// little-endian helpers its dialect is written in.
 //
-// The CSR v2 writer/reader (graph/io.cpp) and the oracle artifact sidecar
-// (server/artifact.cpp) speak the same dialect: fixed little-endian
-// integers, 64-byte-aligned sections, and an FNV-1a payload checksum.
-// These helpers are the single definition of that dialect, so the two
-// formats cannot drift — a checksum computed by one serializer verifies
-// in the other's reader.
+// CSR v2 (plain, weighted and compressed; graph/io.cpp) and the oracle
+// artifact sidecar (server/artifact.cpp) are one container: a fixed
+// little-endian header that records the byte position of each payload
+// section, 64-byte-aligned sections in declaration order with zero padding
+// between them, and an FNV-1a checksum over the sections.  Each format
+// declares its sections once, as a table of `Section`s, and the functions
+// below are the single definition of that container: the writer places
+// (place_sections), checksums (checksum_sections) and emits
+// (emit_sections) from the table, and the reader bounds-checks
+// (sections_fit), reads (read_section) and checksums it the same way — so
+// the formats cannot drift, and a checksum computed by one writer verifies
+// in the other's reader.  Headers (magic, version, flags, reserved fields)
+// stay with each format.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <span>
 #include <vector>
 
 namespace gclus::io::wire {
@@ -58,41 +68,6 @@ inline constexpr std::uint64_t align_up(std::uint64_t pos,
   return (pos + align - 1) / align * align;
 }
 
-/// Checksums `count` elements of `data` in their little-endian byte
-/// representation (a straight pass over memory on LE hosts).
-template <typename T>
-std::uint64_t fnv1a_array_le(std::uint64_t h, const T* data,
-                             std::uint64_t count) {
-  if constexpr (kLittleEndian) {
-    return fnv1a(h, data, static_cast<std::size_t>(count) * sizeof(T));
-  } else {
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const T le = to_le(data[i]);
-      h = fnv1a(h, &le, sizeof(T));
-    }
-    return h;
-  }
-}
-
-template <typename T>
-void write_array_le(std::ofstream& out, const T* data, std::uint64_t count) {
-  if constexpr (kLittleEndian) {
-    out.write(reinterpret_cast<const char*>(data),
-              static_cast<std::streamsize>(count * sizeof(T)));
-  } else {
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const T le = to_le(data[i]);
-      out.write(reinterpret_cast<const char*>(&le), sizeof(T));
-    }
-  }
-}
-
-template <typename T>
-void put_le(std::ofstream& out, T v) {
-  const T le = to_le(v);
-  out.write(reinterpret_cast<const char*>(&le), sizeof(T));
-}
-
 /// Stores `v` little-endian at `p` — for assembling a header buffer in
 /// memory when its checksum must cover the header bytes themselves.
 template <typename T>
@@ -117,15 +92,114 @@ inline void write_zeros(std::ofstream& out, std::uint64_t count) {
   }
 }
 
-template <typename T>
-std::vector<T> decode_array_le(const std::byte* p, std::uint64_t count) {
-  std::vector<T> out(static_cast<std::size_t>(count));
-  if (count == 0) return out;
-  std::memcpy(out.data(), p, static_cast<std::size_t>(count) * sizeof(T));
-  if constexpr (!kLittleEndian) {
-    for (auto& v : out) v = from_le(v);
+// ---- section table ----------------------------------------------------------
+
+inline constexpr std::uint64_t kSectionAlign = 64;
+
+/// One payload section as its format declares it.
+struct Section {
+  std::uint64_t pos = 0;    ///< byte position in the file
+  std::uint64_t count = 0;  ///< element count
+  std::uint64_t width = 1;  ///< bytes per element: 1, 4 or 8
+  /// May be absent, recorded as position 0 with no elements.
+  bool optional = false;
+  /// The elements in host byte order: the writer's source array, or the
+  /// reader's view of (or copy from) the file.  Null only when count is 0.
+  const void* data = nullptr;
+};
+
+/// Writer: positions each section of `table` on the first aligned byte at
+/// or after the end of the one before it, the first at or after `start`.
+inline void place_sections(std::span<Section> table, std::uint64_t start) {
+  for (Section& s : table) {
+    s.pos = align_up(start, kSectionAlign);
+    start = s.pos + s.count * s.width;
   }
-  return out;
+}
+
+/// Feeds `s`'s elements to `sink(bytes, len)` in little-endian byte order:
+/// one pass over the array on little-endian hosts.
+template <typename Sink>
+void for_each_le_chunk(const Section& s, Sink&& sink) {
+  const auto* p = static_cast<const std::byte*>(s.data);
+  if constexpr (kLittleEndian) {
+    sink(p, static_cast<std::size_t>(s.count * s.width));
+  } else {
+    std::array<std::byte, 8> le{};
+    for (std::uint64_t i = 0; i < s.count; ++i, p += s.width) {
+      std::reverse_copy(p, p + s.width, le.begin());
+      sink(le.data(), static_cast<std::size_t>(s.width));
+    }
+  }
+}
+
+/// Continues the FNV-1a stream `h` over the sections of `table`, in
+/// order, as their little-endian bytes.
+inline std::uint64_t checksum_sections(std::uint64_t h,
+                                       std::span<const Section> table) {
+  for (const Section& s : table) {
+    for_each_le_chunk(s, [&](const std::byte* p, std::size_t len) {
+      h = fnv1a(h, p, len);
+    });
+  }
+  return h;
+}
+
+/// Writer: `header`, then each placed section of `table` behind the zero
+/// padding that brings the file to its position.
+inline void emit_sections(std::ofstream& out,
+                          std::span<const std::byte> header,
+                          std::span<const Section> table) {
+  out.write(reinterpret_cast<const char*>(header.data()),
+            static_cast<std::streamsize>(header.size()));
+  std::uint64_t written = header.size();
+  for (const Section& s : table) {
+    write_zeros(out, s.pos - written);
+    for_each_le_chunk(s, [&](const std::byte* p, std::size_t len) {
+      out.write(reinterpret_cast<const char*>(p),
+                static_cast<std::streamsize>(len));
+    });
+    written = s.pos + s.count * s.width;
+  }
+}
+
+/// Reader: true when every section of `table` starts on an aligned byte at
+/// or after the end of the one before it (the first at or after `start`)
+/// and ends inside a file of `size` bytes.  An optional section at
+/// position 0 with no elements is absent and skipped.  Overflow-safe:
+/// each count is bounded by the file before its end is computed.
+inline bool sections_fit(std::span<const Section> table, std::uint64_t start,
+                         std::uint64_t size) {
+  for (const Section& s : table) {
+    if (s.optional && s.pos == 0 && s.count == 0) continue;
+    if (s.pos < start || s.pos % kSectionAlign != 0 || s.pos > size ||
+        s.count > (size - s.pos) / s.width) {
+      return false;
+    }
+    start = s.pos + s.count * s.width;
+  }
+  return true;
+}
+
+/// Reader: hands out section `s` (which passed sections_fit) of the file
+/// image `file` as `view` — in place when `in_place` (a little-endian host
+/// viewing pinned bytes), else decoded into `owned` — and points `s.data`
+/// at it for checksum_sections.
+template <typename T>
+void read_section(Section& s, const std::byte* file, bool in_place,
+                  std::span<const T>& view, std::vector<T>& owned) {
+  const auto count = static_cast<std::size_t>(s.count);
+  if (in_place) {
+    view = {reinterpret_cast<const T*>(file + s.pos), count};
+  } else {
+    owned.resize(count);
+    if (count > 0) std::memcpy(owned.data(), file + s.pos, count * sizeof(T));
+    if constexpr (!kLittleEndian) {
+      for (auto& v : owned) v = from_le(v);
+    }
+    view = owned;
+  }
+  s.data = view.data();
 }
 
 }  // namespace gclus::io::wire

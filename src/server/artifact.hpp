@@ -11,8 +11,10 @@
 // the decomposition, and serves byte-identical answers because the
 // payload is the oracle's exact state.
 //
-// On-disk layout, CSR v2 dialect (all integers little-endian, sections
-// 64-byte aligned, FNV-1a payload checksum — see graph/wire.hpp):
+// On-disk layout: the sectioned-file container of graph/wire.hpp, shared
+// with CSR v2 (all integers little-endian; the seven sections are 64-byte
+// aligned, in the order below, each after the previous one's end; FNV-1a
+// checksum):
 //
 //   offset  size  field
 //   0       8     magic "GCLUSORC"
@@ -111,19 +113,15 @@ struct OracleArtifact {
 [[nodiscard]] Status write_oracle_artifact(const OracleArtifact& a,
                                            const std::string& path);
 
-struct ArtifactLoadOptions {
-  /// mmap the file when the platform allows (falling back to a copy);
-  /// false forces the copy path.
-  bool prefer_mmap = true;
-};
-
-/// Loads an artifact written by write_oracle_artifact.  Every load
-/// verifies the payload checksum and the structural invariants every
-/// query-time index depends on (labels < k, quotient CSR well-formed,
-/// centers consistent) in one sequential pass.  Error codes as in the
-/// header comment; never aborts on corrupt input.
+/// Loads an artifact written by write_oracle_artifact: mmap-ed and viewed
+/// in place on little-endian hosts, else (no mmap, or an "io.mmap"
+/// failure) decoded into an owned copy.  Every load verifies the payload
+/// checksum and the structural invariants every query-time index depends
+/// on (labels < k, quotient CSR well-formed, centers consistent) in one
+/// sequential pass.  Error codes as in the header comment, with `path` in
+/// every message; never aborts on corrupt input.
 [[nodiscard]] StatusOr<OracleArtifact> load_oracle_artifact(
-    const std::string& path, const ArtifactLoadOptions& opts = {});
+    const std::string& path);
 
 /// Checks that `a` was built over a graph shaped like `g` (node and
 /// half-edge counts).  kInvalidArgument on mismatch — serving labels of a

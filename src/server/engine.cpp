@@ -44,10 +44,9 @@ StatusOr<QueryEngine> QueryEngine::from_artifact(Graph g, OracleArtifact a) {
   return QueryEngine(std::move(g), std::move(a), /*loaded=*/true);
 }
 
-StatusOr<QueryEngine> QueryEngine::load(Graph g, const std::string& path,
-                                        const ArtifactLoadOptions& opts) {
+StatusOr<QueryEngine> QueryEngine::load(Graph g, const std::string& path) {
   OracleArtifact a;
-  GCLUS_ASSIGN_OR_RETURN(a, load_oracle_artifact(path, opts));
+  GCLUS_ASSIGN_OR_RETURN(a, load_oracle_artifact(path));
   return from_artifact(std::move(g), std::move(a));
 }
 

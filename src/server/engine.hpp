@@ -63,9 +63,8 @@ class QueryEngine {
   /// Loads the sidecar at `path` (mmap-fast, checksum-validated) and
   /// serves from it.  Fails rather than rebuilding — the restart path
   /// callers use to *guarantee* no decomposition ran.
-  [[nodiscard]] static StatusOr<QueryEngine> load(
-      Graph g, const std::string& path,
-      const ArtifactLoadOptions& opts = {});
+  [[nodiscard]] static StatusOr<QueryEngine> load(Graph g,
+                                                  const std::string& path);
 
   /// The resilient entry point: load `path`; on a corrupt sidecar
   /// (kDataLoss / kInvalidArgument) evict it, rebuild from `g`, and

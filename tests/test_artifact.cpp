@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "api/registry.hpp"
+#include "common/faultpoint.hpp"
 #include "common/rng.hpp"
 #include "common/status.hpp"
 #include "core/distance_oracle.hpp"
@@ -91,16 +92,16 @@ TEST_P(ArtifactRoundTripTest, WriteLoadPreservesEveryByte) {
   TempFile file("gclus_artifact_rt_" + name + ".orc");
   ASSERT_TRUE(write_oracle_artifact(built, file.path).ok());
 
-  ArtifactLoadOptions mmap_opts;  // defaults: prefer mmap, verify
-  auto mapped = load_oracle_artifact(file.path, mmap_opts);
+  auto mapped = load_oracle_artifact(file.path);
   ASSERT_TRUE(mapped.ok()) << name << ": " << mapped.status().to_string();
   EXPECT_TRUE(same_payload(built, *mapped)) << name;
   EXPECT_EQ(mapped->meta.build_seed, built.meta.build_seed);
   EXPECT_EQ(mapped->meta.max_radius, built.meta.max_radius);
 
-  ArtifactLoadOptions copy_opts;
-  copy_opts.prefer_mmap = false;
-  auto copied = load_oracle_artifact(file.path, copy_opts);
+  // A failed mmap degrades to the copy path.
+  fault::arm("io.mmap", fault::FaultSpec::once());
+  auto copied = load_oracle_artifact(file.path);
+  fault::disarm_all();
   ASSERT_TRUE(copied.ok()) << name;
   EXPECT_FALSE(copied->mapped);
   EXPECT_TRUE(same_payload(built, *copied)) << name;
@@ -238,9 +239,12 @@ TEST(ArtifactCorruption, NonArtifactFileIsInvalidArgument) {
 }
 
 TEST(ArtifactCorruption, MissingFileIsIoError) {
-  const auto r = load_oracle_artifact(temp_path("gclus_artifact_nope.orc"));
+  const std::string path = temp_path("gclus_artifact_nope.orc");
+  const auto r = load_oracle_artifact(path);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kIoError);
+  EXPECT_NE(r.status().message().find(path), std::string::npos)
+      << r.status().to_string();
 }
 
 // ---- wrong-graph guards -----------------------------------------------------

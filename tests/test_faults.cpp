@@ -5,14 +5,17 @@
 // error Status or completes in degraded mode with output byte-identical
 // to the fault-free reference.  A header/payload bit-flip sweep covers
 // silent on-disk corruption the same way, an end-to-end mr.cluster run
-// pins the degraded-shuffle partition to the fault-free one, and every
-// mr.* algorithm returns lost spilled data through Registry::run.
+// pins the degraded-shuffle partition to the fault-free one, every mr.*
+// algorithm returns lost spilled data through Registry::run, and a seeded
+// mutation sweep feeds mutated files of every binary layout to every file
+// loader.
 //
-// CI greps this binary's "fault points triggered:" line, and the sweep
-// asserts every point fired, so neither the sweep nor a single point can
-// silently become a no-op.
+// CI greps this binary's "fault points triggered:" and "decoder
+// mutations:" lines, and the sweep asserts every point fired, so neither
+// sweep nor a single point can silently become a no-op.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -20,16 +23,21 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "api/registry.hpp"
 #include "api/run_context.hpp"
 #include "common/faultpoint.hpp"
+#include "common/rng.hpp"
 #include "common/status.hpp"
 #include "graph/bfs.hpp"
+#include "graph/compressed.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
+#include "graph/weighted.hpp"
+#include "graph/wire.hpp"
 #include "mapreduce/engine.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
@@ -401,6 +409,252 @@ TEST(CorruptionSweep, EveryHeaderAndLeadingPayloadByteFlipFailsCleanly) {
   const auto restored = io::load_csr(path);
   ASSERT_TRUE(restored.ok()) << restored.status().to_string();
   EXPECT_TRUE(testutil::same_csr(*restored, g));
+}
+
+// --- Seeded decoder mutations. ----------------------------------------------
+// Valid files of the four binary layouts (plain, weighted and compressed
+// CSR v2, the .orc sidecar) over two graphs are mutated under a fixed seed
+// and a fixed iteration budget: splices of two valid files, truncations,
+// multi-bit flips, and every position and count field set to each extreme
+// value.  Every loader runs on every mutant, and each either returns a
+// Status or decodes exactly one of the original payloads — never an abort,
+// a hang or a sanitizer report (CI runs this binary under ASan+UBSan and
+// greps the "decoder mutations:" line).
+
+/// The valid files and what each loader must decode from them.
+struct DecoderCorpus {
+  std::vector<Graph> graphs;  // load_csr and load_compressed_csr payloads
+  std::vector<WeightedGraph> weighted;
+  std::vector<server::OracleArtifact> artifacts;
+  std::vector<std::vector<char>> files;
+  /// Per file: the byte offsets of its u64 position and count fields.
+  std::vector<std::vector<std::size_t>> fields;
+};
+
+DecoderCorpus decoder_corpus() {
+  DecoderCorpus c;
+  const std::string path = sweep_dir() + "/decoder-corpus";
+  const std::vector<std::size_t> csr_fields = {16, 24, 32, 40, 48};
+  for (const Graph& g : {gen::ring_of_cliques(6, 5), gen::grid(5, 7)}) {
+    std::vector<std::tuple<NodeId, NodeId, Weight>> edges;
+    for (NodeId u = 0; u < g.num_nodes(); ++u) {
+      for (const NodeId v : g.neighbors(u)) {
+        if (u < v) edges.emplace_back(u, v, (u * 31 + v * 7) % 97 + 1);
+      }
+    }
+    c.weighted.push_back(WeightedGraph::from_edges(g.num_nodes(), edges));
+    const CompressedGraph packed =
+        compress(g, {.relabel = RelabelMode::kAlways});
+    EXPECT_TRUE(packed.relabeled());  // perm and inv sections present
+    c.artifacts.push_back(
+        server::build_oracle_artifact(g, artifact_opts()));
+
+    EXPECT_TRUE(io::write_csr(g, path).ok());
+    c.files.push_back(slurp(path));
+    c.fields.push_back(csr_fields);
+    EXPECT_TRUE(io::write_csr(c.weighted.back(), path).ok());
+    c.files.push_back(slurp(path));
+    c.fields.push_back(csr_fields);
+    EXPECT_TRUE(io::write_csr(packed, path).ok());
+    c.files.push_back(slurp(path));
+    c.fields.push_back(csr_fields);
+    // The parameter block's adj_bytes and six section positions.
+    const std::size_t block = le64_at(c.files.back(), 32);
+    for (std::size_t off = 16; off <= 64; off += 8) {
+      c.fields.back().push_back(block + off);
+    }
+    EXPECT_TRUE(
+        server::write_oracle_artifact(c.artifacts.back(), path).ok());
+    c.files.push_back(slurp(path));
+    c.fields.push_back({16, 24, 32, 40});
+    for (std::size_t off = 72; off <= 120; off += 8) {
+      c.fields.back().push_back(off);
+    }
+    c.graphs.push_back(g);
+  }
+  return c;
+}
+
+bool same_artifact(const server::OracleArtifact& a,
+                   const server::OracleArtifact& b) {
+  return a.meta.graph_num_nodes == b.meta.graph_num_nodes &&
+         a.meta.graph_num_half_edges == b.meta.graph_num_half_edges &&
+         a.meta.num_clusters == b.meta.num_clusters &&
+         a.meta.quotient_num_half_edges == b.meta.quotient_num_half_edges &&
+         a.meta.build_seed == b.meta.build_seed &&
+         a.meta.tau == b.meta.tau &&
+         a.meta.use_cluster2 == b.meta.use_cluster2 &&
+         a.meta.max_radius == b.meta.max_radius &&
+         std::ranges::equal(a.cluster_of, b.cluster_of) &&
+         std::ranges::equal(a.dist_to_center, b.dist_to_center) &&
+         std::ranges::equal(a.centers, b.centers) &&
+         std::ranges::equal(a.quotient_offsets, b.quotient_offsets) &&
+         std::ranges::equal(a.quotient_neighbors, b.quotient_neighbors) &&
+         std::ranges::equal(a.quotient_weights, b.quotient_weights) &&
+         std::ranges::equal(a.apsp, b.apsp);
+}
+
+/// Runs every file loader on `bytes`; returns how many rejected it.
+int decode_everywhere(const std::vector<char>& bytes, const DecoderCorpus& c,
+                      const std::string& what) {
+  const std::string path = sweep_dir() + "/decoder-mutant";
+  spit(path, bytes);
+  int rejected = 0;
+  const auto rejects = [&](const Status& st) {
+    EXPECT_TRUE(st.code() == StatusCode::kDataLoss ||
+                st.code() == StatusCode::kInvalidArgument)
+        << what << ": " << st.to_string();
+    ++rejected;
+  };
+  for (const io::CsrLoadMode mode :
+       {io::CsrLoadMode::kAuto, io::CsrLoadMode::kCopy}) {
+    io::CsrLoadOptions opts;
+    opts.mode = mode;
+    const auto r = io::load_csr(path, opts);
+    if (!r.ok()) {
+      rejects(r.status());
+    } else {
+      EXPECT_TRUE(std::ranges::any_of(c.graphs, [&](const Graph& g) {
+        return testutil::same_csr(*r, g);
+      })) << what << ": load_csr decoded a different graph";
+    }
+  }
+  if (const auto r = io::load_weighted_csr(path); !r.ok()) {
+    rejects(r.status());
+  } else {
+    EXPECT_TRUE(std::ranges::any_of(c.weighted, [&](const WeightedGraph& w) {
+      return testutil::same_weighted(*r, w);
+    })) << what << ": load_weighted_csr decoded a different graph";
+  }
+  if (const auto r = io::load_compressed_csr(path); !r.ok()) {
+    rejects(r.status());
+  } else {
+    const Graph plain = r->decompress();
+    EXPECT_TRUE(std::ranges::any_of(c.graphs, [&](const Graph& g) {
+      return testutil::same_csr(plain, g);
+    })) << what << ": load_compressed_csr decoded a different graph";
+  }
+  if (const auto r = server::load_oracle_artifact(path); !r.ok()) {
+    rejects(r.status());
+  } else {
+    EXPECT_TRUE(std::ranges::any_of(
+        c.artifacts,
+        [&](const server::OracleArtifact& a) { return same_artifact(*r, a); }))
+        << what << ": load_oracle_artifact decoded a different payload";
+  }
+  return rejected;
+}
+
+void store_le64(std::vector<char>& bytes, std::size_t off, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    bytes[off + i] = static_cast<char>(v >> (8 * i));
+  }
+}
+
+TEST(DecoderMutations, EveryFileLoaderReturnsStatusOrTheOriginal) {
+  fault::disarm_all();
+  const DecoderCorpus c = decoder_corpus();
+  std::size_t mutants = 0;
+  std::size_t rejected = 0;
+  const auto run = [&](const std::vector<char>& bytes,
+                       const std::string& what) {
+    ++mutants;
+    rejected += decode_everywhere(bytes, c, what);
+  };
+  // Every position and count field at every extreme.
+  for (std::size_t f = 0; f < c.files.size(); ++f) {
+    const std::uint64_t size = c.files[f].size();
+    for (const std::size_t off : c.fields[f]) {
+      for (const std::uint64_t v :
+           {std::uint64_t{0}, std::uint64_t{1}, size - 1, size,
+            std::uint64_t{65} /* unaligned */, std::uint64_t{1} << 63,
+            ~std::uint64_t{0}}) {
+        std::vector<char> bytes = c.files[f];
+        store_le64(bytes, off, v);
+        run(bytes, "file " + std::to_string(f) + " field " +
+                       std::to_string(off) + " = " + std::to_string(v));
+      }
+    }
+  }
+
+  // Random splices, truncations and multi-bit flips under a fixed seed.
+  constexpr int kIterations = 6000;
+  Rng rng(20260607);
+  const auto pick = [&] { return c.files[rng.next_below(c.files.size())]; };
+  for (int it = 0; it < kIterations; ++it) {
+    std::vector<char> bytes = pick();
+    std::string what = "iteration " + std::to_string(it) + ": ";
+    switch (it % 3) {
+      case 0: {  // a prefix of one valid file, a suffix of another
+        const std::vector<char> tail = pick();
+        const std::size_t cut = rng.next_below(bytes.size() + 1);
+        const std::size_t from =
+            rng.next_below(2) == 0 ? std::min(cut, tail.size())
+                                   : rng.next_below(tail.size() + 1);
+        bytes.resize(cut);
+        bytes.insert(bytes.end(), tail.begin() + static_cast<long>(from),
+                     tail.end());
+        what += "splice at " + std::to_string(cut) + "/" +
+                std::to_string(from);
+        break;
+      }
+      case 1:
+        bytes.resize(rng.next_below(bytes.size()));
+        what += "truncation to " + std::to_string(bytes.size());
+        break;
+      default: {
+        const std::uint64_t flips = 2 + rng.next_below(7);
+        for (std::uint64_t i = 0; i < flips; ++i) {
+          const std::size_t at = rng.next_below(bytes.size());
+          bytes[at] = static_cast<char>(bytes[at] ^ (1 << rng.next_below(8)));
+        }
+        what += std::to_string(flips) + " bit flips";
+        break;
+      }
+    }
+    run(bytes, what);
+  }
+  EXPECT_GT(rejected, mutants);  // most mutants fail in every loader
+  // CI greps for this exact prefix and asserts a nonzero count.
+  std::printf("decoder mutations: %zu\n", mutants);
+}
+
+// A compressed file whose anchors section overlaps its degrees section,
+// with a correct checksum: the section table rejects it, not the checksum
+// and not the structural decode walk.
+TEST(DecoderMutations, OverlappingCompressedSectionsFailAtTheSectionTable) {
+  fault::disarm_all();
+  const std::string path = sweep_dir() + "/overlap.csr2";
+  const CompressedGraph packed =
+      compress(gen::ring_of_cliques(6, 5), {.relabel = RelabelMode::kAlways});
+  ASSERT_TRUE(io::write_csr(packed, path).ok());
+  std::vector<char> bytes = slurp(path);
+
+  const std::size_t block = le64_at(bytes, 32);
+  const std::uint64_t degrees_pos = le64_at(bytes, block + 24);
+  ASSERT_LT(degrees_pos, le64_at(bytes, block + 32));
+  store_le64(bytes, block + 32, degrees_pos);  // anchors_pos := degrees_pos
+
+  // Checksum over the parameter block, then the six sections in order.
+  const CompressedSectionSizes sizes =
+      compressed_section_sizes(packed.params());
+  const std::uint64_t lengths[] = {sizes.degrees, sizes.anchors, sizes.locals,
+                                   sizes.adj,     sizes.perm,    sizes.inv};
+  ASSERT_GT(sizes.anchors, 0u);
+  std::uint64_t sum = io::wire::fnv1a(io::wire::kFnvOffsetBasis,
+                                      bytes.data() + block, 128);
+  for (std::size_t i = 0; i < 6; ++i) {
+    const std::uint64_t pos = le64_at(bytes, block + 24 + 8 * i);
+    sum = io::wire::fnv1a(sum, bytes.data() + pos,
+                          static_cast<std::size_t>(lengths[i]));
+  }
+  store_le64(bytes, 56, sum);
+  spit(path, bytes);
+
+  const auto r = io::load_compressed_csr(path);
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(testutil::fails_with(r.status(), StatusCode::kDataLoss,
+                                   "compressed sections overlap"));
 }
 
 }  // namespace

@@ -3,15 +3,19 @@
 // comments, sparse ids, and junk lines) and the CSR v2 format —
 // text↔CSRv2↔mmap round trips over the whole corpus (weighted and
 // unweighted), checksum, truncation and wrong-family rejection as Status
-// codes, and owning-vs-mmap byte equality through the algorithm registry.
+// codes, an every-bit-flip and every-truncation sweep over a plain and a
+// weighted file, and owning-vs-mmap byte equality through the algorithm
+// registry.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "api/registry.hpp"
@@ -392,6 +396,81 @@ TEST(EdgeListStatus, MissingFileIsIoError) {
                                    "cannot open"));
   EXPECT_NE(missing.status().message().find("/nonexistent/gclus/edges.txt"),
             std::string::npos);
+}
+
+// ---- corruption sweep -------------------------------------------------------
+
+std::vector<char> slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void spit(const std::string& path, const std::vector<char>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+// Every single-bit flip and every truncation of a plain and a weighted
+// file, copied and mapped: each load either fails with a Status or returns
+// the original graph (a flip in the alignment padding, which the checksum
+// does not cover) — never a different graph, never an abort.
+TEST(Csr2Corruption, EveryBitFlipAndTruncationIsStatusOrOriginal) {
+  const Graph g = gen::road_like(6, 6, 0.08, 0.02, 1);
+  std::vector<std::tuple<NodeId, NodeId, Weight>> edges;
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    for (const NodeId v : g.neighbors(u)) {
+      if (u < v) edges.emplace_back(u, v, (u * 31 + v * 7) % 97 + 1);
+    }
+  }
+  const WeightedGraph w = WeightedGraph::from_edges(g.num_nodes(), edges);
+  std::vector<CsrLoadMode> modes = {CsrLoadMode::kCopy};
+  if (mmap_supported()) modes.push_back(CsrLoadMode::kMmap);
+  TempFile f("gclus_io_sweep.csr2");
+
+  for (const bool weighted : {false, true}) {
+    SCOPED_TRACE(weighted ? "weighted" : "plain");
+    ASSERT_TRUE(testutil::is_ok(weighted ? write_csr(w, f.path)
+                                         : write_csr(g, f.path)));
+    const std::vector<char> pristine = slurp(f.path);
+    std::size_t rejected = 0;
+    std::size_t identical = 0;
+    const auto check = [&](const std::vector<char>& bytes,
+                           const std::string& what) {
+      spit(f.path, bytes);
+      for (const CsrLoadMode mode : modes) {
+        bool ok = false;
+        if (weighted) {
+          const auto r = load_weighted_csr(f.path, {.mode = mode});
+          ok = r.ok();
+          if (ok) {
+            EXPECT_TRUE(testutil::same_weighted(*r, w)) << what;
+          }
+        } else {
+          const auto r = load_csr(f.path, {.mode = mode});
+          ok = r.ok();
+          if (ok) {
+            EXPECT_TRUE(testutil::same_csr(*r, g)) << what;
+          }
+        }
+        ++(ok ? identical : rejected);
+      }
+    };
+    for (std::size_t i = 0; i < pristine.size(); ++i) {
+      for (int bit = 0; bit < 8; ++bit) {
+        std::vector<char> bytes = pristine;
+        bytes[i] = static_cast<char>(bytes[i] ^ (1 << bit));
+        check(bytes, "flip byte " + std::to_string(i) + " bit " +
+                         std::to_string(bit));
+      }
+    }
+    for (std::size_t keep = 0; keep < pristine.size(); ++keep) {
+      check({pristine.begin(), pristine.begin() + static_cast<long>(keep)},
+            "truncated to " + std::to_string(keep));
+    }
+    // Most flips land in the header or a section; every truncation fails.
+    EXPECT_GT(rejected, identical);
+    EXPECT_GE(rejected, pristine.size() * modes.size());
+  }
 }
 
 // ---- owning vs mmap through the registry ------------------------------------
