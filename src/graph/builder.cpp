@@ -1,87 +1,109 @@
 #include "graph/builder.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 #include "par/parallel_for.hpp"
 #include "par/thread_pool.hpp"
 
 namespace gclus {
 
-namespace {
-
-// Below this size the scheduling overhead of the block-merge sort exceeds
-// its win; std::sort alone is already microseconds.
-constexpr std::size_t kParallelSortThreshold = 1u << 17;
-
-/// Deterministic parallel sort: equal-size blocks are std::sort-ed
-/// concurrently, then merged pairwise level by level (std::inplace_merge),
-/// with all merges of a level running in parallel.  The result is exactly
-/// std::sort's (total order, here on std::pair), independent of the
-/// schedule — graph construction stays byte-reproducible at any thread
-/// count.
-void parallel_sort_edges(ThreadPool& pool, std::vector<Edge>& edges) {
-  const std::size_t n = edges.size();
-  if (n < kParallelSortThreshold || pool.num_threads() == 1) {
-    std::sort(edges.begin(), edges.end());
-    return;
-  }
-  const std::size_t num_blocks =
-      std::min<std::size_t>(4 * pool.num_threads(), 64);
-  const std::size_t block = (n + num_blocks - 1) / num_blocks;
-  parallel_for(
-      pool, 0, num_blocks,
-      [&](std::size_t b) {
-        const std::size_t lo = std::min(b * block, n);
-        const std::size_t hi = std::min(lo + block, n);
-        std::sort(edges.begin() + lo, edges.begin() + hi);
-      },
-      /*grain=*/1);
-  for (std::size_t width = block; width < n; width *= 2) {
-    const std::size_t pairs = (n + 2 * width - 1) / (2 * width);
-    parallel_for(
-        pool, 0, pairs,
-        [&](std::size_t p) {
-          const std::size_t lo = p * 2 * width;
-          const std::size_t mid = std::min(lo + width, n);
-          const std::size_t hi = std::min(lo + 2 * width, n);
-          if (mid < hi) {
-            std::inplace_merge(edges.begin() + lo, edges.begin() + mid,
-                               edges.begin() + hi);
-          }
-        },
-        /*grain=*/1);
-  }
-}
-
-}  // namespace
-
 Graph GraphBuilder::build() { return build(ThreadPool::global()); }
 
 Graph GraphBuilder::build(ThreadPool& pool) {
   const NodeId n = num_nodes_;
 
-  // Materialize both directions, dropping self-loops.
-  std::vector<Edge> halves;
-  halves.reserve(edges_.size() * 2);
-  for (const auto& [u, v] : edges_) {
-    if (u == v) continue;
-    halves.emplace_back(u, v);
-    halves.emplace_back(v, u);
+  // Both passes below split the nodes into ranges and run one task per
+  // range.  Each task scans every edge and handles only the endpoints in
+  // its own range, so no counter or row has two writers: no atomics, and a
+  // task's scattered stores are not serialized behind locked
+  // read-modify-writes.  There is a range per kDefaultGrain edges, at most
+  // one per worker; a single range runs inline.
+  const std::size_t ranges = std::clamp<std::size_t>(
+      edges_.size() / kDefaultGrain, 1, pool.num_threads());
+  const auto for_each_range = [&](const auto& task) {
+    parallel_for(pool, 0, ranges, task, /*grain=*/1);
+  };
+
+  // Degrees, over equal node ranges: offsets[u] counts the half-edges
+  // leaving u.  An out-of-range endpoint lies in no range, so it is never
+  // written before the check.
+  std::vector<EdgeId> offsets(static_cast<std::size_t>(n) + 1, 0);
+  std::atomic<bool> out_of_range{false};
+  for_each_range([&](std::size_t r) {
+    const auto lo = static_cast<NodeId>(std::uint64_t{n} * r / ranges);
+    const auto hi = static_cast<NodeId>(std::uint64_t{n} * (r + 1) / ranges);
+    bool bad = false;
+    for (const auto& [u, v] : edges_) {
+      bad |= u >= n || v >= n;
+      if (u == v) continue;
+      if (u - lo < hi - lo) ++offsets[u];
+      if (v - lo < hi - lo) ++offsets[v];
+    }
+    if (bad) out_of_range.store(true, std::memory_order_relaxed);
+  });
+  GCLUS_CHECK(!out_of_range.load(), "edge endpoint out of range");
+
+  // Inclusive prefix sum: offsets[u] is the end of row u.  The scatter
+  // counts each row's cursor down from there, leaving offsets[u] at the
+  // row's start — the CSR offsets, with no cursor array.
+  for (std::size_t u = 1; u <= n; ++u) offsets[u] += offsets[u - 1];
+  const EdgeId total = offsets[n];
+
+  // Scatter, over node ranges of equal half-edge counts.  The edges are
+  // scanned backwards, so each row is filled in edge order.
+  std::vector<NodeId> first_row(ranges + 1, n);
+  for (std::size_t r = 0; r < ranges; ++r) {
+    first_row[r] = static_cast<NodeId>(
+        std::lower_bound(offsets.begin(), offsets.begin() + n,
+                         total * r / ranges) -
+        offsets.begin());
   }
+  std::vector<NodeId> neighbors(total);
+  for_each_range([&](std::size_t r) {
+    const NodeId lo = first_row[r];
+    const NodeId hi = first_row[r + 1];
+    for (std::size_t i = edges_.size(); i-- > 0;) {
+      const auto [u, v] = edges_[i];
+      if (u == v) continue;
+      if (u - lo < hi - lo) neighbors[--offsets[u]] = v;
+      if (v - lo < hi - lo) neighbors[--offsets[v]] = u;
+    }
+  });
   edges_.clear();
   edges_.shrink_to_fit();
 
-  parallel_sort_edges(pool, halves);
-  halves.erase(std::unique(halves.begin(), halves.end()), halves.end());
-
-  std::vector<EdgeId> offsets(static_cast<std::size_t>(n) + 1, 0);
-  for (const auto& [u, v] : halves) offsets[u + 1]++;
-  for (NodeId u = 0; u < n; ++u) offsets[u + 1] += offsets[u];
-
-  std::vector<NodeId> neighbors(halves.size());
-  parallel_for(pool, 0, halves.size(),
-               [&](std::size_t i) { neighbors[i] = halves[i].second; });
-
+  // Sorting each row makes the arrays a function of the edge multiset
+  // alone, whatever the input order.  A row's duplicates are overwritten
+  // with kInvalidNode (above every id), so the row stays sorted and its
+  // kept length is a lower_bound away.
+  const auto at = [&](EdgeId e) {
+    return neighbors.begin() + static_cast<std::ptrdiff_t>(e);
+  };
+  const EdgeId dropped = parallel_sum<EdgeId>(pool, 0, n, [&](std::size_t u) {
+    const auto first = at(offsets[u]);
+    const auto last = at(offsets[u + 1]);
+    std::sort(first, last);
+    const auto kept = std::unique(first, last);
+    std::fill(kept, last, kInvalidNode);
+    return static_cast<EdgeId>(last - kept);
+  });
+  if (dropped > 0) {
+    // Serial in place: row u's old end is read before offsets[u + 1] is
+    // overwritten with its kept end.
+    EdgeId start = 0;
+    EdgeId kept_end = 0;
+    for (std::size_t u = 0; u < n; ++u) {
+      const auto first = at(start);
+      const auto last = at(offsets[u + 1]);
+      kept_end += static_cast<EdgeId>(
+          std::lower_bound(first, last, kInvalidNode) - first);
+      start = offsets[u + 1];
+      offsets[u + 1] = kept_end;
+    }
+    parallel_compact(pool, neighbors,
+                     [](NodeId v) { return v != kInvalidNode; });
+  }
   return Graph(std::move(offsets), std::move(neighbors));
 }
 

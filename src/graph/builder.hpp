@@ -36,22 +36,25 @@ class GraphBuilder {
   }
 
   /// Bulk move-in for large edge lists (the parallel parser's path): the
-  /// endpoints are range-checked but the vector's buffer is adopted, not
-  /// copied.  Only valid when no edges have been added yet.
+  /// vector's buffer is adopted, not copied, and its endpoints are
+  /// range-checked by build()'s parallel degree count.  Only valid when no
+  /// edges have been added yet.
   void adopt_edges(std::vector<Edge>&& edges) {
     GCLUS_CHECK(edges_.empty(), "adopt_edges requires an empty builder");
-    for (const auto& [u, v] : edges) {
-      GCLUS_CHECK(u < num_nodes_ && v < num_nodes_,
-                  "edge endpoint out of range");
-    }
     edges_ = std::move(edges);
   }
 
   [[nodiscard]] std::size_t num_pending_edges() const { return edges_.size(); }
 
-  /// Builds the normalized CSR graph, consuming the accumulated edges.
-  /// Large builds sort and scatter on `pool` (the no-argument form uses
-  /// the process-global pool); the result is byte-identical for any pool.
+  /// Builds the normalized CSR graph, consuming the accumulated edges, by
+  /// counting sort on `pool` (the no-argument form uses the process-global
+  /// pool): a parallel degree count that also range-checks the endpoints,
+  /// a prefix sum into the offsets, a scatter of both directions of every
+  /// non-loop edge into place, then a sort and dedup of each row on its
+  /// own.  The output is identical for any pool.  Extra space beyond the
+  /// pending edges and the returned offsets and neighbors is O(m) NodeIds
+  /// and no 2m-pair intermediate: at most one deduplicated copy of the
+  /// neighbors, made only when the input had duplicates.
   [[nodiscard]] Graph build();
   [[nodiscard]] Graph build(ThreadPool& pool);
 

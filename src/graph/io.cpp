@@ -285,51 +285,51 @@ Graph parse_edge_list(std::string_view text, ThreadPool& pool) {
       [&](std::size_t i) { parse_chunk(text, start[i], start[i + 1], parts[i]); },
       /*grain=*/1);
 
-  // Merge in chunk (= file) order via the prefix-sum concat, then intern
-  // ids serially in first-appearance order — the same numbering the serial
-  // parser produces.
-  std::vector<RawEdge> raw;
-  parallel_concat(pool, parts, raw);
-  parts.clear();
-  parts.shrink_to_fit();
-
-  std::vector<Edge> edges(raw.size());
+  // Intern ids serially, reading the chunks in place in chunk (= file)
+  // order: first-appearance numbering, the same the serial parser
+  // produces.  (A parallel rank of each id's first position measured
+  // slower than this loop at the perfbench pool size of 3.)
+  std::size_t num_edges = 0;
+  for (const auto& part : parts) num_edges += part.size();
+  const std::uint64_t max_id = parallel_reduce(
+      pool, 0, num_chunks, std::uint64_t{0},
+      [&](std::size_t c) {
+        std::uint64_t most = 0;
+        for (const RawEdge& e : parts[c]) most = std::max({most, e.u, e.v});
+        return most;
+      },
+      [](std::uint64_t a, std::uint64_t b) { return std::max(a, b); },
+      /*grain=*/1);
+  const std::uint64_t dense_limit =
+      std::max<std::uint64_t>(std::uint64_t{1} << 16, 4 * num_edges);
+  std::vector<Edge> edges;
+  edges.reserve(num_edges);
   NodeId next = 0;
-  if (!raw.empty()) {
-    const std::uint64_t max_id = parallel_reduce(
-        pool, 0, raw.size(), std::uint64_t{0},
-        [&](std::size_t i) { return std::max(raw[i].u, raw[i].v); },
-        [](std::uint64_t a, std::uint64_t b) { return std::max(a, b); });
-    const std::uint64_t dense_limit =
-        std::max<std::uint64_t>(std::uint64_t{1} << 16, 4 * raw.size());
-    if (max_id < dense_limit) {
-      // Dense ids (the common case for generated/preprocessed lists): a
-      // flat table beats hashing by an order of magnitude.
-      std::vector<NodeId> table(static_cast<std::size_t>(max_id) + 1,
-                                kInvalidNode);
-      auto intern = [&](std::uint64_t id) {
-        NodeId& slot = table[static_cast<std::size_t>(id)];
-        if (slot == kInvalidNode) slot = next++;
-        return slot;
-      };
-      for (std::size_t i = 0; i < raw.size(); ++i) {
-        edges[i] = {intern(raw[i].u), intern(raw[i].v)};
-      }
-    } else {
-      std::unordered_map<std::uint64_t, NodeId> compact;
-      compact.reserve(2 * raw.size());
-      auto intern = [&](std::uint64_t id) {
-        const auto [it, inserted] = compact.emplace(id, next);
-        if (inserted) ++next;
-        return it->second;
-      };
-      for (std::size_t i = 0; i < raw.size(); ++i) {
-        edges[i] = {intern(raw[i].u), intern(raw[i].v)};
-      }
+  const auto intern_all = [&](const auto& intern) {
+    for (const auto& part : parts) {
+      for (const RawEdge& e : part) edges.push_back({intern(e.u), intern(e.v)});
     }
+  };
+  if (max_id < dense_limit) {
+    // Dense ids (the common case for generated/preprocessed lists): a
+    // flat table beats hashing by an order of magnitude.
+    std::vector<NodeId> table(static_cast<std::size_t>(max_id) + 1,
+                              kInvalidNode);
+    intern_all([&](std::uint64_t id) {
+      NodeId& slot = table[static_cast<std::size_t>(id)];
+      if (slot == kInvalidNode) slot = next++;
+      return slot;
+    });
+  } else {
+    std::unordered_map<std::uint64_t, NodeId> compact;
+    compact.reserve(2 * num_edges);
+    intern_all([&](std::uint64_t id) {
+      const auto [it, inserted] = compact.emplace(id, next);
+      if (inserted) ++next;
+      return it->second;
+    });
   }
-  raw.clear();
-  raw.shrink_to_fit();
+  parts = {};
 
   GraphBuilder b(next);
   b.adopt_edges(std::move(edges));

@@ -80,8 +80,8 @@ namespace gclus::io {
 
 /// Parallel edge-list parser over an in-memory buffer: the text is split
 /// into fixed-size byte chunks advanced to line boundaries, chunks parse
-/// concurrently on `pool`, and the per-chunk edge lists merge in file
-/// order via prefix sums — so the result (including node numbering) is
+/// concurrently on `pool`, and ids are interned from the per-chunk edge
+/// lists in file order — so the result (including node numbering) is
 /// byte-identical to read_edge_list at any thread count.
 [[nodiscard]] Graph parse_edge_list(std::string_view text, ThreadPool& pool);
 

@@ -45,8 +45,12 @@ inline constexpr bool kLittleEndian = std::endian::native == std::endian::little
 
 template <typename T>
 T byteswap_int(T v) {
+  static_assert(sizeof(T) == 2 || sizeof(T) == 4 || sizeof(T) == 8,
+                "byteswap_int supports 16-, 32- and 64-bit integers");
   auto u = static_cast<std::uint64_t>(v);
-  if constexpr (sizeof(T) == 4) {
+  if constexpr (sizeof(T) == 2) {
+    u = __builtin_bswap16(static_cast<std::uint16_t>(u));
+  } else if constexpr (sizeof(T) == 4) {
     u = __builtin_bswap32(static_cast<std::uint32_t>(u));
   } else {
     u = __builtin_bswap64(u);

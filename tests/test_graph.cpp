@@ -5,8 +5,10 @@
 #include <algorithm>
 
 #include "graph/builder.hpp"
+#include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "graph/subgraph.hpp"
+#include "par/thread_pool.hpp"
 #include "test_util.hpp"
 
 namespace gclus {
@@ -76,6 +78,62 @@ TEST(GraphBuilder, IncrementalAddEdges) {
 TEST(GraphBuilderDeathTest, RejectsOutOfRangeEndpoint) {
   GraphBuilder b(3);
   EXPECT_DEATH(b.add_edge(0, 3), "out of range");
+}
+
+TEST(GraphBuilderDeathTest, AdoptedOutOfRangeEndpointFailsInBuild) {
+  GraphBuilder b(3);
+  b.adopt_edges({{0, 1}, {2, 3}});
+  EXPECT_DEATH((void)b.build(), "out of range");
+}
+
+TEST(GraphBuilder, MatchesSerialBuildAtEveryPoolSize) {
+  struct Case {
+    const char* name;
+    NodeId n;
+    std::vector<Edge> edges;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"self-loops", 6, {{0, 0}, {1, 2}, {2, 2}, {4, 3}, {5, 5}}});
+  cases.push_back({"duplicates", 5, {{0, 1}, {1, 0}, {0, 1}, {3, 2}, {2, 3}}});
+  {
+    // A 200000-leaf hub, every third spoke repeated reversed, shuffled.
+    std::vector<Edge> spokes;
+    for (NodeId i = 1; i < 200000; ++i) {
+      spokes.emplace_back(0, i);
+      if (i % 3 == 0) spokes.emplace_back(i, 0);
+    }
+    testutil::deterministic_shuffle(spokes, 1);
+    cases.push_back({"star-hub", 200000, std::move(spokes)});
+  }
+  cases.push_back({"trailing-isolated", 100, {{0, 1}, {1, 2}, {4, 9}}});
+  cases.push_back({"empty", 0, {}});
+  cases.push_back({"edgeless", 7, {}});
+  {
+    // Every half-edge of an R-MAT graph (so each edge appears in both
+    // directions) plus a self-loop per 64th node, shuffled.
+    const Graph g = gen::rmat(1 << 15, 1 << 18, 5);
+    std::vector<Edge> halves;
+    for (NodeId u = 0; u < g.num_nodes(); ++u) {
+      for (const NodeId v : g.neighbors(u)) halves.emplace_back(u, v);
+      if (u % 64 == 0) halves.emplace_back(u, u);
+    }
+    testutil::deterministic_shuffle(halves, 2);
+    ASSERT_GT(halves.size(), std::size_t{1} << 17);
+    cases.push_back({"shuffled-rmat", g.num_nodes(), std::move(halves)});
+  }
+
+  for (const std::size_t threads : {1, 2, 8}) {
+    ThreadPool pool(threads);
+    for (const auto& c : cases) {
+      const Graph want = testutil::serial_build(c.n, c.edges);
+      GraphBuilder b(c.n);
+      b.adopt_edges(std::vector<Edge>(c.edges));
+      const Graph got = b.build(pool);
+      EXPECT_TRUE(testutil::same_csr(got, want))
+          << c.name << " at " << threads << " threads";
+      EXPECT_TRUE(got.validate()) << c.name;
+    }
+  }
 }
 
 TEST(Graph, HasEdgeBinarySearch) {

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -23,6 +24,7 @@
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "graph/weighted.hpp"
+#include "graph/wire.hpp"
 #include "par/thread_pool.hpp"
 #include "test_util.hpp"
 
@@ -165,7 +167,134 @@ TEST(ParallelParser, FileEntryPointUsesGlobalPool) {
   EXPECT_EQ(h.num_edges(), g.num_edges());
 }
 
+/// One line per edge of `g` (u < v), ids written through `id`.
+template <typename IdMap>
+std::vector<std::string> edge_lines(const Graph& g, const IdMap& id) {
+  std::vector<std::string> lines;
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    for (const NodeId v : g.neighbors(u)) {
+      if (u < v) {
+        lines.push_back(std::to_string(id(u)) + ' ' + std::to_string(id(v)));
+      }
+    }
+  }
+  return lines;
+}
+
+std::string join_lines(const std::vector<std::string>& lines) {
+  std::string text;
+  for (const auto& line : lines) text += line + '\n';
+  return text;
+}
+
+TEST(ParallelParser, ShuffledMultiChunkTextMatchesSerialNumbering) {
+  // Shuffled lines make first appearance non-monotone in the ids, and the
+  // text spans several 1 MiB parse chunks.  Dense ids take the flat-table
+  // path; the same lines with every id spread above 4·m take the hash path.
+  const Graph g = gen::expander(50000, 10, 11);
+  auto dense = edge_lines(g, [](NodeId x) { return std::uint64_t{x}; });
+  auto sparse = edge_lines(g, [](NodeId x) {
+    return std::uint64_t{x} * 7919 + 1000000000000ULL;
+  });
+  testutil::deterministic_shuffle(dense, 3);
+  testutil::deterministic_shuffle(sparse, 3);
+  for (const std::string& text : {join_lines(dense), join_lines(sparse)}) {
+    ASSERT_GT(text.size(), std::size_t{2} << 20);
+    const Graph want = serial_parse(text);
+    EXPECT_EQ(want.num_nodes(), g.num_nodes());
+    for (const std::size_t threads : {1, 2, 8}) {
+      ThreadPool pool(threads);
+      EXPECT_TRUE(testutil::same_csr(parse_edge_list(text, pool), want))
+          << threads << " threads, ids from " << text.substr(0, 20);
+    }
+  }
+}
+
 // ---- CSR v2 -----------------------------------------------------------------
+
+/// The FNV-1a payload checksum a CSR v2 file of `g` records at header
+/// offset 56.
+std::uint64_t csr2_checksum(const Graph& g) {
+  TempFile f("gclus_io_golden.csr");
+  EXPECT_TRUE(testutil::is_ok(write_csr(g, f.path)));
+  std::ifstream in(f.path, std::ios::binary);
+  std::array<std::byte, 64> header{};
+  in.read(reinterpret_cast<char*>(header.data()), header.size());
+  EXPECT_TRUE(in.good());
+  return wire::read_le_at<std::uint64_t>(header.data() + 56);
+}
+
+/// A messy sparse-id edge list: ids spread above 4·m (the hash path), each
+/// edge in a drawn direction, every fifth repeated reversed with a tab,
+/// every seventh with a weight column, every eleventh CRLF, a self-loop
+/// per 16th node, comment lines, then the lines shuffled.
+std::string messy_sparse_text() {
+  const Graph g = gen::road_like(30, 30, 0.1, 0.05, 4);
+  const auto id = [](NodeId x) {
+    return std::to_string(std::uint64_t{x} * 1000003 + 1000000000000ULL);
+  };
+  std::vector<std::string> lines;
+  std::uint64_t k = 0;
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    for (const NodeId v : g.neighbors(u)) {
+      if (u > v) continue;
+      ++k;
+      const bool flip = (mix64(k) & 1) != 0;
+      lines.push_back(id(flip ? v : u) + ' ' + id(flip ? u : v) +
+                      (k % 7 == 0 ? " 42" : "") + (k % 11 == 0 ? "\r" : ""));
+      if (k % 5 == 0) lines.push_back(id(v) + '\t' + id(u));
+    }
+    if (u % 16 == 0) lines.push_back(id(u) + ' ' + id(u));
+    if (u % 50 == 0) lines.push_back("# comment " + std::to_string(u));
+  }
+  testutil::deterministic_shuffle(lines, 9);
+  return join_lines(lines);
+}
+
+std::string edge_list_text(const Graph& g) {
+  std::stringstream buf;
+  write_edge_list(g, buf);
+  return buf.str();
+}
+
+TEST(Csr2Golden, TextToCsr2ChecksumsArePinned) {
+  // Recorded with the comparison-sort CSR builder that the counting sort
+  // replaced: the CSR bytes of a parse must not change with the builder's
+  // implementation or with the pool.
+  const struct {
+    const char* name;
+    std::string text;
+    std::uint64_t checksum;
+  } cases[] = {
+      {"road_like(60,60,0.08,0.02,1)",
+       edge_list_text(gen::road_like(60, 60, 0.08, 0.02, 1)),
+       0xed9c4d08ec68747dULL},
+      {"largest component of rmat(2^12)",
+       edge_list_text(
+           testutil::largest_component_of(gen::rmat(1 << 12, 1 << 15, 3))),
+       0xc0b95fa67eb948faULL},
+      {"messy sparse ids", messy_sparse_text(), 0x986b22f7389a0510ULL},
+  };
+  for (const auto& c : cases) {
+    for (const std::size_t threads : {1, 2, 8}) {
+      ThreadPool pool(threads);
+      EXPECT_EQ(csr2_checksum(parse_edge_list(c.text, pool)), c.checksum)
+          << c.name << " at " << threads << " threads";
+    }
+  }
+}
+
+TEST(Wire, ByteswapIntReversesEveryWidth) {
+  EXPECT_EQ(wire::byteswap_int<std::uint16_t>(0x1234), 0x3412);
+  EXPECT_EQ(wire::byteswap_int<std::int16_t>(-2), std::int16_t{-257});
+  EXPECT_EQ(wire::byteswap_int<std::uint32_t>(0x12345678u), 0x78563412u);
+  EXPECT_EQ(wire::byteswap_int<std::uint64_t>(0x0102030405060708ULL),
+            0x0807060504030201ULL);
+  std::array<std::byte, 2> buf{};
+  wire::store_le_at<std::uint16_t>(buf.data(), 0xBEEF);
+  EXPECT_EQ(buf[0], std::byte{0xEF});
+  EXPECT_EQ(wire::read_le_at<std::uint16_t>(buf.data()), 0xBEEF);
+}
 
 TEST(Csr2, CorpusRoundTripCopyAndMmap) {
   TempFile f("gclus_io_corpus.csr2");

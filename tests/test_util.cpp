@@ -51,6 +51,26 @@ NearestSource brute_force_nearest_source(const Graph& g,
   return out;
 }
 
+Graph serial_build(NodeId num_nodes, const std::vector<Edge>& edges) {
+  std::vector<Edge> halves;
+  halves.reserve(edges.size() * 2);
+  for (const auto& [u, v] : edges) {
+    if (u == v) continue;
+    halves.emplace_back(u, v);
+    halves.emplace_back(v, u);
+  }
+  std::sort(halves.begin(), halves.end());
+  halves.erase(std::unique(halves.begin(), halves.end()), halves.end());
+  std::vector<EdgeId> offsets(static_cast<std::size_t>(num_nodes) + 1, 0);
+  for (const auto& [u, v] : halves) offsets[u + 1]++;
+  for (NodeId u = 0; u < num_nodes; ++u) offsets[u + 1] += offsets[u];
+  std::vector<NodeId> neighbors(halves.size());
+  for (std::size_t i = 0; i < halves.size(); ++i) {
+    neighbors[i] = halves[i].second;
+  }
+  return Graph(std::move(offsets), std::move(neighbors));
+}
+
 Components serial_components(const Graph& g) {
   const NodeId n = g.num_nodes();
   Components out;

@@ -12,11 +12,13 @@
 #include <string_view>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "common/status.hpp"
 #include "common/types.hpp"
 #include "core/clustering.hpp"
 #include "core/quotient.hpp"
 #include "graph/bfs.hpp"
+#include "graph/builder.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
@@ -72,6 +74,15 @@ inline std::uint64_t oracle_formula(const server::OracleArtifact& a, NodeId u,
   return labels + a.apsp[std::size_t{cu} * a.meta.num_clusters + cv];
 }
 
+/// Fisher–Yates driven by mix64(seed + i): the same permutation on every
+/// standard library, which std::shuffle does not promise.
+template <typename T>
+void deterministic_shuffle(std::vector<T>& values, std::uint64_t seed) {
+  for (std::size_t i = values.size(); i > 1; --i) {
+    std::swap(values[i - 1], values[mix64(seed + i) % i]);
+  }
+}
+
 struct NamedGraph {
   std::string name;
   Graph graph;
@@ -118,6 +129,11 @@ struct NearestSource {
 /// reference for multi_source_bfs's distances and owner tie-breaking.
 NearestSource brute_force_nearest_source(const Graph& g,
                                          const std::vector<NodeId>& sources);
+
+/// Sort-and-unique CSR build: both directions of every non-loop edge as
+/// pairs, std::sort, std::unique, offsets counted from the pairs — the
+/// pool-free reference for GraphBuilder::build.
+Graph serial_build(NodeId num_nodes, const std::vector<Edge>& edges);
 
 /// Serial DFS sweep: components numbered in the order the sweep over node
 /// ids first reaches them — the reference for connected_components.
