@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "common/timer.hpp"
@@ -66,18 +67,28 @@ int main() {
   std::printf("distortion over %zu random queries: avg %.2fx, worst %.2fx\n",
               count, sum / count, worst);
 
-  // Query throughput.
-  Timer query_timer;
-  constexpr int kBatch = 1000000;
+  // Query throughput: random pairs through the batch kernel, 256 queries
+  // per call as a server worker answers a batch.
+  constexpr std::size_t kQueries = 1000000;
+  constexpr std::size_t kBatch = 256;
+  std::vector<server::Query> queries(kQueries);
+  for (server::Query& q : queries) {
+    q.u = static_cast<NodeId>(rng.next_below(g.num_nodes()));
+    q.arg = static_cast<NodeId>(rng.next_below(g.num_nodes()));
+  }
+  std::vector<server::QueryResult> results(kBatch);
+  server::QueryScratch scratch;
   std::uint64_t sink = 0;
-  for (int q = 0; q < kBatch; ++q) {
-    const auto u = static_cast<NodeId>(rng.next_below(g.num_nodes()));
-    const auto v = static_cast<NodeId>(rng.next_below(g.num_nodes()));
-    sink += oracle.approx_distance(u, v).value();
+  Timer query_timer;
+  for (std::size_t off = 0; off < kQueries; off += kBatch) {
+    const std::size_t len = std::min(kBatch, kQueries - off);
+    oracle.execute({queries.data() + off, len}, {results.data(), len},
+                   scratch);
+    for (std::size_t i = 0; i < len; ++i) sink += results[i].value;
   }
   const double secs = query_timer.elapsed_s();
   std::printf("throughput: %.1fM queries/s (checksum %llu)\n",
-              kBatch / secs / 1e6, static_cast<unsigned long long>(sink));
+              kQueries / secs / 1e6, static_cast<unsigned long long>(sink));
 
   if (below != 0) {
     std::fprintf(stderr,

@@ -31,16 +31,6 @@ double Rng::next_exponential(double beta) {
   return -std::log1p(-next_double()) / beta;
 }
 
-double keyed_uniform(std::uint64_t seed, std::uint64_t a, std::uint64_t b) {
-  const std::uint64_t h = hash_combine(seed, a, b);
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
-
-bool keyed_bernoulli(std::uint64_t seed, std::uint64_t a, std::uint64_t b,
-                     double p) {
-  return keyed_uniform(seed, a, b) < p;
-}
-
 double keyed_exponential(std::uint64_t seed, std::uint64_t a, double beta) {
   GCLUS_CHECK(beta > 0.0);
   const double u = keyed_uniform(seed, a, 0x5eedF00dULL);

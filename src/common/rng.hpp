@@ -103,12 +103,18 @@ class Rng {
 
 /// Counter-based uniform double in [0,1) for coordinates (seed, a, b).
 /// Schedule-independent: any thread evaluating the same coordinates gets
-/// the same value.
-double keyed_uniform(std::uint64_t seed, std::uint64_t a, std::uint64_t b);
+/// the same value.  Inline so a per-node sweep over b hoists the
+/// loop-invariant hash_combine(seed, a).
+inline double keyed_uniform(std::uint64_t seed, std::uint64_t a,
+                            std::uint64_t b) {
+  return static_cast<double>(hash_combine(seed, a, b) >> 11) * 0x1.0p-53;
+}
 
 /// Counter-based Bernoulli(p) draw for coordinates (seed, a, b).
-bool keyed_bernoulli(std::uint64_t seed, std::uint64_t a, std::uint64_t b,
-                     double p);
+inline bool keyed_bernoulli(std::uint64_t seed, std::uint64_t a,
+                            std::uint64_t b, double p) {
+  return keyed_uniform(seed, a, b) < p;
+}
 
 /// Counter-based Exp(beta) draw for coordinates (seed, a).
 double keyed_exponential(std::uint64_t seed, std::uint64_t a, double beta);

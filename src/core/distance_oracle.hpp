@@ -12,7 +12,8 @@
 // This header owns the first step only: which clustering the oracle is
 // built on.  The stored oracle is server::OracleArtifact
 // (server/artifact.hpp, built by build_oracle_artifact), and d′ is
-// evaluated in exactly one place, server::QueryEngine::approx_distance.
+// evaluated in exactly one place, the batch kernel
+// server::QueryEngine::execute.
 #pragma once
 
 #include <cstdint>

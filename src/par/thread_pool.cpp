@@ -1,5 +1,7 @@
 #include "par/thread_pool.hpp"
 
+#include <unistd.h>
+
 #include <cstdlib>
 
 #include "common/check.hpp"
@@ -7,7 +9,7 @@
 namespace gclus {
 
 ThreadPool::ThreadPool(std::size_t num_threads)
-    : num_threads_(num_threads == 0 ? 1 : num_threads) {
+    : num_threads_(num_threads == 0 ? 1 : num_threads), owner_pid_(::getpid()) {
   if (num_threads_ == 1) return;  // inline mode: no worker threads at all
   threads_.reserve(num_threads_);
   for (std::size_t i = 0; i < num_threads_; ++i) {
@@ -26,8 +28,10 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::run_on_workers(const std::function<void(std::size_t)>& fn) {
-  if (threads_.empty()) {
-    fn(0);
+  // A fork()ed child inherits the pool but none of its worker threads, so
+  // it runs every worker index inline, as a 1-thread pool does.
+  if (threads_.empty() || ::getpid() != owner_pid_) {
+    for (std::size_t w = 0; w < num_threads_; ++w) fn(w);
     return;
   }
   {

@@ -34,9 +34,11 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t num_threads() const { return num_threads_; }
 
-  /// Runs `fn(worker_index)` on every worker (and on the caller for pools of
-  /// size 1) and blocks until all invocations return.  `fn` must be safe to
-  /// call concurrently from distinct threads.
+  /// Runs `fn(worker_index)` on every worker and blocks until all
+  /// invocations return.  `fn` must be safe to call concurrently from
+  /// distinct threads.  A pool of size 1, and any pool used in a fork()ed
+  /// child of the process that created it, runs every index in turn on the
+  /// caller instead.
   void run_on_workers(const std::function<void(std::size_t)>& fn);
 
   /// Process-wide pool.  First call creates it; sizing honours
@@ -47,6 +49,7 @@ class ThreadPool {
   void worker_loop(std::size_t index);
 
   std::size_t num_threads_;
+  int owner_pid_;  ///< the process whose worker threads threads_ holds
   std::vector<std::thread> threads_;
 
   std::mutex mu_;

@@ -6,6 +6,9 @@
 #include <system_error>
 #include <utility>
 
+#include "common/check.hpp"
+#include "common/rng.hpp"
+
 namespace gclus::server {
 
 namespace {
@@ -15,6 +18,47 @@ namespace {
 /// query formula cannot serve.
 bool apsp_fully_connected(const OracleArtifact& a) {
   return std::find(a.apsp.begin(), a.apsp.end(), kInfWeight) == a.apsp.end();
+}
+
+/// The kClusterNeighborhood answer: BFS from `start` into
+/// scratch.neighborhood, sorted, then digested.
+std::uint64_t neighborhood_digest(const OracleArtifact& a, ClusterId start,
+                                  std::uint32_t hops, QueryScratch& scratch) {
+  const auto k = static_cast<std::size_t>(a.meta.num_clusters);
+  if (scratch.mark.size() < k) scratch.mark.assign(k, 0);
+  if (++scratch.epoch == 0) {  // epoch wrapped: all marks are stale
+    std::fill(scratch.mark.begin(), scratch.mark.end(), 0);
+    scratch.epoch = 1;
+  }
+  const std::uint32_t epoch = scratch.epoch;
+
+  std::vector<ClusterId>& out = scratch.neighborhood;
+  out.clear();
+  scratch.frontier.clear();
+  scratch.mark[start] = epoch;
+  scratch.frontier.push_back(start);
+  out.push_back(start);
+  for (std::uint32_t level = 0; level < hops && !scratch.frontier.empty();
+       ++level) {
+    scratch.next.clear();
+    for (const ClusterId c : scratch.frontier) {
+      const EdgeId begin = a.quotient_offsets[c];
+      const EdgeId end = a.quotient_offsets[c + 1];
+      for (EdgeId e = begin; e < end; ++e) {
+        const ClusterId d = a.quotient_neighbors[e];
+        if (scratch.mark[d] != epoch) {
+          scratch.mark[d] = epoch;
+          scratch.next.push_back(d);
+          out.push_back(d);
+        }
+      }
+    }
+    std::swap(scratch.frontier, scratch.next);
+  }
+  std::sort(out.begin(), out.end());
+  std::uint64_t h = out.size();
+  for (const ClusterId c : out) h = hash_combine(h, c);
+  return h;
 }
 
 }  // namespace
@@ -86,82 +130,70 @@ Status QueryEngine::save(const std::string& path) const {
   return write_oracle_artifact(artifact_, path);
 }
 
-Status QueryEngine::check_node(NodeId u) const {
-  if (u >= graph_.num_nodes()) {
-    return InvalidArgumentError("node id " + std::to_string(u) +
-                                " out of range (graph has " +
-                                std::to_string(graph_.num_nodes()) +
-                                " nodes)");
+void QueryEngine::execute(std::span<const Query> queries,
+                          std::span<QueryResult> results,
+                          QueryScratch& scratch) const {
+  GCLUS_CHECK(queries.size() == results.size(),
+              "execute needs one result slot per query");
+  const auto n = static_cast<NodeId>(artifact_.cluster_of.size());
+  const ClusterId* const label = artifact_.cluster_of.data();
+  const Dist* const radius = artifact_.dist_to_center.data();
+  const Weight* const apsp = artifact_.apsp.data();
+  const std::size_t k = artifact_.meta.num_clusters;
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const Query q = queries[i];
+    // `arg` is a node id for every kind but the neighborhood's hop count.
+    const bool arg_is_node = q.kind != QueryKind::kClusterNeighborhood;
+    if (q.u >= n || (arg_is_node && q.arg >= n)) {
+      results[i] = {StatusCode::kInvalidArgument, 0};
+      continue;
+    }
+    switch (q.kind) {
+      case QueryKind::kApproxDistance: {
+        // d′(u,v) = dist(u, ctr(u)) + apsp[c(u)][c(v)] + dist(v, ctr(v));
+        // the APSP term drops out inside one cluster (u -> center -> v).
+        const ClusterId cu = label[q.u];
+        const ClusterId cv = label[q.arg];
+        std::uint64_t d = std::uint64_t{radius[q.u]} + radius[q.arg];
+        if (cu != cv) d += apsp[std::size_t{cu} * k + cv];
+        results[i] = {StatusCode::kOk, q.u == q.arg ? 0 : d};
+        break;
+      }
+      case QueryKind::kSameCluster:
+        results[i] = {StatusCode::kOk, label[q.u] == label[q.arg] ? 1U : 0U};
+        break;
+      case QueryKind::kClusterNeighborhood:
+        results[i] = {StatusCode::kOk,
+                      neighborhood_digest(artifact_, label[q.u], q.arg,
+                                          scratch)};
+        break;
+      default:  // an unknown kind byte is a malformed request
+        results[i] = {StatusCode::kInvalidArgument, 0};
+    }
   }
-  return OkStatus();
 }
 
 StatusOr<std::uint64_t> QueryEngine::approx_distance(NodeId u,
                                                      NodeId v) const {
-  GCLUS_RETURN_IF_ERROR(check_node(u));
-  GCLUS_RETURN_IF_ERROR(check_node(v));
-  if (u == v) return std::uint64_t{0};
-  const ClusterId cu = artifact_.cluster_of[u];
-  const ClusterId cv = artifact_.cluster_of[v];
-  const std::uint64_t label_cost =
-      static_cast<std::uint64_t>(artifact_.dist_to_center[u]) +
-      artifact_.dist_to_center[v];
-  if (cu == cv) return label_cost;  // u -> center -> v inside the cluster
-  const std::size_t k = artifact_.meta.num_clusters;
-  return label_cost + artifact_.apsp[static_cast<std::size_t>(cu) * k + cv];
-}
-
-StatusOr<bool> QueryEngine::same_cluster(NodeId u, NodeId v) const {
-  GCLUS_RETURN_IF_ERROR(check_node(u));
-  GCLUS_RETURN_IF_ERROR(check_node(v));
-  return artifact_.cluster_of[u] == artifact_.cluster_of[v];
-}
-
-Status QueryEngine::cluster_neighborhood(NodeId u, std::uint32_t hops,
-                                         QueryScratch& scratch,
-                                         std::vector<ClusterId>& out) const {
-  GCLUS_RETURN_IF_ERROR(check_node(u));
-  const auto k = static_cast<std::size_t>(artifact_.meta.num_clusters);
-  if (scratch.mark.size() < k) scratch.mark.assign(k, 0);
-  if (++scratch.epoch == 0) {  // epoch wrapped: all marks are stale
-    std::fill(scratch.mark.begin(), scratch.mark.end(), 0);
-    scratch.epoch = 1;
+  const Query q{QueryKind::kApproxDistance, u, v};
+  QueryResult r;
+  QueryScratch unused;  // the distance kind never touches scratch
+  execute({&q, 1}, {&r, 1}, unused);
+  if (r.code != StatusCode::kOk) {
+    return InvalidArgumentError("node id out of range");
   }
-  const std::uint32_t epoch = scratch.epoch;
-
-  out.clear();
-  scratch.frontier.clear();
-  const ClusterId start = artifact_.cluster_of[u];
-  scratch.mark[start] = epoch;
-  scratch.frontier.push_back(start);
-  out.push_back(start);
-  for (std::uint32_t level = 0; level < hops && !scratch.frontier.empty();
-       ++level) {
-    scratch.next.clear();
-    for (const ClusterId c : scratch.frontier) {
-      const EdgeId begin = artifact_.quotient_offsets[c];
-      const EdgeId end = artifact_.quotient_offsets[c + 1];
-      for (EdgeId e = begin; e < end; ++e) {
-        const ClusterId d = artifact_.quotient_neighbors[e];
-        if (scratch.mark[d] != epoch) {
-          scratch.mark[d] = epoch;
-          scratch.next.push_back(d);
-          out.push_back(d);
-        }
-      }
-    }
-    std::swap(scratch.frontier, scratch.next);
-  }
-  std::sort(out.begin(), out.end());
-  return OkStatus();
+  return r.value;
 }
 
-StatusOr<std::vector<ClusterId>> QueryEngine::cluster_neighborhood(
-    NodeId u, std::uint32_t hops) const {
-  QueryScratch scratch;
-  std::vector<ClusterId> out;
-  GCLUS_RETURN_IF_ERROR(cluster_neighborhood(u, hops, scratch, out));
-  return out;
+QueryResult execute_query(const QueryEngine& engine, const Query& q,
+                          QueryScratch& scratch,
+                          std::vector<ClusterId>& neighborhood_buf) {
+  QueryResult r;
+  engine.execute({&q, 1}, {&r, 1}, scratch);
+  if (q.kind == QueryKind::kClusterNeighborhood) {
+    neighborhood_buf.swap(scratch.neighborhood);
+  }
+  return r;
 }
 
 }  // namespace gclus::server

@@ -1,24 +1,27 @@
 // QueryEngine — the embeddable half of the decomposition query service.
 //
 // One engine = one immutable (graph, oracle artifact) pair.  The artifact
-// is the §4 distance oracle itself (server/artifact.hpp), and
-// approx_distance is the one place its query formula d′(u,v) is
-// evaluated.  The graph is
+// is the §4 distance oracle itself (server/artifact.hpp), and execute() is
+// the one query kernel: d′(u,v) and the same-cluster compare are evaluated
+// inline over the artifact's spans; only the neighborhood BFS branches
+// out of line.  The graph is
 // typically an mmap-backed CSR v2 load and the artifact either a fresh
 // decomposition (build) or an mmap-ed sidecar (load) — both read-only, so
 // any number of threads may query one engine concurrently with no
 // synchronization.  Per-query scratch lives in QueryScratch: one instance
 // per worker thread.
 //
-// Query errors follow the PR 6 taxonomy: out-of-range node ids are
-// kInvalidArgument (the request is wrong, the server is fine); nothing in
-// the query path aborts.  Answers are pure functions of the artifact
-// payload, so two engines over byte-identical artifacts — e.g. a fresh
-// build and a restart that mmap-loaded what the build published — return
+// Query errors: an out-of-range node id fails its query alone with
+// kInvalidArgument, decided by one compare per id with no message; the
+// rest of the batch executes and nothing in the query path aborts.
+// Answers are pure functions of the artifact payload, so two engines over
+// byte-identical artifacts — e.g. a fresh build and a restart that
+// mmap-loaded what the build published — return
 // byte-identical results for every query.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -29,7 +32,34 @@
 
 namespace gclus::server {
 
-/// Reusable per-worker scratch for cluster_neighborhood's quotient BFS.
+enum class QueryKind : std::uint8_t {
+  kApproxDistance = 0,
+  kSameCluster = 1,
+  kClusterNeighborhood = 2,
+};
+
+struct Query {
+  QueryKind kind = QueryKind::kApproxDistance;
+  NodeId u = 0;
+  /// kApproxDistance / kSameCluster: the second node id.
+  /// kClusterNeighborhood: the hop radius in the quotient graph.
+  std::uint32_t arg = 0;
+};
+
+struct QueryResult {
+  /// kOk, or kInvalidArgument for an out-of-range node id or unknown kind.
+  StatusCode code = StatusCode::kOk;
+  /// kApproxDistance: d′(u, v), an upper bound on dist(u, v), 0 for
+  /// u == v.  kSameCluster: 0 or 1.  kClusterNeighborhood: an
+  /// order-sensitive digest (size folded in) of the ascending clusters
+  /// within `arg` quotient hops of u's cluster, the list
+  /// QueryScratch::neighborhood holds after the query.
+  std::uint64_t value = 0;
+
+  friend bool operator==(const QueryResult&, const QueryResult&) = default;
+};
+
+/// Reusable per-worker scratch for the neighborhood query's quotient BFS.
 /// Epoch-stamped visit marks: reset is O(1) per query, the arrays are
 /// sized to the cluster count on first use and never shrink.
 struct QueryScratch {
@@ -37,6 +67,7 @@ struct QueryScratch {
   std::uint32_t epoch = 0;
   std::vector<ClusterId> frontier;
   std::vector<ClusterId> next;
+  std::vector<ClusterId> neighborhood;  ///< the last neighborhood's list
 };
 
 class QueryEngine {
@@ -79,27 +110,15 @@ class QueryEngine {
 
   // ---- queries --------------------------------------------------------------
 
-  /// The oracle's d′(u, v) = dist(u, ctr(u)) + apsp[c(u)][c(v)] +
-  /// dist(v, ctr(v)) (the APSP term drops out when c(u) == c(v)): an
-  /// upper bound on dist(u, v), exact 0 for u == v.  kInvalidArgument on
-  /// out-of-range ids.
+  /// The query kernel: answers queries[i] into results[i] (equal sizes).
+  /// `scratch` must not be shared across concurrent calls.
+  void execute(std::span<const Query> queries, std::span<QueryResult> results,
+               QueryScratch& scratch) const;
+
+  /// One kApproxDistance query through execute(): d′(u, v), or
+  /// kInvalidArgument on an out-of-range id.
   [[nodiscard]] StatusOr<std::uint64_t> approx_distance(NodeId u,
                                                         NodeId v) const;
-
-  /// Whether u and v landed in the same cluster of the decomposition.
-  [[nodiscard]] StatusOr<bool> same_cluster(NodeId u, NodeId v) const;
-
-  /// All clusters within `hops` quotient-graph hops of u's cluster
-  /// (including it), ascending — deterministic regardless of traversal
-  /// order.  `out` is cleared and filled; scratch must not be shared
-  /// across concurrent calls.
-  [[nodiscard]] Status cluster_neighborhood(NodeId u, std::uint32_t hops,
-                                            QueryScratch& scratch,
-                                            std::vector<ClusterId>& out) const;
-
-  /// Allocating convenience wrapper for one-shot callers.
-  [[nodiscard]] StatusOr<std::vector<ClusterId>> cluster_neighborhood(
-      NodeId u, std::uint32_t hops) const;
 
   // ---- introspection --------------------------------------------------------
 
@@ -122,11 +141,16 @@ class QueryEngine {
         artifact_(std::move(a)),
         loaded_from_artifact_(loaded) {}
 
-  [[nodiscard]] Status check_node(NodeId u) const;
-
   Graph graph_;
   OracleArtifact artifact_;
   bool loaded_from_artifact_ = false;
 };
+
+/// One query through QueryEngine::execute (the serial replay of the
+/// determinism checks).  A successful neighborhood query leaves its
+/// cluster list in `neighborhood_buf`, a reusable buffer like `scratch`.
+[[nodiscard]] QueryResult execute_query(
+    const QueryEngine& engine, const Query& q, QueryScratch& scratch,
+    std::vector<ClusterId>& neighborhood_buf);
 
 }  // namespace gclus::server

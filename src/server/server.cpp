@@ -6,38 +6,8 @@
 
 #include "common/check.hpp"
 #include "common/parse.hpp"
-#include "common/rng.hpp"
 
 namespace gclus::server {
-
-QueryResult execute_query(const QueryEngine& engine, const Query& q,
-                          QueryScratch& scratch,
-                          std::vector<ClusterId>& neighborhood_buf) {
-  switch (q.kind) {
-    case QueryKind::kApproxDistance: {
-      const auto r = engine.approx_distance(q.u, q.arg);
-      if (!r.ok()) return {r.status().code(), 0};
-      return {StatusCode::kOk, *r};
-    }
-    case QueryKind::kSameCluster: {
-      const auto r = engine.same_cluster(q.u, q.arg);
-      if (!r.ok()) return {r.status().code(), 0};
-      return {StatusCode::kOk, *r ? std::uint64_t{1} : std::uint64_t{0}};
-    }
-    case QueryKind::kClusterNeighborhood: {
-      const Status st =
-          engine.cluster_neighborhood(q.u, q.arg, scratch, neighborhood_buf);
-      if (!st.ok()) return {st.code(), 0};
-      // Digest the sorted list so the result stays one fixed-width word;
-      // folding the size in distinguishes e.g. {0} from {0, 0-prefix}.
-      std::uint64_t h = neighborhood_buf.size();
-      for (const ClusterId c : neighborhood_buf) h = hash_combine(h, c);
-      return {StatusCode::kOk, h};
-    }
-  }
-  // An unknown kind byte is a malformed request, not a server failure.
-  return {StatusCode::kInvalidArgument, 0};
-}
 
 QueryServer::QueryServer(const QueryEngine& engine, ServerOptions opts)
     // Aliasing shared_ptr with no owner: the historical non-owning
@@ -148,7 +118,6 @@ void QueryServer::shutdown() {
 
 void QueryServer::worker_loop() {
   QueryScratch scratch;
-  std::vector<ClusterId> neighborhood_buf;
   for (;;) {
     std::shared_ptr<Batch> batch;
     std::shared_ptr<const QueryEngine> engine;
@@ -166,11 +135,10 @@ void QueryServer::worker_loop() {
 
     Batch& b = *batch;
     b.results.resize(b.queries.size());
+    engine->execute(b.queries, b.results, scratch);
     std::uint64_t invalid = 0;
-    for (std::size_t i = 0; i < b.queries.size(); ++i) {
-      b.results[i] =
-          execute_query(*engine, b.queries[i], scratch, neighborhood_buf);
-      if (b.results[i].code != StatusCode::kOk) ++invalid;
+    for (const QueryResult& r : b.results) {
+      if (r.code != StatusCode::kOk) ++invalid;
     }
     queries_served_.fetch_add(b.queries.size(), std::memory_order_relaxed);
     batches_served_.fetch_add(1, std::memory_order_relaxed);

@@ -4,8 +4,10 @@
 // Clients submit *batches* of queries (amortizing one queue round-trip
 // over hundreds of lookups — the engine's per-query cost is tens of
 // nanoseconds, so per-query locking would be all overhead).  A fixed pool
-// of worker threads drains a bounded FIFO of batches; each worker owns
-// its QueryScratch, the engine is shared read-only.  When the queue is
+// of worker threads drains a bounded FIFO of batches and answers each
+// with one QueryEngine::execute call, in which an out-of-range id fails
+// its own query by a compare and never the batch; each worker owns its
+// QueryScratch, the engine is shared read-only.  When the queue is
 // full, try_submit sheds the batch with kResourceExhausted instead of
 // queueing unbounded work — the caller decides whether to retry, back
 // off, or drop (submit() blocks for space instead).  Both submission
@@ -47,45 +49,6 @@
 #include "server/engine.hpp"
 
 namespace gclus::server {
-
-enum class QueryKind : std::uint8_t {
-  kApproxDistance = 0,
-  kSameCluster = 1,
-  kClusterNeighborhood = 2,
-};
-
-struct Query {
-  QueryKind kind = QueryKind::kApproxDistance;
-  NodeId u = 0;
-  /// kApproxDistance / kSameCluster: the second node id.
-  /// kClusterNeighborhood: the hop radius in the quotient graph.
-  std::uint32_t arg = 0;
-};
-
-struct QueryResult {
-  /// kOk, or kInvalidArgument for an out-of-range node id.  A bad query
-  /// fails alone — the rest of its batch still executes.
-  StatusCode code = StatusCode::kOk;
-  /// kApproxDistance: the distance upper bound.  kSameCluster: 0 or 1.
-  /// kClusterNeighborhood: an order-sensitive digest of the sorted
-  /// cluster list (size folded in) — two executions agree on the digest
-  /// iff they agree on the full list, which is what the determinism
-  /// tests compare; callers needing the actual clusters use QueryEngine
-  /// directly.
-  std::uint64_t value = 0;
-
-  friend bool operator==(const QueryResult&, const QueryResult&) = default;
-};
-
-/// Executes one query: dispatches to the QueryEngine method of its kind
-/// (the engine defines what each kind answers) and folds the answer into
-/// a QueryResult.  Server workers and the serial reference path of the
-/// determinism tests both call it, so they cannot drift.
-/// `scratch`/`neighborhood_buf` are the caller's reusable per-thread
-/// buffers.
-[[nodiscard]] QueryResult execute_query(const QueryEngine& engine,
-                                        const Query& q, QueryScratch& scratch,
-                                        std::vector<ClusterId>& neighborhood_buf);
 
 struct ServerOptions {
   /// Worker threads; 0 reads GCLUS_SERVER_WORKERS (default 4).

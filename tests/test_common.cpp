@@ -105,6 +105,37 @@ TEST(KeyedRandom, DeterministicAcrossCalls) {
   EXPECT_EQ(keyed_bernoulli(5, 6, 7, 0.5), keyed_bernoulli(5, 6, 7, 0.5));
 }
 
+// Every decomposition's center draws go through keyed_bernoulli, so a
+// change to its arithmetic reshuffles every clustering.  Pinned: the
+// count and an FNV-1a hash (little-endian id bytes) of the ids it selects
+// from 0..99999 at three (seed, key, p) points.
+TEST(Rng, KeyedDrawsArePinned) {
+  struct Point {
+    std::uint64_t seed, key;
+    double p;
+    std::uint64_t count, fnv;
+  };
+  const Point points[] = {
+      {1, 0, 0.5, 50140, 0x5f757354f1fac5d7ULL},
+      {0x5eed1234, 21, 0.01, 1085, 0x993ed872867f35f1ULL},
+      {42, kSeedTagCluster2Prelim, 0.999, 99904, 0x0c352b63bcf154a9ULL},
+  };
+  for (const Point& pt : points) {
+    std::uint64_t count = 0;
+    std::uint64_t h = 14695981039346656037ULL;
+    for (std::uint32_t v = 0; v < 100000; ++v) {
+      if (!keyed_bernoulli(pt.seed, pt.key, v, pt.p)) continue;
+      ++count;
+      for (int b = 0; b < 4; ++b) {
+        h ^= (v >> (8 * b)) & 0xffU;
+        h *= 1099511628211ULL;
+      }
+    }
+    EXPECT_EQ(count, pt.count) << "seed " << pt.seed;
+    EXPECT_EQ(h, pt.fnv) << "seed " << pt.seed;
+  }
+}
+
 TEST(KeyedRandom, UniformDistribution) {
   double sum = 0.0;
   constexpr int kTrials = 20000;

@@ -2,7 +2,10 @@
 // reduction primitives, swept across worker counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdio>
+#include <cstdlib>
 #include <numeric>
 #include <vector>
 
@@ -117,6 +120,27 @@ TEST(ThreadPool, GlobalPoolIsSingleton) {
   ThreadPool& b = ThreadPool::global();
   EXPECT_EQ(&a, &b);
   EXPECT_GE(a.num_threads(), 1u);
+}
+
+// gtest's default "fast" death tests fork: the child inherits the pool
+// but not its worker threads, so a dispatch there must run inline rather
+// than wait for workers that do not exist.
+TEST(ThreadPoolDeathTest, ForkedChildRunsDispatchInline) {
+  ThreadPool pool(4);
+  std::atomic<int> warm{0};
+  pool.run_on_workers([&](std::size_t) { warm.fetch_add(1); });
+  ASSERT_EQ(warm.load(), 4);
+  EXPECT_DEATH(
+      {
+        std::vector<int> seen(10000, 0);
+        parallel_for(
+            pool, 0, seen.size(), [&](std::size_t i) { seen[i] = 1; }, 64);
+        std::fprintf(stderr, "visited %zu\n",
+                     static_cast<std::size_t>(
+                         std::count(seen.begin(), seen.end(), 1)));
+        std::abort();
+      },
+      "visited 10000");
 }
 
 TEST(ExclusivePrefixSum, MatchesReference) {

@@ -1,14 +1,18 @@
-// Tests for the concurrent query service (server/server.hpp): query
-// semantics against the oracle formula over the artifact's spans, the
-// Status taxonomy for bad requests, load shedding on a full queue, clean
-// shutdown draining, and the headline determinism contract — N concurrent
-// workers answer a query stream byte-identically to serial execution.
+// Tests for the concurrent query service (server/server.hpp): the batch
+// kernel against an independent per-kind reference over the artifact's
+// spans (testutil::reference_answer), the Status taxonomy for bad
+// requests, load shedding on a full queue, clean shutdown draining, and
+// the headline determinism contract — N concurrent workers answer a
+// query stream byte-identically to serial execution.
 // This binary is the TSan target of the sanitizer CI job.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <iterator>
 #include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -71,6 +75,14 @@ std::vector<QueryResult> run_serial(const QueryEngine& engine,
   return out;
 }
 
+/// One query through the batch kernel.
+QueryResult run_one(const QueryEngine& engine, const Query& q,
+                    QueryScratch& scratch) {
+  QueryResult r;
+  engine.execute({&q, 1}, {&r, 1}, scratch);
+  return r;
+}
+
 // ---- query semantics --------------------------------------------------------
 
 TEST(QueryEngine, ApproxDistanceMatchesOracleFormula) {
@@ -94,10 +106,12 @@ TEST(QueryEngine, InvalidNodeIdsAreInvalidArgument) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(engine.approx_distance(0, n + 5).status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(engine.same_cluster(n, n).status().code(),
+  QueryScratch scratch;
+  EXPECT_EQ(run_one(engine, {QueryKind::kSameCluster, n, n}, scratch).code,
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(engine.cluster_neighborhood(n, 1).status().code(),
-            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      run_one(engine, {QueryKind::kClusterNeighborhood, n, 1}, scratch).code,
+      StatusCode::kInvalidArgument);
   // A valid query still works afterwards — errors don't wedge the engine.
   EXPECT_TRUE(engine.approx_distance(0, 1).ok());
 }
@@ -107,12 +121,18 @@ TEST(QueryEngine, SameClusterAgreesWithLabels) {
   const QueryEngine engine = make_engine(g);
   const auto labels = engine.artifact().cluster_of;
   Rng rng(9);
+  std::vector<Query> qs;
   for (int i = 0; i < 200; ++i) {
     const auto u = static_cast<NodeId>(rng.next_below(g.num_nodes()));
     const auto v = static_cast<NodeId>(rng.next_below(g.num_nodes()));
-    const auto r = engine.same_cluster(u, v);
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(*r, labels[u] == labels[v]);
+    qs.push_back({QueryKind::kSameCluster, u, v});
+  }
+  std::vector<QueryResult> rs(qs.size());
+  QueryScratch scratch;
+  engine.execute(qs, rs, scratch);
+  for (std::size_t i = 0; i < qs.size(); ++i) {
+    ASSERT_EQ(rs[i].code, StatusCode::kOk);
+    EXPECT_EQ(rs[i].value == 1, labels[qs[i].u] == labels[qs[i].arg]);
   }
 }
 
@@ -120,33 +140,121 @@ TEST(QueryEngine, ClusterNeighborhoodGrowsWithHops) {
   const Graph g = gen::cycle(240);
   const QueryEngine engine = make_engine(g, /*seed=*/3, /*tau=*/2);
   ASSERT_GE(engine.num_clusters(), 4u);
-  auto h0 = engine.cluster_neighborhood(0, 0);
-  auto h1 = engine.cluster_neighborhood(0, 1);
-  auto big = engine.cluster_neighborhood(0, engine.num_clusters());
-  ASSERT_TRUE(h0.ok());
-  ASSERT_TRUE(h1.ok());
-  ASSERT_TRUE(big.ok());
-  EXPECT_EQ(h0->size(), 1u);  // just u's own cluster
-  EXPECT_GT(h1->size(), h0->size());
+  QueryScratch scratch;
+  const auto neighborhood = [&](std::uint32_t hops) {
+    const QueryResult r =
+        run_one(engine, {QueryKind::kClusterNeighborhood, 0, hops}, scratch);
+    EXPECT_EQ(r.code, StatusCode::kOk);
+    return scratch.neighborhood;
+  };
+  const std::vector<ClusterId> h0 = neighborhood(0);
+  const std::vector<ClusterId> h1 = neighborhood(1);
+  const std::vector<ClusterId> big = neighborhood(engine.num_clusters());
+  EXPECT_EQ(h0.size(), 1u);  // just u's own cluster
+  EXPECT_GT(h1.size(), h0.size());
   // Enough hops reaches every cluster of the (connected) quotient.
-  EXPECT_EQ(big->size(), engine.num_clusters());
+  EXPECT_EQ(big.size(), engine.num_clusters());
   // Ascending and duplicate-free — the determinism invariant.
-  EXPECT_TRUE(std::is_sorted(big->begin(), big->end()));
-  EXPECT_EQ(std::adjacent_find(big->begin(), big->end()), big->end());
+  EXPECT_TRUE(std::is_sorted(big.begin(), big.end()));
+  EXPECT_EQ(std::adjacent_find(big.begin(), big.end()), big.end());
 }
 
 TEST(QueryEngine, NeighborhoodScratchReuseIsClean) {
   const Graph g = gen::ring_of_cliques(8, 6);
   const QueryEngine engine = make_engine(g);
   QueryScratch scratch;
-  std::vector<ClusterId> out;
+  const Query q{QueryKind::kClusterNeighborhood, 0, 1};
   // Same query through one scratch many times: epoch stamping must not
   // let marks leak between queries.
-  ASSERT_TRUE(engine.cluster_neighborhood(0, 1, scratch, out).ok());
-  const std::vector<ClusterId> first = out;
+  const QueryResult first = run_one(engine, q, scratch);
+  ASSERT_EQ(first.code, StatusCode::kOk);
+  const std::vector<ClusterId> first_list = scratch.neighborhood;
   for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(engine.cluster_neighborhood(0, 1, scratch, out).ok());
-    EXPECT_EQ(out, first);
+    EXPECT_EQ(run_one(engine, q, scratch), first);
+    EXPECT_EQ(scratch.neighborhood, first_list);
+  }
+}
+
+/// A batch stream that mixes every kind with the edge cases the kernel
+/// branches on: ~1% out-of-range ids in u or arg, u == v, hops 0, 1 and
+/// at least the cluster count (up to UINT32_MAX), and a rare unknown kind.
+std::vector<Query> make_edge_case_stream(NodeId n, ClusterId k,
+                                         std::size_t count,
+                                         std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Query> qs;
+  qs.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    Query q;
+    q.u = static_cast<NodeId>(rng.next_below(n));
+    const std::uint64_t roll = rng.next_below(1000);
+    if (roll < 600) {
+      q.kind = QueryKind::kApproxDistance;
+      q.arg = roll < 60 ? q.u : static_cast<NodeId>(rng.next_below(n));
+    } else if (roll < 800) {
+      q.kind = QueryKind::kSameCluster;
+      q.arg = roll < 620 ? q.u : static_cast<NodeId>(rng.next_below(n));
+    } else if (roll < 995) {
+      q.kind = QueryKind::kClusterNeighborhood;
+      const std::uint32_t hops[] = {0, 1, 2, k, k + 3, UINT32_MAX};
+      q.arg = hops[rng.next_below(std::size(hops))];
+    } else {
+      q.kind = static_cast<QueryKind>(3 + rng.next_below(250));
+      q.arg = static_cast<NodeId>(rng.next_below(n));
+    }
+    // Out-of-range ids from the boundary n up to UINT32_MAX.
+    const NodeId bad_ids[] = {n, n + 1, n + 999, UINT32_MAX};
+    const NodeId bad = bad_ids[rng.next_below(std::size(bad_ids))];
+    const std::uint64_t roll_bad = rng.next_below(200);
+    if (roll_bad == 0) q.u = bad;
+    if (roll_bad == 1 && q.kind != QueryKind::kClusterNeighborhood) q.arg = bad;
+    qs.push_back(q);
+  }
+  return qs;
+}
+
+TEST(QueryEngine, BatchKernelMatchesReference) {
+  std::vector<testutil::NamedGraph> graphs = testutil::small_connected_corpus();
+  const Graph road = gen::road_like(60, 60, 0.08, 0.02, 1);
+  graphs.push_back({"road-60x60", testutil::largest_component_of(road)});
+  for (const auto& [name, g] : graphs) {
+    const QueryEngine engine = make_engine(g, /*seed=*/5, /*tau=*/4);
+    const OracleArtifact& a = engine.artifact();
+    const std::vector<Query> stream =
+        make_edge_case_stream(g.num_nodes(), engine.num_clusters(), 2048, 21);
+    std::vector<QueryResult> want;
+    want.reserve(stream.size());
+    for (const Query& q : stream) {
+      want.push_back(testutil::reference_answer(a, q));
+    }
+    std::size_t invalid = 0;
+    for (const QueryResult& r : want) {
+      invalid += r.code == StatusCode::kInvalidArgument ? 1 : 0;
+    }
+    ASSERT_GT(invalid, 0u) << name;  // the error path is exercised
+
+    for (const std::size_t batch : {1u, 7u, 256u}) {
+      QueryScratch scratch;  // reused across every batch of the stream
+      std::vector<QueryResult> got(batch);
+      for (std::size_t off = 0; off < stream.size(); off += batch) {
+        const std::size_t len = std::min(batch, stream.size() - off);
+        const std::span<const Query> qs(stream.data() + off, len);
+        const std::span<QueryResult> rs(got.data(), len);
+        engine.execute(qs, rs, scratch);
+        for (std::size_t i = 0; i < len; ++i) {
+          ASSERT_EQ(rs[i], want[off + i])
+              << name << " batch " << batch << " query " << off + i;
+        }
+        const Query& last = qs.back();
+        if (batch == 1 && last.kind == QueryKind::kClusterNeighborhood &&
+            rs[0].code == StatusCode::kOk) {
+          ASSERT_EQ(scratch.neighborhood,
+                    testutil::reference_neighborhood(
+                        a, a.cluster_of[last.u], last.arg))
+              << name << " query " << off;
+        }
+      }
+    }
   }
 }
 

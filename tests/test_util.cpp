@@ -1,6 +1,7 @@
 #include "test_util.hpp"
 
 #include <algorithm>
+#include <deque>
 #include <tuple>
 #include <unordered_map>
 
@@ -164,6 +165,58 @@ Dist brute_force_kcenter_radius(const Graph& g, NodeId k) {
     }
   }
   return best;
+}
+
+std::vector<ClusterId> reference_neighborhood(const server::OracleArtifact& a,
+                                              ClusterId start,
+                                              std::uint32_t hops) {
+  const std::size_t k = a.meta.num_clusters;
+  std::vector<std::uint64_t> level(k, kInfWeight);
+  std::deque<ClusterId> queue{start};
+  level[start] = 0;
+  while (!queue.empty()) {
+    const ClusterId c = queue.front();
+    queue.pop_front();
+    if (level[c] == hops) continue;
+    for (EdgeId e = a.quotient_offsets[c]; e < a.quotient_offsets[c + 1];
+         ++e) {
+      const ClusterId d = a.quotient_neighbors[e];
+      if (level[d] == kInfWeight) {
+        level[d] = level[c] + 1;
+        queue.push_back(d);
+      }
+    }
+  }
+  std::vector<ClusterId> out;
+  for (ClusterId c = 0; c < k; ++c) {
+    if (level[c] != kInfWeight) out.push_back(c);
+  }
+  return out;
+}
+
+server::QueryResult reference_answer(const server::OracleArtifact& a,
+                                     const server::Query& q) {
+  using server::QueryKind;
+  const std::size_t n = a.cluster_of.size();
+  const bool arg_in_range = q.arg < n;
+  if (q.u >= n) return {StatusCode::kInvalidArgument, 0};
+  switch (q.kind) {
+    case QueryKind::kApproxDistance:
+      if (!arg_in_range) return {StatusCode::kInvalidArgument, 0};
+      return {StatusCode::kOk, oracle_formula(a, q.u, q.arg)};
+    case QueryKind::kSameCluster:
+      if (!arg_in_range) return {StatusCode::kInvalidArgument, 0};
+      return {StatusCode::kOk,
+              a.cluster_of[q.u] == a.cluster_of[q.arg] ? 1U : 0U};
+    case QueryKind::kClusterNeighborhood: {
+      const std::vector<ClusterId> list =
+          reference_neighborhood(a, a.cluster_of[q.u], q.arg);
+      std::uint64_t h = list.size();
+      for (const ClusterId c : list) h = hash_combine(h, c);
+      return {StatusCode::kOk, h};
+    }
+  }
+  return {StatusCode::kInvalidArgument, 0};
 }
 
 }  // namespace gclus::testutil

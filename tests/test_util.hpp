@@ -24,6 +24,7 @@
 #include "graph/graph.hpp"
 #include "graph/weighted.hpp"
 #include "server/artifact.hpp"
+#include "server/engine.hpp"
 
 namespace gclus::testutil {
 
@@ -61,8 +62,8 @@ inline testing::AssertionResult fails_with(const Status& st, StatusCode code,
 
 /// The oracle's d′(u,v) = dist(u, ctr(u)) + apsp[c(u)][c(v)] +
 /// dist(v, ctr(v)) (0 for u == v), evaluated straight from an artifact's
-/// label and APSP spans — the restatement QueryEngine::approx_distance is
-/// checked against.
+/// label and APSP spans — the restatement QueryEngine::execute's distance
+/// answers are checked against.
 inline std::uint64_t oracle_formula(const server::OracleArtifact& a, NodeId u,
                                     NodeId v) {
   if (u == v) return 0;
@@ -73,6 +74,20 @@ inline std::uint64_t oracle_formula(const server::OracleArtifact& a, NodeId u,
   if (cu == cv) return labels;
   return labels + a.apsp[std::size_t{cu} * a.meta.num_clusters + cv];
 }
+
+/// Clusters within `hops` quotient hops of cluster `start`, ascending, by
+/// a plain FIFO BFS with hop counts over the artifact's quotient CSR.
+std::vector<ClusterId> reference_neighborhood(const server::OracleArtifact& a,
+                                              ClusterId start,
+                                              std::uint32_t hops);
+
+/// The answer to `q` over `a`'s spans, kind by kind: oracle_formula for
+/// d′, a label compare for same-cluster, the size-seeded hash_combine fold
+/// of reference_neighborhood for the neighborhood digest, and
+/// kInvalidArgument for an out-of-range id or unknown kind — the
+/// reference QueryEngine::execute is checked against entry by entry.
+server::QueryResult reference_answer(const server::OracleArtifact& a,
+                                     const server::Query& q);
 
 /// Fisher–Yates driven by mix64(seed + i): the same permutation on every
 /// standard library, which std::shuffle does not promise.
