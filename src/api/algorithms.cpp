@@ -62,11 +62,8 @@ NodeId read_k(NodeId num_nodes, const AlgoParams& params, NodeId fallback) {
 
 /// A k-center solution needs a center in every connected component, so a
 /// k below the component count is rejected here rather than at the core
-/// functions' CHECKs (kcenter_approx, gonzalez_kcenter).  Components are
-/// counted on the run's pool.
-Status check_k_covers_components(const Graph& g, NodeId k,
-                                 ThreadPool* pool) {
-  const NodeId components = connected_components(g, pool).count;
+/// functions' CHECKs (kcenter_approx, gonzalez_kcenter).
+Status check_k_covers_components(NodeId k, NodeId components) {
   if (k >= components) return OkStatus();
   return InvalidArgumentError(
       "parameter k: " + std::to_string(k) + " centers cannot cover " +
@@ -214,7 +211,8 @@ void register_gonzalez(Registry& r) {
          [](const Graph& g, const AlgoParams& p,
             RunContext& ctx) -> StatusOr<Clustering> {
            const NodeId k = read_k(g.num_nodes(), p, 8);
-           GCLUS_RETURN_IF_ERROR(check_k_covers_components(g, k, ctx.pool));
+           GCLUS_RETURN_IF_ERROR(check_k_covers_components(
+               k, connected_components(g, ctx.pool).count));
            const NodeId first =
                std::min<NodeId>(p.get_u32("first", 0), g.num_nodes() - 1);
            const auto res = baselines::gonzalez_kcenter(g, k, first);
@@ -234,11 +232,14 @@ void register_kcenter(Registry& r) {
          [](const Graph& g, const AlgoParams& p,
             RunContext& ctx) -> StatusOr<Clustering> {
            const NodeId k = read_k(g.num_nodes(), p, 8);
-           GCLUS_RETURN_IF_ERROR(check_k_covers_components(g, k, ctx.pool));
+           // Labelled once, on the run's pool: the k check and the solve
+           // share the labels.
+           const Components comps = connected_components(g, ctx.pool);
+           GCLUS_RETURN_IF_ERROR(check_k_covers_components(k, comps.count));
            KCenterOptions o;
            o.context() = ctx;
            o.tau_scale = p.get_double("tau_scale", 1.0);
-           const KCenterResult res = kcenter_approx(g, k, o);
+           const KCenterResult res = kcenter_approx(g, k, comps, o);
            ctx.emit("kcenter.radius", static_cast<double>(res.radius));
            ctx.emit("kcenter.raw_clusters",
                     static_cast<double>(res.raw_clusters));

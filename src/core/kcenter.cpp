@@ -104,9 +104,13 @@ std::pair<Dist, std::vector<std::uint32_t>> evaluate_centers(
 
 KCenterResult kcenter_approx(const Graph& g, NodeId k,
                              const KCenterOptions& options) {
+  return kcenter_approx(g, k, connected_components(g, options.pool), options);
+}
+
+KCenterResult kcenter_approx(const Graph& g, NodeId k, const Components& comps,
+                             const KCenterOptions& options) {
   const NodeId n = g.num_nodes();
   GCLUS_CHECK(k >= 1 && k <= n);
-  const Components comps = connected_components(g, options.pool);
   GCLUS_CHECK(k >= comps.count,
               "k-center needs k >= number of connected components");
 

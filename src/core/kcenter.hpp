@@ -22,6 +22,7 @@
 #include "api/run_context.hpp"
 #include "core/cluster.hpp"
 #include "core/clustering.hpp"
+#include "graph/connectivity.hpp"
 #include "graph/graph.hpp"
 
 namespace gclus {
@@ -55,6 +56,12 @@ struct KCenterResult {
 /// connected components so a finite radius exists).
 [[nodiscard]] KCenterResult kcenter_approx(const Graph& g, NodeId k,
                                            const KCenterOptions& options = {});
+
+/// As above, on the connected components of `g` the caller has already
+/// labelled (the registry labels them once to check k against them).
+[[nodiscard]] KCenterResult kcenter_approx(const Graph& g, NodeId k,
+                                           const Components& comps,
+                                           const KCenterOptions& options);
 
 /// Evaluates the exact radius and per-node nearest center of a given
 /// center set (multi-source BFS over `pool`; nullptr: the global pool).

@@ -45,20 +45,18 @@ namespace {
 // Bytes "GCLUSCS2" when stored little-endian.
 constexpr std::uint64_t kCsr2Magic = 0x32534353554C4347ULL;
 constexpr std::uint32_t kCsr2Version = 2;
-constexpr std::uint32_t kCsr2FlagWeights = 1u << 0;
 constexpr std::uint32_t kCsr2FlagCompressed = 1u << 1;
-constexpr std::uint32_t kCsr2KnownFlags =
-    kCsr2FlagWeights | kCsr2FlagCompressed;
+constexpr std::uint32_t kCsr2KnownFlags = kCsr2FlagCompressed;
 constexpr std::uint64_t kCsr2HeaderBytes = 72;
 constexpr std::uint64_t kCsr2Align = 64;
 
 // Compressed layout (flags bit 1): offsets_pos points at a 128-byte
-// parameter block instead of an offsets array; neighbors_pos and
-// weights_pos are zero.  The block records the per-graph encoding choices
-// (graph/compressed.hpp) and the positions of the six sections; section
-// *sizes* are derived through compressed_section_sizes, so the reader's
-// bounds checks cannot drift from the writer.  The header checksum covers
-// the parameter block plus every section, in file order.
+// parameter block instead of an offsets array; neighbors_pos is zero.  The
+// block records the per-graph encoding choices (graph/compressed.hpp) and
+// the positions of the six sections; section *sizes* are derived through
+// compressed_section_sizes, so the reader's bounds checks cannot drift from
+// the writer.  The header checksum covers the parameter block plus every
+// section, in file order.
 //
 //   offset  size  field
 //   0       4     cparams version (1)
@@ -440,27 +438,17 @@ struct Csr2Header {
   std::uint64_t num_half_edges = 0;
   std::uint64_t offsets_pos = 0;
   std::uint64_t neighbors_pos = 0;
-  std::uint64_t weights_pos = 0;
   std::uint64_t checksum = 0;
 
-  [[nodiscard]] bool weighted() const {
-    return (flags & kCsr2FlagWeights) != 0;
-  }
   [[nodiscard]] bool compressed() const {
     return (flags & kCsr2FlagCompressed) != 0;
   }
 };
 
-/// The plain layout's sections in file order: offsets, neighbors and, in
-/// weighted files only, weights (take the first num_csr2_sections).
-std::array<Section, 3> csr2_sections(const Csr2Header& h) {
+/// The plain layout's sections in file order: offsets, neighbors.
+std::array<Section, 2> csr2_sections(const Csr2Header& h) {
   return {{{.pos = h.offsets_pos, .count = h.num_nodes + 1, .width = 8},
-           {.pos = h.neighbors_pos, .count = h.num_half_edges, .width = 4},
-           {.pos = h.weights_pos, .count = h.num_half_edges, .width = 8}}};
-}
-
-std::size_t num_csr2_sections(const Csr2Header& h) {
-  return h.weighted() ? 3 : 2;
+           {.pos = h.neighbors_pos, .count = h.num_half_edges, .width = 4}}};
 }
 
 /// The compressed layout's sections in file order: the parameter block,
@@ -485,7 +473,7 @@ std::size_t num_cz2_sections(const CompressedParams& p) {
 /// placed `table`, then the sections.  kIoError on any write failure.
 [[nodiscard]] Status write_csr2(const std::string& path, const Csr2Header& h,
                                 std::span<const Section> table) {
-  std::array<std::byte, kCsr2HeaderBytes> header{};  // reserved field: 0
+  std::array<std::byte, kCsr2HeaderBytes> header{};  // reserved words: 0
   store_le_at(header.data(), kCsr2Magic);
   store_le_at(header.data() + 8, kCsr2Version);
   store_le_at(header.data() + 12, h.flags);
@@ -493,7 +481,6 @@ std::size_t num_cz2_sections(const CompressedParams& p) {
   store_le_at(header.data() + 24, h.num_half_edges);
   store_le_at(header.data() + 32, h.offsets_pos);
   store_le_at(header.data() + 40, h.neighbors_pos);
-  store_le_at(header.data() + 48, h.weights_pos);
   store_le_at(header.data() + 56, checksum_sections(kFnvOffsetBasis, table));
 
   std::ofstream out(path, std::ios::binary);
@@ -507,30 +494,6 @@ std::size_t num_cz2_sections(const CompressedParams& p) {
     return IoError("write failed (disk full or I/O error): " + path);
   }
   return OkStatus();
-}
-
-/// Writer of the plain and weighted layouts.  `weighted` is explicit (not
-/// inferred from the span, whose data pointer is null for edgeless
-/// graphs).
-[[nodiscard]] Status write_plain_csr2(const std::string& path,
-                                      std::span<const EdgeId> offsets,
-                                      std::span<const NodeId> neighbors,
-                                      bool weighted,
-                                      std::span<const Weight> weights) {
-  Csr2Header h;
-  h.flags = weighted ? kCsr2FlagWeights : 0;
-  h.num_nodes = offsets.size() - 1;
-  h.num_half_edges = neighbors.size();
-  auto table = csr2_sections(h);
-  table[0].data = offsets.data();
-  table[1].data = neighbors.data();
-  table[2].data = weights.data();
-  const auto sections = std::span(table).first(num_csr2_sections(h));
-  place_sections(sections, kCsr2HeaderBytes);
-  h.offsets_pos = table[0].pos;
-  h.neighbors_pos = table[1].pos;
-  h.weights_pos = table[2].pos;
-  return write_csr2(path, h, sections);
 }
 
 /// Parses and sanity-checks a CSR v2 header and its section table against
@@ -557,10 +520,10 @@ Status parse_csr2_header(std::span<const std::byte> file, Csr2Header& h) {
   h.num_half_edges = read_le_at<std::uint64_t>(data + 24);
   h.offsets_pos = read_le_at<std::uint64_t>(data + 32);
   h.neighbors_pos = read_le_at<std::uint64_t>(data + 40);
-  h.weights_pos = read_le_at<std::uint64_t>(data + 48);
   h.checksum = read_le_at<std::uint64_t>(data + 56);
-  if (read_le_at<std::uint64_t>(data + 64) != 0) {
-    // The reserved field is not covered by the payload checksum, so a
+  if (read_le_at<std::uint64_t>(data + 48) != 0 ||
+      read_le_at<std::uint64_t>(data + 64) != 0) {
+    // The reserved words are not covered by the payload checksum, so a
     // flipped bit here would otherwise load silently.
     return InvalidArgumentError("nonzero reserved header field");
   }
@@ -572,11 +535,7 @@ Status parse_csr2_header(std::span<const std::byte> file, Csr2Header& h) {
     // Compressed layout: offsets_pos locates the parameter block, the
     // other section positions are unused.  The sections the block locates
     // are checked by parse_cz2.
-    if (h.weighted()) {
-      return InvalidArgumentError("compressed CSR v2 files cannot carry "
-                                  "weights");
-    }
-    if (h.neighbors_pos != 0 || h.weights_pos != 0) {
+    if (h.neighbors_pos != 0) {
       return DataLossError("compressed CSR v2 header has stray section "
                            "positions");
     }
@@ -587,13 +546,8 @@ Status parse_csr2_header(std::span<const std::byte> file, Csr2Header& h) {
     }
     return OkStatus();
   }
-  const auto table = csr2_sections(h);
-  if (!sections_fit(std::span(table).first(num_csr2_sections(h)),
-                    kCsr2HeaderBytes, size)) {
+  if (!sections_fit(csr2_sections(h), kCsr2HeaderBytes, size)) {
     return DataLossError("truncated CSR v2 file (section out of bounds)");
-  }
-  if (!h.weighted() && h.weights_pos != 0) {
-    return DataLossError("weights position set without the weights flag");
   }
   return OkStatus();
 }
@@ -610,53 +564,6 @@ StatusOr<Csr2File> open_csr2(const std::string& path, CsrLoadMode mode) {
   GCLUS_RETURN_IF_ERROR(
       parse_csr2_header(f.file.bytes, f.header).with_context(path));
   return f;
-}
-
-/// The sections of a plain or weighted file: views of the mapping, or
-/// decoded copies (the read() path and big-endian hosts).
-struct LoadedCsr2 {
-  std::span<const EdgeId> offsets;
-  std::span<const NodeId> neighbors;
-  std::span<const Weight> weights;
-  bool in_place = false;
-  std::vector<EdgeId> owned_offsets;
-  std::vector<NodeId> owned_neighbors;
-  std::vector<Weight> owned_weights;
-};
-
-/// Reads and (with opts.verify) checksums and validates the sections of
-/// a plain or weighted file.
-Status load_csr2(const Csr2File& f, const CsrLoadOptions& opts,
-                 LoadedCsr2& out) {
-  const Csr2Header& h = f.header;
-  if (h.compressed()) {
-    return InvalidArgumentError(
-        "compressed CSR v2 file (use load_compressed_csr)");
-  }
-  // Zero copy uses the arrays in place, which needs a little-endian host.
-  if (!kLittleEndian && opts.mode == CsrLoadMode::kMmap) {
-    return InvalidArgumentError("mmap loading not supported on this platform");
-  }
-  const std::byte* data = f.file.bytes.data();
-  auto table = csr2_sections(h);
-  out.in_place = f.file.mapped && kLittleEndian;
-  read_section(table[0], data, out.in_place, out.offsets, out.owned_offsets);
-  read_section(table[1], data, out.in_place, out.neighbors,
-               out.owned_neighbors);
-  if (h.weighted()) {
-    read_section(table[2], data, out.in_place, out.weights,
-                 out.owned_weights);
-  }
-  if (opts.verify) {
-    if (checksum_sections(kFnvOffsetBasis,
-                          std::span(table).first(num_csr2_sections(h))) !=
-        h.checksum) {
-      return DataLossError("CSR v2 checksum mismatch");
-    }
-    GCLUS_RETURN_IF_ERROR(validate_csr_arrays(out.offsets, out.neighbors,
-                                              "corrupt CSR v2 payload"));
-  }
-  return OkStatus();
 }
 
 // ---- CSR v2 compressed layout ----------------------------------------------
@@ -810,21 +717,16 @@ Status publish_file(const std::string& tmp, const std::string& path,
 }
 
 Status write_csr(const Graph& g, const std::string& path) {
-  return write_plain_csr2(path, g.offsets(), g.neighbor_array(),
-                          /*weighted=*/false, {});
-}
-
-Status write_csr(const WeightedGraph& g, const std::string& path) {
-  // Split the interleaved adjacency into the on-disk section pair.
-  const auto adj = g.adjacency();
-  std::vector<NodeId> neighbors(adj.size());
-  std::vector<Weight> weights(adj.size());
-  for (std::size_t i = 0; i < adj.size(); ++i) {
-    neighbors[i] = adj[i].to;
-    weights[i] = adj[i].w;
-  }
-  return write_plain_csr2(path, g.offsets(), neighbors, /*weighted=*/true,
-                          weights);
+  Csr2Header h;
+  h.num_nodes = g.offsets().size() - 1;
+  h.num_half_edges = g.num_half_edges();
+  auto table = csr2_sections(h);
+  table[0].data = g.offsets().data();
+  table[1].data = g.neighbor_array().data();
+  place_sections(table, kCsr2HeaderBytes);
+  h.offsets_pos = table[0].pos;
+  h.neighbors_pos = table[1].pos;
+  return write_csr2(path, h, table);
 }
 
 Status write_csr(const CompressedGraph& g, const std::string& path) {
@@ -858,10 +760,6 @@ StatusOr<CompressedGraph> load_compressed_csr(const std::string& path,
   // explicit little-endian fields), so zero-copy mapping is endian-
   // independent: kMmap works everywhere mmap exists.
   GCLUS_ASSIGN_OR_RETURN(const Csr2File f, open_csr2(path, opts.mode));
-  if (f.header.weighted()) {
-    return InvalidArgumentError(
-        path + ": weighted CSR v2 file (use load_weighted_csr)");
-  }
   if (!f.header.compressed()) {
     return InvalidArgumentError(path + ": plain CSR v2 file (use load_csr)");
   }
@@ -876,38 +774,30 @@ StatusOr<Graph> load_csr(const std::string& path, const CsrLoadOptions& opts) {
                            load_cz2(path, f, opts.verify));
     return cg.decompress();
   }
-  LoadedCsr2 loaded;
-  GCLUS_RETURN_IF_ERROR(load_csr2(f, opts, loaded).with_context(path));
-  if (f.header.weighted()) {
+  // Zero copy uses the arrays in place, which needs a little-endian host.
+  if (!kLittleEndian && opts.mode == CsrLoadMode::kMmap) {
     return InvalidArgumentError(
-        path + ": weighted CSR v2 file (use load_weighted_csr)");
+        path + ": mmap loading not supported on this platform");
   }
-  if (loaded.in_place) {
-    return Graph(loaded.offsets, loaded.neighbors,
-                 std::move(f.file.keepalive));
+  auto table = csr2_sections(f.header);
+  const bool in_place = f.file.mapped && kLittleEndian;
+  std::span<const EdgeId> offsets;
+  std::span<const NodeId> neighbors;
+  std::vector<EdgeId> owned_offsets;
+  std::vector<NodeId> owned_neighbors;
+  const std::byte* data = f.file.bytes.data();
+  read_section(table[0], data, in_place, offsets, owned_offsets);
+  read_section(table[1], data, in_place, neighbors, owned_neighbors);
+  if (opts.verify) {
+    if (checksum_sections(kFnvOffsetBasis, table) != f.header.checksum) {
+      return DataLossError(path + ": CSR v2 checksum mismatch");
+    }
+    GCLUS_RETURN_IF_ERROR(
+        validate_csr_arrays(offsets, neighbors, "corrupt CSR v2 payload")
+            .with_context(path));
   }
-  return Graph(std::move(loaded.owned_offsets),
-               std::move(loaded.owned_neighbors));
-}
-
-StatusOr<WeightedGraph> load_weighted_csr(const std::string& path,
-                                          const CsrLoadOptions& opts) {
-  // Weighted graphs interleave (to, w) in memory, so loading always
-  // materializes; map the file read-only all the same (kAuto) to skip the
-  // intermediate buffer.
-  GCLUS_ASSIGN_OR_RETURN(const Csr2File f, open_csr2(path, opts.mode));
-  LoadedCsr2 loaded;
-  GCLUS_RETURN_IF_ERROR(load_csr2(f, opts, loaded).with_context(path));
-  if (!f.header.weighted()) {
-    return InvalidArgumentError(
-        path + ": unweighted CSR v2 file (use load_csr)");
-  }
-  std::vector<EdgeId> offsets(loaded.offsets.begin(), loaded.offsets.end());
-  std::vector<WeightedHalfEdge> adj(loaded.neighbors.size());
-  for (std::size_t i = 0; i < adj.size(); ++i) {
-    adj[i] = {loaded.neighbors[i], loaded.weights[i]};
-  }
-  return WeightedGraph::from_csr(std::move(offsets), std::move(adj));
+  if (in_place) return Graph(offsets, neighbors, std::move(f.file.keepalive));
+  return Graph(std::move(owned_offsets), std::move(owned_neighbors));
 }
 
 bool is_csr_file(const std::string& path) {
@@ -933,7 +823,6 @@ std::optional<Csr2Info> probe_csr_file(const std::string& path) {
   info.version = read_le_at<std::uint32_t>(head + 8);
   if (info.version != kCsr2Version) return std::nullopt;
   const auto flags = read_le_at<std::uint32_t>(head + 12);
-  info.weighted = (flags & kCsr2FlagWeights) != 0;
   info.compressed = (flags & kCsr2FlagCompressed) != 0;
   info.num_nodes = read_le_at<std::uint64_t>(head + 16);
   info.num_half_edges = read_le_at<std::uint64_t>(head + 24);

@@ -11,36 +11,39 @@
 //
 //   * CSR v2 binary — a sectioned file in the container of
 //     graph/wire.hpp (fixed little-endian header with explicit section
-//     positions, FNV-1a payload checksum, 64-byte-aligned sections), with
-//     an optional weights section (or, with flags bit 1, the
-//     Rice-compressed adjacency of graph/compressed.hpp).  Loading can mmap
-//     the file and hand the offset/neighbor sections to Graph *in place*
-//     (zero copy, non-owning storage mode), falling back to read() on
-//     platforms without mmap.
+//     positions, FNV-1a payload checksum, 64-byte-aligned sections) holding
+//     an unweighted graph in one of two layouts: plain (offsets and
+//     neighbors sections) or, with flags bit 1, the Rice-compressed
+//     adjacency of graph/compressed.hpp.  Loading can mmap the file and
+//     hand the offset/neighbor sections to Graph *in place* (zero copy,
+//     non-owning storage mode), falling back to read() on platforms
+//     without mmap.
 //
 // CSR v2 layout (all integers little-endian):
 //
 //   offset  size  field
 //   0       8     magic "GCLUSCS2"
 //   8       4     version (2)
-//   12      4     flags (bit 0: weights section present; bit 1: compressed
-//                 layout, offsets_pos then locates its parameter block and
-//                 neighbors_pos / weights_pos are 0)
+//   12      4     flags (bit 1: compressed layout, offsets_pos then locates
+//                 its parameter block and neighbors_pos is 0; every other
+//                 bit is unknown and rejected)
 //   16      8     n  (node count; offsets section has n+1 entries)
 //   24      8     m  (directed half-edge count; 2x undirected edges)
 //   32      8     offsets_pos    (byte position of the offsets section)
 //   40      8     neighbors_pos
-//   48      8     weights_pos    (0 when absent)
+//   48      8     reserved (0)
 //   56      8     checksum (FNV-1a 64 over the payload sections, in order)
 //   64      8     reserved (0)
 //   ...           zero padding to offsets_pos
-//   sections: offsets (n+1)*8B, neighbors m*4B, weights m*8B, each start
-//   aligned to 64 bytes and after the previous section's end.
+//   sections: offsets (n+1)*8B, neighbors m*4B, each start aligned to 64
+//   bytes and after the previous section's end.
 //
 // Error handling: every load_* / write_csr call reports failure as a
-// Status, one error path per operation — kInvalidArgument: not a CSR v2 file
-// (or the wrong family for the loader); kDataLoss: truncated or
-// checksum-mismatched; kIoError: the environment failed.  A long-lived
+// Status, one error path per operation — kInvalidArgument: not a CSR v2
+// file, or one whose header (unknown flags, a nonzero reserved word, the
+// other layout for load_compressed_csr) the loader rejects before any
+// checksum pass; kDataLoss: truncated, checksum-mismatched or structurally
+// corrupt; kIoError: the environment failed.  A long-lived
 // caller rejects one bad file and keeps serving; a batch caller for which
 // any failure is terminal calls `.value()`, which aborts with the Status
 // text.  Fault points "io.open", "io.mmap", "io.read", "io.write"
@@ -61,7 +64,6 @@
 #include "common/status.hpp"
 #include "graph/compressed.hpp"
 #include "graph/graph.hpp"
-#include "graph/weighted.hpp"
 
 namespace gclus {
 class ThreadPool;
@@ -116,7 +118,6 @@ struct CsrLoadOptions {
 /// Header fields of a CSR v2 file (see probe_csr_file).
 struct Csr2Info {
   std::uint32_t version = 0;
-  bool weighted = false;
   bool compressed = false;
   std::uint64_t num_nodes = 0;
   std::uint64_t num_half_edges = 0;
@@ -128,24 +129,21 @@ struct Csr2Info {
 /// behind; partial files never validate (checksum), so readers treat
 /// them as absent.
 [[nodiscard]] Status write_csr(const Graph& g, const std::string& path);
-[[nodiscard]] Status write_csr(const WeightedGraph& g,
-                               const std::string& path);
 
 /// Writes a compressed CSR v2 file (flags bit 1): a 128-byte parameter
 /// block at offsets_pos followed by the six compressed sections (see
 /// graph/compressed.hpp), all covered by the header checksum.
-/// Compressed files are always unweighted.
 [[nodiscard]] Status write_csr(const CompressedGraph& g,
                                const std::string& path);
 
-/// Loads an unweighted CSR v2 file.  In mmap mode the returned Graph views
+/// Loads a CSR v2 file.  In mmap mode the returned Graph views
 /// the mapped sections in place (Graph::owns_storage() == false) and the
 /// mapping is pinned for the graph's lifetime — the file may be unlinked
 /// afterwards.  The file is mapped and its header parsed once; a
 /// compressed file is decoded as by load_compressed_csr and decompressed,
 /// so plain-CSR consumers (the dataset cache) accept either layout
 /// transparently.  Errors: kInvalidArgument (not CSR v2 /
-/// unknown flags / weighted file), kDataLoss (truncated, checksum
+/// unknown flags / nonzero reserved word), kDataLoss (truncated, checksum
 /// mismatch, corrupt payload), kIoError (cannot open / mmap).
 [[nodiscard]] StatusOr<Graph> load_csr(const std::string& path,
                                        const CsrLoadOptions& opts = {});
@@ -156,16 +154,9 @@ struct Csr2Info {
 /// of the file bytes (kCopy).  With opts.verify the payload checksum and
 /// a full structural decode walk run first, so a flipped bit anywhere in
 /// the parameter block, index, or bitstream is kDataLoss here rather than
-/// a wrong answer later.  kInvalidArgument when the file is a plain or
-/// weighted CSR v2.
+/// a wrong answer later.  kInvalidArgument when the file is a plain CSR v2
+/// (decided at the header, before any checksum pass).
 [[nodiscard]] StatusOr<CompressedGraph> load_compressed_csr(
-    const std::string& path, const CsrLoadOptions& opts = {});
-
-/// Loads a weighted CSR v2 file.  Always materializes (the interleaved
-/// in-memory adjacency differs from the split on-disk sections), so there
-/// is no mmap storage mode for weighted graphs.  Same error codes as
-/// load_csr.
-[[nodiscard]] StatusOr<WeightedGraph> load_weighted_csr(
     const std::string& path, const CsrLoadOptions& opts = {});
 
 /// True if `path` exists and starts with the CSR v2 magic.

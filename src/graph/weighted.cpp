@@ -41,17 +41,6 @@ WeightedGraph WeightedGraph::from_edges(
   return g;
 }
 
-WeightedGraph WeightedGraph::from_csr(std::vector<EdgeId> offsets,
-                                      std::vector<WeightedHalfEdge> adj) {
-  GCLUS_CHECK(!offsets.empty(), "offsets must have n+1 entries");
-  GCLUS_CHECK(offsets.front() == 0);
-  GCLUS_CHECK(offsets.back() == adj.size());
-  WeightedGraph g;
-  g.offsets_ = std::move(offsets);
-  g.adj_ = std::move(adj);
-  return g;
-}
-
 WeightedGraph WeightedGraph::from_unit_weights(const Graph& g) {
   std::vector<std::tuple<NodeId, NodeId, Weight>> edges;
   edges.reserve(g.num_edges());

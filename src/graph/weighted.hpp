@@ -36,13 +36,6 @@ class WeightedGraph {
   /// Lifts an unweighted graph to weight-1 edges.
   static WeightedGraph from_unit_weights(const Graph& g);
 
-  /// Adopts prebuilt CSR arrays verbatim (no re-sorting or dedup) — the
-  /// deserialization entry point for graph/io.hpp, which validates the
-  /// arrays structurally (and by checksum) before constructing.  Only the
-  /// cheap shape invariants are re-checked here.
-  static WeightedGraph from_csr(std::vector<EdgeId> offsets,
-                                std::vector<WeightedHalfEdge> adj);
-
   [[nodiscard]] NodeId num_nodes() const {
     return static_cast<NodeId>(offsets_.empty() ? 0 : offsets_.size() - 1);
   }

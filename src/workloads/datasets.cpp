@@ -59,58 +59,6 @@ std::string scale_tag() {
   return buf;
 }
 
-/// The cache fill shared by both layouts: load the entry at
-/// dir/key<tag>-g<version>.csr2; on a miss build it with `make` and
-/// publish it.  `load` reads an entry (validating magic, sections and
-/// checksum).  The load's status code tells an absent entry (plain miss)
-/// from a *corrupt* one — truncated, bit-flipped, or torn by a crash on a
-/// filesystem without atomic rename — which is deleted so it cannot poison
-/// every later run, then rebuilt.
-template <typename G, typename Load, typename Make>
-G cached_entry(const std::string& key, const char* tag, Load load,
-               Make make) {
-  const std::string dir = dataset_cache_dir();
-  if (dir.empty()) return make();
-
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  fs::create_directories(dir, ec);  // best effort; a miss just rebuilds
-  const std::string path = dir + "/" + key + tag + "-g" +
-                           std::to_string(kDatasetGeneratorVersion) + ".csr2";
-  auto cached = GCLUS_FAULTPOINT("cache.load")
-                    ? StatusOr<G>(DataLossError("injected corrupt entry"))
-                    : load(path);
-  if (cached.ok()) {
-    counters().hits.fetch_add(1, std::memory_order_relaxed);
-    return std::move(cached).value();
-  }
-  const StatusCode code = cached.status().code();
-  if (code == StatusCode::kDataLoss || code == StatusCode::kInvalidArgument) {
-    std::fprintf(stderr,
-                 "gclus: evicting corrupt dataset cache entry %s (%s)\n",
-                 path.c_str(), cached.status().to_string().c_str());
-    counters().corrupt_evictions.fetch_add(1, std::memory_order_relaxed);
-    fs::remove(path, ec);  // best effort; rebuild either way
-  }
-  counters().misses.fetch_add(1, std::memory_order_relaxed);
-  G g = make();
-
-  // Concurrent fillers (parallel ctest) each write a private temp file and
-  // the last rename wins — readers mmap whichever complete inode they
-  // opened.  Publication is best-effort end to end: an unwritable or full
-  // cache volume degrades to regeneration, never aborts the run.
-  const std::string tmp = io::unique_tmp_path(path);
-  if (!GCLUS_FAULTPOINT("cache.write") && io::write_csr(g, tmp).ok() &&
-      !GCLUS_FAULTPOINT("cache.publish") &&
-      io::publish_file(tmp, path, "dataset cache entry").ok()) {
-    counters().stores.fetch_add(1, std::memory_order_relaxed);
-    return g;
-  }
-  counters().publish_failures.fetch_add(1, std::memory_order_relaxed);
-  fs::remove(tmp, ec);
-  return g;
-}
-
 }  // namespace
 
 double workload_scale() {
@@ -135,21 +83,54 @@ DatasetCacheStats dataset_cache_stats() {
           c.corrupt_evictions.load(), c.publish_failures.load()};
 }
 
+/// Loads the entry at dir/key-g<version>.csr2 (validating magic, sections
+/// and checksum); on a miss builds it and publishes it.  The load's status
+/// code tells an absent entry (plain miss) from a *corrupt* one —
+/// truncated, bit-flipped, or torn by a crash on a filesystem without
+/// atomic rename — which is deleted so it cannot poison every later run,
+/// then rebuilt.
 Graph cached_graph(const std::string& key,
                    const std::function<Graph()>& build) {
-  return cached_entry<Graph>(
-      key, "", [](const std::string& path) { return io::load_csr(path); },
-      build);
-}
+  const std::string dir = dataset_cache_dir();
+  if (dir.empty()) return build();
 
-CompressedGraph cached_compressed_graph(const std::string& key,
-                                        const std::function<Graph()>& build) {
-  // The "-cz" tag keeps compressed entries keyed apart from the plain ones
-  // for the same graph, so both layouts can coexist in one cache dir.
-  return cached_entry<CompressedGraph>(
-      key, "-cz",
-      [](const std::string& path) { return io::load_compressed_csr(path); },
-      [&build] { return compress(build()); });
+  namespace fs = std::filesystem;
+  std::error_code ec;
+  fs::create_directories(dir, ec);  // best effort; a miss just rebuilds
+  const std::string path = dir + "/" + key + "-g" +
+                           std::to_string(kDatasetGeneratorVersion) + ".csr2";
+  auto cached = GCLUS_FAULTPOINT("cache.load")
+                    ? StatusOr<Graph>(DataLossError("injected corrupt entry"))
+                    : io::load_csr(path);
+  if (cached.ok()) {
+    counters().hits.fetch_add(1, std::memory_order_relaxed);
+    return std::move(cached).value();
+  }
+  const StatusCode code = cached.status().code();
+  if (code == StatusCode::kDataLoss || code == StatusCode::kInvalidArgument) {
+    std::fprintf(stderr,
+                 "gclus: evicting corrupt dataset cache entry %s (%s)\n",
+                 path.c_str(), cached.status().to_string().c_str());
+    counters().corrupt_evictions.fetch_add(1, std::memory_order_relaxed);
+    fs::remove(path, ec);  // best effort; rebuild either way
+  }
+  counters().misses.fetch_add(1, std::memory_order_relaxed);
+  Graph g = build();
+
+  // Concurrent fillers (parallel ctest) each write a private temp file and
+  // the last rename wins — readers mmap whichever complete inode they
+  // opened.  Publication is best-effort end to end: an unwritable or full
+  // cache volume degrades to regeneration, never aborts the run.
+  const std::string tmp = io::unique_tmp_path(path);
+  if (!GCLUS_FAULTPOINT("cache.write") && io::write_csr(g, tmp).ok() &&
+      !GCLUS_FAULTPOINT("cache.publish") &&
+      io::publish_file(tmp, path, "dataset cache entry").ok()) {
+    counters().stores.fetch_add(1, std::memory_order_relaxed);
+    return g;
+  }
+  counters().publish_failures.fetch_add(1, std::memory_order_relaxed);
+  fs::remove(tmp, ec);
+  return g;
 }
 
 const std::vector<std::string>& dataset_names() {
@@ -208,13 +189,6 @@ Dataset load_dataset(const std::string& name) {
   }
   d.graph = cached_graph(name + "-s" + scale_tag(), build);
   return d;
-}
-
-std::vector<Dataset> load_all_datasets() {
-  std::vector<Dataset> out;
-  out.reserve(dataset_names().size());
-  for (const auto& name : dataset_names()) out.push_back(load_dataset(name));
-  return out;
 }
 
 Graph make_expander_path(NodeId n) {

@@ -31,7 +31,6 @@
 #include <string>
 #include <vector>
 
-#include "graph/compressed.hpp"
 #include "graph/graph.hpp"
 
 namespace gclus::workloads {
@@ -53,9 +52,6 @@ inline constexpr std::uint32_t kDatasetGeneratorVersion = 1;
 /// it from the dataset cache when enabled — cache hits are mmap-backed).
 [[nodiscard]] Dataset load_dataset(const std::string& name);
 
-/// Builds every dataset, in canonical order.
-[[nodiscard]] std::vector<Dataset> load_all_datasets();
-
 /// The §3-discussion composite used by the batch-policy ablation:
 /// a 4-regular expander with a √n-node path attached.
 [[nodiscard]] Graph make_expander_path(NodeId n = 16384);
@@ -75,14 +71,6 @@ inline constexpr std::uint32_t kDatasetGeneratorVersion = 1;
 /// Benches wrap their synthetic inputs in this to skip regeneration.
 [[nodiscard]] Graph cached_graph(const std::string& key,
                                  const std::function<Graph()>& build);
-
-/// Compressed-layout counterpart of cached_graph: the cache entry is a
-/// compressed CSR v2 file (suffix "-cz"), hits are zero-copy mmap-backed
-/// CompressedGraphs, and misses build the plain graph, compress it, and
-/// publish the compressed file.  Shares the cache counters, the atomic
-/// publish path, and the corrupt-entry eviction rule with cached_graph.
-[[nodiscard]] CompressedGraph cached_compressed_graph(
-    const std::string& key, const std::function<Graph()>& build);
 
 /// Process-lifetime cache effectiveness counters (for tests and bench
 /// telemetry).

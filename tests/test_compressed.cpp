@@ -2,8 +2,8 @@
 // sweep (every algorithm on a compressed graph — kAuto and forced
 // relabeling — must match the owning plain-CSR run byte for byte, since
 // public outputs stay in original ids), structural round trips through
-// compress/decompress, the CSR v2 compressed file format, and the dataset
-// cache, plus adversarial decode inputs: single-bit flips anywhere in the
+// compress/decompress and the CSR v2 compressed file format, plus
+// adversarial decode inputs: single-bit flips anywhere in the
 // file must come back as a Status (never a wrong answer or an abort),
 // truncation mid-bitstream is kDataLoss, and zero-degree runs and
 // escape-coded maximal gaps round-trip exactly.
@@ -15,7 +15,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -28,7 +27,6 @@
 #include "graph/io.hpp"
 #include "par/thread_pool.hpp"
 #include "test_util.hpp"
-#include "workloads/datasets.hpp"
 
 namespace gclus {
 namespace {
@@ -310,47 +308,27 @@ TEST(CompressedCorruption, TruncationMidBitstreamIsDataLoss) {
   }
 }
 
-TEST(CompressedCorruption, PlainAndWeightedFilesAreInvalidArgument) {
+TEST(CompressedCorruption, PlainFileIsInvalidArgument) {
   TempFile f("gclus_cz_family.csr2");
   ASSERT_TRUE(testutil::is_ok(io::write_csr(gen::grid(6, 6), f.path)));
   const auto plain = io::load_compressed_csr(f.path);
   ASSERT_FALSE(plain.ok());
   EXPECT_EQ(plain.status().code(), StatusCode::kInvalidArgument);
-}
-
-// ---- dataset cache ----------------------------------------------------------
-
-TEST(CompressedCache, RoundTripsThroughDatasetCache) {
-  // Scoped cache dir (mirrors test_workloads.cpp): restore whatever the
-  // suite had configured afterwards.
-  const std::string dir = temp_path("gclus_cz_cache");
-  std::optional<std::string> prev;
-  if (const char* p = std::getenv("GCLUS_DATASET_CACHE_DIR")) prev = p;
-  std::filesystem::remove_all(dir);
-  setenv("GCLUS_DATASET_CACHE_DIR", dir.c_str(), /*overwrite=*/1);
-
-  const Graph plain = gen::preferential_attachment(3000, 3, 17);
-  const auto build = [&] { return gen::preferential_attachment(3000, 3, 17); };
-
-  const auto before = workloads::dataset_cache_stats();
-  const CompressedGraph miss =
-      workloads::cached_compressed_graph("cz-test-pa3000", build);
-  const CompressedGraph hit =
-      workloads::cached_compressed_graph("cz-test-pa3000", build);
-  const auto after = workloads::dataset_cache_stats();
-
-  EXPECT_EQ(after.misses, before.misses + 1);
-  EXPECT_EQ(after.hits, before.hits + 1);
-  EXPECT_TRUE(testutil::same_csr(miss.decompress(), plain));
-  EXPECT_TRUE(testutil::same_csr(hit.decompress(), plain));
-
-  if (prev.has_value()) {
-    setenv("GCLUS_DATASET_CACHE_DIR", prev->c_str(), /*overwrite=*/1);
-  } else {
-    unsetenv("GCLUS_DATASET_CACHE_DIR");
+  // Decided at the header, before the checksum pass: a flipped payload
+  // byte does not turn it into kDataLoss.
+  {
+    std::fstream patch(f.path,
+                       std::ios::binary | std::ios::in | std::ios::out);
+    patch.seekg(-1, std::ios::end);
+    const char c = static_cast<char>(patch.get() ^ 0x40);
+    patch.seekp(-1, std::ios::end);
+    patch.write(&c, 1);
   }
-  std::filesystem::remove_all(dir);
+  const auto damaged = io::load_compressed_csr(f.path);
+  ASSERT_FALSE(damaged.ok());
+  EXPECT_EQ(damaged.status().code(), StatusCode::kInvalidArgument);
 }
+
 
 }  // namespace
 }  // namespace gclus

@@ -6,13 +6,15 @@
 // to the fault-free reference.  A header/payload bit-flip sweep covers
 // silent on-disk corruption the same way, an end-to-end mr.cluster run
 // pins the degraded-shuffle partition to the fault-free one, every mr.*
-// algorithm returns lost spilled data through Registry::run, and a seeded
-// mutation sweep feeds mutated files of every binary layout to every file
-// loader.
+// algorithm returns lost spilled data through Registry::run, and seeded
+// mutation sweeps feed mutated files of every binary layout to every file
+// loader, mutated wire frames to net::decode_frame and mutated edge-list
+// text to the parallel parser.
 //
-// CI greps this binary's "fault points triggered:" and "decoder
-// mutations:" lines, and the sweep asserts every point fired, so neither
-// sweep nor a single point can silently become a no-op.
+// CI greps this binary's "fault points triggered:", "decoder mutations:",
+// "frame mutations:" and "text mutations:" lines, and the sweep asserts
+// every point fired, so neither a sweep nor a single point can silently
+// become a no-op.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,8 +24,8 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <sstream>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -36,10 +38,10 @@
 #include "graph/compressed.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
-#include "graph/weighted.hpp"
 #include "graph/wire.hpp"
 #include "mapreduce/engine.hpp"
 #include "net/client.hpp"
+#include "net/protocol.hpp"
 #include "net/server.hpp"
 #include "par/thread_pool.hpp"
 #include "server/engine.hpp"
@@ -412,8 +414,8 @@ TEST(CorruptionSweep, EveryHeaderAndLeadingPayloadByteFlipFailsCleanly) {
 }
 
 // --- Seeded decoder mutations. ----------------------------------------------
-// Valid files of the four binary layouts (plain, weighted and compressed
-// CSR v2, the .orc sidecar) over two graphs are mutated under a fixed seed
+// Valid files of the three binary layouts (plain and compressed CSR v2,
+// the .orc sidecar) over two graphs are mutated under a fixed seed
 // and a fixed iteration budget: splices of two valid files, truncations,
 // multi-bit flips, and every position and count field set to each extreme
 // value.  Every loader runs on every mutant, and each either returns a
@@ -424,7 +426,6 @@ TEST(CorruptionSweep, EveryHeaderAndLeadingPayloadByteFlipFailsCleanly) {
 /// The valid files and what each loader must decode from them.
 struct DecoderCorpus {
   std::vector<Graph> graphs;  // load_csr and load_compressed_csr payloads
-  std::vector<WeightedGraph> weighted;
   std::vector<server::OracleArtifact> artifacts;
   std::vector<std::vector<char>> files;
   /// Per file: the byte offsets of its u64 position and count fields.
@@ -436,13 +437,6 @@ DecoderCorpus decoder_corpus() {
   const std::string path = sweep_dir() + "/decoder-corpus";
   const std::vector<std::size_t> csr_fields = {16, 24, 32, 40, 48};
   for (const Graph& g : {gen::ring_of_cliques(6, 5), gen::grid(5, 7)}) {
-    std::vector<std::tuple<NodeId, NodeId, Weight>> edges;
-    for (NodeId u = 0; u < g.num_nodes(); ++u) {
-      for (const NodeId v : g.neighbors(u)) {
-        if (u < v) edges.emplace_back(u, v, (u * 31 + v * 7) % 97 + 1);
-      }
-    }
-    c.weighted.push_back(WeightedGraph::from_edges(g.num_nodes(), edges));
     const CompressedGraph packed =
         compress(g, {.relabel = RelabelMode::kAlways});
     EXPECT_TRUE(packed.relabeled());  // perm and inv sections present
@@ -450,9 +444,6 @@ DecoderCorpus decoder_corpus() {
         server::build_oracle_artifact(g, artifact_opts()));
 
     EXPECT_TRUE(io::write_csr(g, path).ok());
-    c.files.push_back(slurp(path));
-    c.fields.push_back(csr_fields);
-    EXPECT_TRUE(io::write_csr(c.weighted.back(), path).ok());
     c.files.push_back(slurp(path));
     c.fields.push_back(csr_fields);
     EXPECT_TRUE(io::write_csr(packed, path).ok());
@@ -518,13 +509,6 @@ int decode_everywhere(const std::vector<char>& bytes, const DecoderCorpus& c,
         return testutil::same_csr(*r, g);
       })) << what << ": load_csr decoded a different graph";
     }
-  }
-  if (const auto r = io::load_weighted_csr(path); !r.ok()) {
-    rejects(r.status());
-  } else {
-    EXPECT_TRUE(std::ranges::any_of(c.weighted, [&](const WeightedGraph& w) {
-      return testutil::same_weighted(*r, w);
-    })) << what << ": load_weighted_csr decoded a different graph";
   }
   if (const auto r = io::load_compressed_csr(path); !r.ok()) {
     rejects(r.status());
@@ -617,6 +601,236 @@ TEST(DecoderMutations, EveryFileLoaderReturnsStatusOrTheOriginal) {
   EXPECT_GT(rejected, mutants);  // most mutants fail in every loader
   // CI greps for this exact prefix and asserts a nonzero count.
   std::printf("decoder mutations: %zu\n", mutants);
+}
+
+// --- Seeded frame mutations. ------------------------------------------------
+// Valid query-batch, result-batch and error frames are mutated under a
+// fixed seed and budget; decode_frame on each mutant (exactly sized, so
+// ASan sees any overread) returns kInvalidArgument or a frame that
+// re-encodes to the mutant byte for byte — the decoder is strict, so an
+// accepted frame has exactly one encoding.
+
+std::vector<std::vector<std::uint8_t>> frame_corpus() {
+  std::vector<server::QueryResult> results;
+  for (std::uint8_t code = 0; code <= 4; ++code) {
+    results.push_back({static_cast<StatusCode>(code), 977u * code});
+  }
+  const std::vector<std::vector<std::uint8_t>> wires = {
+      net::encode_query_batch(net_queries(5)),
+      net::encode_query_batch({}),
+      net::encode_result_batch(results),
+      net::encode_error(DataLossError("spilled run lost")),
+  };
+  std::vector<std::vector<std::uint8_t>> payloads;
+  for (const auto& w : wires) {
+    payloads.emplace_back(w.begin() + net::kLenPrefixSize, w.end());
+  }
+  return payloads;
+}
+
+/// The wire bytes (length prefix stripped) of a decoded frame.
+std::vector<std::uint8_t> reencode(const net::Frame& f) {
+  std::vector<std::uint8_t> w;
+  switch (f.type) {
+    case net::FrameType::kQueryBatch:
+      w = net::encode_query_batch(f.queries);
+      break;
+    case net::FrameType::kResultBatch:
+      w = net::encode_result_batch(f.results);
+      break;
+    case net::FrameType::kError:
+      w = net::encode_error(f.error);
+      break;
+  }
+  return {w.begin() + net::kLenPrefixSize, w.end()};
+}
+
+TEST(DecoderMutations, EveryFrameDecodesStrictlyOrIsInvalidArgument) {
+  const auto corpus = frame_corpus();
+  std::size_t mutants = 0;
+  std::size_t rejected = 0;
+  const auto run = [&](const std::vector<std::uint8_t>& payload,
+                       const std::string& what) {
+    ++mutants;
+    const auto f = net::decode_frame(payload.data(), payload.size());
+    if (!f.ok()) {
+      EXPECT_EQ(f.status().code(), StatusCode::kInvalidArgument)
+          << what << ": " << f.status().to_string();
+      ++rejected;
+      return;
+    }
+    EXPECT_EQ(reencode(*f), payload) << what << ": decoded a different frame";
+  };
+  // The count field at every extreme.
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    std::uint32_t count = 0;
+    for (int b = 3; b >= 0; --b) count = (count << 8) | corpus[i][8 + b];
+    for (const std::uint32_t v :
+         {0u, 1u, count - 1, count + 1, 1u << 31, ~0u}) {
+      std::vector<std::uint8_t> bytes = corpus[i];
+      for (int b = 0; b < 4; ++b) {
+        bytes[8 + b] = static_cast<std::uint8_t>(v >> (8 * b));
+      }
+      run(bytes, "frame " + std::to_string(i) + " count " + std::to_string(v));
+    }
+  }
+
+  // Random splices, truncations, byte overwrites and bit flips.
+  constexpr int kIterations = 20000;
+  Rng rng(20261019);
+  const auto pick = [&] { return corpus[rng.next_below(corpus.size())]; };
+  for (int it = 0; it < kIterations; ++it) {
+    std::vector<std::uint8_t> bytes = pick();
+    std::string what = "iteration " + std::to_string(it) + ": ";
+    switch (it % 4) {
+      case 0: {  // a prefix of one valid frame, a suffix of another
+        const auto tail = pick();
+        const std::size_t cut = rng.next_below(bytes.size() + 1);
+        const std::size_t from = rng.next_below(tail.size() + 1);
+        bytes.resize(cut);
+        bytes.insert(bytes.end(), tail.begin() + static_cast<long>(from),
+                     tail.end());
+        what += "splice at " + std::to_string(cut) + "/" + std::to_string(from);
+        break;
+      }
+      case 1:
+        bytes.resize(rng.next_below(bytes.size()));
+        what += "truncation to " + std::to_string(bytes.size());
+        break;
+      case 2: {  // one byte, half the time in the header, set at random
+        const std::size_t at = rng.next_below(std::min<std::size_t>(
+            bytes.size(), rng.next_below(2) == 0 ? 16 : bytes.size()));
+        bytes[at] = static_cast<std::uint8_t>(rng.next_below(256));
+        what += "byte " + std::to_string(at) + " overwritten";
+        break;
+      }
+      default: {
+        const std::uint64_t flips = 1 + rng.next_below(4);
+        for (std::uint64_t i = 0; i < flips; ++i) {
+          const std::size_t at = rng.next_below(bytes.size());
+          bytes[at] ^= static_cast<std::uint8_t>(1u << rng.next_below(8));
+        }
+        what += std::to_string(flips) + " bit flips";
+        break;
+      }
+    }
+    run(bytes, what);
+  }
+  EXPECT_GT(rejected, mutants / 2);
+  EXPECT_LT(rejected, mutants);  // some mutants stay valid frames
+  // CI greps for this exact prefix and asserts a nonzero count.
+  std::printf("frame mutations: %zu\n", mutants);
+}
+
+// --- Seeded edge-list text mutations. ---------------------------------------
+// SNAP-style texts are mutated under a fixed seed and budget with the bytes
+// the tokenizer branches on; the parallel parser must equal the serial
+// reference on every mutant at pools of 1, 2 and 8.  A few mutants span
+// two 1 MiB parse chunks and are mutated around the chunk boundary.
+
+/// One line; `sparse` ids beyond the parser's dense-table limit send the
+/// whole text down its hash-interning path.
+std::string text_corpus_line(Rng& rng, bool sparse) {
+  switch (rng.next_below(8)) {
+    case 0:
+      return "# comment " + std::to_string(rng.next_below(100));
+    case 1:
+      return "% 1 2";
+    case 2:
+      return std::to_string(sparse ? rng.next_below(1u << 20) * 1000003ULL
+                                   : rng.next_below(60)) +
+             "\t" + std::to_string(rng.next_below(50)) + "\r";
+    case 3:
+      return " -" + std::to_string(rng.next_below(9)) + " +" +
+             std::to_string(rng.next_below(60)) + " trailing";
+    default:
+      return std::to_string(rng.next_below(60)) + " " +
+             std::to_string(rng.next_below(60));
+  }
+}
+
+std::string text_corpus(Rng& rng, std::size_t min_bytes, bool sparse) {
+  std::string text;
+  while (text.size() < min_bytes) {
+    text += text_corpus_line(rng, sparse) + '\n';
+  }
+  return text;
+}
+
+/// Overwrites, inserts or deletes at `at`, with bytes the tokenizer treats
+/// specially.
+void mutate_text(std::string& text, std::size_t at, Rng& rng) {
+  static const std::string kAlphabet =
+      std::string("0123456789 \t\n\r\v\f#%+-x") + '\0' + '\xff';
+  const char c = kAlphabet[rng.next_below(kAlphabet.size())];
+  at = std::min(at, text.size());
+  switch (rng.next_below(4)) {
+    case 0:
+      if (at < text.size()) text[at] = c;
+      break;
+    case 1:
+      text.insert(at, 1, c);
+      break;
+    case 2:  // a u64 overflow: 20 or more digits
+      text.insert(at, std::string(20 + rng.next_below(3), '9'));
+      break;
+    default:
+      text.erase(at, rng.next_below(24));
+      break;
+  }
+}
+
+TEST(DecoderMutations, EveryEdgeListTextParsesLikeTheSerialReader) {
+  ThreadPool pool1(1);
+  ThreadPool pool2(2);
+  ThreadPool pool8(8);
+  std::size_t mutants = 0;
+  const auto run = [&](const std::string& text, const std::string& what) {
+    ++mutants;
+    std::istringstream in(text);
+    const Graph want = io::read_edge_list(in);
+    for (ThreadPool* pool : {&pool1, &pool2, &pool8}) {
+      EXPECT_TRUE(testutil::same_csr(io::parse_edge_list(text, *pool), want))
+          << what << " at " << pool->num_threads() << " threads";
+    }
+  };
+
+  Rng rng(20261020);
+  std::vector<std::string> small;
+  for (int i = 0; i < 4; ++i) {
+    small.push_back(text_corpus(rng, 600, /*sparse=*/i % 2 == 1));
+  }
+  constexpr int kIterations = 3000;
+  for (int it = 0; it < kIterations; ++it) {
+    std::string text = small[rng.next_below(small.size())];
+    if (it % 5 == 0) {  // splice two texts mid-line
+      const std::string& tail = small[rng.next_below(small.size())];
+      text.resize(rng.next_below(text.size() + 1));
+      text += tail.substr(rng.next_below(tail.size() + 1));
+    } else if (it % 5 == 1) {
+      text.resize(rng.next_below(text.size() + 1));
+    }
+    const std::uint64_t edits = 1 + rng.next_below(6);
+    for (std::uint64_t e = 0; e < edits; ++e) {
+      mutate_text(text, rng.next_below(text.size() + 1), rng);
+    }
+    run(text, "iteration " + std::to_string(it));
+  }
+
+  // Two chunks: edits within a few lines of the 1 MiB boundary move it
+  // against the line starts.
+  constexpr std::size_t kChunk = std::size_t{1} << 20;
+  const std::string large =
+      text_corpus(rng, kChunk + (kChunk >> 3), /*sparse=*/false);
+  for (int it = 0; it < 8; ++it) {
+    std::string text = large;
+    for (int e = 0; e < 4; ++e) {
+      mutate_text(text, kChunk - 48 + rng.next_below(96), rng);
+    }
+    run(text, "two-chunk iteration " + std::to_string(it));
+  }
+  // CI greps for this exact prefix and asserts a nonzero count.
+  std::printf("text mutations: %zu\n", mutants);
 }
 
 // A compressed file whose anchors section overlaps its degrees section,

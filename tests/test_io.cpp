@@ -1,11 +1,11 @@
 // Tests for graph serialization and ingestion: edge-list text parsing
 // (serial reference and the parallel parser, including SNAP-style
 // comments, sparse ids, and junk lines) and the CSR v2 format —
-// text↔CSRv2↔mmap round trips over the whole corpus (weighted and
-// unweighted), checksum, truncation and wrong-family rejection as Status
-// codes, an every-bit-flip and every-truncation sweep over a plain and a
-// weighted file, and owning-vs-mmap byte equality through the algorithm
-// registry.
+// text↔CSRv2↔mmap round trips over the whole corpus, checksum, truncation,
+// header-first (unknown flag, reserved word) and wrong-family rejection as
+// Status codes, an every-bit-flip and every-truncation sweep over a plain
+// and a compressed file, and owning-vs-mmap byte equality through the
+// algorithm registry.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,14 +16,14 @@
 #include <iterator>
 #include <sstream>
 #include <string>
-#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "api/registry.hpp"
 #include "api/run_context.hpp"
+#include "graph/compressed.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
-#include "graph/weighted.hpp"
 #include "graph/wire.hpp"
 #include "par/thread_pool.hpp"
 #include "test_util.hpp"
@@ -41,6 +41,16 @@ struct TempFile {
   ~TempFile() { std::remove(path.c_str()); }
   std::string path;
 };
+
+std::vector<char> slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void spit(const std::string& path, const std::vector<char>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
 
 Graph serial_parse(const std::string& text) {
   std::istringstream in(text);
@@ -305,7 +315,7 @@ TEST(Csr2, CorpusRoundTripCopyAndMmap) {
     const auto info = probe_csr_file(f.path);
     ASSERT_TRUE(info.has_value()) << name;
     EXPECT_EQ(info->version, 2u);
-    EXPECT_FALSE(info->weighted);
+    EXPECT_FALSE(info->compressed);
     EXPECT_EQ(info->num_nodes, g.num_nodes());
     EXPECT_EQ(info->num_half_edges, g.num_half_edges());
 
@@ -346,41 +356,20 @@ TEST(Csr2, EmptyAndEdgelessGraphs) {
   EXPECT_EQ(h.num_nodes(), 5u);
   EXPECT_EQ(h.num_edges(), 0u);
 
-  // Edgeless *weighted* graphs must keep the weights flag (the section is
-  // empty, but the format family is not inferred from a null data
-  // pointer).
-  const WeightedGraph w = WeightedGraph::from_edges(5, {});
-  ASSERT_TRUE(testutil::is_ok(write_csr(w, f.path)));
-  const auto info = probe_csr_file(f.path);
-  ASSERT_TRUE(info.has_value());
-  EXPECT_TRUE(info->weighted);
-  const WeightedGraph r = load_weighted_csr(f.path).value();
-  EXPECT_EQ(r.num_nodes(), 5u);
-  EXPECT_EQ(r.num_half_edges(), 0u);
-}
-
-TEST(Csr2, WeightedCorpusRoundTrip) {
-  TempFile f("gclus_io_weighted.csr2");
-  for (const auto& [name, g] : testutil::small_connected_corpus()) {
-    // Deterministic, asymmetric-looking weights per undirected edge.
-    std::vector<std::tuple<NodeId, NodeId, Weight>> edges;
-    for (NodeId u = 0; u < g.num_nodes(); ++u) {
-      for (const NodeId v : g.neighbors(u)) {
-        if (u < v) edges.emplace_back(u, v, Weight{(u * 31 + v * 7) % 97 + 1});
-      }
-    }
-    const WeightedGraph w = WeightedGraph::from_edges(g.num_nodes(), edges);
-
-    ASSERT_TRUE(testutil::is_ok(write_csr(w, f.path))) << name;
+  // The empty neighbors section (and, with no nodes, a one-entry offsets
+  // section) round-trips copied and mapped in place.
+  std::vector<CsrLoadMode> modes = {CsrLoadMode::kCopy};
+  if (mmap_supported()) modes.push_back(CsrLoadMode::kMmap);
+  for (const Graph& e : {g, build_graph(0, {})}) {
+    ASSERT_TRUE(testutil::is_ok(write_csr(e, f.path)));
     const auto info = probe_csr_file(f.path);
-    ASSERT_TRUE(info.has_value()) << name;
-    EXPECT_TRUE(info->weighted);
-
-    const WeightedGraph r = load_weighted_csr(f.path).value();
-    ASSERT_EQ(r.num_nodes(), w.num_nodes()) << name;
-    ASSERT_EQ(r.num_half_edges(), w.num_half_edges()) << name;
-    EXPECT_TRUE(std::ranges::equal(r.offsets(), w.offsets())) << name;
-    EXPECT_TRUE(std::ranges::equal(r.adjacency(), w.adjacency())) << name;
+    ASSERT_TRUE(info.has_value());
+    EXPECT_EQ(info->num_nodes, e.num_nodes());
+    EXPECT_EQ(info->num_half_edges, 0u);
+    for (const CsrLoadMode mode : modes) {
+      EXPECT_TRUE(
+          testutil::same_csr(e, load_csr(f.path, {.mode = mode}).value()));
+    }
   }
 }
 
@@ -447,17 +436,47 @@ TEST(Csr2Status, RejectsWrongFormatFamily) {
   EXPECT_FALSE(is_csr_file(f.path));
   EXPECT_FALSE(probe_csr_file(f.path).has_value());
 
-  // Weighted/unweighted loaders are strict about the flag.
+  // The compressed loader is strict about the layout flag; load_csr
+  // accepts either layout.
   const Graph g = gen::grid(5, 5);
   ASSERT_TRUE(testutil::is_ok(write_csr(g, f.path)));
-  EXPECT_TRUE(testutil::fails_with(load_weighted_csr(f.path).status(),
+  EXPECT_TRUE(testutil::fails_with(load_compressed_csr(f.path).status(),
                                    StatusCode::kInvalidArgument,
-                                   "unweighted CSR v2"));
-  ASSERT_TRUE(
-      testutil::is_ok(write_csr(WeightedGraph::from_unit_weights(g), f.path)));
-  EXPECT_TRUE(testutil::fails_with(load_csr(f.path).status(),
-                                   StatusCode::kInvalidArgument,
-                                   "weighted CSR v2"));
+                                   "plain CSR v2"));
+  ASSERT_TRUE(testutil::is_ok(write_csr(compress(g), f.path)));
+  EXPECT_TRUE(testutil::same_csr(load_csr(f.path).value(), g));
+}
+
+// A header the loaders do not accept — flags bit 0 (once the retired
+// weights flag, now unknown) or a nonzero reserved word at offset 48 — is
+// kInvalidArgument from both loaders even with a damaged payload: the
+// family is decided at the header, before any checksum pass.
+TEST(Csr2Status, UnknownFlagAndReservedWordAreRejectedAtTheHeader) {
+  TempFile f("gclus_io_header_first.csr2");
+  std::vector<CsrLoadMode> modes = {CsrLoadMode::kCopy};
+  if (mmap_supported()) modes.push_back(CsrLoadMode::kMmap);
+  for (const auto& [name, g] : testutil::small_connected_corpus()) {
+    ASSERT_TRUE(testutil::is_ok(write_csr(g, f.path))) << name;
+    std::vector<char> pristine = slurp(f.path);
+    pristine.back() = static_cast<char>(pristine.back() ^ 0x5A);  // payload
+    const std::pair<std::size_t, const char*> damage[] = {
+        {12, "unknown CSR v2 flags"}, {48, "nonzero reserved header field"}};
+    for (const auto& [offset, message] : damage) {
+      std::vector<char> bytes = pristine;
+      bytes[offset] = static_cast<char>(bytes[offset] | 1);
+      spit(f.path, bytes);
+      for (const CsrLoadMode mode : modes) {
+        EXPECT_TRUE(testutil::fails_with(
+            load_csr(f.path, {.mode = mode}).status(),
+            StatusCode::kInvalidArgument, message))
+            << name << " offset " << offset;
+        EXPECT_TRUE(testutil::fails_with(
+            load_compressed_csr(f.path, {.mode = mode}).status(),
+            StatusCode::kInvalidArgument, message))
+            << name << " offset " << offset;
+      }
+    }
+  }
 }
 
 TEST(Csr2Status, ShortGarbageIsRejected) {
@@ -505,9 +524,9 @@ TEST(Csr2Status, CodesMatchFailureTaxonomy) {
   // Errors carry the path as context for one-line diagnostics.
   EXPECT_NE(truncated.status().message().find(f.path), std::string::npos);
 
-  // Flag mismatch: an unweighted file through the weighted loader.
+  // Layout mismatch: a plain file through the compressed loader.
   ASSERT_TRUE(write_csr(g, f.path).ok());
-  const auto wrong_family = load_weighted_csr(f.path);
+  const auto wrong_family = load_compressed_csr(f.path);
   ASSERT_FALSE(wrong_family.ok());
   EXPECT_EQ(wrong_family.status().code(), StatusCode::kInvalidArgument);
 }
@@ -529,37 +548,21 @@ TEST(EdgeListStatus, MissingFileIsIoError) {
 
 // ---- corruption sweep -------------------------------------------------------
 
-std::vector<char> slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
-}
-
-void spit(const std::string& path, const std::vector<char>& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
-
-// Every single-bit flip and every truncation of a plain and a weighted
-// file, copied and mapped: each load either fails with a Status or returns
-// the original graph (a flip in the alignment padding, which the checksum
-// does not cover) — never a different graph, never an abort.
+// Every single-bit flip and every truncation of a plain and a compressed
+// file, copied and mapped, through load_csr (which decompresses the
+// latter): each load either fails with a Status or returns the original
+// graph (a flip in the alignment padding, which the checksum does not
+// cover) — never a different graph, never an abort.
 TEST(Csr2Corruption, EveryBitFlipAndTruncationIsStatusOrOriginal) {
   const Graph g = gen::road_like(6, 6, 0.08, 0.02, 1);
-  std::vector<std::tuple<NodeId, NodeId, Weight>> edges;
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    for (const NodeId v : g.neighbors(u)) {
-      if (u < v) edges.emplace_back(u, v, (u * 31 + v * 7) % 97 + 1);
-    }
-  }
-  const WeightedGraph w = WeightedGraph::from_edges(g.num_nodes(), edges);
   std::vector<CsrLoadMode> modes = {CsrLoadMode::kCopy};
   if (mmap_supported()) modes.push_back(CsrLoadMode::kMmap);
   TempFile f("gclus_io_sweep.csr2");
 
-  for (const bool weighted : {false, true}) {
-    SCOPED_TRACE(weighted ? "weighted" : "plain");
-    ASSERT_TRUE(testutil::is_ok(weighted ? write_csr(w, f.path)
-                                         : write_csr(g, f.path)));
+  for (const bool compressed : {false, true}) {
+    SCOPED_TRACE(compressed ? "compressed" : "plain");
+    ASSERT_TRUE(testutil::is_ok(compressed ? write_csr(compress(g), f.path)
+                                           : write_csr(g, f.path)));
     const std::vector<char> pristine = slurp(f.path);
     std::size_t rejected = 0;
     std::size_t identical = 0;
@@ -567,21 +570,11 @@ TEST(Csr2Corruption, EveryBitFlipAndTruncationIsStatusOrOriginal) {
                            const std::string& what) {
       spit(f.path, bytes);
       for (const CsrLoadMode mode : modes) {
-        bool ok = false;
-        if (weighted) {
-          const auto r = load_weighted_csr(f.path, {.mode = mode});
-          ok = r.ok();
-          if (ok) {
-            EXPECT_TRUE(testutil::same_weighted(*r, w)) << what;
-          }
-        } else {
-          const auto r = load_csr(f.path, {.mode = mode});
-          ok = r.ok();
-          if (ok) {
-            EXPECT_TRUE(testutil::same_csr(*r, g)) << what;
-          }
+        const auto r = load_csr(f.path, {.mode = mode});
+        if (r.ok()) {
+          EXPECT_TRUE(testutil::same_csr(*r, g)) << what;
         }
-        ++(ok ? identical : rejected);
+        ++(r.ok() ? identical : rejected);
       }
     };
     for (std::size_t i = 0; i < pristine.size(); ++i) {

@@ -36,12 +36,6 @@ inline bool same_csr(const Graph& a, const Graph& b) {
          std::ranges::equal(a.neighbor_array(), b.neighbor_array());
 }
 
-/// Byte-identical weighted CSR (offsets, targets and weights).
-inline bool same_weighted(const WeightedGraph& a, const WeightedGraph& b) {
-  return std::ranges::equal(a.offsets(), b.offsets()) &&
-         std::ranges::equal(a.adjacency(), b.adjacency());
-}
-
 /// `ASSERT_TRUE(testutil::is_ok(io::write_csr(g, path)))`: prints the
 /// Status text when the operation failed.
 inline testing::AssertionResult is_ok(const Status& st) {
