@@ -44,7 +44,7 @@ namespace {
 
 // Bytes "GCLUSCS2" when stored little-endian.
 constexpr std::uint64_t kCsr2Magic = 0x32534353554C4347ULL;
-constexpr std::uint32_t kCsr2Version = 2;
+constexpr std::uint32_t kCsr2Version = 3;
 constexpr std::uint32_t kCsr2FlagCompressed = 1u << 1;
 constexpr std::uint32_t kCsr2KnownFlags = kCsr2FlagCompressed;
 constexpr std::uint64_t kCsr2HeaderBytes = 72;
@@ -451,6 +451,23 @@ std::array<Section, 2> csr2_sections(const Csr2Header& h) {
            {.pos = h.neighbors_pos, .count = h.num_half_edges, .width = 4}}};
 }
 
+/// The plain layout's sections viewing `g`'s arrays, not yet placed.  A
+/// default-constructed Graph has no offsets array; it is the empty graph,
+/// whose offsets section is the one entry 0.
+std::array<Section, 2> csr2_sections(const Graph& g) {
+  static constexpr EdgeId kEmptyOffsets[] = {0};
+  const std::span<const EdgeId> offsets =
+      g.offsets().empty() ? std::span<const EdgeId>(kEmptyOffsets)
+                          : g.offsets();
+  Csr2Header h;
+  h.num_nodes = offsets.size() - 1;
+  h.num_half_edges = g.num_half_edges();
+  auto table = csr2_sections(h);
+  table[0].data = offsets.data();
+  table[1].data = g.neighbor_array().data();
+  return table;
+}
+
 /// The compressed layout's sections in file order: the parameter block,
 /// then the six sections whose sizes it implies.  Block byte 24 + 8i
 /// holds the position of section i + 1; perm and inv exist only in
@@ -469,8 +486,8 @@ std::size_t num_cz2_sections(const CompressedParams& p) {
   return p.relabeled ? 7 : 5;
 }
 
-/// Writes a CSR v2 file: the header for `h`, its checksum taken over the
-/// placed `table`, then the sections.  kIoError on any write failure.
+/// Writes a CSR v2 file: the header for `h` (whose checksum covers the
+/// placed `table`), then the sections.  kIoError on any write failure.
 [[nodiscard]] Status write_csr2(const std::string& path, const Csr2Header& h,
                                 std::span<const Section> table) {
   std::array<std::byte, kCsr2HeaderBytes> header{};  // reserved words: 0
@@ -481,7 +498,7 @@ std::size_t num_cz2_sections(const CompressedParams& p) {
   store_le_at(header.data() + 24, h.num_half_edges);
   store_le_at(header.data() + 32, h.offsets_pos);
   store_le_at(header.data() + 40, h.neighbors_pos);
-  store_le_at(header.data() + 56, checksum_sections(kFnvOffsetBasis, table));
+  store_le_at(header.data() + 56, h.checksum);
 
   std::ofstream out(path, std::ios::binary);
   if (GCLUS_FAULTPOINT("io.write") || !out.good()) {
@@ -498,9 +515,10 @@ std::size_t num_cz2_sections(const CompressedParams& p) {
 
 /// Parses and sanity-checks a CSR v2 header and its section table against
 /// the file size.  kInvalidArgument: the bytes don't claim to be a
-/// (supported) CSR v2 file; kDataLoss: they do, but the structure is
-/// inconsistent.
-Status parse_csr2_header(std::span<const std::byte> file, Csr2Header& h) {
+/// (supported) CSR v2 file, or, with `want_compressed`, they claim the
+/// plain layout; kDataLoss: they do, but the structure is inconsistent.
+Status parse_csr2_header(std::span<const std::byte> file, bool want_compressed,
+                         Csr2Header& h) {
   const std::byte* data = file.data();
   const std::uint64_t size = file.size();
   if (size < 8 || read_le_at<std::uint64_t>(data) != kCsr2Magic) {
@@ -526,6 +544,9 @@ Status parse_csr2_header(std::span<const std::byte> file, Csr2Header& h) {
     // The reserved words are not covered by the payload checksum, so a
     // flipped bit here would otherwise load silently.
     return InvalidArgumentError("nonzero reserved header field");
+  }
+  if (want_compressed && !h.compressed()) {
+    return InvalidArgumentError("plain CSR v2 file (use load_csr)");
   }
 
   if (h.num_nodes > std::numeric_limits<NodeId>::max()) {
@@ -558,11 +579,13 @@ struct Csr2File {
   Csr2Header header;
 };
 
-StatusOr<Csr2File> open_csr2(const std::string& path, CsrLoadMode mode) {
+StatusOr<Csr2File> open_csr2(const std::string& path, CsrLoadMode mode,
+                             bool want_compressed) {
   Csr2File f;
   GCLUS_ASSIGN_OR_RETURN(f.file, read_or_map_file(path, mode));
   GCLUS_RETURN_IF_ERROR(
-      parse_csr2_header(f.file.bytes, f.header).with_context(path));
+      parse_csr2_header(f.file.bytes, want_compressed, f.header)
+          .with_context(path));
   return f;
 }
 
@@ -614,7 +637,7 @@ Status parse_cz2(std::span<const std::byte> file, const Csr2Header& h,
   }
   // The byte sections are used in place on any host.
   for (Section& s : table) s.data = file.data() + s.pos;
-  if (verify && checksum_sections(kFnvOffsetBasis, table) != h.checksum) {
+  if (verify && checksum_sections(0, table) != h.checksum) {
     return DataLossError("CSR v2 checksum mismatch");
   }
   return OkStatus();
@@ -716,16 +739,19 @@ Status publish_file(const std::string& tmp, const std::string& path,
   return OkStatus();
 }
 
+std::uint32_t csr_checksum(const Graph& g) {
+  return checksum_sections(0, csr2_sections(g));
+}
+
 Status write_csr(const Graph& g, const std::string& path) {
-  Csr2Header h;
-  h.num_nodes = g.offsets().size() - 1;
-  h.num_half_edges = g.num_half_edges();
-  auto table = csr2_sections(h);
-  table[0].data = g.offsets().data();
-  table[1].data = g.neighbor_array().data();
+  auto table = csr2_sections(g);
   place_sections(table, kCsr2HeaderBytes);
+  Csr2Header h;
+  h.num_nodes = table[0].count - 1;
+  h.num_half_edges = table[1].count;
   h.offsets_pos = table[0].pos;
   h.neighbors_pos = table[1].pos;
+  h.checksum = csr_checksum(g);
   return write_csr2(path, h, table);
 }
 
@@ -751,6 +777,7 @@ Status write_csr(const CompressedGraph& g, const std::string& path) {
   h.num_nodes = p.num_nodes;
   h.num_half_edges = p.num_half_edges;
   h.offsets_pos = table[0].pos;
+  h.checksum = checksum_sections(0, placed);
   return write_csr2(path, h, placed);
 }
 
@@ -759,15 +786,14 @@ StatusOr<CompressedGraph> load_compressed_csr(const std::string& path,
   // The compressed sections are byte sequences (LSB-first bitstreams,
   // explicit little-endian fields), so zero-copy mapping is endian-
   // independent: kMmap works everywhere mmap exists.
-  GCLUS_ASSIGN_OR_RETURN(const Csr2File f, open_csr2(path, opts.mode));
-  if (!f.header.compressed()) {
-    return InvalidArgumentError(path + ": plain CSR v2 file (use load_csr)");
-  }
+  GCLUS_ASSIGN_OR_RETURN(const Csr2File f,
+                         open_csr2(path, opts.mode, /*want_compressed=*/true));
   return load_cz2(path, f, opts.verify);
 }
 
 StatusOr<Graph> load_csr(const std::string& path, const CsrLoadOptions& opts) {
-  GCLUS_ASSIGN_OR_RETURN(Csr2File f, open_csr2(path, opts.mode));
+  GCLUS_ASSIGN_OR_RETURN(Csr2File f,
+                         open_csr2(path, opts.mode, /*want_compressed=*/false));
   if (f.header.compressed()) {
     // Decompressed, so plain-CSR consumers accept either layout.
     GCLUS_ASSIGN_OR_RETURN(const CompressedGraph cg,
@@ -789,7 +815,7 @@ StatusOr<Graph> load_csr(const std::string& path, const CsrLoadOptions& opts) {
   read_section(table[0], data, in_place, offsets, owned_offsets);
   read_section(table[1], data, in_place, neighbors, owned_neighbors);
   if (opts.verify) {
-    if (checksum_sections(kFnvOffsetBasis, table) != f.header.checksum) {
+    if (checksum_sections(0, table) != f.header.checksum) {
       return DataLossError(path + ": CSR v2 checksum mismatch");
     }
     GCLUS_RETURN_IF_ERROR(

@@ -11,7 +11,7 @@
 //
 //   * CSR v2 binary — a sectioned file in the container of
 //     graph/wire.hpp (fixed little-endian header with explicit section
-//     positions, FNV-1a payload checksum, 64-byte-aligned sections) holding
+//     positions, CRC32C payload checksum, 64-byte-aligned sections) holding
 //     an unweighted graph in one of two layouts: plain (offsets and
 //     neighbors sections) or, with flags bit 1, the Rice-compressed
 //     adjacency of graph/compressed.hpp.  Loading can mmap the file and
@@ -23,7 +23,7 @@
 //
 //   offset  size  field
 //   0       8     magic "GCLUSCS2"
-//   8       4     version (2)
+//   8       4     version (3)
 //   12      4     flags (bit 1: compressed layout, offsets_pos then locates
 //                 its parameter block and neighbors_pos is 0; every other
 //                 bit is unknown and rejected)
@@ -32,7 +32,8 @@
 //   32      8     offsets_pos    (byte position of the offsets section)
 //   40      8     neighbors_pos
 //   48      8     reserved (0)
-//   56      8     checksum (FNV-1a 64 over the payload sections, in order)
+//   56      8     checksum (CRC32C over the payload sections, in order,
+//                 zero-extended; a nonzero upper half is a mismatch)
 //   64      8     reserved (0)
 //   ...           zero padding to offsets_pos
 //   sections: offsets (n+1)*8B, neighbors m*4B, each start aligned to 64
@@ -108,10 +109,11 @@ enum class CsrLoadMode {
 
 struct CsrLoadOptions {
   CsrLoadMode mode = CsrLoadMode::kAuto;
-  /// Verify the payload checksum and structural invariants (offsets
-  /// monotone and in range, neighbor ids < n) before handing out the
-  /// graph.  One sequential pass over the file — cheap next to any
-  /// algorithm that will touch the data anyway.
+  /// Verify the payload checksum (CRC32C) and structural invariants
+  /// (offsets monotone and in range, neighbor ids < n) before handing out
+  /// the graph.  Two serial passes over the payload (the checksum one runs
+  /// at memory speed on CPUs with a CRC32C instruction) — cheap next to
+  /// any algorithm that will touch the data anyway.
   bool verify = true;
 };
 
@@ -127,8 +129,15 @@ struct Csr2Info {
 /// Writes a CSR v2 file; kIoError on any write failure (unwritable
 /// directory, disk full).  A failed write may leave a partial file
 /// behind; partial files never validate (checksum), so readers treat
-/// them as absent.
+/// them as absent.  A default-constructed Graph is written as the empty
+/// graph (n = 0, offsets [0]).
 [[nodiscard]] Status write_csr(const Graph& g, const std::string& path);
+
+/// The checksum write_csr(g, ...) stores at header offset 56: CRC32C of
+/// the offsets then neighbors arrays as little-endian bytes.  Serial, one
+/// pass; the oracle artifact records it to name the graph it was built
+/// over.
+[[nodiscard]] std::uint32_t csr_checksum(const Graph& g);
 
 /// Writes a compressed CSR v2 file (flags bit 1): a 128-byte parameter
 /// block at offsets_pos followed by the six compressed sections (see

@@ -1,19 +1,19 @@
 // The sectioned-file container shared by every binary format, plus the
 // little-endian helpers its dialect is written in.
 //
-// CSR v2 (plain, weighted and compressed; graph/io.cpp) and the oracle
-// artifact sidecar (server/artifact.cpp) are one container: a fixed
-// little-endian header that records the byte position of each payload
-// section, 64-byte-aligned sections in declaration order with zero padding
-// between them, and an FNV-1a checksum over the sections.  Each format
-// declares its sections once, as a table of `Section`s, and the functions
-// below are the single definition of that container: the writer places
-// (place_sections), checksums (checksum_sections) and emits
-// (emit_sections) from the table, and the reader bounds-checks
-// (sections_fit), reads (read_section) and checksums it the same way — so
-// the formats cannot drift, and a checksum computed by one writer verifies
-// in the other's reader.  Headers (magic, version, flags, reserved fields)
-// stay with each format.
+// CSR v2 (plain and compressed; graph/io.cpp) and the oracle artifact
+// sidecar (server/artifact.cpp) are one container: a fixed little-endian
+// header that records the byte position of each payload section,
+// 64-byte-aligned sections in declaration order with zero padding between
+// them, and a CRC32C checksum over the sections, stored zero-extended in
+// an 8-byte header field.  Each format declares its sections once, as a
+// table of `Section`s, and the functions below are the single definition
+// of that container: the writer places (place_sections), checksums
+// (checksum_sections) and emits (emit_sections) from the table, and the
+// reader bounds-checks (sections_fit), reads (read_section) and checksums
+// it the same way — so the formats cannot drift, and a checksum computed
+// by one writer verifies in the other's reader.  Headers (magic, version,
+// flags, reserved fields) stay with each format.
 #pragma once
 
 #include <algorithm>
@@ -28,18 +28,20 @@
 
 namespace gclus::io::wire {
 
-inline constexpr std::uint64_t kFnvOffsetBasis = 1469598103934665603ULL;
-inline constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
+/// CRC32C (Castagnoli; RFC 3720 §B.4) of the `len` bytes at `p`,
+/// continuing the checksum `crc` of the bytes before them: 0 starts a
+/// stream, and crc32c(crc32c(0, a), b) == crc32c(0, a ++ b).  Serial; uses
+/// the SSE4.2 crc32 instruction on x86-64 CPUs that have it (checked once
+/// at run time), else crc32c_table — on every other host too, since the
+/// CI builds and tests no other instruction path (an ARMv8 one waits for
+/// an ARM runner and workload to measure it on).  Allocates nothing.
+[[nodiscard]] std::uint32_t crc32c(std::uint32_t crc, const void* p,
+                                   std::size_t len);
 
-inline std::uint64_t fnv1a(std::uint64_t h, const void* data,
-                           std::size_t len) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
+/// The table path of crc32c (slicing-by-8), the same values on every
+/// host; public so tests can check the instruction path against it.
+[[nodiscard]] std::uint32_t crc32c_table(std::uint32_t crc, const void* p,
+                                         std::size_t len);
 
 inline constexpr bool kLittleEndian = std::endian::native == std::endian::little;
 
@@ -137,16 +139,16 @@ void for_each_le_chunk(const Section& s, Sink&& sink) {
   }
 }
 
-/// Continues the FNV-1a stream `h` over the sections of `table`, in
+/// Continues the CRC32C stream `crc` over the sections of `table`, in
 /// order, as their little-endian bytes.
-inline std::uint64_t checksum_sections(std::uint64_t h,
+inline std::uint32_t checksum_sections(std::uint32_t crc,
                                        std::span<const Section> table) {
   for (const Section& s : table) {
     for_each_le_chunk(s, [&](const std::byte* p, std::size_t len) {
-      h = fnv1a(h, p, len);
+      crc = crc32c(crc, p, len);
     });
   }
-  return h;
+  return crc;
 }
 
 /// Writer: `header`, then each placed section of `table` behind the zero

@@ -26,10 +26,10 @@ namespace fs = std::filesystem;
 
 // Bytes "GCLUSORC" when stored little-endian.
 constexpr std::uint64_t kOrcMagic = 0x43524F53554C4347ULL;
-constexpr std::uint32_t kOrcVersion = 1;
+constexpr std::uint32_t kOrcVersion = 2;
 constexpr std::uint64_t kOrcHeaderBytes = 144;
 /// Header bytes under the checksum: everything before the checksum field.
-constexpr std::uint64_t kOrcChecksumCoverBytes = 128;
+constexpr std::uint64_t kOrcChecksumCoverBytes = 136;
 /// Header byte of the first of the seven section positions.
 constexpr std::uint64_t kOrcPositionsAt = 72;
 
@@ -88,9 +88,9 @@ Status write_artifact_bytes(const OracleArtifact& a, const std::string& path) {
   for (std::size_t i = 0; i < table.size(); ++i) table[i].data = payload[i];
   place_sections(table, kOrcHeaderBytes);
 
-  // Assemble the header in memory: the checksum covers its first 128
+  // Assemble the header in memory: the checksum covers its first 136
   // bytes, so they must exist before the checksum can be computed.
-  std::array<std::byte, kOrcHeaderBytes> header{};  // padding, reserved: 0
+  std::array<std::byte, kOrcHeaderBytes> header{};  // padding: 0
   store_le_at(header.data() + 0, kOrcMagic);
   store_le_at(header.data() + 8, kOrcVersion);
   store_le_at(header.data() + 12, std::uint32_t{0});  // flags
@@ -105,12 +105,12 @@ Status write_artifact_bytes(const OracleArtifact& a, const std::string& path) {
   for (std::size_t i = 0; i < table.size(); ++i) {
     store_le_at(header.data() + kOrcPositionsAt + 8 * i, table[i].pos);
   }
+  store_le_at(header.data() + 128, m.graph_checksum);
   // The checksum covers every metadata field, not only the ones the
   // parser can cross-check, and then the payload sections.
   store_le_at(header.data() + kOrcChecksumCoverBytes,
-              checksum_sections(fnv1a(kFnvOffsetBasis, header.data(),
-                                      kOrcChecksumCoverBytes),
-                                table));
+              std::uint64_t{checksum_sections(
+                  crc32c(0, header.data(), kOrcChecksumCoverBytes), table)});
 
   std::ofstream out(path, std::ios::binary);
   if (GCLUS_FAULTPOINT("artifact.write") || !out.good()) {
@@ -150,13 +150,9 @@ Status parse_header(std::span<const std::byte> file, OracleArtifactMeta& m,
   m.tau = read_le_at<std::uint32_t>(data + 56);
   const std::uint32_t use_cluster2 = read_le_at<std::uint32_t>(data + 60);
   m.max_radius = read_le_at<std::uint32_t>(data + 64);
-  // The padding and reserved fields are not covered by the payload
-  // checksum, so a flipped bit there would otherwise load silently.
+  m.graph_checksum = read_le_at<std::uint64_t>(data + 128);
   if (read_le_at<std::uint32_t>(data + 68) != 0) {
     return InvalidArgumentError("nonzero artifact header padding");
-  }
-  if (read_le_at<std::uint64_t>(data + 136) != 0) {
-    return InvalidArgumentError("nonzero reserved artifact header field");
   }
 
   if (use_cluster2 > 1) {
@@ -230,6 +226,7 @@ OracleArtifact build_oracle_artifact(const Graph& g,
   meta.tau = tau;
   meta.use_cluster2 = opts.use_cluster2;
   meta.max_radius = clustering.max_radius();
+  meta.graph_checksum = io::csr_checksum(g);
 
   auto owned = std::make_shared<OwnedPayload>();
   owned->cluster_of = std::move(clustering.assignment);
@@ -305,8 +302,7 @@ StatusOr<OracleArtifact> load_oracle_artifact(const std::string& path) {
     a.storage = std::move(owned);
   }
 
-  if (checksum_sections(fnv1a(kFnvOffsetBasis, data, kOrcChecksumCoverBytes),
-                        table) !=
+  if (checksum_sections(crc32c(0, data, kOrcChecksumCoverBytes), table) !=
       read_le_at<std::uint64_t>(data + kOrcChecksumCoverBytes)) {
     return DataLossError(path + ": artifact checksum mismatch");
   }
@@ -323,6 +319,10 @@ Status validate_artifact_for_graph(const OracleArtifact& a, const Graph& g) {
         std::to_string(a.meta.graph_num_half_edges) + " half-edges vs " +
         std::to_string(g.num_nodes()) + " / " +
         std::to_string(g.num_half_edges()) + ")");
+  }
+  if (a.meta.graph_checksum != io::csr_checksum(g)) {
+    return InvalidArgumentError(
+        "artifact was built over a different graph (CSR checksum differs)");
   }
   return OkStatus();
 }

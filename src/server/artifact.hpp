@@ -13,12 +13,12 @@
 //
 // On-disk layout: the sectioned-file container of graph/wire.hpp, shared
 // with CSR v2 (all integers little-endian; the seven sections are 64-byte
-// aligned, in the order below, each after the previous one's end; FNV-1a
+// aligned, in the order below, each after the previous one's end; CRC32C
 // checksum):
 //
 //   offset  size  field
 //   0       8     magic "GCLUSORC"
-//   8       4     version (1)
+//   8       4     version (2)
 //   12      4     flags (none defined; must be 0)
 //   16      8     graph_num_nodes n      (validated against the served graph)
 //   24      8     graph_num_half_edges m (likewise)
@@ -36,10 +36,13 @@
 //   104     8     qneighbors_pos  → qm × u32 (quotient CSR neighbors)
 //   112     8     qweights_pos    → qm × u64 (quotient CSR edge weights)
 //   120     8     apsp_pos        → k·k × u64 (row-major APSP matrix)
-//   128     8     checksum (FNV-1a 64 over header bytes [0, 128) followed
-//                 by the payload sections in order — every metadata field
-//                 is integrity-protected, not only the bulk arrays)
-//   136     8     reserved (must be 0)
+//   128     8     graph_checksum (io::csr_checksum of the graph the oracle
+//                 was built over, zero-extended; validated against the
+//                 served graph)
+//   136     8     checksum (CRC32C, zero-extended, over header bytes
+//                 [0, 136) followed by the payload sections in order —
+//                 every metadata field is integrity-protected, not only
+//                 the bulk arrays)
 //
 // Error handling follows graph/io.hpp: kInvalidArgument means the bytes
 // don't claim to be a supported artifact, kDataLoss means they do but are
@@ -73,6 +76,8 @@ struct OracleArtifactMeta {
   std::uint32_t tau = 0;  ///< resolved granularity, never the 0 sentinel
   bool use_cluster2 = true;
   Dist max_radius = 0;
+  /// io::csr_checksum of the graph the oracle was built over.
+  std::uint64_t graph_checksum = 0;
 };
 
 /// A loaded (or freshly built) artifact: metadata plus read-only views of
@@ -123,9 +128,12 @@ struct OracleArtifact {
 [[nodiscard]] StatusOr<OracleArtifact> load_oracle_artifact(
     const std::string& path);
 
-/// Checks that `a` was built over a graph shaped like `g` (node and
-/// half-edge counts).  kInvalidArgument on mismatch — serving labels of a
-/// different graph would silently answer garbage.
+/// Checks that `a` was built over `g`: node and half-edge counts, then
+/// io::csr_checksum(g) (one serial pass over g's arrays) against the
+/// recorded graph checksum, so a relabeled or rewired graph of the same
+/// size is refused too.  kInvalidArgument on mismatch — serving labels of
+/// a different graph would silently answer garbage, some below the true
+/// distance.
 [[nodiscard]] Status validate_artifact_for_graph(const OracleArtifact& a,
                                                  const Graph& g);
 

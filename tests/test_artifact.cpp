@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "graph/builder.hpp"
 #include "graph/compressed.hpp"
 #include "graph/generators.hpp"
+#include "graph/io.hpp"
 #include "par/thread_pool.hpp"
 #include "server/artifact.hpp"
 #include "server/engine.hpp"
@@ -262,6 +264,68 @@ TEST(ArtifactValidation, WrongGraphIsInvalidArgument) {
   auto engine = QueryEngine::load(Graph(other), file.path);
   ASSERT_FALSE(engine.ok());
   EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
+}
+
+// The graph checksum binds an artifact to the graph it was built over: the
+// same graph with its nodes relabeled, or with one edge moved, has the
+// same node and half-edge counts but is refused.  (Served, the relabeled
+// pair answered 15.8% of sampled distances below the exact BFS distance.)
+TEST(ArtifactValidation, SameSizeDifferentGraphIsInvalidArgument) {
+  const Graph g = gen::road_like(60, 60, 0.08, 0.02, 1);
+  const OracleArtifact built = build_oracle_artifact(g, fixed_opts());
+  EXPECT_EQ(built.meta.graph_checksum, io::csr_checksum(g));
+  ASSERT_TRUE(validate_artifact_for_graph(built, g).ok());
+  TempFile file("gclus_artifact_samesize.orc");
+  ASSERT_TRUE(write_oracle_artifact(built, file.path).ok());
+
+  std::vector<NodeId> perm(g.num_nodes());
+  std::iota(perm.begin(), perm.end(), NodeId{0});
+  testutil::deterministic_shuffle(perm, 5);
+  std::vector<Edge> relabeled;
+  std::vector<Edge> moved;
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    for (const NodeId v : g.neighbors(u)) {
+      if (u > v) continue;
+      relabeled.push_back({perm[u], perm[v]});
+      moved.push_back({u, v});
+    }
+  }
+  // Move the first edge (u, v) to (u, w), w the lowest id u is not
+  // adjacent to.
+  const NodeId u = moved.front().first;
+  NodeId w = 0;
+  while (w == u || g.has_edge(u, w)) ++w;
+  moved.front().second = w;
+
+  const struct {
+    const char* name;
+    Graph graph;
+  } others[] = {{"relabeled", build_graph(g.num_nodes(), relabeled)},
+                {"one edge moved", build_graph(g.num_nodes(), moved)}};
+  for (const auto& [name, other] : others) {
+    ASSERT_EQ(other.num_nodes(), g.num_nodes()) << name;
+    ASSERT_EQ(other.num_half_edges(), g.num_half_edges()) << name;
+    EXPECT_TRUE(testutil::fails_with(validate_artifact_for_graph(built, other),
+                                     StatusCode::kInvalidArgument,
+                                     "different graph"))
+        << name;
+    EXPECT_TRUE(testutil::fails_with(
+        QueryEngine::load(Graph(other), file.path).status(),
+        StatusCode::kInvalidArgument, "different graph"))
+        << name;
+  }
+
+  // load_or_build evicts the other graph's sidecar and republishes one
+  // bound to the graph it serves.
+  const Graph& served = others[0].graph;
+  QueryEngine::LoadReport rep;
+  auto engine =
+      QueryEngine::load_or_build(Graph(served), file.path, fixed_opts(), &rep);
+  ASSERT_TRUE(engine.ok()) << engine.status().to_string();
+  EXPECT_TRUE(rep.evicted_corrupt);
+  EXPECT_TRUE(rep.rebuilt);
+  ASSERT_TRUE(rep.republished);
+  EXPECT_TRUE(QueryEngine::load(Graph(served), file.path).ok());
 }
 
 // ---- load_or_build: the evict + rebuild + republish path --------------------

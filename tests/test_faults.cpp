@@ -233,6 +233,39 @@ void run_artifact_scenario(const Graph& g,
   }
 }
 
+// A sidecar of the previous format version (1: FNV-1a checksum, no graph
+// checksum) is refused at its header; load_or_build evicts it and
+// republishes a current one, the same bytes a fresh save writes.
+TEST(ArtifactVersions, VersionOneSidecarIsEvictedAndRebuilt) {
+  fault::disarm_all();
+  const Graph g = gen::ring_of_cliques(6, 5);
+  const std::string path = sweep_dir() + "/version-one.orc";
+  const auto fresh = server::QueryEngine::build(Graph(g), artifact_opts());
+  ASSERT_TRUE(fresh.ok()) << fresh.status().to_string();
+  ASSERT_TRUE(fresh->save(path).ok());
+  const std::vector<char> current = slurp(path);
+  ASSERT_EQ(current[8], 2);  // version word, little-endian
+
+  std::vector<char> old = current;
+  old[8] = 1;
+  std::fill(old.begin() + 136, old.begin() + 144, 0);  // reserved in v1
+  spit(path, old);
+  EXPECT_TRUE(testutil::fails_with(server::load_oracle_artifact(path).status(),
+                                   StatusCode::kInvalidArgument,
+                                   "unsupported artifact version"));
+
+  server::QueryEngine::LoadReport rep;
+  const auto engine = server::QueryEngine::load_or_build(
+      Graph(g), path, artifact_opts(), &rep);
+  ASSERT_TRUE(engine.ok()) << engine.status().to_string();
+  EXPECT_FALSE(rep.loaded_from_artifact);
+  EXPECT_TRUE(rep.evicted_corrupt);
+  EXPECT_TRUE(rep.rebuilt);
+  EXPECT_TRUE(rep.republished);
+  EXPECT_EQ(artifact_answers(*engine), artifact_answers(*fresh));
+  EXPECT_EQ(slurp(path), current);
+}
+
 TEST(FaultSweep, EveryPointFailsCleanlyOrDegrades) {
   ASSERT_TRUE(kFastRetries);
   fault::disarm_all();
@@ -476,6 +509,7 @@ bool same_artifact(const server::OracleArtifact& a,
          a.meta.tau == b.meta.tau &&
          a.meta.use_cluster2 == b.meta.use_cluster2 &&
          a.meta.max_radius == b.meta.max_radius &&
+         a.meta.graph_checksum == b.meta.graph_checksum &&
          std::ranges::equal(a.cluster_of, b.cluster_of) &&
          std::ranges::equal(a.dist_to_center, b.dist_to_center) &&
          std::ranges::equal(a.centers, b.centers) &&
@@ -855,12 +889,11 @@ TEST(DecoderMutations, OverlappingCompressedSectionsFailAtTheSectionTable) {
   const std::uint64_t lengths[] = {sizes.degrees, sizes.anchors, sizes.locals,
                                    sizes.adj,     sizes.perm,    sizes.inv};
   ASSERT_GT(sizes.anchors, 0u);
-  std::uint64_t sum = io::wire::fnv1a(io::wire::kFnvOffsetBasis,
-                                      bytes.data() + block, 128);
+  std::uint32_t sum = io::wire::crc32c(0, bytes.data() + block, 128);
   for (std::size_t i = 0; i < 6; ++i) {
     const std::uint64_t pos = le64_at(bytes, block + 24 + 8 * i);
-    sum = io::wire::fnv1a(sum, bytes.data() + pos,
-                          static_cast<std::size_t>(lengths[i]));
+    sum = io::wire::crc32c(sum, bytes.data() + pos,
+                           static_cast<std::size_t>(lengths[i]));
   }
   store_le64(bytes, 56, sum);
   spit(path, bytes);

@@ -222,16 +222,38 @@ TEST(ParallelParser, ShuffledMultiChunkTextMatchesSerialNumbering) {
 
 // ---- CSR v2 -----------------------------------------------------------------
 
-/// The FNV-1a payload checksum a CSR v2 file of `g` records at header
-/// offset 56.
-std::uint64_t csr2_checksum(const Graph& g) {
+/// The CSR v2 file write_csr makes of `g`.
+std::vector<char> csr2_file(const Graph& g) {
   TempFile f("gclus_io_golden.csr");
   EXPECT_TRUE(testutil::is_ok(write_csr(g, f.path)));
-  std::ifstream in(f.path, std::ios::binary);
-  std::array<std::byte, 64> header{};
-  in.read(reinterpret_cast<char*>(header.data()), header.size());
-  EXPECT_TRUE(in.good());
-  return wire::read_le_at<std::uint64_t>(header.data() + 56);
+  return slurp(f.path);
+}
+
+std::uint64_t le64_at(const std::vector<char>& bytes, std::size_t off) {
+  return wire::read_le_at<std::uint64_t>(
+      reinterpret_cast<const std::byte*>(bytes.data() + off));
+}
+
+/// Hashes of a plain CSR v2 file's payload — its offsets then neighbors
+/// section bytes, located through the header — by the test_util
+/// references.
+struct PayloadHashes {
+  std::uint64_t fnv1a = testutil::kFnv1aOffsetBasis;
+  std::uint32_t crc32c = 0;
+};
+
+PayloadHashes payload_hashes(const std::vector<char>& file) {
+  const std::uint64_t n = le64_at(file, 16);
+  const std::uint64_t m = le64_at(file, 24);
+  const std::pair<std::uint64_t, std::uint64_t> sections[] = {
+      {le64_at(file, 32), (n + 1) * 8}, {le64_at(file, 40), m * 4}};
+  PayloadHashes h;
+  for (const auto& [pos, len] : sections) {
+    EXPECT_LE(pos + len, file.size());
+    h.fnv1a = testutil::fnv1a64(h.fnv1a, file.data() + pos, len);
+    h.crc32c = testutil::crc32c_bitwise(h.crc32c, file.data() + pos, len);
+  }
+  return h;
 }
 
 /// A messy sparse-id edge list: ids spread above 4·m (the hash path), each
@@ -268,13 +290,16 @@ std::string edge_list_text(const Graph& g) {
 }
 
 TEST(Csr2Golden, TextToCsr2ChecksumsArePinned) {
-  // Recorded with the comparison-sort CSR builder that the counting sort
-  // replaced: the CSR bytes of a parse must not change with the builder's
-  // implementation or with the pool.
+  // FNV-1a of the payload bytes, recorded with the comparison-sort CSR
+  // builder that the counting sort replaced, when FNV-1a was the file
+  // checksum (CSR v2 version 2): the CSR bytes of a parse must not change
+  // with the builder's implementation, the file checksum or the pool.
+  // The checksum the file records is checked against a bitwise CRC32C of
+  // the same bytes.
   const struct {
     const char* name;
     std::string text;
-    std::uint64_t checksum;
+    std::uint64_t payload_fnv1a;
   } cases[] = {
       {"road_like(60,60,0.08,0.02,1)",
        edge_list_text(gen::road_like(60, 60, 0.08, 0.02, 1)),
@@ -288,10 +313,72 @@ TEST(Csr2Golden, TextToCsr2ChecksumsArePinned) {
   for (const auto& c : cases) {
     for (const std::size_t threads : {1, 2, 8}) {
       ThreadPool pool(threads);
-      EXPECT_EQ(csr2_checksum(parse_edge_list(c.text, pool)), c.checksum)
+      const Graph g = parse_edge_list(c.text, pool);
+      const std::vector<char> file = csr2_file(g);
+      const PayloadHashes h = payload_hashes(file);
+      EXPECT_EQ(h.fnv1a, c.payload_fnv1a)
           << c.name << " at " << threads << " threads";
+      EXPECT_EQ(le64_at(file, 56), h.crc32c)
+          << c.name << " at " << threads << " threads";
+      EXPECT_EQ(csr_checksum(g), h.crc32c) << c.name;
     }
   }
+}
+
+TEST(Crc32c, MatchesRfc3720Vectors) {
+  std::array<unsigned char, 32> zeros{};
+  std::array<unsigned char, 32> ones{};
+  std::array<unsigned char, 32> ascending{};
+  ones.fill(0xFF);
+  for (std::size_t i = 0; i < ascending.size(); ++i) {
+    ascending[i] = static_cast<unsigned char>(i);
+  }
+  const std::string digits = "123456789";
+  const struct {
+    const void* data;
+    std::size_t len;
+    std::uint32_t want;
+  } vectors[] = {{zeros.data(), zeros.size(), 0x8A9136AAu},
+                 {ones.data(), ones.size(), 0x62A8AB43u},
+                 {ascending.data(), ascending.size(), 0x46DD794Eu},
+                 {digits.data(), digits.size(), 0xE3069283u},
+                 {nullptr, 0, 0u}};
+  for (const auto& v : vectors) {
+    EXPECT_EQ(testutil::crc32c_bitwise(0, v.data, v.len), v.want);
+    EXPECT_EQ(wire::crc32c(0, v.data, v.len), v.want);
+    EXPECT_EQ(wire::crc32c_table(0, v.data, v.len), v.want);
+  }
+}
+
+// crc32c takes the CPU's instruction where there is one; the table path
+// must agree with it (and with the bitwise reference) at every length
+// around the 8-byte steps and at every start alignment, and a stream
+// continued across a split must equal the one-shot value.
+TEST(Crc32c, InstructionAndTablePathsAgree) {
+  constexpr std::size_t kMaxLen = 4100;
+  std::vector<unsigned char> buf(kMaxLen + 8);
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<unsigned char>(mix64(i));
+  }
+  std::size_t mismatches = 0;
+  for (std::size_t align = 0; align < 8; ++align) {
+    const unsigned char* p = buf.data() + align;
+    for (std::size_t len = 0; len <= kMaxLen; ++len) {
+      const std::uint32_t want = wire::crc32c_table(0, p, len);
+      if (wire::crc32c(0, p, len) != want) ++mismatches;
+      if (len <= 256 && testutil::crc32c_bitwise(0, p, len) != want) {
+        ++mismatches;
+      }
+      const std::size_t split = len / 3;
+      const std::uint32_t head = wire::crc32c(0, p, split);
+      if (wire::crc32c(head, p + split, len - split) != want) ++mismatches;
+      if (wire::crc32c_table(wire::crc32c_table(0, p, split), p + split,
+                             len - split) != want) {
+        ++mismatches;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(Wire, ByteswapIntReversesEveryWidth) {
@@ -314,7 +401,7 @@ TEST(Csr2, CorpusRoundTripCopyAndMmap) {
 
     const auto info = probe_csr_file(f.path);
     ASSERT_TRUE(info.has_value()) << name;
-    EXPECT_EQ(info->version, 2u);
+    EXPECT_EQ(info->version, 3u);
     EXPECT_FALSE(info->compressed);
     EXPECT_EQ(info->num_nodes, g.num_nodes());
     EXPECT_EQ(info->num_half_edges, g.num_half_edges());
@@ -373,6 +460,21 @@ TEST(Csr2, EmptyAndEdgelessGraphs) {
   }
 }
 
+// A default-constructed Graph has no offsets array; it is written as the
+// empty graph, which loads back with no nodes.
+TEST(Csr2, DefaultConstructedGraphRoundTripsAsTheEmptyGraph) {
+  TempFile f("gclus_io_default.csr2");
+  ASSERT_TRUE(testutil::is_ok(write_csr(Graph(), f.path)));
+  const auto info = probe_csr_file(f.path);
+  ASSERT_TRUE(info.has_value());
+  EXPECT_EQ(info->num_nodes, 0u);
+  EXPECT_EQ(info->num_half_edges, 0u);
+  const Graph loaded = load_csr(f.path).value();
+  EXPECT_EQ(loaded.num_nodes(), 0u);
+  EXPECT_TRUE(testutil::same_csr(loaded, build_graph(0, {})));
+  EXPECT_EQ(csr_checksum(Graph()), csr_checksum(build_graph(0, {})));
+}
+
 TEST(Csr2, MappedGraphSurvivesUnlink) {
   if (!mmap_supported()) GTEST_SKIP() << "no mmap on this platform";
   TempFile f("gclus_io_unlink.csr2");
@@ -406,6 +508,15 @@ TEST(Csr2Status, RejectsChecksumMismatch) {
   // explicit choice.
   const Graph unchecked = load_csr(f.path, {.verify = false}).value();
   EXPECT_EQ(unchecked.num_nodes(), g.num_nodes());
+
+  // The 32-bit checksum is stored zero-extended: a nonzero upper half of
+  // the field is a mismatch too.
+  ASSERT_TRUE(testutil::is_ok(write_csr(g, f.path)));
+  std::vector<char> bytes = slurp(f.path);
+  bytes[60] = static_cast<char>(bytes[60] ^ 1);
+  spit(f.path, bytes);
+  EXPECT_TRUE(testutil::fails_with(load_csr(f.path).status(),
+                                   StatusCode::kDataLoss, "checksum mismatch"));
 }
 
 TEST(Csr2Status, RejectsTruncation) {
@@ -414,6 +525,20 @@ TEST(Csr2Status, RejectsTruncation) {
   ASSERT_TRUE(testutil::is_ok(write_csr(g, f.path)));
   const auto full = std::filesystem::file_size(f.path);
   std::filesystem::resize_file(f.path, full - 16);
+  EXPECT_TRUE(testutil::fails_with(load_csr(f.path).status(),
+                                   StatusCode::kDataLoss, "truncated CSR v2"));
+}
+
+// The compressed loader decides the layout at the header, before the
+// plain sections are bounds-checked: a truncated plain file is the wrong
+// family for it, as an intact one is.
+TEST(Csr2Status, TruncatedPlainFileIsTheWrongLayoutForTheCompressedLoader) {
+  TempFile f("gclus_io_truncated_family.csr2");
+  ASSERT_TRUE(testutil::is_ok(write_csr(gen::grid(6, 6), f.path)));
+  std::filesystem::resize_file(f.path, std::filesystem::file_size(f.path) - 1);
+  EXPECT_TRUE(testutil::fails_with(load_compressed_csr(f.path).status(),
+                                   StatusCode::kInvalidArgument,
+                                   "plain CSR v2 file"));
   EXPECT_TRUE(testutil::fails_with(load_csr(f.path).status(),
                                    StatusCode::kDataLoss, "truncated CSR v2"));
 }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -82,6 +83,36 @@ std::vector<ClusterId> reference_neighborhood(const server::OracleArtifact& a,
 /// reference QueryEngine::execute is checked against entry by entry.
 server::QueryResult reference_answer(const server::OracleArtifact& a,
                                      const server::Query& q);
+
+/// Bitwise CRC32C (reflected Castagnoli polynomial 0x82F63B78, register
+/// initialized and finally inverted, RFC 3720 §B.4), continuing `crc` as
+/// wire::crc32c does — the independent reference both of its paths are
+/// checked against.  One shift per bit: for small inputs only.
+inline std::uint32_t crc32c_bitwise(std::uint32_t crc, const void* data,
+                                    std::size_t len) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  std::uint32_t c = ~crc;
+  for (std::size_t i = 0; i < len; ++i) {
+    c ^= p[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c >> 1) ^ ((c & 1u) != 0 ? 0x82F63B78u : 0u);
+    }
+  }
+  return ~c;
+}
+
+/// 64-bit FNV-1a of `len` bytes, continuing `h` (start from
+/// kFnv1aOffsetBasis) — the hash the CSR payload golden values were
+/// recorded with.
+inline constexpr std::uint64_t kFnv1aOffsetBasis = 1469598103934665603ULL;
+inline std::uint64_t fnv1a64(std::uint64_t h, const void* data,
+                             std::size_t len) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < len; ++i) {
+    h = (h ^ p[i]) * 1099511628211ULL;
+  }
+  return h;
+}
 
 /// Fisher–Yates driven by mix64(seed + i): the same permutation on every
 /// standard library, which std::shuffle does not promise.
