@@ -192,9 +192,10 @@ int main(int argc, char** argv) {
   if (verify) {
     // Strictly load — a client that silently rebuilt a *different*
     // decomposition would report false mismatches.
-    replay = server::QueryEngine::load(std::move(g), artifact_path);
+    replay = server::QueryEngine::load(g, artifact_path);
     if (!replay.ok()) die_status(replay.status());
   }
+  g = Graph();  // the replay engine needs only its artifact
 
   const std::uint16_t resolved_port =
       have_port ? static_cast<std::uint16_t>(port)

@@ -229,7 +229,7 @@ int main(int argc, char** argv) {
   // ---- --build-artifacts: decompose, publish, exit ----
   if (build_artifacts) {
     Timer t;
-    auto engine = server::QueryEngine::build(std::move(g), oracle_opts);
+    auto engine = server::QueryEngine::build(g, oracle_opts);
     if (!engine.ok()) die_status(engine.status());
     const double build_s = t.elapsed_s();
     if (const Status st = engine->save(artifact_path); !st.ok()) {
@@ -248,10 +248,11 @@ int main(int argc, char** argv) {
   // ---- obtain the engine: sidecar fast path, else build + republish ----
   Timer t_load;
   server::QueryEngine::LoadReport report;
-  auto engine = server::QueryEngine::load_or_build(std::move(g), artifact_path,
+  auto engine = server::QueryEngine::load_or_build(g, artifact_path,
                                                    oracle_opts, &report);
   if (!engine.ok()) die_status(engine.status());
   const double engine_s = t_load.elapsed_s();
+  g = Graph();  // the engine serves (and hot-reloads) from its artifact alone
   std::printf(
       "engine: %u clusters, max radius %u, %s in %.3fs%s%s\n",
       engine->num_clusters(), engine->max_radius(),

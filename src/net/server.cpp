@@ -239,10 +239,8 @@ void NetServer::watch_loop(FileId last) {
     // Remember the identity even if the load fails below: a bad publish
     // is reported once, not every tick.
     last = cur;
-    const std::shared_ptr<const server::QueryEngine> current =
-        qserver_.engine();
-    StatusOr<server::QueryEngine> next = server::QueryEngine::load(
-        Graph(current->graph()), opts_.watch_artifact_path);
+    StatusOr<server::QueryEngine> next =
+        qserver_.engine()->reload(opts_.watch_artifact_path);
     if (!next.ok()) {
       std::fprintf(stderr,
                    "gclus net: artifact reload of %s failed, keeping the "

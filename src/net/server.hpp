@@ -18,10 +18,10 @@
 // Artifact hot-reload: when opts.watch_artifact_path is set, a watcher
 // thread polls the file's (inode, mtime, size) identity every
 // watch_interval_ms.  A change — the atomic tmp+fsync+rename publish —
-// loads a fresh QueryEngine over a copy of the current engine's graph and
-// swap_engine()s it in: v1 answers every batch popped before the swap,
-// v2 everything after, no batch mixes versions (server/server.hpp).  A
-// corrupt or mismatched new artifact is reported to stderr and v1 keeps
+// is reload()ed by the current engine (refused unless it records the
+// same graph) and swap_engine()d in: v1 answers every batch popped before
+// the swap, v2 everything after, no batch mixes versions (QueryServer).
+// A corrupt or mismatched new artifact is reported to stderr and v1 keeps
 // serving — a bad publish must never take down a healthy server.
 #pragma once
 

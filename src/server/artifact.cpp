@@ -310,21 +310,24 @@ StatusOr<OracleArtifact> load_oracle_artifact(const std::string& path) {
   return a;
 }
 
+Status validate_artifact_binding(
+    const OracleArtifactMeta& meta, std::uint64_t num_nodes,
+    std::uint64_t num_half_edges, std::uint64_t graph_checksum) {
+  if (meta.graph_num_nodes == num_nodes &&
+      meta.graph_num_half_edges == num_half_edges &&
+      meta.graph_checksum == graph_checksum) {
+    return OkStatus();
+  }
+  return InvalidArgumentError(
+      "artifact was built over a different graph (" +
+      std::to_string(meta.graph_num_nodes) + " nodes, CSR checksum " +
+      std::to_string(meta.graph_checksum) + " vs " + std::to_string(num_nodes) +
+      ", " + std::to_string(graph_checksum) + ")");
+}
+
 Status validate_artifact_for_graph(const OracleArtifact& a, const Graph& g) {
-  if (a.meta.graph_num_nodes != g.num_nodes() ||
-      a.meta.graph_num_half_edges != g.num_half_edges()) {
-    return InvalidArgumentError(
-        "artifact was built over a different graph (" +
-        std::to_string(a.meta.graph_num_nodes) + " nodes / " +
-        std::to_string(a.meta.graph_num_half_edges) + " half-edges vs " +
-        std::to_string(g.num_nodes()) + " / " +
-        std::to_string(g.num_half_edges()) + ")");
-  }
-  if (a.meta.graph_checksum != io::csr_checksum(g)) {
-    return InvalidArgumentError(
-        "artifact was built over a different graph (CSR checksum differs)");
-  }
-  return OkStatus();
+  return validate_artifact_binding(a.meta, g.num_nodes(), g.num_half_edges(),
+                                   io::csr_checksum(g));
 }
 
 }  // namespace gclus::server

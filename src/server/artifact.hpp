@@ -128,12 +128,17 @@ struct OracleArtifact {
 [[nodiscard]] StatusOr<OracleArtifact> load_oracle_artifact(
     const std::string& path);
 
-/// Checks that `a` was built over `g`: node and half-edge counts, then
-/// io::csr_checksum(g) (one serial pass over g's arrays) against the
-/// recorded graph checksum, so a relabeled or rewired graph of the same
-/// size is refused too.  kInvalidArgument on mismatch — serving labels of
-/// a different graph would silently answer garbage, some below the true
-/// distance.
+/// Checks that `meta` records the graph (`num_nodes`, `num_half_edges`,
+/// io::csr_checksum `graph_checksum`) its oracle was built over, so a
+/// relabeled or rewired graph of the same size is refused too.
+/// kInvalidArgument ("artifact was built over a different graph") on
+/// mismatch — serving labels of a different graph would silently answer
+/// garbage, some below the true distance.
+[[nodiscard]] Status validate_artifact_binding(
+    const OracleArtifactMeta& meta, std::uint64_t num_nodes,
+    std::uint64_t num_half_edges, std::uint64_t graph_checksum);
+
+/// validate_artifact_binding against `g` (csr_checksum: one serial pass).
 [[nodiscard]] Status validate_artifact_for_graph(const OracleArtifact& a,
                                                  const Graph& g);
 

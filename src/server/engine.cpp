@@ -13,13 +13,6 @@ namespace gclus::server {
 
 namespace {
 
-/// A quotient APSP entry of kInfWeight means two clusters cannot reach
-/// each other — the input graph was disconnected, which the oracle's
-/// query formula cannot serve.
-bool apsp_fully_connected(const OracleArtifact& a) {
-  return std::find(a.apsp.begin(), a.apsp.end(), kInfWeight) == a.apsp.end();
-}
-
 /// The kClusterNeighborhood answer: BFS from `start` into
 /// scratch.neighborhood, sorted, then digested.
 std::uint64_t neighborhood_digest(const OracleArtifact& a, ClusterId start,
@@ -63,45 +56,50 @@ std::uint64_t neighborhood_digest(const OracleArtifact& a, ClusterId start,
 
 }  // namespace
 
-StatusOr<QueryEngine> QueryEngine::build(Graph g,
+StatusOr<QueryEngine> QueryEngine::build(const Graph& g,
                                          const DistanceOracleOptions& opts) {
   if (g.num_nodes() == 0) {
     return InvalidArgumentError("cannot build a query engine over an empty "
                                 "graph");
   }
-  OracleArtifact a = build_oracle_artifact(g, opts);
-  if (!apsp_fully_connected(a)) {
-    return InvalidArgumentError(
-        "cannot build a query engine over a disconnected graph (the oracle "
-        "needs every cluster pair reachable)");
-  }
-  return QueryEngine(std::move(g), std::move(a), /*loaded=*/false);
+  return serve(build_oracle_artifact(g, opts));
 }
 
-StatusOr<QueryEngine> QueryEngine::from_artifact(Graph g, OracleArtifact a) {
-  GCLUS_RETURN_IF_ERROR(validate_artifact_for_graph(a, g));
-  if (!apsp_fully_connected(a)) {
-    return InvalidArgumentError(
-        "artifact APSP has unreachable cluster pairs (built over a "
-        "disconnected graph)");
-  }
-  return QueryEngine(std::move(g), std::move(a), /*loaded=*/true);
-}
-
-StatusOr<QueryEngine> QueryEngine::load(Graph g, const std::string& path) {
+StatusOr<QueryEngine> QueryEngine::load(const Graph& g,
+                                        const std::string& path) {
   OracleArtifact a;
   GCLUS_ASSIGN_OR_RETURN(a, load_oracle_artifact(path));
-  return from_artifact(std::move(g), std::move(a));
+  GCLUS_RETURN_IF_ERROR(validate_artifact_for_graph(a, g));
+  return serve(std::move(a));
+}
+
+StatusOr<QueryEngine> QueryEngine::reload(const std::string& path) const {
+  OracleArtifact a;
+  GCLUS_ASSIGN_OR_RETURN(a, load_oracle_artifact(path));
+  GCLUS_RETURN_IF_ERROR(validate_artifact_binding(
+      a.meta, artifact_.meta.graph_num_nodes,
+      artifact_.meta.graph_num_half_edges, artifact_.meta.graph_checksum));
+  return serve(std::move(a));
+}
+
+StatusOr<QueryEngine> QueryEngine::serve(OracleArtifact a) {
+  // kInfWeight: two clusters cannot reach each other; d′ has no value.
+  if (std::find(a.apsp.begin(), a.apsp.end(), kInfWeight) != a.apsp.end()) {
+    return InvalidArgumentError(
+        "oracle APSP has unreachable cluster pairs (built over a "
+        "disconnected graph)");
+  }
+  return QueryEngine(std::move(a));
 }
 
 StatusOr<QueryEngine> QueryEngine::load_or_build(
-    Graph g, const std::string& path, const DistanceOracleOptions& opts,
+    const Graph& g, const std::string& path, const DistanceOracleOptions& opts,
     LoadReport* report) {
   LoadReport local;
   LoadReport& rep = report != nullptr ? *report : local;
   rep = LoadReport{};
 
-  auto loaded = load(Graph(g), path);
+  auto loaded = load(g, path);
   if (loaded.ok()) {
     rep.loaded_from_artifact = true;
     return loaded;
@@ -117,7 +115,7 @@ StatusOr<QueryEngine> QueryEngine::load_or_build(
     rep.evicted_corrupt = true;
   }
 
-  auto built = build(std::move(g), opts);
+  auto built = build(g, opts);
   if (!built.ok()) return built;
   rep.rebuilt = true;
   // Best-effort republish: an unwritable volume degrades to serving the

@@ -1,15 +1,13 @@
 // QueryEngine — the embeddable half of the decomposition query service.
 //
-// One engine = one immutable (graph, oracle artifact) pair.  The artifact
-// is the §4 distance oracle itself (server/artifact.hpp), and execute() is
-// the one query kernel: d′(u,v) and the same-cluster compare are evaluated
-// inline over the artifact's spans; only the neighborhood BFS branches
-// out of line.  The graph is
-// typically an mmap-backed CSR v2 load and the artifact either a fresh
-// decomposition (build) or an mmap-ed sidecar (load) — both read-only, so
-// any number of threads may query one engine concurrently with no
-// synchronization.  Per-query scratch lives in QueryScratch: one instance
-// per worker thread.
+// One engine = one immutable oracle artifact; no query reads the graph.
+// The artifact is the §4 distance oracle itself (server/artifact.hpp), and
+// execute() is the one query kernel: d′(u,v) and the same-cluster compare
+// are evaluated inline over the artifact's spans; only the neighborhood
+// BFS branches out of line.  The artifact is either a fresh decomposition
+// (build) or an mmap-ed sidecar (load, reload) — read-only, so any number
+// of threads may query one engine concurrently with no synchronization.
+// Per-query scratch lives in QueryScratch: one instance per worker thread.
 //
 // Query errors: an out-of-range node id fails its query alone with
 // kInvalidArgument, decided by one compare per id with no message; the
@@ -85,16 +83,12 @@ class QueryEngine {
   /// kInvalidArgument when `g` is empty or not connected (the oracle's
   /// APSP backend needs every cluster pair reachable).
   [[nodiscard]] static StatusOr<QueryEngine> build(
-      Graph g, const DistanceOracleOptions& opts = {});
-
-  /// Serves from an already-loaded artifact; validates it matches `g`.
-  [[nodiscard]] static StatusOr<QueryEngine> from_artifact(Graph g,
-                                                           OracleArtifact a);
+      const Graph& g, const DistanceOracleOptions& opts = {});
 
   /// Loads the sidecar at `path` (mmap-fast, checksum-validated) and
   /// serves from it.  Fails rather than rebuilding — the restart path
   /// callers use to *guarantee* no decomposition ran.
-  [[nodiscard]] static StatusOr<QueryEngine> load(Graph g,
+  [[nodiscard]] static StatusOr<QueryEngine> load(const Graph& g,
                                                   const std::string& path);
 
   /// The resilient entry point: load `path`; on a corrupt sidecar
@@ -102,8 +96,14 @@ class QueryEngine {
   /// republish best-effort — the dataset-cache evict+regenerate
   /// discipline.  Only an unbuildable graph fails.
   [[nodiscard]] static StatusOr<QueryEngine> load_or_build(
-      Graph g, const std::string& path, const DistanceOracleOptions& opts = {},
-      LoadReport* report = nullptr);
+      const Graph& g, const std::string& path,
+      const DistanceOracleOptions& opts = {}, LoadReport* report = nullptr);
+
+  /// The hot-reload path: loads the sidecar at `path` as this engine's
+  /// successor, accepted only if it records the same graph as this
+  /// engine's artifact (validate_artifact_binding) — no graph, no
+  /// checksum pass.  Errors as load().
+  [[nodiscard]] StatusOr<QueryEngine> reload(const std::string& path) const;
 
   /// Publishes this engine's artifact to `path` (atomic, fsync-ed).
   [[nodiscard]] Status save(const std::string& path) const;
@@ -122,28 +122,22 @@ class QueryEngine {
 
   // ---- introspection --------------------------------------------------------
 
-  [[nodiscard]] const Graph& graph() const { return graph_; }
   [[nodiscard]] const OracleArtifact& artifact() const { return artifact_; }
-  [[nodiscard]] NodeId num_nodes() const { return graph_.num_nodes(); }
+  [[nodiscard]] NodeId num_nodes() const {
+    return static_cast<NodeId>(artifact_.meta.graph_num_nodes);
+  }
   [[nodiscard]] ClusterId num_clusters() const {
     return static_cast<ClusterId>(artifact_.meta.num_clusters);
   }
   [[nodiscard]] Dist max_radius() const { return artifact_.meta.max_radius; }
-  /// True when the artifact came from a sidecar file (mmap or copy), i.e.
-  /// this engine never ran the decomposition.
-  [[nodiscard]] bool loaded_from_artifact() const {
-    return loaded_from_artifact_;
-  }
 
  private:
-  QueryEngine(Graph g, OracleArtifact a, bool loaded)
-      : graph_(std::move(g)),
-        artifact_(std::move(a)),
-        loaded_from_artifact_(loaded) {}
+  explicit QueryEngine(OracleArtifact a) : artifact_(std::move(a)) {}
 
-  Graph graph_;
+  /// Serves `a` unless its APSP has an unreachable cluster pair.
+  [[nodiscard]] static StatusOr<QueryEngine> serve(OracleArtifact a);
+
   OracleArtifact artifact_;
-  bool loaded_from_artifact_ = false;
 };
 
 /// One query through QueryEngine::execute (the serial replay of the

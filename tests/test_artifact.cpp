@@ -119,8 +119,6 @@ TEST_P(ArtifactRoundTripTest, LoadedEngineMatchesOracleFormula) {
   ASSERT_TRUE(built->save(file.path).ok());
   auto loaded = QueryEngine::load(Graph(graph), file.path);
   ASSERT_TRUE(loaded.ok()) << name << ": " << loaded.status().to_string();
-  EXPECT_TRUE(loaded->loaded_from_artifact());
-  EXPECT_FALSE(built->loaded_from_artifact());
 
   Rng rng(77);
   for (int q = 0; q < 200; ++q) {
@@ -315,6 +313,53 @@ TEST(ArtifactValidation, SameSizeDifferentGraphIsInvalidArgument) {
         << name;
   }
 
+  // reload binds a successor sidecar to the graph the current engine's
+  // artifact records, with no graph at hand: another τ over the same graph
+  // is accepted, the other graphs' sidecars are refused, and the current
+  // engine answers as before after each refusal.
+  auto current = QueryEngine::load(g, file.path);
+  ASSERT_TRUE(current.ok()) << current.status().to_string();
+  std::vector<Query> probe;
+  Rng rng(29);
+  for (std::uint32_t i = 0; i < 300; ++i) {
+    const auto kind = static_cast<QueryKind>(i % 3);
+    const auto u = static_cast<NodeId>(rng.next_below(g.num_nodes()));
+    probe.push_back({kind, u,
+                     kind == QueryKind::kClusterNeighborhood
+                         ? static_cast<std::uint32_t>(rng.next_below(4))
+                         : static_cast<NodeId>(rng.next_below(g.num_nodes()))});
+  }
+  const auto answers = [&](const QueryEngine& e) {
+    std::vector<QueryResult> out(probe.size());
+    QueryScratch scratch;
+    e.execute(probe, out, scratch);
+    return out;
+  };
+  const std::vector<QueryResult> before = answers(*current);
+
+  TempFile next("gclus_artifact_samesize_next.orc");
+  DistanceOracleOptions coarser = fixed_opts();
+  coarser.tau = 8;
+  auto fresh = QueryEngine::build(g, coarser);
+  ASSERT_TRUE(fresh.ok());
+  ASSERT_TRUE(fresh->save(next.path).ok());
+  auto reloaded = current->reload(next.path);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().to_string();
+  EXPECT_EQ(reloaded->artifact().meta.tau, 8u);
+  EXPECT_EQ(answers(*reloaded), answers(*fresh));
+
+  for (const auto& [name, other] : others) {
+    ASSERT_TRUE(write_oracle_artifact(
+                    build_oracle_artifact(other, fixed_opts()), next.path)
+                    .ok())
+        << name;
+    EXPECT_TRUE(testutil::fails_with(current->reload(next.path).status(),
+                                     StatusCode::kInvalidArgument,
+                                     "different graph"))
+        << name;
+    EXPECT_EQ(answers(*current), before) << name;
+  }
+
   // load_or_build evicts the other graph's sidecar and republishes one
   // bound to the graph it serves.
   const Graph& served = others[0].graph;
@@ -350,7 +395,6 @@ TEST(LoadOrBuild, MissingArtifactRebuildsAndRepublishes) {
   ASSERT_TRUE(second.ok());
   EXPECT_TRUE(rep.loaded_from_artifact);
   EXPECT_FALSE(rep.rebuilt);
-  EXPECT_TRUE(second->loaded_from_artifact());
   EXPECT_TRUE(same_payload(first->artifact(), second->artifact()));
 }
 

@@ -174,7 +174,7 @@ TEST(Timer, MeasuresElapsedTime) {
   Timer t;
   // Burn a tiny amount of CPU; the timer must be nonnegative and monotone.
   volatile std::uint64_t x = 0;
-  for (int i = 0; i < 100000; ++i) x += i;
+  for (int i = 0; i < 100000; ++i) x = x + i;
   const double e1 = t.elapsed_s();
   const double e2 = t.elapsed_s();
   EXPECT_GE(e1, 0.0);

@@ -162,7 +162,9 @@ TEST(DatasetCache, HitEqualsMissByteForByte) {
   const auto after_hit = dataset_cache_stats();
   EXPECT_EQ(after_hit.hits, after_miss.hits + 1);
   EXPECT_EQ(after_hit.misses, after_miss.misses);
-  if (io::mmap_supported()) EXPECT_FALSE(hit.graph.owns_storage());
+  if (io::mmap_supported()) {
+    EXPECT_FALSE(hit.graph.owns_storage());
+  }
 
   EXPECT_TRUE(testutil::same_csr(miss.graph, hit.graph));
   EXPECT_EQ(hit.name, miss.name);
