@@ -10,8 +10,10 @@
 //   --dataset=NAME          a workloads registry dataset instead of a file
 //   --artifacts=PATH        oracle artifact sidecar (default: <graph>.orc)
 //   --build-artifacts       decompose, publish the sidecar, and exit
-//   --require-artifact      refuse to serve unless the sidecar loaded —
-//                           proves a restart skipped the decomposition
+//   --require-artifact      refuse to serve unless the sidecar loads —
+//                           proves a restart skipped the decomposition;
+//                           a refused sidecar is left as it is (no
+//                           eviction, rebuild or republish)
 //   --queries=N             total queries to serve (default 10000)
 //   --batch=N               queries per submitted batch (default 512)
 //   --workers=N             worker threads (0 = GCLUS_SERVER_WORKERS/4)
@@ -248,8 +250,20 @@ int main(int argc, char** argv) {
   // ---- obtain the engine: sidecar fast path, else build + republish ----
   Timer t_load;
   server::QueryEngine::LoadReport report;
-  auto engine = server::QueryEngine::load_or_build(g, artifact_path,
-                                                   oracle_opts, &report);
+  auto engine = require_artifact
+                    ? server::QueryEngine::load(g, artifact_path)
+                    : server::QueryEngine::load_or_build(g, artifact_path,
+                                                         oracle_opts, &report);
+  if (require_artifact) {
+    if (!engine.ok()) {
+      std::fprintf(stderr,
+                   "gclus_serve: --require-artifact but the sidecar at %s did "
+                   "not serve: %s\n",
+                   artifact_path.c_str(), engine.status().to_string().c_str());
+      return 3;
+    }
+    report.loaded_from_artifact = true;
+  }
   if (!engine.ok()) die_status(engine.status());
   const double engine_s = t_load.elapsed_s();
   g = Graph();  // the engine serves (and hot-reloads) from its artifact alone
@@ -259,13 +273,6 @@ int main(int argc, char** argv) {
       report.loaded_from_artifact ? "loaded from artifact" : "built",
       engine_s, report.evicted_corrupt ? " (evicted corrupt sidecar)" : "",
       report.rebuilt && report.republished ? " (republished)" : "");
-  if (require_artifact && !report.loaded_from_artifact) {
-    std::fprintf(stderr,
-                 "gclus_serve: --require-artifact but the sidecar at %s did "
-                 "not serve\n",
-                 artifact_path.c_str());
-    return 3;
-  }
 
   // ---- network mode: serve remote clients until a drain signal ----
   if (listen) {

@@ -128,7 +128,31 @@ class MappedFile {
   MappedFile& operator=(const MappedFile&) = delete;
 
  private:
+  friend Graph parse_text(std::string_view text, ThreadPool& pool,
+                          const MappedFile* mapping);
+
   MappedFile(void* addr, std::size_t size) : addr_(addr), size_(size) {}
+
+  /// Drops the whole pages inside [lo, hi) from the resident set (rounded
+  /// inward, clamped to the mapping).  The mapping is private and never
+  /// written, so a later read refaults the file's bytes: only memory
+  /// changes, never contents.  The edge-list parser calls it per parsed
+  /// chunk, so the text is never resident all at once.
+  void release(std::size_t lo, std::size_t hi) const {
+#if defined(GCLUS_HAS_POSIX_IO) && defined(MADV_DONTNEED)
+    static const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+    hi = std::min(hi, size_);
+    const std::size_t first = (lo + page - 1) / page * page;
+    const std::size_t last = hi / page * page;
+    if (first < last) {
+      ::madvise(static_cast<std::byte*>(addr_) + first, last - first,
+                MADV_DONTNEED);
+    }
+#else
+    (void)lo;
+    (void)hi;
+#endif
+  }
 
   void* addr_ = nullptr;
   std::size_t size_ = 0;
@@ -254,9 +278,11 @@ void parse_chunk(std::string_view text, std::size_t lo, std::size_t hi,
 // list) is identical on 1, 2, or 64 threads.
 constexpr std::size_t kParseChunkBytes = std::size_t{1} << 20;
 
-}  // namespace
-
-Graph parse_edge_list(std::string_view text, ThreadPool& pool) {
+/// parse_edge_list, releasing each chunk's text pages once it is parsed
+/// when `mapping` holds the text (never for heap text: MADV_DONTNEED would
+/// zero those pages).
+Graph parse_text(std::string_view text, ThreadPool& pool,
+                 const MappedFile* mapping) {
   const std::size_t nbytes = text.size();
   const std::size_t num_chunks =
       std::max<std::size_t>(1, (nbytes + kParseChunkBytes - 1) /
@@ -277,16 +303,24 @@ Graph parse_edge_list(std::string_view text, ThreadPool& pool) {
     }
   }
 
+  // The boundary search above is done before any chunk parses, and chunk i
+  // reads only [start[i], start[i + 1]), so its pages can go once it is
+  // parsed.
   std::vector<std::vector<RawEdge>> parts(num_chunks);
   parallel_for(
       pool, 0, num_chunks,
-      [&](std::size_t i) { parse_chunk(text, start[i], start[i + 1], parts[i]); },
+      [&](std::size_t i) {
+        parse_chunk(text, start[i], start[i + 1], parts[i]);
+        if (mapping != nullptr) mapping->release(start[i], start[i + 1]);
+      },
       /*grain=*/1);
 
   // Intern ids serially, reading the chunks in place in chunk (= file)
   // order: first-appearance numbering, the same the serial parser
   // produces.  (A parallel rank of each id's first position measured
-  // slower than this loop at the perfbench pool size of 3.)
+  // slower than this loop at the perfbench pool size of 3.)  Each chunk's
+  // 16 B/edge buffer is freed once interned; `edges` is reserved, so its
+  // 8 B/edge pages become resident only as they are written.
   std::size_t num_edges = 0;
   for (const auto& part : parts) num_edges += part.size();
   const std::uint64_t max_id = parallel_reduce(
@@ -304,8 +338,9 @@ Graph parse_edge_list(std::string_view text, ThreadPool& pool) {
   edges.reserve(num_edges);
   NodeId next = 0;
   const auto intern_all = [&](const auto& intern) {
-    for (const auto& part : parts) {
+    for (auto& part : parts) {
       for (const RawEdge& e : part) edges.push_back({intern(e.u), intern(e.v)});
+      std::vector<RawEdge>().swap(part);  // `part = {}` would keep capacity
     }
   };
   if (max_id < dense_limit) {
@@ -327,18 +362,23 @@ Graph parse_edge_list(std::string_view text, ThreadPool& pool) {
       return it->second;
     });
   }
-  parts = {};
 
   GraphBuilder b(next);
   b.adopt_edges(std::move(edges));
   return b.build(pool);
 }
 
+}  // namespace
+
+Graph parse_edge_list(std::string_view text, ThreadPool& pool) {
+  return parse_text(text, pool, /*mapping=*/nullptr);
+}
+
 StatusOr<Graph> load_edge_list(const std::string& path, ThreadPool& pool) {
   if (const auto mapped = MappedFile::map(path)) {
     const std::string_view text(reinterpret_cast<const char*>(mapped->data()),
                                 mapped->size());
-    return parse_edge_list(text, pool);
+    return parse_text(text, pool, mapped.get());
   }
   // No mmap (unsupported platform, injected "io.mmap" fault, or an
   // empty/special file): slurp.  Byte-identical to the mapped path.

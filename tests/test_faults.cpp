@@ -9,7 +9,7 @@
 // algorithm returns lost spilled data through Registry::run, and seeded
 // mutation sweeps feed mutated files of every binary layout to every file
 // loader, mutated wire frames to net::decode_frame and mutated edge-list
-// text to the parallel parser.
+// text to the parallel parser, in memory and through the file loader.
 //
 // CI greps this binary's "fault points triggered:", "decoder mutations:",
 // "frame mutations:" and "text mutations:" lines, and the sweep asserts
@@ -827,6 +827,7 @@ TEST(DecoderMutations, EveryEdgeListTextParsesLikeTheSerialReader) {
       EXPECT_TRUE(testutil::same_csr(io::parse_edge_list(text, *pool), want))
           << what << " at " << pool->num_threads() << " threads";
     }
+    return want;
   };
 
   Rng rng(20261020);
@@ -852,16 +853,27 @@ TEST(DecoderMutations, EveryEdgeListTextParsesLikeTheSerialReader) {
   }
 
   // Two chunks: edits within a few lines of the 1 MiB boundary move it
-  // against the line starts.
+  // against the line starts.  Each mutant is also loaded from a file, whose
+  // mapped text the parser releases page by page as chunks finish.
   constexpr std::size_t kChunk = std::size_t{1} << 20;
   const std::string large =
       text_corpus(rng, kChunk + (kChunk >> 3), /*sparse=*/false);
+  const std::string path = sweep_dir() + "/mutant.txt";
+  fault::disarm_all();
   for (int it = 0; it < 8; ++it) {
     std::string text = large;
     for (int e = 0; e < 4; ++e) {
       mutate_text(text, kChunk - 48 + rng.next_below(96), rng);
     }
-    run(text, "two-chunk iteration " + std::to_string(it));
+    const std::string what = "two-chunk iteration " + std::to_string(it);
+    const Graph want = run(text, what);
+    spit(path, std::vector<char>(text.begin(), text.end()));
+    for (ThreadPool* pool : {&pool1, &pool2, &pool8}) {
+      const StatusOr<Graph> loaded = io::load_edge_list(path, *pool);
+      ASSERT_TRUE(loaded.ok()) << what << ": " << loaded.status().to_string();
+      EXPECT_TRUE(testutil::same_csr(*loaded, want))
+          << what << " from a file at " << pool->num_threads() << " threads";
+    }
   }
   // CI greps for this exact prefix and asserts a nonzero count.
   std::printf("text mutations: %zu\n", mutants);

@@ -1,6 +1,7 @@
 // Tests for graph serialization and ingestion: edge-list text parsing
 // (serial reference and the parallel parser, including SNAP-style
-// comments, sparse ids, and junk lines) and the CSR v2 format —
+// comments, sparse ids, and junk lines, in memory and through the mapped
+// and slurped file paths) and the CSR v2 format —
 // text↔CSRv2↔mmap round trips over the whole corpus, checksum, truncation,
 // header-first (unknown flag, reserved word) and wrong-family rejection as
 // Status codes, an every-bit-flip and every-truncation sweep over a plain
@@ -21,6 +22,7 @@
 
 #include "api/registry.hpp"
 #include "api/run_context.hpp"
+#include "common/faultpoint.hpp"
 #include "graph/compressed.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
@@ -218,6 +220,67 @@ TEST(ParallelParser, ShuffledMultiChunkTextMatchesSerialNumbering) {
           << threads << " threads, ids from " << text.substr(0, 20);
     }
   }
+}
+
+TEST(ParallelParser, MappedFileMatchesSerialAtEveryPoolSize) {
+  // The mapped path drops each chunk's whole text pages once it is parsed.
+  // This file puts a line across the page boundary at the first and last
+  // chunk starts, and a line longer than a chunk that leaves chunk 2
+  // empty; CRLF and comment lines throughout.  4 KiB divides every page
+  // size, so a size off its multiples ends mid-page.
+  constexpr std::size_t kChunk = std::size_t{1} << 20;
+  const Graph g = gen::expander(50000, 10, 11);
+  const auto lines = edge_lines(g, [](NodeId x) { return std::uint64_t{x}; });
+  std::string text;
+  std::size_t next = 0;
+  const auto append_edges_until = [&](std::size_t size) {
+    while (text.size() < size) {
+      text += lines[next % lines.size()];
+      text += next % 7 == 0 ? "\r\n" : "\n";
+      if (next % 53 == 0) text += "# comment\r\n";
+      ++next;
+    }
+  };
+  const auto comment_until = [&](std::size_t size) {  // the next line's start
+    ASSERT_GE(size, text.size() + 2);
+    text.append(size - text.size() - 1, '%');
+    text += '\n';
+  };
+  append_edges_until(kChunk - 64);
+  comment_until(kChunk - 3);
+  text += "1 2\r\n";
+  append_edges_until(2 * kChunk - 200);
+  comment_until(2 * kChunk - 100);
+  text += "3 4 " + std::string(kChunk + 4096, 'x') + '\n';
+  append_edges_until(4 * kChunk - 64);
+  comment_until(4 * kChunk - 2);
+  text += "5 6\n";
+  append_edges_until(4 * kChunk + 300000);
+  if (text.size() % 4096 == 0) text += "7 8\n";
+  ASSERT_GT(text.size(), std::size_t{2} << 20);
+  ASSERT_NE(text.size() % 4096, 0u);
+  ASSERT_NE(text[kChunk - 1], '\n');
+  ASSERT_NE(text[4 * kChunk - 1], '\n');
+  ASSERT_EQ(text.find('\n', 2 * kChunk), text.find('\n', 3 * kChunk));
+
+  TempFile f("gclus_io_mapped_parse.txt");
+  spit(f.path, std::vector<char>(text.begin(), text.end()));
+  const Graph want = serial_parse(text);
+  for (const std::size_t threads : {1, 2, 8}) {
+    ThreadPool pool(threads);
+    EXPECT_TRUE(testutil::same_csr(load_edge_list(f.path, pool).value(), want))
+        << threads << " threads";
+  }
+  // The slurped text (an injected mmap failure) parses the same; nothing
+  // is released from it.
+  fault::disarm_all();
+  fault::arm("io.mmap", fault::FaultSpec::always());
+  const auto fired = fault::trigger_count("io.mmap");
+  ThreadPool pool(2);
+  const StatusOr<Graph> slurped = load_edge_list(f.path, pool);
+  EXPECT_GT(fault::trigger_count("io.mmap"), fired);
+  fault::disarm_all();
+  EXPECT_TRUE(testutil::same_csr(slurped.value(), want));
 }
 
 // ---- CSR v2 -----------------------------------------------------------------
