@@ -25,6 +25,12 @@ class Timer {
         .count();
   }
 
+  [[nodiscard]] std::int64_t elapsed_ns() const {
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                                start_)
+        .count();
+  }
+
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;

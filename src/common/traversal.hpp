@@ -69,11 +69,13 @@ struct DirectionCounts {
 /// the pool dispatch (mutex + condvar round trip) and the cross-core
 /// traffic of a split step would dominate the actual edge work.  Matters
 /// for BFS over high-diameter graphs, whose thousands of levels each hold
-/// a few thousand edges: on a shared 4-vCPU host, single-source BFS over
-/// the 1.96M-node road_like(1400, 1400) graph at 3 threads took 130-146
-/// ms with a cutoff of 2048 and 110-117 ms with 8192, with no change on
-/// the 300k-node expander.
-inline constexpr std::uint64_t kSerialPushCutoff = 8192;
+/// a few thousand edges.  On a shared 4-vCPU host, single-source
+/// parallel_bfs over the 1.96M-node road_like(1400, 1400) graph at 3
+/// threads took (medians of 9, two processes each) 100-113 ms with this
+/// cutoff, 117-119 ms with 4096, 109-120 ms with 1024 and 132-153 ms with
+/// 8192; the 300k-node expander read 9.7-10.4 ms at 2048 and 10.0-10.4 ms
+/// at 8192.
+inline constexpr std::uint64_t kSerialPushCutoff = 2048;
 
 /// Policy for the engine's lazily-compacted uncovered worklist: compact
 /// once more than half the entries are stale, but never bother below 1024

@@ -83,6 +83,19 @@ Clustering cluster_impl(const G& g, std::uint32_t tau,
   }
 
   state.add_singletons_for_uncovered();
+  // With a step log, price the push claims: the push steps' wall time and
+  // the nodes they claimed.
+  if (options.growth.record_step_log) {
+    double push_ns = 0.0;
+    double push_claims = 0.0;
+    for (const GrowthStepLog& log : state.stats().steps) {
+      if (log.pull) continue;
+      push_ns += static_cast<double>(log.ns);
+      push_claims += log.newly_covered;
+    }
+    options.emit("cluster.push_ns", push_ns);
+    options.emit("cluster.push_claims", push_claims);
+  }
   Clustering out = std::move(state).finish();
   out.iterations = iteration;
   options.emit("cluster.iterations", static_cast<double>(out.iterations));

@@ -25,7 +25,9 @@ class CompressedGraph;
 /// Execution environment (seed, pool, growth knobs, telemetry)
 /// plus CLUSTER's own constants.  Emits "cluster.iterations",
 /// "cluster.clusters", "cluster.max_radius" and "cluster.growth_steps" to
-/// the context's telemetry sink.
+/// the context's telemetry sink; with growth.record_step_log set, also
+/// "cluster.push_ns" and "cluster.push_claims" (the push steps' wall time
+/// and claimed nodes, which price a push claim).
 struct ClusterOptions : RunContext {
   /// The constant of the selection probability 4·τ·log n / |uncovered|.
   double selection_constant = 4.0;

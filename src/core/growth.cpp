@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <span>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "common/timer.hpp"
 #include "graph/compressed.hpp"
 #include "par/parallel_for.hpp"
 
@@ -70,6 +72,7 @@ NodeId GrowthStateT<G>::step() {
   if (frontier_size_ == 0) return 0;
   ++steps_executed_;
 
+  const Timer timer;
   const bool pull = decide_pull();
   GrowthStepLog log;
   if (options_.record_step_log) {
@@ -94,6 +97,7 @@ NodeId GrowthStateT<G>::step() {
 
   if (options_.record_step_log) {
     log.newly_covered = newly;
+    log.ns = static_cast<std::uint64_t>(timer.elapsed_ns());
     stats_.steps.push_back(log);
   }
   if (pull) {
@@ -107,25 +111,41 @@ NodeId GrowthStateT<G>::step() {
 
 namespace {
 
-/// Runs one claim pass over items [0, total): `claim_range(lo, hi, out)`
-/// handles a chunk, appends the nodes it claims to `out` (the worker's
-/// next-frontier buffer) and returns their degree sum.  Workers drain a
-/// shared cursor; a pass too light to amortize a pool dispatch runs on the
-/// caller alone.  Returns the degree sum of all claimed nodes.
+/// Runs one claim pass over items [0, bounds.back()), which `bounds` cuts
+/// into one slice per pool worker: `claim_range(slice, lo, hi, out)`
+/// handles the chunk [lo, hi) of a slice, appends the nodes it claims to
+/// `out` and returns their degree sum.  Each worker drains its own slice a
+/// grain at a time, then helps drain the others'; a pass too light to
+/// amortize a pool dispatch runs every slice on the caller.  Returns the
+/// degree sum of all claimed nodes; each worker's claims are appended to
+/// its buffer in `next`.  Why slices and stack buffers: see the header.
 template <class ClaimRange>
 std::uint64_t run_claim_pass(ThreadPool& pool,
                              std::vector<std::vector<NodeId>>& next,
-                             std::size_t total, std::size_t grain,
-                             bool inline_pass, const ClaimRange& claim_range) {
-  std::atomic<std::size_t> cursor{0};
+                             std::span<const std::size_t> bounds,
+                             std::size_t grain, bool inline_pass,
+                             const ClaimRange& claim_range) {
+  struct alignas(64) Cursor {
+    std::atomic<std::size_t> pos;
+  };
+  const std::size_t slices = bounds.size() - 1;
+  const auto cursor = std::make_unique<Cursor[]>(slices);
+  for (std::size_t s = 0; s < slices; ++s) cursor[s].pos = bounds[s];
   std::atomic<std::uint64_t> degree_sum{0};
   const auto scan = [&](std::size_t worker) {
+    std::vector<NodeId> out = std::move(next[worker]);
     std::uint64_t sum = 0;
-    for (;;) {
-      const std::size_t lo = cursor.fetch_add(grain, std::memory_order_relaxed);
-      if (lo >= total) break;
-      sum += claim_range(lo, std::min(lo + grain, total), next[worker]);
+    for (std::size_t k = 0; k < slices; ++k) {
+      const std::size_t s = (worker + k) % slices;
+      const std::size_t end = bounds[s + 1];
+      for (;;) {
+        const std::size_t lo =
+            cursor[s].pos.fetch_add(grain, std::memory_order_relaxed);
+        if (lo >= end) break;
+        sum += claim_range(s, lo, std::min(lo + grain, end), out);
+      }
     }
+    next[worker] = std::move(out);
     degree_sum.fetch_add(sum, std::memory_order_relaxed);
   };
   if (inline_pass) {
@@ -134,6 +154,13 @@ std::uint64_t run_claim_pass(ThreadPool& pool,
     pool.run_on_workers(scan);
   }
   return degree_sum.load();
+}
+
+/// Cuts [0, total) into `parts` slices of near-equal size.
+std::vector<std::size_t> even_bounds(std::size_t total, std::size_t parts) {
+  std::vector<std::size_t> bounds(parts + 1);
+  for (std::size_t s = 0; s <= parts; ++s) bounds[s] = s * total / parts;
+  return bounds;
 }
 
 }  // namespace
@@ -149,8 +176,8 @@ std::uint64_t GrowthStateT<G>::claim_push() {
   Dist* const levels = level_.get();
   ClusterId* const clusters = cluster_.get();
   const std::uint64_t* const keys = key_.data();
-  const auto claim_range = [&](std::size_t lo, std::size_t hi,
-                               std::vector<NodeId>& out) {
+  const auto claim_range = [&](std::size_t part, std::size_t lo,
+                               std::size_t hi, std::vector<NodeId>& out) {
     std::uint64_t degree_sum = 0;
     const auto bid_for = [&](NodeId u) {
       const ClusterId c = load(clusters[u]);
@@ -170,30 +197,23 @@ std::uint64_t GrowthStateT<G>::claim_push() {
         }
       };
     };
-    // The frontier is the previous pass's per-worker parts, read in place
-    // as one sequence: find the part holding `lo`, then walk forward.
-    const std::vector<std::size_t>& offset = frontier_offset_;
-    auto p = static_cast<std::size_t>(
-        std::upper_bound(offset.begin(), offset.end(), lo) - offset.begin() -
-        1);
-    for (; lo < hi; ++p) {
-      const std::vector<NodeId>& part = frontier_[p];
-      const std::size_t end = std::min(hi, offset[p + 1]) - offset[p];
-      std::size_t i = lo - offset[p];
-      // Frontier vertices are scanned in adjacent pairs so the compressed
-      // representation can interleave the two independent decode chains
-      // (visit_neighbors2); for plain CSR the pair visit compiles to two
-      // plain loops.  Bids are commutative minima, so the visit order
-      // across the pair is immaterial.
-      for (; i + 1 < end; i += 2) {
-        visit_neighbors2(*g_, part[i], part[i + 1], bid_for(part[i]),
-                         bid_for(part[i + 1]));
-      }
-      if (i < end) {
-        const auto bid = bid_for(part[i]);
-        for (const NodeId v : g_->neighbors(part[i])) bid(v);
-      }
-      lo = offset[p] + end;
+    // The frontier is the previous pass's per-worker parts, read in place:
+    // slice `part` of the pass is frontier part `part`.
+    const std::vector<NodeId>& nodes = frontier_[part];
+    const std::size_t end = hi - frontier_offset_[part];
+    // Frontier vertices are scanned in adjacent pairs so the compressed
+    // representation can interleave the two independent decode chains
+    // (visit_neighbors2); for plain CSR the pair visit compiles to two
+    // plain loops.  Bids are commutative minima, so the visit order across
+    // the pair is immaterial.
+    std::size_t i = lo - frontier_offset_[part];
+    for (; i + 1 < end; i += 2) {
+      visit_neighbors2(*g_, nodes[i], nodes[i + 1], bid_for(nodes[i]),
+                       bid_for(nodes[i + 1]));
+    }
+    if (i < end) {
+      const auto bid = bid_for(nodes[i]);
+      for (const NodeId v : g_->neighbors(nodes[i])) bid(v);
     }
     return degree_sum;
   };
@@ -201,7 +221,7 @@ std::uint64_t GrowthStateT<G>::claim_push() {
   for (const auto& part : frontier_) {
     frontier_offset_.push_back(frontier_offset_.back() + part.size());
   }
-  return run_claim_pass(*pool_, next_frontier_, frontier_size_,
+  return run_claim_pass(*pool_, next_frontier_, frontier_offset_,
                         /*grain=*/64, frontier_degree_sum_ <= kSerialPushCutoff,
                         claim_range);
 }
@@ -227,8 +247,8 @@ std::uint64_t GrowthStateT<G>::claim_pull() {
   Dist* const levels = level_.get();
   ClusterId* const clusters = cluster_.get();
   const std::uint64_t* const keys = key_.data();
-  const auto claim_range = [&](std::size_t lo, std::size_t hi,
-                               std::vector<NodeId>& out) {
+  const auto claim_range = [&](std::size_t /*slice*/, std::size_t lo,
+                               std::size_t hi, std::vector<NodeId>& out) {
     std::array<NodeId, kGrain> claimant{};
     std::array<NodeId, kGrain> first_parent{};
     std::size_t found = 0;
@@ -263,7 +283,8 @@ std::uint64_t GrowthStateT<G>::claim_pull() {
     return degree_sum;
   };
   return run_claim_pass(
-      *pool_, next_frontier_, candidates.size(), kGrain,
+      *pool_, next_frontier_,
+      even_bounds(candidates.size(), pool_->num_threads()), kGrain,
       uncovered_degree_sum_ + candidates.size() <= 4 * kSerialPushCutoff,
       claim_range);
 }

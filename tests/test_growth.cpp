@@ -242,6 +242,84 @@ TEST(GrowthState, DirectionsAgreeUnderMidGrowthCentersAndReuse) {
   }
 }
 
+// Many rings growing at once over a road graph: push steps heavy enough
+// for the pool (frontier degree sums above kSerialPushCutoff), so each
+// worker drains its own frontier part and then takes chunks of the
+// others'.  Every mode, pool size and layout must reproduce the serial
+// push-only partition.
+template <class G>
+Clustering grow_road_rings(const G& g, TraversalMode mode, ThreadPool& pool,
+                           GrowthStats* stats = nullptr) {
+  GrowthOptions opts;
+  opts.mode = mode;
+  opts.record_step_log = true;
+  GrowthStateT<G> state(g, pool, opts);
+  constexpr NodeId kCenters = 96;
+  for (NodeId i = 0; i < kCenters; ++i) {
+    const auto v = static_cast<NodeId>(std::uint64_t{i} * g.num_nodes() /
+                                       kCenters);
+    // Every third center outranks or trails the id order.
+    if (i % 3 == 0) {
+      state.add_center(v, /*priority=*/(i * 37) % 101);
+    } else {
+      state.add_center(v);
+    }
+  }
+  while (state.covered_count() < g.num_nodes()) {
+    if (state.frontier_empty()) state.add_singletons_for_uncovered();
+    state.step();
+  }
+  if (stats != nullptr) *stats = state.stats();
+  return std::move(state).finish();
+}
+
+TEST(GrowthState, ChunkedPushOverManyRingsMatchesSerial) {
+  const Graph g = gen::road_like(300, 300, 0.08, 0.02, 4);
+  const CompressedGraph cz = compress(g);
+  ThreadPool serial(1);
+  GrowthStats stats;
+  const Clustering base =
+      grow_road_rings(g, TraversalMode::kPushOnly, serial, &stats);
+  ASSERT_TRUE(base.validate(g));
+  EXPECT_TRUE(std::any_of(stats.steps.begin(), stats.steps.end(),
+                          [](const GrowthStepLog& log) {
+                            return !log.pull && log.frontier_degree_sum >
+                                                    kSerialPushCutoff;
+                          }));
+
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    ThreadPool pool(threads);
+    for (const TraversalMode mode :
+         {TraversalMode::kPushOnly, TraversalMode::kPullOnly,
+          TraversalMode::kAuto}) {
+      for (const bool compressed : {false, true}) {
+        const Clustering c = compressed ? grow_road_rings(cz, mode, pool)
+                                        : grow_road_rings(g, mode, pool);
+        const std::string where = "threads=" + std::to_string(threads) +
+                                  " mode=" + traversal_mode_name(mode) +
+                                  (compressed ? " compressed" : " plain");
+        EXPECT_EQ(c.assignment, base.assignment) << where;
+        EXPECT_EQ(c.dist_to_center, base.dist_to_center) << where;
+        EXPECT_EQ(c.radius, base.radius) << where;
+      }
+    }
+  }
+}
+
+TEST(GrowthState, StepLogTimesEveryStep) {
+  const Graph g = gen::grid(40, 40);
+  ThreadPool pool(2);
+  GrowthOptions opts;
+  opts.record_step_log = true;
+  GrowthState state(g, pool, opts);
+  state.add_center(0);
+  state.grow_steps(10);
+  ASSERT_EQ(state.stats().steps.size(), 10u);
+  for (const GrowthStepLog& log : state.stats().steps) {
+    EXPECT_GT(log.ns, 0u) << "step " << log.step;
+  }
+}
+
 TEST(GrowthState, StatsSplitStepsByDirection) {
   const Graph g = gen::expander(512, 4, 11);
   ThreadPool pool(2);
