@@ -256,21 +256,72 @@ void parse_line(const char* p, const char* end, std::vector<RawEdge>& out) {
   out.push_back(e);
 }
 
-/// Parses every line whose first byte lies in [lo, hi).  Chunk boundaries
-/// are line starts, so no line crosses chunks.
-void parse_chunk(std::string_view text, std::size_t lo, std::size_t hi,
-                 std::vector<RawEdge>& out) {
-  const char* base = text.data();
-  std::size_t p = lo;
-  while (p < hi) {
-    const void* nl = std::memchr(base + p, '\n', text.size() - p);
-    const std::size_t line_end =
-        nl != nullptr ? static_cast<std::size_t>(static_cast<const char*>(nl) -
-                                                 base)
-                      : text.size();
-    parse_line(base + p, base + line_end, out);
-    p = line_end + 1;
+/// One fast-path token: 1 to 19 decimal digits, which cannot overflow a
+/// u64.  Advances `p` past every digit, so a longer run is rejected, not
+/// split; the caller guarantees a non-digit ('\n') ends the run.
+bool scan_short_u64(const char*& p, std::uint64_t& out) {
+  const char* const first = p;
+  std::uint64_t value = 0;
+  unsigned digit = 0;
+  while ((digit = static_cast<unsigned>(static_cast<unsigned char>(*p)) -
+                  unsigned{'0'}) <= 9) {
+    value = value * 10 + digit;  // wraps past 19 digits; rejected below
+    ++p;
   }
+  out = value;
+  return p != first && p - first <= 19;
+}
+
+/// Parses every line whose first byte lies in [lo, hi) into `out` and
+/// returns the largest id it accepted.  Chunk boundaries are line starts,
+/// so no line crosses chunks.  A line shaped `digits [ \t]+ digits \r? \n`
+/// (at most 19 digits a token) is scanned once; any other line, and a last
+/// line without '\n', takes parse_line, the reference tokenizer.
+std::uint64_t parse_chunk(std::string_view text, std::size_t lo,
+                          std::size_t hi, std::vector<RawEdge>& out) {
+  const char* p = text.data() + lo;
+  const char* const end = text.data() + hi;
+  // At most one edge a line: sizing `out` up front replaces its regrowths,
+  // each a copy into freshly faulted pages.
+  const auto newlines = static_cast<std::size_t>(std::count(p, end, '\n'));
+  out.reserve(newlines + 1);
+  // Every line in [p, terminated) ends in '\n', which stops each scan
+  // below, so the fast path needs no bounds checks.
+  const char* terminated = end;
+  while (terminated > p && terminated[-1] != '\n') --terminated;
+  std::uint64_t most = 0;
+  const auto fallback = [&](const char* line, const char* line_end) {
+    const std::size_t before = out.size();
+    parse_line(line, line_end, out);
+    if (out.size() > before) {
+      most = std::max({most, out.back().u, out.back().v});
+    }
+  };
+  while (p < terminated) {
+    const char* q = p;
+    RawEdge e;
+    if (scan_short_u64(q, e.u) && (*q == ' ' || *q == '\t')) {
+      do {
+        ++q;
+      } while (*q == ' ' || *q == '\t');
+      if (scan_short_u64(q, e.v)) {
+        q += *q == '\r';
+        if (*q == '\n') {
+          out.push_back(e);
+          most = std::max({most, e.u, e.v});
+          p = q + 1;
+          continue;
+        }
+      }
+    }
+    // Not the fast shape.  `q` has not passed the line's '\n'.
+    const auto* nl = static_cast<const char*>(
+        std::memchr(q, '\n', static_cast<std::size_t>(terminated - q)));
+    fallback(p, nl);
+    p = nl + 1;
+  }
+  fallback(terminated, end);
+  return most;
 }
 
 // Chunking is a fixed byte grain, *not* a function of the thread count:
@@ -307,10 +358,11 @@ Graph parse_text(std::string_view text, ThreadPool& pool,
   // reads only [start[i], start[i + 1]), so its pages can go once it is
   // parsed.
   std::vector<std::vector<RawEdge>> parts(num_chunks);
+  std::vector<std::uint64_t> chunk_max(num_chunks);
   parallel_for(
       pool, 0, num_chunks,
       [&](std::size_t i) {
-        parse_chunk(text, start[i], start[i + 1], parts[i]);
+        chunk_max[i] = parse_chunk(text, start[i], start[i + 1], parts[i]);
         if (mapping != nullptr) mapping->release(start[i], start[i + 1]);
       },
       /*grain=*/1);
@@ -323,15 +375,8 @@ Graph parse_text(std::string_view text, ThreadPool& pool,
   // 8 B/edge pages become resident only as they are written.
   std::size_t num_edges = 0;
   for (const auto& part : parts) num_edges += part.size();
-  const std::uint64_t max_id = parallel_reduce(
-      pool, 0, num_chunks, std::uint64_t{0},
-      [&](std::size_t c) {
-        std::uint64_t most = 0;
-        for (const RawEdge& e : parts[c]) most = std::max({most, e.u, e.v});
-        return most;
-      },
-      [](std::uint64_t a, std::uint64_t b) { return std::max(a, b); },
-      /*grain=*/1);
+  const std::uint64_t max_id =
+      *std::max_element(chunk_max.begin(), chunk_max.end());
   const std::uint64_t dense_limit =
       std::max<std::uint64_t>(std::uint64_t{1} << 16, 4 * num_edges);
   std::vector<Edge> edges;

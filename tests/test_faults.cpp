@@ -765,7 +765,7 @@ TEST(DecoderMutations, EveryFrameDecodesStrictlyOrIsInvalidArgument) {
 /// One line; `sparse` ids beyond the parser's dense-table limit send the
 /// whole text down its hash-interning path.
 std::string text_corpus_line(Rng& rng, bool sparse) {
-  switch (rng.next_below(8)) {
+  switch (rng.next_below(9)) {
     case 0:
       return "# comment " + std::to_string(rng.next_below(100));
     case 1:
@@ -777,6 +777,24 @@ std::string text_corpus_line(Rng& rng, bool sparse) {
     case 3:
       return " -" + std::to_string(rng.next_below(9)) + " +" +
              std::to_string(rng.next_below(60)) + " trailing";
+    case 4: {
+      // A 19- or 20-digit token, either side of the one-pass scanner's
+      // limit, then a tab- or space-and-tab-separated id, maybe CRLF.
+      // Dense texts zero-pad a small id; sparse ones draw every digit, so
+      // most 20-digit tokens overflow.
+      const std::size_t width = 19 + rng.next_below(2);
+      std::string id;
+      if (sparse) {
+        id = std::to_string(1 + rng.next_below(9));
+        while (id.size() < width) id += std::to_string(rng.next_below(10));
+      } else {
+        id = std::to_string(rng.next_below(60));
+        id.insert(0, width - id.size(), '0');
+      }
+      return id + (rng.next_below(2) == 0 ? "\t" : " \t ") +
+             std::to_string(rng.next_below(60)) +
+             (rng.next_below(2) == 0 ? "\r" : "");
+    }
     default:
       return std::to_string(rng.next_below(60)) + " " +
              std::to_string(rng.next_below(60));

@@ -118,15 +118,31 @@ const char* kMessyInputs[] = {
     "junk line\n1 x\nx 1\n0 1\n1\n",         // junk tokens / missing column
     "+3 +4\n4 5\n",                          // explicit plus signs
     "0 1\n1 2",                              // no trailing newline
+    // The one-pass scanner's line shape, `digits [ \t]+ digits \r? \n`
+    // with at most 19 digits a token, and the lines just outside it.
+    "1234567890123456789 9999999999999999999\n1 2\n",  // 19 digits
+    "18446744073709551615 1\n1 2\n",                   // 20 digits, u64 max
+    "18446744073709551616 1\n1 2\n",                   // 20 digits, overflow
+    "1 99999999999999999999\n1 2\n",                   // 20 digits, overflow
+    "0000000000000000000007 1\n7 2\n",  // 22 digits, zero-padded, small
+    "1\t2\n2\t3\n",                      // tab separator
+    "1   2\n2 \t \t3\n3\t\t\t1\n",          // runs of spaces and tabs
+    "1 2 \n2 3\n",                         // trailing space
+    "1 2\r\n2 3\r\n",                      // CRLF
+    "1 2\rx\n2 3\n",                       // '\r' then junk
+    "1 2\n2 3\n3 4",                       // last line without '\n'
+    "1 2\n2 3\n3 4\r",                     // ... ending in '\r'
 };
 
 TEST(ParallelParser, MatchesSerialOnMessyInputs) {
-  ThreadPool pool(4);
+  ThreadPool pool1(1), pool2(2), pool4(4), pool8(8);
   for (const char* input : kMessyInputs) {
     const Graph serial = serial_parse(input);
-    const Graph parallel = parse_edge_list(input, pool);
-    EXPECT_TRUE(testutil::same_csr(serial, parallel))
-        << "input: " << std::string(input).substr(0, 40);
+    for (ThreadPool* pool : {&pool1, &pool2, &pool4, &pool8}) {
+      EXPECT_TRUE(testutil::same_csr(serial, parse_edge_list(input, *pool)))
+          << "input: " << std::string(input).substr(0, 40) << " at "
+          << pool->num_threads() << " threads";
+    }
   }
 }
 
