@@ -50,10 +50,12 @@ Clustering cluster_impl(const G& g, std::uint32_t tau,
         tau, n, uncovered, options.selection_constant);
 
     // --- Select the new batch of centers among uncovered nodes. ---
-    // The Bernoulli draw is keyed on (seed, iteration, node): deterministic
-    // and schedule-independent.  Sampling sweeps the engine's uncovered
-    // worklist instead of the full node range, so late rounds stop paying
-    // O(n) per batch; cluster ids are assigned in node order.
+    // The draw is keyed on (seed, iteration): deterministic and
+    // schedule-independent.  While the batch is small next to the
+    // uncovered count it walks geometric gaps per block of ids, costing
+    // O(p·n) rather than a hash per uncovered node; late, dense draws
+    // sweep the uncovered worklist.  Cluster ids are assigned in node
+    // order.
     const std::vector<NodeId> selected =
         sample_uncovered_centers(state, options.seed, iteration, p);
     for (const NodeId c : selected) state.add_center(c);
@@ -96,12 +98,14 @@ Clustering cluster_impl(const G& g, std::uint32_t tau,
     options.emit("cluster.push_ns", push_ns);
     options.emit("cluster.push_claims", push_claims);
   }
+  const std::uint64_t sample_draws = state.stats().sample_draws;
   Clustering out = std::move(state).finish();
   out.iterations = iteration;
   options.emit("cluster.iterations", static_cast<double>(out.iterations));
   options.emit("cluster.clusters", static_cast<double>(out.num_clusters()));
   options.emit("cluster.max_radius", static_cast<double>(out.max_radius()));
   options.emit("cluster.growth_steps", static_cast<double>(out.growth_steps));
+  options.emit("cluster.sample_draws", static_cast<double>(sample_draws));
   return out;
 }
 

@@ -21,9 +21,12 @@ Cluster2Result cluster2_impl(const G& g, std::uint32_t tau,
   GCLUS_CHECK(n >= 1);
 
   // Phase 1: learn R_ALG with a plain CLUSTER(τ) run on a derived seed.
-  // The full context (pool, growth knobs) carries over.
+  // The full context (pool, growth knobs) carries over.  Its metrics go to
+  // a private sink, where they cannot shadow CLUSTER2's; only its sample
+  // draws are added to CLUSTER2's.
   ClusterOptions prelim = options;
-  prelim.telemetry = nullptr;  // phase 1 metrics would shadow CLUSTER2's
+  RecordingTelemetry prelim_telemetry;
+  if (options.telemetry != nullptr) prelim.telemetry = &prelim_telemetry;
   prelim.seed = derive_seed(options.seed, kSeedTagCluster2Prelim);
   const Clustering pre = cluster(g, tau, prelim);
 
@@ -48,9 +51,9 @@ Cluster2Result cluster2_impl(const G& g, std::uint32_t tau,
     const double p = std::min(
         1.0, std::ldexp(1.0, static_cast<int>(i)) / static_cast<double>(n));
 
-    // Sample from the engine's uncovered worklist rather than rescanning
-    // all n nodes; the keyed draw makes the selected set independent of
-    // the sweep order.
+    // p·n = 2^i expected centers: early draws walk geometric gaps per
+    // block of ids instead of hashing every uncovered node; the keyed draw
+    // makes the selected set independent of the schedule.
     const std::vector<NodeId> selected =
         sample_uncovered_centers(state, options.seed, 0x5EC0 + i, p);
     for (const NodeId c : selected) state.add_center(c);
@@ -61,6 +64,7 @@ Cluster2Result cluster2_impl(const G& g, std::uint32_t tau,
   // p reaches 1 in the final iteration, so everything is covered unless n
   // is not a power of two and rounding left a sliver — close it out.
   state.add_singletons_for_uncovered();
+  const std::uint64_t sample_draws = state.stats().sample_draws;
   result.clustering = std::move(state).finish();
   result.clustering.iterations = iterations;
   options.emit("cluster2.r_alg", static_cast<double>(result.r_alg));
@@ -70,6 +74,11 @@ Cluster2Result cluster2_impl(const G& g, std::uint32_t tau,
                static_cast<double>(result.clustering.num_clusters()));
   options.emit("cluster2.max_radius",
                static_cast<double>(result.clustering.max_radius()));
+  if (options.telemetry != nullptr) {
+    options.emit("cluster2.sample_draws",
+                 prelim_telemetry.value("cluster.sample_draws") +
+                     static_cast<double>(sample_draws));
+  }
   return result;
 }
 

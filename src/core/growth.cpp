@@ -388,26 +388,51 @@ std::vector<NodeId> sample_uncovered_centers(GrowthStateT<G2>& state,
                                              std::uint64_t draw_key,
                                              double p) {
   ThreadPool& pool = *state.pool_;
-  const auto& candidates = state.uncovered_candidates();
+  const CenterDraw draw(seed, draw_key, p, state.g_->num_nodes(),
+                        state.uncovered_count());
   // Between steps the engine's next-frontier buffers are idle, so the
-  // selection sweeps borrow them as per-worker output.
+  // selection borrows them as per-worker output.
   std::vector<std::vector<NodeId>>& per_worker = state.next_frontier_;
   for (auto& out : per_worker) out.clear();
   std::atomic<std::size_t> cursor{0};
-  pool.run_on_workers([&](std::size_t worker) {
-    auto& out = per_worker[worker];
-    constexpr std::size_t kGrain = 2048;
-    for (;;) {
-      const std::size_t lo = cursor.fetch_add(kGrain, std::memory_order_relaxed);
-      if (lo >= candidates.size()) break;
-      const std::size_t hi = std::min(lo + kGrain, candidates.size());
-      for (std::size_t i = lo; i < hi; ++i) {
-        const NodeId v = candidates[i];
-        if (state.is_covered(v)) continue;
-        if (keyed_bernoulli(seed, draw_key, v, p)) out.push_back(v);
+  if (draw.gaps()) {
+    // Workers claim whole blocks; a block's ids come out ascending.
+    const std::uint64_t blocks = draw.num_blocks();
+    std::atomic<std::uint64_t> draws{0};
+    pool.run_on_workers([&](std::size_t worker) {
+      auto& out = per_worker[worker];
+      std::uint64_t local = 0;
+      for (;;) {
+        const std::size_t b = cursor.fetch_add(1, std::memory_order_relaxed);
+        if (b >= blocks) break;
+        local += draw.for_each_in_block(b, [&](std::uint64_t v) {
+          const auto id = static_cast<NodeId>(v);
+          if (!state.is_covered(id)) out.push_back(id);
+        });
       }
-    }
-  });
+      draws.fetch_add(local, std::memory_order_relaxed);
+    });
+    state.stats_.sample_draws += draws.load(std::memory_order_relaxed);
+  } else {
+    const auto& candidates = state.uncovered_candidates();
+    pool.run_on_workers([&](std::size_t worker) {
+      auto& out = per_worker[worker];
+      constexpr std::size_t kGrain = 2048;
+      for (;;) {
+        const std::size_t lo =
+            cursor.fetch_add(kGrain, std::memory_order_relaxed);
+        if (lo >= candidates.size()) break;
+        const std::size_t hi = std::min(lo + kGrain, candidates.size());
+        for (std::size_t i = lo; i < hi; ++i) {
+          const NodeId v = candidates[i];
+          if (state.is_covered(v)) continue;
+          if (draw.selects(v)) out.push_back(v);
+        }
+      }
+    });
+    // One uniform per uncovered node.
+    state.stats_.sample_draws += state.uncovered_count();
+  }
   std::vector<NodeId> selected;
   parallel_concat(pool, per_worker, selected);
   std::sort(selected.begin(), selected.end());

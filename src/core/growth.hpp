@@ -97,6 +97,8 @@ struct GrowthStats {
   std::size_t push_steps = 0;
   std::size_t pull_steps = 0;
   std::vector<GrowthStepLog> steps;
+  /// Uniforms the center sampler evaluated, summed over its draws.
+  std::uint64_t sample_draws = 0;
 };
 
 /// The engine is generic over the graph representation `G` — plain CSR
@@ -268,12 +270,14 @@ class GrowthStateT {
 /// The historical name: the engine over the plain CSR Graph.
 using GrowthState = GrowthStateT<Graph>;
 
-/// Samples every uncovered node independently with probability `p`, using
-/// the deterministic draw keyed_bernoulli(seed, draw_key, node) — the
-/// selected set depends only on the key inputs, never on the sweep
-/// schedule.  Sweeps the engine's uncovered worklist in parallel on the
-/// engine's pool and returns the selected nodes in ascending order, ready
-/// for add_center in node order.  Shared by CLUSTER's and CLUSTER2's batch
+/// Samples every uncovered node independently with probability `p`
+/// through CenterDraw(seed, draw_key, p, n, uncovered_count()): the
+/// selected set depends only on those inputs, never on the schedule.  In
+/// the gap regime the engine's pool walks the draw's blocks and drops
+/// covered ids; in the sweep regime it sweeps the engine's uncovered
+/// worklist.  Returns the selected nodes in ascending order, ready for
+/// add_center in node order, and adds the uniforms evaluated to
+/// stats().sample_draws.  Shared by CLUSTER's and CLUSTER2's batch
 /// selection.
 template <class G2>
 [[nodiscard]] std::vector<NodeId> sample_uncovered_centers(

@@ -148,8 +148,9 @@ WeightedClustering weighted_cluster(const WeightedGraph& g, std::uint32_t tau,
   const double stop_threshold = options.threshold_constant * tau * logn;
 
   // Ascending superset of the uncovered nodes, compacted once more than
-  // half the entries go stale — center sampling then stops rescanning all
-  // n nodes every iteration (mirrors GrowthState::uncovered_candidates).
+  // half the entries go stale — a sweeping center draw then stops
+  // rescanning all n nodes every iteration (mirrors
+  // GrowthState::uncovered_candidates).
   std::vector<NodeId> candidates(n);
   for (NodeId v = 0; v < n; ++v) candidates[v] = v;
   auto compact_candidates = [&] {
@@ -170,12 +171,23 @@ WeightedClustering weighted_cluster(const WeightedGraph& g, std::uint32_t tau,
     const NodeId uncovered = n - covered;
     const double p = std::min(
         1.0, options.selection_constant * tau * logn / uncovered);
-    compact_candidates();
+    // CLUSTER's draw, id for id: same coordinates, same regime.
+    const CenterDraw draw(options.seed, iteration, p, n, uncovered);
     std::vector<NodeId> selected;
-    for (const NodeId v : candidates) {
-      if (out.assignment[v] == kNoCluster &&
-          keyed_bernoulli(options.seed, iteration, v, p)) {
-        selected.push_back(v);
+    if (draw.gaps()) {
+      for (std::uint64_t b = 0; b < draw.num_blocks(); ++b) {
+        draw.for_each_in_block(b, [&](std::uint64_t v) {
+          if (out.assignment[v] == kNoCluster) {
+            selected.push_back(static_cast<NodeId>(v));
+          }
+        });
+      }
+    } else {
+      compact_candidates();
+      for (const NodeId v : candidates) {
+        if (out.assignment[v] == kNoCluster && draw.selects(v)) {
+          selected.push_back(v);
+        }
       }
     }
     for (const NodeId v : selected) add_center(v);

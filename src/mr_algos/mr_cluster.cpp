@@ -73,26 +73,43 @@ StatusOr<MrClusterResult> mr_cluster(mr::Engine& engine, const Graph& g,
     const double p =
         std::min(1.0, options.selection_constant * tau * logn / uncovered);
 
-    // --- Selection wave: one map-style round over uncovered nodes. ---
+    // --- Selection wave: one map-style round, CLUSTER's draw. ---
+    // Gap regime: one record per block of ids, whose reducer emits every
+    // id the block's gaps select; the covered ones are dropped below.
+    // Sweep regime: one record per uncovered node.
+    const CenterDraw draw(options.seed, iteration, p, n, uncovered);
     std::vector<std::pair<NodeId, std::uint8_t>> probe;
-    probe.reserve(uncovered);
-    for (NodeId v = 0; v < n; ++v) {
-      if (!st.covered[v]) probe.emplace_back(v, std::uint8_t{0});
+    if (draw.gaps()) {
+      probe.reserve(draw.num_blocks());
+      for (std::uint64_t b = 0; b < draw.num_blocks(); ++b) {
+        probe.emplace_back(static_cast<NodeId>(b), std::uint8_t{0});
+      }
+    } else {
+      probe.reserve(uncovered);
+      for (NodeId v = 0; v < n; ++v) {
+        if (!st.covered[v]) probe.emplace_back(v, std::uint8_t{0});
+      }
     }
     const auto selected_pairs =
         engine.round<NodeId, std::uint8_t, NodeId, std::uint8_t>(
             std::move(probe),
-            [&](const NodeId& v, std::span<std::uint8_t>,
+            [&](const NodeId& key, std::span<std::uint8_t>,
                 mr::Emitter<NodeId, std::uint8_t>& emit) {
-              if (keyed_bernoulli(options.seed, iteration, v, p)) {
-                emit.emit(v, std::uint8_t{1});
+              if (!draw.gaps()) {
+                if (draw.selects(key)) emit.emit(key, std::uint8_t{1});
+                return;
               }
+              draw.for_each_in_block(key, [&](std::uint64_t v) {
+                emit.emit(static_cast<NodeId>(v), std::uint8_t{1});
+              });
             });
     GCLUS_RETURN_IF_ERROR(selected_pairs.status());
     ++result.selection_rounds;
     std::vector<NodeId> selected;
     selected.reserve(selected_pairs->size());
-    for (const auto& [v, tag] : *selected_pairs) selected.push_back(v);
+    for (const auto& [v, tag] : *selected_pairs) {
+      if (!st.covered[v]) selected.push_back(v);
+    }
     std::sort(selected.begin(), selected.end());
     for (const NodeId v : selected) {
       st.add_center(v);

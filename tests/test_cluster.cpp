@@ -7,10 +7,17 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/rng.hpp"
 #include "core/cluster.hpp"
+#include "core/cluster2.hpp"
+#include "core/growth.hpp"
+#include "core/weighted_cluster.hpp"
+#include "graph/compressed.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
 #include "graph/properties.hpp"
+#include "graph/weighted.hpp"
+#include "mr_algos/mr_cluster.hpp"
 #include "test_util.hpp"
 
 namespace gclus {
@@ -216,6 +223,104 @@ TEST(Cluster, ClusterCountGrowsWithTau) {
   const auto k1 = cluster(g, 1, opts).num_clusters();
   const auto k8 = cluster(g, 8, opts).num_clusters();
   EXPECT_GT(k8, k1);
+}
+
+void expect_same_partition(const Clustering& got, const Clustering& want,
+                           const std::string& label) {
+  EXPECT_EQ(got.assignment, want.assignment) << label;
+  EXPECT_EQ(got.dist_to_center, want.dist_to_center) << label;
+  EXPECT_EQ(got.centers, want.centers) << label;
+}
+
+// One graph on which CLUSTER's center draw takes both regimes (gap walks
+// early, sweeps late), and every CLUSTER-family path stays in lockstep
+// through both: pools 1/2/8, plain vs compressed CSR, MR vs shared memory
+// (in memory and spilled), and weighted on unit weights vs CLUSTER.
+TEST(Cluster, BothDrawRegimesKeepEveryClusterPathInLockstep) {
+  const Graph g = gen::road_like(300, 300, 0.08, 0.02, 1);
+  const NodeId n = g.num_nodes();
+  constexpr std::uint32_t kTau = 1;
+  ClusterOptions opts;
+  opts.seed = 5;
+
+  // CLUSTER's loop replayed on the engine, to read each draw's uncovered
+  // count; it must reproduce cluster() byte for byte, so the regimes it
+  // sees are CLUSTER's.
+  std::vector<bool> gaps;
+  Clustering replay;
+  {
+    ThreadPool pool(2);
+    GrowthState state(g, pool);
+    const double stop =
+        opts.threshold_constant * kTau * std::log2(static_cast<double>(n));
+    for (std::uint64_t it = 0; state.uncovered_count() >= stop; ++it) {
+      const NodeId uncovered = state.uncovered_count();
+      const double p = cluster_selection_probability(
+          kTau, n, uncovered, opts.selection_constant);
+      gaps.push_back(CenterDraw(opts.seed, it, p, n, uncovered).gaps());
+      for (const NodeId c : sample_uncovered_centers(state, opts.seed, it, p)) {
+        state.add_center(c);
+      }
+      if (state.frontier_empty()) state.add_center(state.first_uncovered());
+      const NodeId target = (uncovered + 1) / 2;
+      const NodeId covered = uncovered - state.uncovered_count();
+      if (covered < target) state.grow_until_covered(target - covered);
+    }
+    state.add_singletons_for_uncovered();
+    replay = std::move(state).finish();
+  }
+  ASSERT_GE(gaps.size(), 3u);
+  EXPECT_TRUE(gaps.front()) << "iteration 0 should walk gaps";
+  EXPECT_FALSE(gaps.back()) << "the last iteration should sweep";
+
+  const Clustering reference = cluster(g, kTau, opts);
+  ASSERT_TRUE(reference.validate(g));
+  expect_same_partition(replay, reference, "replayed loop");
+
+  ClusterOptions c2opts = opts;
+  const Cluster2Result reference2 = cluster2(g, kTau, c2opts);
+  ASSERT_TRUE(reference2.clustering.validate(g));
+  const CompressedGraph cz = compress(g);
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    ThreadPool pool(threads);
+    ClusterOptions o = opts;
+    o.pool = &pool;
+    const std::string at = " at " + std::to_string(threads) + " threads";
+    expect_same_partition(cluster(g, kTau, o), reference, "plain" + at);
+    expect_same_partition(cluster(cz, kTau, o), reference, "compressed" + at);
+    expect_same_partition(cluster2(g, kTau, o).clustering,
+                          reference2.clustering, "cluster2 plain" + at);
+    expect_same_partition(cluster2(cz, kTau, o).clustering,
+                          reference2.clustering, "cluster2 compressed" + at);
+  }
+
+  constexpr std::uint64_t kSpilled = std::uint64_t{1} << 16;
+  for (const std::uint64_t spill : {mr::kSpillUnbounded, kSpilled}) {
+    mr::Config cfg;
+    cfg.spill_memory_bytes = spill;
+    cfg.spill_strict = true;
+    mr::Engine engine(cfg);
+    mr_algos::MrClusterOptions mopts;
+    mopts.seed = opts.seed;
+    const auto mr = mr_algos::mr_cluster(engine, g, kTau, mopts);
+    ASSERT_TRUE(mr.ok()) << mr.status().to_string();
+    const std::string label =
+        spill == mr::kSpillUnbounded ? "mr in memory" : "mr spilled";
+    expect_same_partition(mr->clustering, reference, label);
+    if (spill != mr::kSpillUnbounded) {
+      EXPECT_GT(engine.metrics().bytes_spilled, 0u) << label;
+    }
+  }
+
+  WeightedClusterOptions wopts;
+  wopts.seed = opts.seed;
+  const WeightedClustering w =
+      weighted_cluster(WeightedGraph::from_unit_weights(g), kTau, wopts);
+  EXPECT_EQ(w.assignment, reference.assignment) << "weighted";
+  EXPECT_EQ(w.centers, reference.centers) << "weighted";
+  EXPECT_TRUE(std::equal(w.dist_to_center.begin(), w.dist_to_center.end(),
+                         reference.dist_to_center.begin()))
+      << "weighted";
 }
 
 }  // namespace

@@ -105,10 +105,11 @@ TEST(KeyedRandom, DeterministicAcrossCalls) {
   EXPECT_EQ(keyed_bernoulli(5, 6, 7, 0.5), keyed_bernoulli(5, 6, 7, 0.5));
 }
 
-// Every decomposition's center draws go through keyed_bernoulli, so a
-// change to its arithmetic reshuffles every clustering.  Pinned: the
-// count and an FNV-1a hash (little-endian id bytes) of the ids it selects
-// from 0..99999 at three (seed, key, p) points.
+// keyed_bernoulli is the sweep regime of every CLUSTER-family center draw
+// (CenterDraw::selects) and the spanner's per-cluster draw, so a change to
+// its arithmetic reshuffles those clusterings.  Pinned: the count and an
+// FNV-1a hash (little-endian id bytes) of the ids it selects from
+// 0..99999 at three (seed, key, p) points.
 TEST(Rng, KeyedDrawsArePinned) {
   struct Point {
     std::uint64_t seed, key;
@@ -133,6 +134,106 @@ TEST(Rng, KeyedDrawsArePinned) {
     }
     EXPECT_EQ(count, pt.count) << "seed " << pt.seed;
     EXPECT_EQ(h, pt.fnv) << "seed " << pt.seed;
+  }
+}
+
+/// Every id of [0, n) a draw selects, all ids taken as uncovered: the
+/// gap walk over each block, or the sweep over every id.
+std::vector<std::uint64_t> drawn_ids(const CenterDraw& draw, std::uint64_t n) {
+  std::vector<std::uint64_t> ids;
+  if (draw.gaps()) {
+    for (std::uint64_t b = 0; b < draw.num_blocks(); ++b) {
+      draw.for_each_in_block(b, [&](std::uint64_t v) { ids.push_back(v); });
+    }
+  } else {
+    for (std::uint64_t v = 0; v < n; ++v) {
+      if (draw.selects(v)) ids.push_back(v);
+    }
+  }
+  return ids;
+}
+
+// CenterDraw selects every CLUSTER-family batch (CLUSTER, CLUSTER2,
+// weighted_cluster, mr_cluster), so a change to its block streams, its gap
+// arithmetic or its regime rule reshuffles every such clustering.  Pinned
+// like KeyedDrawsArePinned over 0..99999 (two blocks), with the uncovered
+// count that fixes the regime: two gap draws and one sweep.
+TEST(Rng, BlockDrawsArePinned) {
+  struct Point {
+    std::uint64_t seed, key;
+    double p;
+    std::uint64_t uncovered;
+    bool gaps;
+    std::uint64_t count, fnv;
+  };
+  const Point points[] = {
+      {1, 0, 0.01, 100000, true, 949, 0x58e3af6a245052beULL},
+      {0x5eed1234, 21, 0.3, 40000, true, 30043, 0xab0185de013f83caULL},
+      {42, kSeedTagCluster2Prelim, 0.5, 1000, false, 49997,
+       0x8ff13cf1512d216aULL},
+  };
+  for (const Point& pt : points) {
+    const CenterDraw draw(pt.seed, pt.key, pt.p, 100000, pt.uncovered);
+    ASSERT_EQ(draw.gaps(), pt.gaps) << "seed " << pt.seed;
+    std::uint64_t h = 14695981039346656037ULL;
+    const std::vector<std::uint64_t> ids = drawn_ids(draw, 100000);
+    for (const std::uint64_t v : ids) {
+      for (int b = 0; b < 4; ++b) {
+        h ^= (v >> (8 * b)) & 0xffU;
+        h *= 1099511628211ULL;
+      }
+    }
+    EXPECT_EQ(ids.size(), pt.count) << "seed " << pt.seed;
+    EXPECT_EQ(h, pt.fnv) << "seed " << pt.seed;
+  }
+}
+
+// The gap walk must select each id independently with probability p, at
+// block edges too: an off-by-one at a block's first or last id, or a
+// stream shared by neighbouring blocks, shows here.  Fixed seeds; each p
+// runs enough keyed draws over 2^20 ids (16 blocks) for about 2^24
+// uniforms, and every rate must lie within 5σ of its expectation.
+TEST(Rng, BlockDrawIsBernoulliPerId) {
+  constexpr std::uint64_t kIds = std::uint64_t{1} << 20;
+  constexpr std::uint64_t kBlocks = kIds / kCenterDrawBlock;
+  auto within_5_sigma = [](double hits, double trials, double rate) {
+    const double sigma = std::sqrt(trials * rate * (1.0 - rate));
+    return std::abs(hits - trials * rate) <= 5.0 * sigma + 1e-9;
+  };
+  for (const double p : {1e-5, 1e-2, 0.3}) {
+    const auto keys = static_cast<std::uint64_t>(
+        std::ceil(0x1.0p24 / (p * static_cast<double>(kIds) + kBlocks)));
+    double selected = 0;
+    double first = 0;     // hits at block offset 0
+    double last = 0;      // hits at block offset B-1
+    double straddle = 0;  // ids B·b - 1 and B·b both hit, b = 1..15
+    for (std::uint64_t key = 0; key < keys; ++key) {
+      const CenterDraw draw(77, key, p, kIds, kIds);
+      ASSERT_TRUE(draw.gaps());
+      std::vector<std::uint8_t> edge_hit(2 * kBlocks, 0);
+      for (std::uint64_t b = 0; b < kBlocks; ++b) {
+        draw.for_each_in_block(b, [&](std::uint64_t v) {
+          ++selected;
+          const std::uint64_t offset = v % kCenterDrawBlock;
+          if (offset == 0) edge_hit[2 * b] = 1;
+          if (offset == kCenterDrawBlock - 1) edge_hit[2 * b + 1] = 1;
+        });
+      }
+      for (std::uint64_t b = 0; b < kBlocks; ++b) {
+        first += edge_hit[2 * b];
+        last += edge_hit[2 * b + 1];
+        if (b > 0) straddle += edge_hit[2 * b - 1] & edge_hit[2 * b];
+      }
+    }
+    const double n_keys = static_cast<double>(keys);
+    EXPECT_TRUE(within_5_sigma(selected, n_keys * kIds, p))
+        << "p=" << p << " selected " << selected;
+    EXPECT_TRUE(within_5_sigma(first, n_keys * kBlocks, p))
+        << "p=" << p << " offset 0 hits " << first;
+    EXPECT_TRUE(within_5_sigma(last, n_keys * kBlocks, p))
+        << "p=" << p << " offset B-1 hits " << last;
+    EXPECT_TRUE(within_5_sigma(straddle, n_keys * (kBlocks - 1), p * p))
+        << "p=" << p << " boundary pairs " << straddle;
   }
 }
 
