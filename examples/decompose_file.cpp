@@ -260,9 +260,8 @@ int main(int argc, char** argv) {
       return 2;
     }
     g = std::move(loaded).value();
-    std::printf("loaded %s (%s%s): %u nodes, %llu edges\n", path.c_str(),
-                input_is_csr ? "CSR v2" : "edge list",
-                g.owns_storage() ? "" : ", mmap-backed", g.num_nodes(),
+    std::printf("loaded %s (%s): %u nodes, %llu edges\n", path.c_str(),
+                input_is_csr ? "CSR v2" : "edge list", g.num_nodes(),
                 static_cast<unsigned long long>(g.num_edges()));
     if (layout == "compressed" && convert_out.empty()) {
       cg = compress(g);

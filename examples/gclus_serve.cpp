@@ -221,9 +221,8 @@ int main(int argc, char** argv) {
     g = std::move(loaded).value();
     if (artifact_path.empty()) artifact_path = graph_path + ".orc";
   }
-  std::printf("graph: %u nodes, %llu edges%s\n", g.num_nodes(),
-              static_cast<unsigned long long>(g.num_edges()),
-              g.owns_storage() ? "" : " (mmap-backed)");
+  std::printf("graph: %u nodes, %llu edges\n", g.num_nodes(),
+              static_cast<unsigned long long>(g.num_edges()));
 
   RecordingTelemetry telemetry;
   oracle_opts.telemetry = &telemetry;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 
 #include "par/parallel_for.hpp"
 #include "par/thread_pool.hpp"
@@ -26,13 +27,16 @@ Graph GraphBuilder::build(ThreadPool& pool) {
   };
 
   // Degrees, over equal node ranges: offsets[u] counts the half-edges
-  // leaving u.  An out-of-range endpoint lies in no range, so it is never
-  // written before the check.
-  std::vector<EdgeId> offsets(static_cast<std::size_t>(n) + 1, 0);
+  // leaving u.  Each task zeroes its own counters, so the workers touch the
+  // uninitialised offsets first.  An out-of-range endpoint lies in no
+  // range, so it is never written before the check.
+  CsrArrays csr(n);
+  EdgeId* const offsets = csr.offsets.get();
   std::atomic<bool> out_of_range{false};
   for_each_range([&](std::size_t r) {
     const auto lo = static_cast<NodeId>(std::uint64_t{n} * r / ranges);
     const auto hi = static_cast<NodeId>(std::uint64_t{n} * (r + 1) / ranges);
+    std::fill(offsets + lo, offsets + hi, EdgeId{0});
     bool bad = false;
     for (const auto& [u, v] : edges_) {
       bad |= u >= n || v >= n;
@@ -47,7 +51,8 @@ Graph GraphBuilder::build(ThreadPool& pool) {
   // Inclusive prefix sum: offsets[u] is the end of row u.  The scatter
   // counts each row's cursor down from there, leaving offsets[u] at the
   // row's start — the CSR offsets, with no cursor array.
-  for (std::size_t u = 1; u <= n; ++u) offsets[u] += offsets[u - 1];
+  for (std::size_t u = 1; u < n; ++u) offsets[u] += offsets[u - 1];
+  offsets[n] = n == 0 ? 0 : offsets[n - 1];
   const EdgeId total = offsets[n];
 
   // Scatter, over node ranges of equal half-edge counts.  The edges are
@@ -55,11 +60,10 @@ Graph GraphBuilder::build(ThreadPool& pool) {
   std::vector<NodeId> first_row(ranges + 1, n);
   for (std::size_t r = 0; r < ranges; ++r) {
     first_row[r] = static_cast<NodeId>(
-        std::lower_bound(offsets.begin(), offsets.begin() + n,
-                         total * r / ranges) -
-        offsets.begin());
+        std::lower_bound(offsets, offsets + n, total * r / ranges) - offsets);
   }
-  std::vector<NodeId> neighbors(total);
+  csr.allocate_neighbors();
+  NodeId* const neighbors = csr.neighbors.get();
   for_each_range([&](std::size_t r) {
     const NodeId lo = first_row[r];
     const NodeId hi = first_row[r + 1];
@@ -75,36 +79,45 @@ Graph GraphBuilder::build(ThreadPool& pool) {
 
   // Sorting each row makes the arrays a function of the edge multiset
   // alone, whatever the input order.  A row's duplicates are overwritten
-  // with kInvalidNode (above every id), so the row stays sorted and its
-  // kept length is a lower_bound away.
-  const auto at = [&](EdgeId e) {
-    return neighbors.begin() + static_cast<std::ptrdiff_t>(e);
-  };
+  // with kInvalidNode, which marks them for the copy below.
   const EdgeId dropped = parallel_sum<EdgeId>(pool, 0, n, [&](std::size_t u) {
-    const auto first = at(offsets[u]);
-    const auto last = at(offsets[u + 1]);
+    NodeId* const first = neighbors + offsets[u];
+    NodeId* const last = neighbors + offsets[u + 1];
     std::sort(first, last);
-    const auto kept = std::unique(first, last);
+    NodeId* const kept = std::unique(first, last);
     std::fill(kept, last, kInvalidNode);
     return static_cast<EdgeId>(last - kept);
   });
-  if (dropped > 0) {
-    // Serial in place: row u's old end is read before offsets[u + 1] is
-    // overwritten with its kept end.
-    EdgeId start = 0;
-    EdgeId kept_end = 0;
-    for (std::size_t u = 0; u < n; ++u) {
-      const auto first = at(start);
-      const auto last = at(offsets[u + 1]);
-      kept_end += static_cast<EdgeId>(
-          std::lower_bound(first, last, kInvalidNode) - first);
-      start = offsets[u + 1];
-      offsets[u + 1] = kept_end;
+  if (dropped == 0) return Graph(std::move(csr));
+
+  // Duplicates: each scatter range copies its kept entries straight into
+  // an exact-size array and rewrites its own rows' offsets in row order, so
+  // a row's old end is read before the next row's offset is rewritten.
+  // The ranges' old boundaries are read up front.
+  const auto is_kept = [](NodeId v) { return v != kInvalidNode; };
+  std::vector<EdgeId> bound(ranges + 1);
+  for (std::size_t r = 0; r <= ranges; ++r) bound[r] = offsets[first_row[r]];
+  std::vector<EdgeId> kept_start(ranges + 1, 0);
+  for_each_range([&](std::size_t r) {
+    kept_start[r + 1] = static_cast<EdgeId>(std::count_if(
+        neighbors + bound[r], neighbors + bound[r + 1], is_kept));
+  });
+  for (std::size_t r = 0; r < ranges; ++r) kept_start[r + 1] += kept_start[r];
+  auto kept = std::make_unique_for_overwrite<NodeId[]>(total - dropped);
+  for_each_range([&](std::size_t r) {
+    const NodeId hi = first_row[r + 1];
+    EdgeId start = bound[r];
+    NodeId* out = kept.get() + kept_start[r];
+    for (NodeId u = first_row[r]; u < hi; ++u) {
+      const EdgeId end = u + 1 < hi ? offsets[u + 1] : bound[r + 1];
+      offsets[u] = static_cast<EdgeId>(out - kept.get());
+      out = std::copy_if(neighbors + start, neighbors + end, out, is_kept);
+      start = end;
     }
-    parallel_compact(pool, neighbors,
-                     [](NodeId v) { return v != kInvalidNode; });
-  }
-  return Graph(std::move(offsets), std::move(neighbors));
+  });
+  offsets[n] = total - dropped;
+  csr.neighbors = std::move(kept);
+  return Graph(std::move(csr));
 }
 
 Graph build_graph(NodeId num_nodes, const std::vector<Edge>& edges) {

@@ -51,14 +51,17 @@ class GraphBuilder {
   /// pool): a parallel degree count that also range-checks the endpoints,
   /// a prefix sum into the offsets, a scatter of both directions of every
   /// non-loop edge into place, then a sort and dedup of each row on its
-  /// own.  The output is identical for any pool.  Extra space beyond the
-  /// pending edges and the returned offsets and neighbors is O(m) NodeIds
-  /// and no 2m-pair intermediate: at most one deduplicated copy of the
-  /// neighbors, made only when the input had duplicates.  The peak is the
-  /// scatter, where the pending edges (8 B each), the offsets (8 B per
-  /// node) and the neighbors (4 B per half-edge) are all live: 74 MiB on
-  /// the perfbench road graph (1.96M nodes, 3.64M edges), which is also
-  /// the peak of loading it from edge-list text.
+  /// own.  The output is identical for any pool.  The offsets and
+  /// neighbors are allocated uninitialised and written in place (CsrArrays),
+  /// with no zero-fill: the workers' count and scatter touch them first.
+  /// Extra space beyond the pending edges and the returned offsets and
+  /// neighbors is O(m) NodeIds and no 2m-pair intermediate: at most one
+  /// exact-size deduplicated copy of the neighbors, made only when the
+  /// input had duplicates.  The peak is the scatter, where the pending
+  /// edges (8 B each), the offsets (8 B per node) and the neighbors (4 B
+  /// per half-edge) are all live: 74 MiB on the perfbench road graph
+  /// (1.96M nodes, 3.64M edges), which is also the peak of loading it from
+  /// edge-list text.
   [[nodiscard]] Graph build();
   [[nodiscard]] Graph build(ThreadPool& pool);
 

@@ -77,47 +77,24 @@ std::vector<NodeId> degree_descending_order(const Graph& g) {
   return order;
 }
 
-/// Adjacency re-expressed in storage ids: list s holds the sorted storage
-/// ids of the neighbors of original vertex inv[s].  Views the input arrays
-/// directly when the relabeling is the identity.
-struct StorageCsr {
-  std::span<const EdgeId> offsets;
-  std::span<const NodeId> neighbors;
-  std::vector<EdgeId> owned_offsets;
-  std::vector<NodeId> owned_neighbors;
-
-  [[nodiscard]] std::span<const NodeId> list(NodeId s) const {
-    return neighbors.subspan(static_cast<std::size_t>(offsets[s]),
-                             static_cast<std::size_t>(offsets[s + 1] -
-                                                      offsets[s]));
-  }
-};
-
-StorageCsr storage_csr(const Graph& g, ThreadPool& pool,
-                       std::span<const NodeId> perm,
-                       std::span<const NodeId> inv) {
-  StorageCsr t;
-  if (perm.empty()) {
-    t.offsets = g.offsets();
-    t.neighbors = g.neighbor_array();
-    return t;
-  }
-  const NodeId n = g.num_nodes();
-  t.owned_offsets.assign(n + 1, 0);
-  for (NodeId s = 0; s < n; ++s) {
-    t.owned_offsets[s + 1] = t.owned_offsets[s] + g.degree(inv[s]);
-  }
-  t.owned_neighbors.resize(static_cast<std::size_t>(t.owned_offsets[n]));
-  parallel_for(pool, 0, n, [&](std::size_t si) {
-    const auto s = static_cast<NodeId>(si);
-    NodeId* out = t.owned_neighbors.data() + t.owned_offsets[s];
-    std::size_t i = 0;
-    for (const NodeId v : g.neighbors(inv[s])) out[i++] = perm[v];
-    std::sort(out, out + i);
+/// A CSR written in place: row s holds the degree(s) ids that
+/// fill(s, out) writes from `out` on (returning their end), sorted.
+template <typename Degree, typename Fill>
+Graph sorted_rows(ThreadPool& pool, NodeId n, const Degree& degree,
+                  const Fill& fill) {
+  CsrArrays csr(n);
+  EdgeId* const offsets = csr.offsets.get();
+  offsets[0] = 0;
+  parallel_for(pool, 0, n, [&](std::size_t s) {
+    offsets[s + 1] = degree(static_cast<NodeId>(s));
   });
-  t.offsets = t.owned_offsets;
-  t.neighbors = t.owned_neighbors;
-  return t;
+  for (NodeId s = 0; s < n; ++s) offsets[s + 1] += offsets[s];
+  csr.allocate_neighbors();
+  parallel_for(pool, 0, n, [&](std::size_t s) {
+    NodeId* const first = csr.neighbors.get() + offsets[s];
+    std::sort(first, fill(static_cast<NodeId>(s), first));
+  });
+  return Graph(std::move(csr));
 }
 
 /// Bits vertex s's code occupies under the chosen parameters.
@@ -159,7 +136,7 @@ struct CostTotals {
   std::array<std::uint64_t, cz::kMaxK + 1> gaps{};
 };
 
-CostTotals cost_totals(const StorageCsr& t, NodeId n, ThreadPool& pool) {
+CostTotals cost_totals(const Graph& t, NodeId n, ThreadPool& pool) {
   std::array<std::atomic<std::uint64_t>, cz::kMaxK + 1> a_raw{}, a_zz{},
       a_gap{};
   parallel_for_chunks(
@@ -168,7 +145,7 @@ CostTotals cost_totals(const StorageCsr& t, NodeId n, ThreadPool& pool) {
         CostTotals local;
         for (std::size_t si = lo; si < hi; ++si) {
           const auto s = static_cast<NodeId>(si);
-          const auto list = t.list(s);
+          const auto list = t.neighbors(s);
           if (list.empty()) continue;
           const std::uint64_t raw = list[0];
           const std::uint64_t zz =
@@ -295,7 +272,18 @@ CompressedGraph compress(const Graph& g, ThreadPool& pool,
       for (NodeId s = 0; s < n; ++s) perm[inv[s]] = s;
     }
   }
-  StorageCsr t = storage_csr(g, pool, perm, inv);
+  // The adjacency to encode, in storage ids: list s holds the sorted
+  // storage ids of the neighbors of original vertex inv[s], and `g` itself
+  // (a shared copy) under the identity.
+  Graph t = g;
+  if (!perm.empty()) {
+    t = sorted_rows(
+        pool, n, [&](NodeId s) { return g.degree(inv[s]); },
+        [&](NodeId s, NodeId* out) {
+          for (const NodeId v : g.neighbors(inv[s])) *out++ = perm[v];
+          return out;
+        });
+  }
 
   CompressedParams p;
   p.num_nodes = n;
@@ -310,13 +298,12 @@ CompressedGraph compress(const Graph& g, ThreadPool& pool,
   // near-uniform graphs the order buys nothing, so the maps are dropped
   // and neighbors decode with zero indirection.
   if (p.relabeled && opts.relabel == RelabelMode::kAuto) {
-    StorageCsr t_id = storage_csr(g, pool, {}, {});
-    const ParamChoice id_choice = choose_params(cost_totals(t_id, n, pool));
+    const ParamChoice id_choice = choose_params(cost_totals(g, n, pool));
     const std::uint64_t map_bits = std::uint64_t{n} * 2 * sizeof(NodeId) * 8;
     if (id_choice.total_bits <= choice.total_bits + map_bits) {
       perm.clear();
       inv.clear();
-      t = std::move(t_id);
+      t = g;
       p.relabeled = false;
       choice = id_choice;
     }
@@ -328,7 +315,7 @@ CompressedGraph compress(const Graph& g, ThreadPool& pool,
   const std::uint64_t max_degree = parallel_reduce(
       pool, 0, n, std::uint64_t{0},
       [&](std::size_t s) {
-        return std::uint64_t{t.offsets[s + 1] - t.offsets[s]};
+        return std::uint64_t{t.degree(static_cast<NodeId>(s))};
       },
       [](std::uint64_t a, std::uint64_t b) { return std::max(a, b); });
   p.degree_bits = static_cast<std::uint32_t>(std::bit_width(max_degree));
@@ -348,7 +335,7 @@ CompressedGraph compress(const Graph& g, ThreadPool& pool,
         std::uint64_t at = 0;
         for (NodeId s = lo; s < hi; ++s) {
           bit_start[s] = at;
-          at += code_bits(t.list(s), s, p);
+          at += code_bits(t.neighbors(s), s, p);
         }
         chunk_bits[c] = at;
       },
@@ -399,8 +386,7 @@ CompressedGraph compress(const Graph& g, ThreadPool& pool,
               static_cast<NodeId>(std::min<std::size_t>(lo + cz::kChunk, n));
           BitWriter w(b_degrees + std::uint64_t{lo} * slot_bits / 8);
           for (NodeId s = lo; s < hi; ++s) {
-            w.put(std::uint64_t{t.offsets[s + 1] - t.offsets[s]},
-                  p.degree_bits);
+            w.put(std::uint64_t{t.degree(s)}, p.degree_bits);
             w.put(bit_start[s] -
                       bit_start[s / cz::kSuperblock * cz::kSuperblock],
                   p.local_bits);
@@ -422,7 +408,7 @@ CompressedGraph compress(const Graph& g, ThreadPool& pool,
         const NodeId hi =
             static_cast<NodeId>(std::min<std::size_t>(lo + cz::kChunk, n));
         BitWriter w(b_adj + chunk_byte[c]);
-        for (NodeId s = lo; s < hi; ++s) encode_vertex(w, t.list(s), s, p);
+        for (NodeId s = lo; s < hi; ++s) encode_vertex(w, t.neighbors(s), s, p);
         w.finish();
       },
       /*grain=*/1);
@@ -447,22 +433,12 @@ CompressedGraph compress(const Graph& g, const CompressOptions& opts) {
 }
 
 Graph CompressedGraph::decompress(ThreadPool& pool) const {
-  const NodeId n = num_nodes();
-  std::vector<EdgeId> offsets(std::size_t{n} + 1, 0);
-  parallel_for(pool, 0, n,
-               [&](std::size_t u) {
-                 offsets[u + 1] = degree(static_cast<NodeId>(u));
-               });
-  for (NodeId u = 0; u < n; ++u) offsets[u + 1] += offsets[u];
-  std::vector<NodeId> adj(static_cast<std::size_t>(offsets[n]));
-  parallel_for(pool, 0, n, [&](std::size_t ui) {
-    const auto u = static_cast<NodeId>(ui);
-    NodeId* out = adj.data() + offsets[u];
-    std::size_t i = 0;
-    for (const NodeId v : neighbors(u)) out[i++] = v;
-    std::sort(out, out + i);
-  });
-  return Graph(std::move(offsets), std::move(adj));
+  return sorted_rows(
+      pool, num_nodes(), [&](NodeId u) { return degree(u); },
+      [&](NodeId u, NodeId* out) {
+        for (const NodeId v : neighbors(u)) *out++ = v;
+        return out;
+      });
 }
 
 Graph CompressedGraph::decompress() const {

@@ -1,5 +1,5 @@
 // Compressed, cache-aware CSR: Rice-coded delta-gap adjacency behind the
-// same owning/non-owning storage contract as Graph.
+// same keepalive storage contract as Graph.
 //
 // A CompressedGraph stores each vertex's sorted neighbor list as a first
 // value plus (degree-1) gap codes in a single LSB-first bitstream, cutting
@@ -383,8 +383,6 @@ class CompressedGraph {
       f1(map(prev1));
     }
   }
-
-  [[nodiscard]] bool owns_storage() const { return false; }
 
   /// Total bytes of all sections (the compressed footprint plain CSR's
   /// memory_bytes() is compared against).

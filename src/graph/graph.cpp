@@ -5,67 +5,32 @@
 
 namespace gclus {
 
-Graph::Graph(std::vector<EdgeId> offsets, std::vector<NodeId> neighbors)
-    : offsets_(std::move(offsets)), neighbors_(std::move(neighbors)) {
-  GCLUS_CHECK(!offsets_.empty(), "offsets must have n+1 entries");
-  GCLUS_CHECK(offsets_.front() == 0);
-  GCLUS_CHECK(offsets_.back() == neighbors_.size());
-  offsets_view_ = offsets_;
-  neighbors_view_ = neighbors_;
+Graph::Graph(CsrArrays csr) {
+  GCLUS_CHECK(csr.offsets != nullptr && csr.neighbors != nullptr,
+              "CSR arrays must be allocated before a Graph adopts them");
+  const std::span<const EdgeId> offsets(csr.offsets.get(),
+                                        std::size_t{csr.num_nodes} + 1);
+  const std::span<const NodeId> neighbors(
+      csr.neighbors.get(), static_cast<std::size_t>(offsets.back()));
+  // Moving the unique_ptrs into the keepalive leaves the arrays in place.
+  *this = Graph(offsets, neighbors,
+                std::make_shared<const CsrArrays>(std::move(csr)));
+}
+
+Graph::Graph(std::vector<EdgeId> offsets, std::vector<NodeId> neighbors) {
+  using Vectors = std::pair<std::vector<EdgeId>, std::vector<NodeId>>;
+  auto owned = std::make_shared<const Vectors>(std::move(offsets),
+                                               std::move(neighbors));
+  *this = Graph(owned->first, owned->second, owned);
 }
 
 Graph::Graph(std::span<const EdgeId> offsets, std::span<const NodeId> neighbors,
              std::shared_ptr<const void> storage)
-    : offsets_view_(offsets),
-      neighbors_view_(neighbors),
-      storage_(std::move(storage)) {
-  GCLUS_CHECK(storage_ != nullptr,
-              "non-owning Graph requires a storage keepalive handle");
-  GCLUS_CHECK(!offsets_view_.empty(), "offsets must have n+1 entries");
-  GCLUS_CHECK(offsets_view_.front() == 0);
-  GCLUS_CHECK(offsets_view_.back() == neighbors_view_.size());
-}
-
-Graph::Graph(const Graph& other)
-    : offsets_(other.offsets_),
-      neighbors_(other.neighbors_),
-      storage_(other.storage_) {
-  if (other.owns_storage()) {
-    offsets_view_ = offsets_;
-    neighbors_view_ = neighbors_;
-  } else {
-    // Copies of a mapped graph share the mapping — no materialization.
-    offsets_view_ = other.offsets_view_;
-    neighbors_view_ = other.neighbors_view_;
-  }
-}
-
-Graph& Graph::operator=(const Graph& other) {
-  if (this != &other) {
-    Graph tmp(other);
-    swap(tmp);
-  }
-  return *this;
-}
-
-Graph::Graph(Graph&& other) noexcept { swap(other); }
-
-Graph& Graph::operator=(Graph&& other) noexcept {
-  if (this != &other) {
-    Graph tmp(std::move(other));
-    swap(tmp);
-  }
-  return *this;
-}
-
-void Graph::swap(Graph& other) noexcept {
-  // Vector buffers are heap-allocated and pointer-stable under swap, so
-  // views into them remain valid and simply trade owners alongside them.
-  offsets_.swap(other.offsets_);
-  neighbors_.swap(other.neighbors_);
-  std::swap(offsets_view_, other.offsets_view_);
-  std::swap(neighbors_view_, other.neighbors_view_);
-  storage_.swap(other.storage_);
+    : offsets_(offsets), neighbors_(neighbors), storage_(std::move(storage)) {
+  GCLUS_CHECK(storage_ != nullptr, "a Graph requires a storage keepalive");
+  GCLUS_CHECK(!offsets_.empty(), "offsets must have n+1 entries");
+  GCLUS_CHECK(offsets_.front() == 0);
+  GCLUS_CHECK(offsets_.back() == neighbors_.size());
 }
 
 bool Graph::has_edge(NodeId u, NodeId v) const {
@@ -76,7 +41,7 @@ bool Graph::has_edge(NodeId u, NodeId v) const {
 bool Graph::validate() const {
   const NodeId n = num_nodes();
   for (NodeId u = 0; u < n; ++u) {
-    if (offsets_view_[u] > offsets_view_[u + 1]) return false;
+    if (offsets_[u] > offsets_[u + 1]) return false;
     const auto adj = neighbors(u);
     for (std::size_t i = 0; i < adj.size(); ++i) {
       const NodeId v = adj[i];

@@ -8,14 +8,13 @@
 // Both directions of each undirected edge are stored, so the adjacency
 // array has 2m entries for m undirected edges.
 //
-// Storage modes.  A Graph either *owns* its CSR arrays (the historical
-// mode: two heap vectors) or *views* externally owned storage — e.g. the
-// offset/neighbor sections of an mmap-ed CSR v2 file (graph/io.hpp), used
-// in place with zero copies.  A shared keepalive handle pins the external
-// storage (the file mapping) for the graph's lifetime; copies of a
-// non-owning Graph share the mapping instead of materializing it.  Every
-// accessor goes through the view spans, so algorithms are oblivious to the
-// mode — the registry corpus sweep is byte-identical either way.
+// Storage.  A Graph is two immutable spans and one shared keepalive that
+// pins the memory they view: the arrays a builder wrote in place
+// (CsrArrays), two adopted vectors, or the offset/neighbor sections of a
+// CSR v2 file (graph/io.hpp), mapped or read, used in place with zero
+// copies.  Copying a Graph shares the keepalive (one refcount increment),
+// and there is no separate move, so a moved-from graph still views the
+// arrays it pins.  Every phase reads the arrays and none writes them.
 #pragma once
 
 #include <cstddef>
@@ -28,69 +27,84 @@
 
 namespace gclus {
 
+/// CSR arrays that a producer writes in place and a Graph then adopts
+/// whole.  Both are allocated uninitialised, so the producer's own
+/// (parallel) writes are the first touch: `offsets` has num_nodes + 1
+/// entries, and `neighbors` offsets[num_nodes], allocated once the offsets
+/// give that count.
+struct CsrArrays {
+  explicit CsrArrays(NodeId n)
+      : num_nodes(n),
+        offsets(std::make_unique_for_overwrite<EdgeId[]>(std::size_t{n} + 1)) {}
+
+  void allocate_neighbors() {
+    neighbors = std::make_unique_for_overwrite<NodeId[]>(
+        static_cast<std::size_t>(offsets[num_nodes]));
+  }
+
+  NodeId num_nodes;
+  std::unique_ptr<EdgeId[]> offsets;
+  std::unique_ptr<NodeId[]> neighbors;
+};
+
 class Graph {
  public:
   Graph() = default;
 
-  /// Takes ownership of prebuilt CSR arrays.  `offsets` has n+1 entries;
-  /// `neighbors[offsets[u]..offsets[u+1])` is adj(u), sorted ascending.
+  /// Adopts arrays a producer wrote: `csr.offsets[0..n]` from 0 to the
+  /// neighbor count, `neighbors[offsets[u]..offsets[u+1])` is adj(u),
+  /// sorted ascending.
+  explicit Graph(CsrArrays csr);
+
+  /// Adopts prebuilt CSR arrays (tests, the big-endian file decode).
   Graph(std::vector<EdgeId> offsets, std::vector<NodeId> neighbors);
 
-  /// Non-owning mode: uses `offsets`/`neighbors` in place.  `storage` is an
-  /// opaque handle (e.g. a file mapping) that must keep the spans valid; it
-  /// is held for the lifetime of this graph and of every copy of it.
+  /// Uses `offsets`/`neighbors` in place.  `storage` is an opaque handle
+  /// (e.g. a file mapping) that must keep the spans valid; it is held for
+  /// the lifetime of this graph and of every copy of it.
   Graph(std::span<const EdgeId> offsets, std::span<const NodeId> neighbors,
         std::shared_ptr<const void> storage);
 
-  Graph(const Graph& other);
-  Graph& operator=(const Graph& other);
-  Graph(Graph&& other) noexcept;
-  Graph& operator=(Graph&& other) noexcept;
-  ~Graph() = default;
-
-  void swap(Graph& other) noexcept;
+  // Copies share the storage.  No move is declared, so a move is a copy
+  // and never leaves the source viewing arrays it no longer pins.
+  Graph(const Graph&) = default;
+  Graph& operator=(const Graph&) = default;
 
   [[nodiscard]] NodeId num_nodes() const {
-    return static_cast<NodeId>(offsets_view_.empty() ? 0
-                                                     : offsets_view_.size() - 1);
+    return static_cast<NodeId>(offsets_.empty() ? 0 : offsets_.size() - 1);
   }
 
   /// Number of *undirected* edges.
-  [[nodiscard]] EdgeId num_edges() const { return neighbors_view_.size() / 2; }
+  [[nodiscard]] EdgeId num_edges() const { return neighbors_.size() / 2; }
 
   /// Number of directed half-edges (CSR entries), i.e. 2·num_edges().
-  [[nodiscard]] EdgeId num_half_edges() const { return neighbors_view_.size(); }
+  [[nodiscard]] EdgeId num_half_edges() const { return neighbors_.size(); }
 
   [[nodiscard]] std::size_t degree(NodeId u) const {
     GCLUS_DCHECK(u < num_nodes());
-    return static_cast<std::size_t>(offsets_view_[u + 1] - offsets_view_[u]);
+    return static_cast<std::size_t>(offsets_[u + 1] - offsets_[u]);
   }
 
   [[nodiscard]] std::span<const NodeId> neighbors(NodeId u) const {
     GCLUS_DCHECK(u < num_nodes());
-    return {neighbors_view_.data() + offsets_view_[u],
-            neighbors_view_.data() + offsets_view_[u + 1]};
+    return {neighbors_.data() + offsets_[u],
+            neighbors_.data() + offsets_[u + 1]};
   }
 
   /// True if the (undirected) edge {u, v} exists.  O(log deg(u)).
   [[nodiscard]] bool has_edge(NodeId u, NodeId v) const;
 
-  [[nodiscard]] std::span<const EdgeId> offsets() const {
-    return offsets_view_;
-  }
+  [[nodiscard]] std::span<const EdgeId> offsets() const { return offsets_; }
   [[nodiscard]] std::span<const NodeId> neighbor_array() const {
-    return neighbors_view_;
+    return neighbors_;
   }
-
-  /// False when the CSR arrays live in external storage (an mmap-ed file).
-  [[nodiscard]] bool owns_storage() const { return storage_ == nullptr; }
 
   /// Approximate footprint of the CSR arrays in bytes (for the MR
-  /// global-memory budget).  Identical for owning and mapped graphs: a
+  /// global-memory budget).  Identical for built and mapped graphs: a
   /// mapped graph's pages are resident once touched.
   [[nodiscard]] std::size_t memory_bytes() const {
-    return offsets_view_.size() * sizeof(EdgeId) +
-           neighbors_view_.size() * sizeof(NodeId);
+    return offsets_.size() * sizeof(EdgeId) +
+           neighbors_.size() * sizeof(NodeId);
   }
 
   /// Validates all CSR invariants (sortedness, symmetry, no loops).
@@ -98,15 +112,9 @@ class Graph {
   [[nodiscard]] bool validate() const;
 
  private:
-  // Owning mode: the vectors hold the data and the views point into them.
-  // Non-owning mode: the vectors are empty, the views point into `storage_`.
-  std::vector<EdgeId> offsets_;
-  std::vector<NodeId> neighbors_;
-  std::span<const EdgeId> offsets_view_;
-  std::span<const NodeId> neighbors_view_;
-  std::shared_ptr<const void> storage_;
+  std::span<const EdgeId> offsets_;
+  std::span<const NodeId> neighbors_;
+  std::shared_ptr<const void> storage_;  // pins what the spans view
 };
-
-inline void swap(Graph& a, Graph& b) noexcept { a.swap(b); }
 
 }  // namespace gclus

@@ -80,7 +80,7 @@ constexpr std::uint32_t kCz2ParamsVersion = 1;
 // ---- file mapping -----------------------------------------------------------
 
 /// A read-only mapping (or, on platforms without mmap, nothing).  Held via
-/// shared_ptr as the keepalive of non-owning Graphs; the mapping outlives
+/// shared_ptr as the keepalive of mapped Graphs; the mapping outlives
 /// the file's directory entry, so mapped files may be unlinked or replaced
 /// (the dataset cache's atomic-rename refresh) while in use.
 class MappedFile {
@@ -890,8 +890,10 @@ StatusOr<Graph> load_csr(const std::string& path, const CsrLoadOptions& opts) {
     return InvalidArgumentError(
         path + ": mmap loading not supported on this platform");
   }
+  // On little-endian hosts the graph views the pinned file bytes in place,
+  // mapped or read; only a big-endian host decodes into owned arrays.
   auto table = csr2_sections(f.header);
-  const bool in_place = f.file.mapped && kLittleEndian;
+  constexpr bool in_place = kLittleEndian;
   std::span<const EdgeId> offsets;
   std::span<const NodeId> neighbors;
   std::vector<EdgeId> owned_offsets;

@@ -14,10 +14,9 @@
 //     positions, CRC32C payload checksum, 64-byte-aligned sections) holding
 //     an unweighted graph in one of two layouts: plain (offsets and
 //     neighbors sections) or, with flags bit 1, the Rice-compressed
-//     adjacency of graph/compressed.hpp.  Loading can mmap the file and
-//     hand the offset/neighbor sections to Graph *in place* (zero copy,
-//     non-owning storage mode), falling back to read() on platforms
-//     without mmap.
+//     adjacency of graph/compressed.hpp.  Loading maps the file (or reads it, on
+//     platforms without mmap) and hands the offset/neighbor sections to
+//     Graph *in place*, zero copy, pinned by the graph's keepalive.
 //
 // CSR v2 layout (all integers little-endian):
 //
@@ -121,7 +120,7 @@ void write_edge_list_file(const Graph& g, const std::string& path);
 enum class CsrLoadMode {
   kAuto,  ///< mmap when available, else copy
   kMmap,  ///< require mmap; kIoError if unsupported
-  kCopy,  ///< read() into owning vectors
+  kCopy,  ///< read() into a private buffer
 };
 
 struct CsrLoadOptions {
@@ -162,14 +161,15 @@ struct Csr2Info {
 [[nodiscard]] Status write_csr(const CompressedGraph& g,
                                const std::string& path);
 
-/// Loads a CSR v2 file.  In mmap mode the returned Graph views
-/// the mapped sections in place (Graph::owns_storage() == false) and the
-/// mapping is pinned for the graph's lifetime — the file may be unlinked
-/// afterwards.  The file is mapped and its header parsed once; a
-/// compressed file is decoded as by load_compressed_csr and decompressed,
-/// so plain-CSR consumers (the dataset cache) accept either layout
-/// transparently.  Errors: kInvalidArgument (not CSR v2 /
-/// unknown flags / nonzero reserved word), kDataLoss (truncated, checksum
+/// Loads a CSR v2 file.  On little-endian hosts the returned Graph views
+/// the file's sections in place, mapped (mmap mode, or kAuto where mmap
+/// works) or read (kCopy), and the bytes are pinned for the graph's
+/// lifetime — a mapped file may be unlinked afterwards.  Big-endian hosts
+/// decode into owned arrays.  The file is mapped and its header parsed
+/// once; a compressed file is decoded as by load_compressed_csr and
+/// decompressed, so plain-CSR consumers (the dataset cache) accept either
+/// layout transparently.  Errors: kInvalidArgument (not CSR v2 / unknown
+/// flags / nonzero reserved word), kDataLoss (truncated, checksum
 /// mismatch, corrupt payload), kIoError (cannot open / mmap).
 [[nodiscard]] StatusOr<Graph> load_csr(const std::string& path,
                                        const CsrLoadOptions& opts = {});
@@ -199,8 +199,8 @@ struct Csr2Info {
 
 /// Read-only contents of a whole file.  `keepalive` pins the backing
 /// storage (an mmap-ed region or an owned buffer) for as long as any copy
-/// of it lives, so `bytes` may be viewed in place — the same non-owning
-/// contract as mmap-loaded Graphs.
+/// of it lives, so `bytes` may be viewed in place — the same contract as
+/// a loaded Graph's keepalive.
 struct FileContents {
   std::span<const std::byte> bytes;
   std::shared_ptr<const void> keepalive;

@@ -83,7 +83,7 @@ struct OracleArtifactMeta {
 /// A loaded (or freshly built) artifact: metadata plus read-only views of
 /// the payload sections.  `storage` pins whatever backs the spans — an
 /// mmap-ed file or owned vectors — for as long as any copy lives, the
-/// same keepalive contract as non-owning Graphs, so copies are cheap and
+/// same keepalive contract as Graph, so copies are cheap and
 /// the file may be replaced (atomic republish) while in use.
 struct OracleArtifact {
   OracleArtifactMeta meta;

@@ -3,10 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <filesystem>
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
+#include "graph/io.hpp"
 #include "graph/subgraph.hpp"
 #include "par/thread_pool.hpp"
 #include "test_util.hpp"
@@ -121,8 +128,19 @@ TEST(GraphBuilder, MatchesSerialBuildAtEveryPoolSize) {
     ASSERT_GT(halves.size(), std::size_t{1} << 17);
     cases.push_back({"shuffled-rmat", g.num_nodes(), std::move(halves)});
   }
+  {
+    // Three nodes, 2^17 edges: every ordered pair, self-loops included,
+    // over and over.  The count ranges outnumber the nodes, so some are
+    // empty, and every row takes the deduplicating path.
+    std::vector<Edge> dense;
+    for (NodeId i = 0; i < (NodeId{1} << 17); ++i) {
+      dense.emplace_back(i % 3, i / 3 % 3);
+    }
+    cases.push_back({"few-nodes-many-edges", 3, std::move(dense)});
+  }
 
-  for (const std::size_t threads : {1, 2, 8}) {
+  // 3 is the pool of the perfbench workloads.
+  for (const std::size_t threads : {1, 2, 3, 8}) {
     ThreadPool pool(threads);
     for (const auto& c : cases) {
       const Graph want = testutil::serial_build(c.n, c.edges);
@@ -133,6 +151,71 @@ TEST(GraphBuilder, MatchesSerialBuildAtEveryPoolSize) {
           << c.name << " at " << threads << " threads";
       EXPECT_TRUE(got.validate()) << c.name;
     }
+  }
+}
+
+// A Graph is two spans and one shared keepalive: copies and moves share
+// the arrays, a copy keeps them alive once the original is gone, and a
+// moved-from graph still pins them — checked once it is the last graph
+// left that views them.  Run on a built graph and on one that views an
+// mmap-ed file that has been unlinked.
+TEST(Graph, CopiesAndMovesShareStorage) {
+  const Graph want = gen::torus(12, 12);
+  std::vector<std::pair<std::string, std::function<Graph()>>> sources;
+  sources.emplace_back("built", [] { return gen::torus(12, 12); });
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "gclus_graph_share.csr2")
+          .string();
+  if (io::mmap_supported()) {
+    ASSERT_TRUE(testutil::is_ok(io::write_csr(want, path)));
+    sources.emplace_back("mapped-unlinked", [&] {
+      Graph g = io::load_csr(path, {.mode = io::CsrLoadMode::kMmap}).value();
+      std::remove(path.c_str());  // the mapping pins the inode
+      return g;
+    });
+  }
+  for (const auto& [name, make] : sources) {
+    Graph kept;
+    {
+      const Graph original = make();
+      kept = original;
+      EXPECT_EQ(kept.offsets().data(), original.offsets().data()) << name;
+      EXPECT_EQ(kept.neighbor_array().data(),
+                original.neighbor_array().data())
+          << name;
+    }
+    const EdgeId* const offsets = kept.offsets().data();
+    const NodeId* const neighbors = kept.neighbor_array().data();
+    const auto shares = [&](const Graph& h) {
+      return h.offsets().data() == offsets &&
+             h.neighbor_array().data() == neighbors;
+    };
+    const auto intact = [&](const Graph& h) {
+      return shares(h) && h.validate() && testutil::same_csr(h, want);
+    };
+    EXPECT_TRUE(intact(kept)) << name;  // outlived the original
+    {
+      const Graph moved(std::move(kept));
+      EXPECT_TRUE(intact(moved)) << name;
+    }
+    EXPECT_TRUE(intact(kept)) << name;  // moved from, the last viewer
+    {
+      Graph assigned;
+      assigned = std::move(kept);
+      EXPECT_TRUE(intact(assigned)) << name;
+    }
+    EXPECT_TRUE(intact(kept)) << name;  // moved from, the last viewer
+  }
+
+  const Graph empty;
+  Graph copy = empty;
+  const Graph moved(std::move(copy));
+  const Graph* const graphs[] = {&empty, &copy, &moved};
+  for (const Graph* h : graphs) {
+    EXPECT_EQ(h->num_nodes(), 0u);
+    EXPECT_EQ(h->num_edges(), 0u);
+    EXPECT_TRUE(h->offsets().empty());
+    EXPECT_TRUE(h->validate());
   }
 }
 

@@ -486,13 +486,16 @@ TEST(Csr2, CorpusRoundTripCopyAndMmap) {
     EXPECT_EQ(info->num_half_edges, g.num_half_edges());
 
     const Graph copy = load_csr(f.path, {.mode = CsrLoadMode::kCopy}).value();
-    EXPECT_TRUE(copy.owns_storage());
+    EXPECT_FALSE(testutil::in_file_mapping(copy.offsets().data())) << name;
     EXPECT_TRUE(testutil::same_csr(g, copy)) << name;
 
     if (mmap_supported()) {
       const Graph mapped =
           load_csr(f.path, {.mode = CsrLoadMode::kMmap}).value();
-      EXPECT_FALSE(mapped.owns_storage());
+      if (testutil::kCanSeeMappings) {
+        EXPECT_TRUE(testutil::in_file_mapping(mapped.offsets().data()))
+            << name;
+      }
       EXPECT_TRUE(testutil::same_csr(g, mapped)) << name;
     }
   }
@@ -564,7 +567,10 @@ TEST(Csr2, MappedGraphSurvivesUnlink) {
   EXPECT_TRUE(testutil::same_csr(g, mapped));
   // Copies share the mapping rather than materializing.
   const Graph copy = mapped;  // NOLINT(performance-unnecessary-copy-...)
-  EXPECT_FALSE(copy.owns_storage());
+  EXPECT_EQ(copy.neighbor_array().data(), mapped.neighbor_array().data());
+  if (testutil::kCanSeeMappings) {
+    EXPECT_TRUE(testutil::in_file_mapping(copy.neighbor_array().data()));
+  }
   EXPECT_TRUE(testutil::same_csr(g, copy));
 }
 
@@ -824,7 +830,9 @@ TEST(Csr2Registry, OwningAndMappedGraphsDecomposeIdentically) {
   for (const auto& [name, g] : testutil::small_connected_corpus()) {
     ASSERT_TRUE(testutil::is_ok(write_csr(g, f.path))) << name;
     const Graph mapped = load_csr(f.path, {.mode = CsrLoadMode::kMmap}).value();
-    ASSERT_FALSE(mapped.owns_storage());
+    if (testutil::kCanSeeMappings) {
+      ASSERT_TRUE(testutil::in_file_mapping(mapped.offsets().data())) << name;
+    }
     for (const std::string& algo : registry().names()) {
       RunContext ctx_own, ctx_map;
       ctx_own.seed = ctx_map.seed = 12345;

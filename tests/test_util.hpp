@@ -18,6 +18,7 @@
 #include "common/types.hpp"
 #include "core/clustering.hpp"
 #include "core/quotient.hpp"
+#include "file_mapping.hpp"
 #include "graph/bfs.hpp"
 #include "graph/builder.hpp"
 #include "graph/connectivity.hpp"
